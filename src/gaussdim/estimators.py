@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import exact_cell_distribution, exact_cell_entropy, plugin_entropy
+from .entropy import exact_cell_distribution, exact_cell_entropy, packed_keys, plugin_entropy
 from .quantize import dither, quantize
 from .simulate import autocovariance_from_spectrum, sample_paths, welch_psd
 from .spectral import FrequencyGrid, SpectralModel, normalize_components, rank_integral
@@ -60,6 +60,7 @@ class DimensionEstimate:
     within_bounds: bool = True
     pairwise_slopes: tuple = ()  # consecutive two-point slopes (ladder-spread proxy)
     notes: str = ""
+    occupancy: tuple = ()  # occupied cells / paths at each ladder m (entropy slope only)
 
     @property
     def ladder_spread(self) -> float:
@@ -76,8 +77,8 @@ def _validate_ladder(m_ladder) -> tuple:
 
 
 def _block_entropies(samples: np.ndarray, k: int, m_ladder, paths: int, miller_madow: bool):
-    """Per-m block entropy rate H_k/k from one k-block per path."""
-    values, ses = [], []
+    """Per-m block entropy rate H_k/k and occupied/paths ratio from one k-block per path."""
+    values, ses, occupancy = [], [], []
     blocks = samples[:, :k, :].reshape(paths, -1)
     for m in m_ladder:
         codes = quantize(blocks[:, :, None], m).codes.reshape(paths, -1)
@@ -89,16 +90,20 @@ def _block_entropies(samples: np.ndarray, k: int, m_ladder, paths: int, miller_m
             )
         values.append(est.value / k)
         ses.append(est.error / k)
-    return np.asarray(values), np.asarray(ses)
+        occupancy.append(est.occupied / paths)
+    return np.asarray(values), np.asarray(ses), tuple(occupancy)
 
 
 def _choose_k(samples: np.ndarray, m_max: int, paths: int, k_cap: int) -> int:
-    """Largest block length whose occupied-cell count passes the plug-in guard."""
+    """Largest block length whose occupied-cell count passes the plug-in guard.
+
+    The k_cap block is quantized once; the key of each prefix k extends the
+    key of k-1 by the L columns of step k.
+    """
+    codes = quantize(samples[:, :k_cap, :], m_max).codes.reshape(paths, -1)
     chosen = 1
-    for k in range(1, k_cap + 1):
-        codes = quantize(samples[:, :k, :], m_max).codes.reshape(paths, -1)
-        occupied = len(np.unique(codes, axis=0))
-        if occupied > paths * OCCUPANCY_FRACTION:
+    for k, key in enumerate(packed_keys(codes, step=samples.shape[2]), start=1):
+        if len(np.unique(key)) > paths * OCCUPANCY_FRACTION:
             break
         chosen = k
     return chosen
@@ -106,13 +111,13 @@ def _choose_k(samples: np.ndarray, m_max: int, paths: int, k_cap: int) -> int:
 
 def _slope_from_samples(samples: np.ndarray, m_ladder, k: int, miller_madow: bool):
     paths = samples.shape[0]
-    values, ses = _block_entropies(samples, k, m_ladder, paths, miller_madow)
+    values, ses, occupancy = _block_entropies(samples, k, m_ladder, paths, miller_madow)
     logm = np.log(np.asarray(m_ladder, float))
     slope, se = _ls_slope(logm, values, ses)
     pairwise = tuple(
         float((values[i + 1] - values[i]) / (logm[i + 1] - logm[i])) for i in range(len(values) - 1)
     )
-    return slope, se, pairwise
+    return slope, se, pairwise, occupancy
 
 
 def idr_slope_estimate(
@@ -145,11 +150,13 @@ def idr_slope_estimate(
     batch = sample_paths(acov, k_need, paths, seed)
     if k is None:
         k = _choose_k(batch.samples, ladder[-1], paths, k_cap)
-    slope, se, pairwise = _slope_from_samples(batch.samples, ladder, k, miller_madow)
+    slope, se, pairwise, occupancy = _slope_from_samples(batch.samples, ladder, k, miller_madow)
     L = model.L
     within = bool(-0.1 <= slope <= L + 0.1)
     notes = "" if within else f"slope {slope:.4f} outside [-0.1, L+0.1]"
-    return DimensionEstimate(slope, "entropy-slope", ladder, k, paths, se, reference, within, pairwise, notes)
+    return DimensionEstimate(
+        slope, "entropy-slope", ladder, k, paths, se, reference, within, pairwise, notes, occupancy
+    )
 
 
 def _half_mean_logdet(matrices: np.ndarray, floor: float) -> float:
@@ -307,6 +314,10 @@ def invariance_check(
     """Run the slope estimator on shared sample paths before and after a
     positive scaling or a translation; the dimension must not move.
 
+    Both slopes use one block length; k defaults to the largest one whose
+    occupied-cell count passes the plug-in guard on the base and on the
+    transformed paths.
+
     exact_block = (k, m) additionally verifies the finite-precision
     translation inequality |H([x]_m) - H([x + c]_m)| <= k*L*log(4) by
     quadrature: a translated code differs from code-plus-shifted-code by at
@@ -328,19 +339,21 @@ def invariance_check(
     k_need = k if k is not None else K_CAP
     acov = autocovariance_from_spectrum(norm.model, max(k_need - 1, 0))
     batch = sample_paths(acov, k_need, paths, seed)
-    if k is None:
-        k = _choose_k(batch.samples, ladder[-1], paths, k_cap=K_CAP)
     if transform == "scale":
         moved = batch.samples * amount_kept
     else:
         moved = batch.samples + amount_kept
+    if k is None:  # both slopes share k, so it must pass the guard on both sample sets
+        k = min(_choose_k(s, ladder[-1], paths, k_cap=K_CAP) for s in (batch.samples, moved))
 
-    s0, se0, pw0 = _slope_from_samples(batch.samples, ladder, k, True)
-    s1, se1, pw1 = _slope_from_samples(moved, ladder, k, True)
-    base = DimensionEstimate(s0, "entropy-slope", ladder, k, paths, se0, reference, pairwise_slopes=pw0)
+    s0, se0, pw0, occ0 = _slope_from_samples(batch.samples, ladder, k, True)
+    s1, se1, pw1, occ1 = _slope_from_samples(moved, ladder, k, True)
+    base = DimensionEstimate(
+        s0, "entropy-slope", ladder, k, paths, se0, reference, pairwise_slopes=pw0, occupancy=occ0
+    )
     trans = DimensionEstimate(
         s1, "entropy-slope", ladder, k, paths, se1, reference, pairwise_slopes=pw1,
-        notes=f"{transform} by {np.array2string(amount, precision=3)}",
+        notes=f"{transform} by {np.array2string(amount, precision=3)}", occupancy=occ1,
     )
 
     exact_delta = exact_bound = exact_ok = None

@@ -162,8 +162,8 @@ def _estimate_reports(model, grid, config) -> list:
                 tolerance=config.tol_estimate,
                 passed=bool(abs(est.value - est.reference) <= config.tol_estimate),
                 settings={
-                    "m_ladder": list(est.m_ladder), "k": est.k, "paths": est.paths,
-                    "ladder_spread": est.ladder_spread, "notes": est.notes,
+                    "m_ladder": list(est.m_ladder), "k": est.k, "occupancy": list(est.occupancy),
+                    "paths": est.paths, "ladder_spread": est.ladder_spread, "notes": est.notes,
                 },
             )
         )

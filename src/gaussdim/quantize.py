@@ -63,7 +63,9 @@ def quantize(data, m: int) -> QuantizedPathBatch:
         raise PrecisionOverflowError(
             f"|x|*m reaches {peak * m:.3e}; exact floor semantics need |x| < 2^53/m"
         )
-    codes = np.floor(m * arr).astype(np.int64)
+    scaled = m * arr
+    np.floor(scaled, out=scaled)  # in place: one float temporary, not two
+    codes = scaled.astype(np.int64)
     fp = data.fingerprint if isinstance(data, SamplePathBatch) else ""
     return QuantizedPathBatch(codes, int(m), fp)
 

@@ -8,14 +8,20 @@ higher dimension.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import norm
 
+from gaussdim import entropy
 from gaussdim.benchmarks import ar1, correlated_pair, narrowband, white_noise, zero_process
 from gaussdim.entropy import (
     DegenerateCovarianceError,
     QuadratureFeasibilityError,
+    cell_counts,
     exact_cell_distribution,
     exact_cell_entropy,
+    packed_keys,
     plugin_entropy,
 )
 from gaussdim.quantize import quantize
@@ -63,6 +69,81 @@ class TestPluginEntropy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             plugin_entropy(np.zeros((0,), dtype=int))
+
+
+def _row_unique_counts(codes):
+    return np.unique(codes, axis=0, return_counts=True)[1]
+
+
+@st.composite
+def _repeating_rows(draw, lo, hi, max_cols=6):
+    """Rows drawn from a few values per test, so rows and row prefixes repeat."""
+    values = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=4))
+    d = draw(st.integers(1, max_cols))
+    row = st.lists(st.sampled_from(values), min_size=d, max_size=d)
+    pool = draw(st.lists(row, min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60))
+    return np.array([pool[i] for i in picks], dtype=np.int64)
+
+
+_INTEGER_DTYPES = st.sampled_from(
+    [np.bool_, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+)
+
+
+class TestCellCounts:
+    """The packed-key counting kernel against the row sort it replaces."""
+
+    @given(_repeating_rows(-(2**40), 2**40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_unique_wide_spans(self, codes):
+        assert np.array_equal(cell_counts(codes), _row_unique_counts(codes))
+
+    @given(_repeating_rows(-3, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_unique_small_negative_codes(self, codes):
+        assert np.array_equal(cell_counts(codes), _row_unique_counts(codes))
+
+    @given(hnp.arrays(_INTEGER_DTYPES, hnp.array_shapes(min_dims=2, max_dims=2, max_side=10)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_unique_any_integer_dtype(self, codes):
+        # full-range values: int64/uint64 column spans beyond 2^62 included
+        assert np.array_equal(cell_counts(codes), _row_unique_counts(codes))
+
+    @given(_repeating_rows(-(2**40), 2**40, max_cols=8), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_prefix_keys_match_row_unique_per_prefix(self, codes, step):
+        codes = np.tile(codes, (1, step))  # column count a multiple of step
+        keys = list(packed_keys(codes, step))
+        assert len(keys) == codes.shape[1] // step
+        for j, key in enumerate(keys, start=1):
+            counts = np.unique(key, return_counts=True)[1]
+            assert np.array_equal(counts, _row_unique_counts(codes[:, : j * step]))
+
+    def test_wide_spans_rank_compress_the_key(self, monkeypatch):
+        calls = []
+        real = entropy._ranks
+        monkeypatch.setattr(entropy, "_ranks", lambda v: calls.append(len(v)) or real(v))
+        codes = np.array([[2**40, -(2**40), 5], [-(2**40), 2**40, 5], [2**40, -(2**40), 5]] * 3)
+        assert np.array_equal(cell_counts(codes), [3, 6])
+        assert calls  # two columns of span 2^41 pass 2^62
+
+    def test_one_dimensional_input(self):
+        codes = np.array([3, -1, 3, 0, -1, 3])
+        assert np.array_equal(cell_counts(codes), [2, 1, 3])
+
+    def test_single_row(self):
+        assert np.array_equal(cell_counts(np.array([[-7, 2, 9]])), [1])
+
+    def test_bool_codes(self):
+        codes = np.array([[True, False], [False, False], [True, False]])
+        assert np.array_equal(cell_counts(codes), _row_unique_counts(codes))
+        assert plugin_entropy(codes, miller_madow=False).occupied == 2
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128, object])
+    def test_non_integer_codes_rejected(self, dtype):
+        with pytest.raises(TypeError, match="integer or bool"):
+            plugin_entropy(np.zeros((4, 2), dtype=dtype))
 
 
 class TestQuadratureOracle:

@@ -12,13 +12,18 @@ from gaussdim.benchmarks import (
     zero_process,
 )
 from gaussdim.estimators import (
+    K_CAP,
+    OCCUPANCY_FRACTION,
     UndersamplingError,
+    _choose_k,
     gaussian_surrogate_kl,
     idr_slope_estimate,
     invariance_check,
     kl_cap_per_coordinate,
     surrogate_idr_estimate,
 )
+from gaussdim.quantize import quantize
+from gaussdim.simulate import autocovariance_from_spectrum, sample_paths
 
 
 class TestSlopeEstimator:
@@ -56,6 +61,25 @@ class TestSlopeEstimator:
         est = idr_slope_estimate(white_noise(), paths=100_000, seed=7)
         assert len(est.pairwise_slopes) == 3
         assert est.ladder_spread < 0.1
+
+    def test_occupancy_reported_per_ladder_m(self):
+        est = idr_slope_estimate(white_noise(), m_ladder=(2, 8, 32), paths=20_000, seed=8)
+        assert len(est.occupancy) == 3
+        assert 0.0 < est.occupancy[0] <= est.occupancy[1] <= est.occupancy[2] <= OCCUPANCY_FRACTION
+
+    @pytest.mark.parametrize("builder", [white_noise, lambda: ar1(0.6), correlated_pair])
+    def test_choose_k_matches_row_unique_loop(self, builder):
+        paths = 20_000
+        acov = autocovariance_from_spectrum(builder(), K_CAP - 1)
+        samples = sample_paths(acov, K_CAP, paths, seed=9).samples
+        for m_max in (1, 2, 4, 64):
+            expected = 1
+            for k in range(1, K_CAP + 1):
+                codes = quantize(samples[:, :k, :], m_max).codes.reshape(paths, -1)
+                if len(np.unique(codes, axis=0)) > paths * OCCUPANCY_FRACTION:
+                    break
+                expected = k
+            assert _choose_k(samples, m_max, paths, K_CAP) == expected
 
 
 class TestSurrogateEstimator:
@@ -176,6 +200,13 @@ class TestInvariance:
         rep = invariance_check(narrowband(0.4), "scale", 2.0, paths=100_000, seed=17)
         # base and transformed share paths, so the gap is purely quantizer-level
         assert rep.delta <= 0.05
+
+    def test_scale_k_passes_guard_on_transformed_paths(self):
+        # k=2 passes the guard on the unscaled paths only; scaling by 3
+        # multiplies the occupied cells, so both slopes must use k=1
+        rep = invariance_check(white_noise(), "scale", 3.0, m_ladder=(1, 2), paths=5000, seed=5)
+        assert rep.base.k == rep.transformed.k == 1
+        assert max(rep.transformed.occupancy) <= OCCUPANCY_FRACTION
 
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError, match="positive"):

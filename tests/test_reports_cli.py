@@ -149,6 +149,21 @@ class TestRunTasks:
         d1.pop("wall_time_s"), d2.pop("wall_time_s")
         assert d1 == d2
 
+    def test_estimate_reports_occupancy_next_to_k(self):
+        rep = run({
+            "task": "estimate",
+            "model": model_to_document(white_noise()),
+            "seed": 12,
+            "paths": 20_000,
+            "surrogate_paths": 24,
+            "surrogate_k": 2048,
+        })
+        slope, surrogate = rep.reports
+        assert slope.settings["k"] == 1
+        assert len(slope.settings["occupancy"]) == len(slope.settings["m_ladder"])
+        assert max(slope.settings["occupancy"]) <= 0.1
+        assert surrogate.settings["occupancy"] == []
+
     def test_verify_white_noise_passes(self):
         rep = run({
             "task": "verify",
