@@ -61,6 +61,8 @@ class DimensionEstimate:
     pairwise_slopes: tuple = ()  # consecutive two-point slopes (ladder-spread proxy)
     notes: str = ""
     occupancy: tuple = ()  # occupied cells / paths at each ladder m (entropy slope only)
+    factor_method: str = ""  # how the sampled paths' covariance was factored ("" if none drawn)
+    jitter: float = 0.0  # diagonal load added to that covariance before factoring
 
     @property
     def ladder_spread(self) -> float:
@@ -155,7 +157,8 @@ def idr_slope_estimate(
     within = bool(-0.1 <= slope <= L + 0.1)
     notes = "" if within else f"slope {slope:.4f} outside [-0.1, L+0.1]"
     return DimensionEstimate(
-        slope, "entropy-slope", ladder, k, paths, se, reference, within, pairwise, notes, occupancy
+        slope, "entropy-slope", ladder, k, paths, se, reference, within, pairwise, notes, occupancy,
+        batch.factor_method, batch.jitter,
     )
 
 
@@ -236,6 +239,7 @@ def surrogate_idr_estimate(
     return DimensionEstimate(
         value, "gaussian-surrogate", ladder, k_eff, paths, se, reference, within, pairwise,
         notes="" if within else f"estimate {value:.4f} outside [-0.1, L+0.1]",
+        factor_method=batch.factor_method, jitter=batch.jitter,
     )
 
 
@@ -348,12 +352,14 @@ def invariance_check(
 
     s0, se0, pw0, occ0 = _slope_from_samples(batch.samples, ladder, k, True)
     s1, se1, pw1, occ1 = _slope_from_samples(moved, ladder, k, True)
+    drawn = {"factor_method": batch.factor_method, "jitter": batch.jitter}
     base = DimensionEstimate(
-        s0, "entropy-slope", ladder, k, paths, se0, reference, pairwise_slopes=pw0, occupancy=occ0
+        s0, "entropy-slope", ladder, k, paths, se0, reference, pairwise_slopes=pw0, occupancy=occ0,
+        **drawn,
     )
     trans = DimensionEstimate(
         s1, "entropy-slope", ladder, k, paths, se1, reference, pairwise_slopes=pw1,
-        notes=f"{transform} by {np.array2string(amount, precision=3)}", occupancy=occ1,
+        notes=f"{transform} by {np.array2string(amount, precision=3)}", occupancy=occ1, **drawn,
     )
 
     exact_delta = exact_bound = exact_ok = None

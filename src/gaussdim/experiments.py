@@ -34,6 +34,16 @@ from .spectral import (
 )
 
 TASKS = ("analyze", "estimate", "rd", "verify", "complex")
+# Configuration fields each task reads, listed in its RunReport settings after grid_n.
+_TASK_SETTINGS = {
+    "analyze": (),
+    "estimate": (
+        "m_ladder", "paths", "surrogate_m_ladder", "surrogate_paths", "surrogate_k", "surrogate_segment",
+    ),
+    "rd": ("d_ladder",),
+    "verify": ("m_ladder", "verify_paths", "bussgang_m_ladder", "identity_m", "kl_m_ladder"),
+    "complex": (),
+}
 _STOCHASTIC_TASKS = ("estimate", "verify")
 
 
@@ -162,7 +172,8 @@ def _estimate_reports(model, grid, config) -> list:
                 tolerance=config.tol_estimate,
                 passed=bool(abs(est.value - est.reference) <= config.tol_estimate),
                 settings={
-                    "m_ladder": list(est.m_ladder), "k": est.k, "occupancy": list(est.occupancy),
+                    "m_ladder": list(est.m_ladder), "k": est.k, "factor_method": est.factor_method,
+                    "jitter": est.jitter, "occupancy": list(est.occupancy),
                     "paths": est.paths, "ladder_spread": est.ladder_spread, "notes": est.notes,
                 },
             )
@@ -271,12 +282,10 @@ def run(config: ExperimentConfig | dict) -> RunReport:
     else:
         reports = dispatch[config.task](model, grid, config)
     elapsed = time.perf_counter() - started
-    settings = {
-        "grid_n": grid.n,
-        "m_ladder": list(config.m_ladder),
-        "paths": config.paths,
-        "d_ladder": list(config.d_ladder),
-    }
+    settings = {"grid_n": grid.n}
+    for name in _TASK_SETTINGS[config.task]:
+        value = getattr(config, name)
+        settings[name] = list(value) if isinstance(value, tuple) else value
     return RunReport(
         task=config.task,
         seed=config.seed,

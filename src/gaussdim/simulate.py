@@ -2,9 +2,14 @@
 
 The sampler draws from the exact finite-dimensional law: the block-Toeplitz
 covariance assembled from C(tau) is factored once and applied to independent
-standard normals.  Band and line contributions to C(tau) are integrated in
-closed form; rational terms are integrated by a dense FFT quadrature whose
-resolution grows with tau_max so that long lags stay alias-free.
+standard normals.  The covariance is filled by one strided copy and
+Cholesky-factored in place; a failed attempt has overwritten it, so each
+retry (Cholesky with a small diagonal jitter for large matrices, then the
+eigenvalue factor) rebuilds it first.  A batch records which factor ran and
+the jitter, if any, that its law carries.  Band and line contributions to
+C(tau) are integrated in closed form; rational terms are integrated by a dense
+FFT quadrature whose resolution grows with tau_max so that long lags stay
+alias-free.
 """
 
 from __future__ import annotations
@@ -54,16 +59,21 @@ class AutocovarianceSequence:
         return self.matrices.shape[0] - 1
 
     def toeplitz(self, k: int) -> np.ndarray:
-        """Dense (k*L) x (k*L) covariance of k consecutive samples, time-major."""
+        """Dense (k*L) x (k*L) covariance of k consecutive samples, time-major.
+
+        Block [t, s] is C(t - s), with C(-tau) = C(tau)^T and C(0) symmetrized,
+        so the matrix is exactly symmetric.  One strided copy fills it.
+        """
         if k > self.tau_max + 1:
             raise ValueError(f"k={k} exceeds tau_max+1={self.tau_max + 1}")
-        c = self.matrices[:k]
-        full = np.concatenate([c[:0:-1].transpose(0, 2, 1), c], axis=0)  # lags -(k-1)..k-1
-        lag = np.arange(k)[:, None] - np.arange(k)[None, :]
-        big = full[lag + k - 1]  # (k, k, L, L), entry [t, s] = C(t - s)
         L = self.L
-        sigma = big.transpose(0, 2, 1, 3).reshape(k * L, k * L)
-        return 0.5 * (sigma + sigma.T)
+        c0 = self.matrices[0]
+        c = self.matrices[1:k]
+        lags = np.concatenate([c[::-1], [0.5 * (c0 + c0.T)], c.transpose(0, 2, 1)])  # k-1..-(k-1)
+        windows = np.lib.stride_tricks.sliding_window_view(lags, k, axis=0)  # [w, i, j, s] = lags[w + s]
+        sigma = np.empty((k, L, k, L))
+        sigma[...] = windows[::-1].transpose(0, 1, 3, 2)  # [t, i, s, j] = C(t - s)[i, j]
+        return sigma.reshape(k * L, k * L)
 
 
 def _fingerprint(matrices: np.ndarray, mean: np.ndarray) -> str:
@@ -135,6 +145,7 @@ class SamplePathBatch:
     seed: int
     fingerprint: str
     factor_method: str = "cholesky"
+    jitter: float = 0.0  # diagonal load added to the covariance before factoring
 
     @property
     def paths(self) -> int:
@@ -152,36 +163,45 @@ class SamplePathBatch:
 _EXACT_FACTOR_DIM = 512
 
 
-def _psd_factor(sigma: np.ndarray) -> tuple[np.ndarray, str]:
-    """Square factor F with F F^T = sigma.
+def _cholesky_in_place(sigma: np.ndarray) -> np.ndarray:
+    # sigma is exactly symmetric, so its F-ordered transpose is the same
+    # matrix and LAPACK factors it without a copy; the factor is F-ordered.
+    return scipy.linalg.cholesky(sigma.T, lower=True, overwrite_a=True, check_finite=False)
 
-    Cholesky first.  On failure, small matrices go straight to the exact
-    eigenvalue factor so rank-deficient laws (e.g. perfectly correlated
-    components) are sampled exactly; large matrices try one cheap jitter
-    retry before paying for the eigendecomposition.
+
+def _psd_factor(acov: AutocovarianceSequence, k: int) -> tuple[np.ndarray, str, float]:
+    """Square factor F with F F^T = acov.toeplitz(k), its method and the jitter added.
+
+    Cholesky first, in place on the covariance buffer.  A failed attempt has
+    overwritten that buffer, so every retry rebuilds the covariance.  Small
+    matrices then go straight to the exact eigenvalue factor so rank-deficient
+    laws (e.g. perfectly correlated components) are sampled exactly; large
+    matrices try one Cholesky with jitter = 1e-12 * tr(sigma) / n added to the
+    diagonal before paying for the eigendecomposition.  The returned jitter is
+    that diagonal load when the jittered factor is used, else 0.0.
     """
     try:
-        return scipy.linalg.cholesky(sigma, lower=True, check_finite=False), "cholesky"
+        return _cholesky_in_place(acov.toeplitz(k)), "cholesky", 0.0
     except scipy.linalg.LinAlgError:
         pass
-    n = sigma.shape[0]
+    n = k * acov.L
     if n > _EXACT_FACTOR_DIM:
-        jitter = 1e-12 * np.trace(sigma) / n
+        jittered = acov.toeplitz(k)
+        jitter = 1e-12 * np.trace(jittered) / n
         if jitter > 0:
+            jittered.flat[:: n + 1] += jitter
             try:
-                return (
-                    scipy.linalg.cholesky(sigma + jitter * np.eye(n), lower=True, check_finite=False),
-                    "cholesky+jitter",
-                )
+                return _cholesky_in_place(jittered), "cholesky+jitter", float(jitter)
             except scipy.linalg.LinAlgError:
                 pass
-    eigval, eigvec = np.linalg.eigh(sigma)
+        del jittered  # free the n x n buffer before eigh gets a fresh one
+    eigval, eigvec = np.linalg.eigh(acov.toeplitz(k))
     floor = -1e-8 * max(eigval.max(), 1e-300)
     if eigval.min() < floor:
         raise NotPositiveDefiniteError(
             f"covariance is not PSD: smallest pivot/eigenvalue {eigval.min():.6e}"
         )
-    return eigvec * np.sqrt(np.clip(eigval, 0.0, None)), "eigh"
+    return eigvec * np.sqrt(np.clip(eigval, 0.0, None)), "eigh", 0.0
 
 
 def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) -> SamplePathBatch:
@@ -198,8 +218,7 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
         raise ValueError(f"k={k} needs tau_max >= {k - 1}, have {acov.tau_max}")
     if k * L > MAX_DENSE_DIM:
         raise ValueError(f"k*L={k * L} exceeds the dense-factorization cap {MAX_DENSE_DIM}")
-    sigma = acov.toeplitz(k)
-    factor, method = _psd_factor(sigma)
+    factor, method, jitter = _psd_factor(acov, k)
     mu = np.tile(acov.mean, k)
     out = np.empty((paths, k * L))
     for chunk, start in enumerate(range(0, paths, _PATH_CHUNK)):
@@ -207,7 +226,7 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
         rng = derive_rng(seed, "gauss-paths", chunk)
         z = rng.standard_normal((stop - start, k * L))
         out[start:stop] = z @ factor.T + mu
-    return SamplePathBatch(out.reshape(paths, k, L), seed, acov.fingerprint, method)
+    return SamplePathBatch(out.reshape(paths, k, L), seed, acov.fingerprint, method, jitter)
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,56 @@ class TestRunTasks:
         assert max(slope.settings["occupancy"]) <= 0.1
         assert surrogate.settings["occupancy"] == []
 
+    @pytest.mark.parametrize(
+        "builder, method, jitter",
+        [(lambda: narrowband(0.4), "cholesky+jitter", 1e-12), (white_noise, "cholesky", 0.0)],
+        ids=["narrowband", "white"],
+    )
+    def test_estimate_reports_factor_method_and_jitter(self, builder, method, jitter):
+        rep = run({
+            "task": "estimate",
+            "model": model_to_document(builder()),
+            "seed": 12,
+            "paths": 20_000,
+            "surrogate_paths": 24,
+            "surrogate_k": 2048,
+        })
+        slope, surrogate = rep.reports
+        assert surrogate.settings["factor_method"] == method
+        assert surrogate.settings["jitter"] == pytest.approx(jitter, rel=1e-6, abs=0.0)
+        assert list(surrogate.settings)[:4] == ["m_ladder", "k", "factor_method", "jitter"]
+        assert slope.settings["factor_method"] == "cholesky"
+        assert slope.settings["jitter"] == 0.0
+
+    @pytest.mark.parametrize(
+        "task, extra, keys",
+        [
+            ("analyze", {}, ["grid_n"]),
+            ("complex", {}, ["grid_n"]),
+            ("rd", {}, ["grid_n", "d_ladder"]),
+            (
+                "estimate",
+                {"seed": 3, "m_ladder": [2, 4], "paths": 2000, "surrogate_paths": 4, "surrogate_k": 2048},
+                ["grid_n", "m_ladder", "paths", "surrogate_m_ladder", "surrogate_paths",
+                 "surrogate_k", "surrogate_segment"],
+            ),
+            (
+                "verify",
+                {"seed": 3, "m_ladder": [2, 4], "verify_paths": 2000},
+                ["grid_n", "m_ladder", "verify_paths", "bussgang_m_ladder", "identity_m", "kl_m_ladder"],
+            ),
+        ],
+    )
+    def test_run_settings_list_only_what_the_task_used(self, task, extra, keys):
+        model = proper_complex_flat() if task == "complex" else white_noise()
+        cfg = {"task": task, "model": model_to_document(model), "grid_n": 1024, **extra}
+        rep = run(cfg)
+        assert list(rep.settings) == keys
+        config = ExperimentConfig.from_dict(cfg)
+        for key in keys[1:]:
+            value = getattr(config, key)
+            assert rep.settings[key] == (list(value) if isinstance(value, tuple) else value)
+
     def test_verify_white_noise_passes(self):
         rep = run({
             "task": "verify",

@@ -13,9 +13,12 @@ from gaussdim.benchmarks import (
 )
 from gaussdim.entropy import exact_cell_distribution
 from gaussdim.quantize import dither, quantize
+from gaussdim._rng import derive_rng
 from gaussdim.simulate import (
+    AutocovarianceSequence,
     InsufficientDataError,
     SymmetryViolationError,
+    _psd_factor,
     autocovariance_from_spectrum,
     export_batch,
     import_batch,
@@ -124,9 +127,10 @@ class TestSamplePaths:
     def test_indefinite_covariance_names_smallest_pivot(self):
         from gaussdim.simulate import NotPositiveDefiniteError, _psd_factor
 
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+        # toeplitz(2) of C(0)=1, C(1)=2 is [[1, 2], [2, 1]]: eigenvalues 3 and -1
+        bad = AutocovarianceSequence(np.array([[[1.0]], [[2.0]]]), np.zeros(1))
         with pytest.raises(NotPositiveDefiniteError, match="-1"):
-            _psd_factor(bad)
+            _psd_factor(bad, 2)
 
     def test_quantized_cells_match_quadrature_oracle(self):
         """Sampled quantized-cell frequencies against exact cell probabilities."""
@@ -143,6 +147,122 @@ class TestSamplePaths:
         for code, p in lookup.items():
             se = np.sqrt(p * (1 - p) / paths)
             assert abs(freq.get(code, 0.0) - p) <= 5.0 * se
+
+
+def _block_loop_toeplitz(acov, k):
+    L = acov.L
+    c0 = acov.matrices[0]
+    sigma = np.empty((k * L, k * L))
+    for t in range(k):
+        for s in range(k):
+            lag = t - s
+            block = 0.5 * (c0 + c0.T) if lag == 0 else (
+                acov.matrices[lag] if lag > 0 else acov.matrices[-lag].T
+            )
+            sigma[t * L:(t + 1) * L, s * L:(s + 1) * L] = block
+    return sigma
+
+
+def _reference_toeplitz(acov, k):
+    """Fancy-index assembly with a full symmetrizing pass (the earlier sampler's)."""
+    c = acov.matrices[:k]
+    full = np.concatenate([c[:0:-1].transpose(0, 2, 1), c], axis=0)
+    lag = np.arange(k)[:, None] - np.arange(k)[None, :]
+    L = acov.L
+    sigma = full[lag + k - 1].transpose(0, 2, 1, 3).reshape(k * L, k * L)
+    return 0.5 * (sigma + sigma.T)
+
+
+def _reference_factor(sigma):
+    """Copy-based factor of the earlier sampler: the input is never overwritten."""
+    import scipy.linalg
+
+    try:
+        return scipy.linalg.cholesky(sigma, lower=True, check_finite=False), "cholesky"
+    except scipy.linalg.LinAlgError:
+        pass
+    n = sigma.shape[0]
+    if n > 512:
+        jitter = 1e-12 * np.trace(sigma) / n
+        if jitter > 0:
+            try:
+                return (
+                    scipy.linalg.cholesky(sigma + jitter * np.eye(n), lower=True, check_finite=False),
+                    "cholesky+jitter",
+                )
+            except scipy.linalg.LinAlgError:
+                pass
+    eigval, eigvec = np.linalg.eigh(sigma)
+    return eigvec * np.sqrt(np.clip(eigval, 0.0, None)), "eigh"
+
+
+def _reference_samples(acov, k, paths, seed):
+    factor, method = _reference_factor(_reference_toeplitz(acov, k))
+    z = derive_rng(seed, "gauss-paths", 0).standard_normal((paths, k * acov.L))
+    return (z @ factor.T + np.tile(acov.mean, k)).reshape(paths, k, acov.L), method
+
+
+class TestDenseFactor:
+    @pytest.mark.parametrize("builder", [lambda: ar1(0.6), correlated_pair], ids=["L1", "L2"])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_toeplitz_equals_block_loop(self, builder, k):
+        acov = autocovariance_from_spectrum(builder(), k - 1)
+        assert acov.toeplitz(k).tobytes() == _block_loop_toeplitz(acov, k).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_toeplitz_symmetrizes_last_bit_asymmetric_c0(self, k):
+        rng = np.random.default_rng(4)
+        mats = rng.normal(size=(k, 2, 2))
+        mats[0] = [[2.0, 0.3], [np.nextafter(0.3, 1.0), 2.0]]
+        acov = AutocovarianceSequence(mats, np.zeros(2))
+        sigma = acov.toeplitz(k)
+        assert sigma.tobytes() == _block_loop_toeplitz(acov, k).tobytes()
+        assert sigma.tobytes() == _reference_toeplitz(acov, k).tobytes()
+        assert np.array_equal(sigma, sigma.T)
+
+    @pytest.mark.parametrize(
+        "builder, k, method",
+        [
+            (white_noise, 64, "cholesky"),
+            (lambda: narrowband(0.4), 600, "cholesky+jitter"),
+            (correlated_pair, 4, "eigh"),
+            (correlated_pair, 300, "cholesky+jitter"),
+        ],
+        ids=["white-k64", "narrowband-k600", "pair-k4", "pair-k300"],
+    )
+    def test_samples_equal_copy_based_reference(self, builder, k, method):
+        acov = autocovariance_from_spectrum(builder(), k - 1)
+        batch = sample_paths(acov, k, 50, seed=3)
+        expected, ref_method = _reference_samples(acov, k, 50, 3)
+        assert batch.factor_method == ref_method == method
+        assert np.array_equal(batch.samples, expected)
+
+    @pytest.mark.parametrize(
+        "builder, k, method",
+        [
+            (lambda: narrowband(0.4), 600, "cholesky+jitter"),
+            (lambda: narrowband(0.4), 300, "eigh"),
+            (correlated_pair, 300, "cholesky+jitter"),
+        ],
+        ids=["narrowband-k600", "narrowband-k300", "pair-k300"],
+    )
+    def test_retry_rebuilds_overwritten_covariance(self, builder, k, method):
+        acov = autocovariance_from_spectrum(builder(), k - 1)
+        factor, got, jitter = _psd_factor(acov, k)
+        sigma = acov.toeplitz(k)
+        n = sigma.shape[0]
+        assert got == method
+        if method == "cholesky+jitter":
+            assert jitter == 1e-12 * np.trace(sigma) / n
+        else:
+            assert jitter == 0.0
+        assert np.abs(factor @ factor.T - (sigma + jitter * np.eye(n))).max() <= 1e-10
+
+    def test_batch_records_jitter(self):
+        acov = autocovariance_from_spectrum(narrowband(0.4), 599)
+        assert sample_paths(acov, 600, 4, seed=1).jitter == pytest.approx(1e-12, rel=1e-6)
+        acov = autocovariance_from_spectrum(white_noise(), 63)
+        assert sample_paths(acov, 64, 4, seed=1).jitter == 0.0
 
 
 class TestWelch:
