@@ -34,8 +34,6 @@ from .simulate import (
     SamplePathBatch,
     WelchEstimate,
     autocovariance_from_spectrum,
-    export_batch,
-    import_batch,
     sample_paths,
     welch_psd,
 )

@@ -117,12 +117,13 @@ def _resolve_model(config: ExperimentConfig) -> tuple[SpectralModel, FrequencyGr
     return model, FrequencyGrid(grid_n), rank_tols
 
 
+def _rank_kwargs(rank_tols: dict) -> dict:
+    """Document overrides as rank_integral/support_bound keyword arguments."""
+    return {key.removeprefix("rank_"): value for key, value in rank_tols.items()}
+
+
 def _analyze_reports(model, grid, config, rank_tols) -> list:
-    ri = rank_integral(
-        model, grid,
-        rel_tol=rank_tols.get("rank_rel_tol", 1e-9),
-        abs_floor=rank_tols.get("rank_abs_floor", 1e-300),
-    )
+    ri = rank_integral(model, grid, **_rank_kwargs(rank_tols))
     reports = [
         EstimateReport(
             "rank_integral", ri.method, ri.value,
@@ -130,15 +131,15 @@ def _analyze_reports(model, grid, config, rank_tols) -> list:
         )
     ]
     if model.L == 2:
-        reports.extend(_complex_reports(model, grid, config))
+        reports.extend(_complex_reports(model, grid, config, rank_tols))
     return reports
 
 
-def _complex_reports(model, grid, config) -> list:
+def _complex_reports(model, grid, config, rank_tols) -> list:
     if model.L != 2:
         raise ConfigError("complex-process analysis needs a bivariate (L=2) model")
     prop = properness_check(model, grid)
-    sb = support_bound(model, grid)
+    sb = support_bound(model, grid, **_rank_kwargs(rank_tols))
     return [
         EstimateReport(
             "properness", "cross-spectrum", float(prop.proper),
@@ -156,7 +157,7 @@ def _complex_reports(model, grid, config) -> list:
     ]
 
 
-def _estimate_reports(model, grid, config) -> list:
+def _estimate_reports(model, grid, config, rank_tols) -> list:
     slope = idr_slope_estimate(
         model, config.m_ladder, k=config.k, paths=config.paths, seed=config.seed, grid=grid
     )
@@ -181,8 +182,8 @@ def _estimate_reports(model, grid, config) -> list:
     return out
 
 
-def _rd_reports(model, grid, config) -> list:
-    est = rd_dimension_estimate(model, config.d_ladder, grid, tolerance=config.tol_rd)
+def _rd_reports(model, grid, config, rank_tols) -> list:
+    est = rd_dimension_estimate(model, config.d_ladder, grid)
     reports = [
         EstimateReport(
             "dimension", est.method, est.value, se=est.se, reference=est.reference,
@@ -198,7 +199,7 @@ def _rd_reports(model, grid, config) -> list:
     return reports
 
 
-def _verify_reports(model, grid, config) -> list:
+def _verify_reports(model, grid, config, rank_tols) -> list:
     reports = []
     for kind, amount in (("scale", config.scale_factor), ("translate", config.translate_offset)):
         inv = invariance_check(
@@ -211,7 +212,11 @@ def _verify_reports(model, grid, config) -> list:
                 se=float(np.hypot(inv.base.se, inv.transformed.se)),
                 reference=0.0, tolerance=config.tol_estimate,
                 passed=bool(inv.delta <= config.tol_estimate),
-                settings={"amount": amount, "base": inv.base.value, "transformed": inv.transformed.value},
+                settings={
+                    "amount": amount, "base": inv.base.value, "transformed": inv.transformed.value,
+                    # base and transformed paths come from one sampled batch
+                    "factor_method": inv.base.factor_method, "jitter": inv.base.jitter,
+                },
             )
         )
         if inv.exact_ok is not None:
@@ -235,7 +240,10 @@ def _verify_reports(model, grid, config) -> list:
                     se=float(rep.gain_se.mean()), reference=1.0,
                     tolerance=float(rep.gain_bound.max()),
                     passed=bool(rep.gain_bound_ok and rep.noise_ok),
-                    settings={"m": m, "noise_var": rep.noise_var.tolist(), "noise_bound": rep.noise_bound},
+                    settings={
+                        "m": m, "noise_var": rep.noise_var.tolist(), "noise_bound": rep.noise_bound,
+                        "factor_method": flat.factor_method, "jitter": flat.jitter,
+                    },
                 )
             )
         seg = config.segment_length
@@ -249,7 +257,10 @@ def _verify_reports(model, grid, config) -> list:
                     "quantized_spectrum_identity", "welch", rep.mean_residual,
                     se=rep.mean_residual_se, reference=0.0, tolerance=5.0 * rep.mean_residual_se,
                     passed=bool(rep.mean_ok and rep.noise_ok),
-                    settings={"m": m, "gain": rep.gain, "noise_mass": rep.noise_mass.tolist()},
+                    settings={
+                        "m": m, "gain": rep.gain, "noise_mass": rep.noise_mass.tolist(),
+                        "factor_method": ident_batch.factor_method, "jitter": ident_batch.jitter,
+                    },
                 )
             )
         if norm.model.L == 1:
@@ -272,15 +283,13 @@ def run(config: ExperimentConfig | dict) -> RunReport:
     model, grid, rank_tols = _resolve_model(config)
     started = time.perf_counter()
     dispatch = {
+        "analyze": _analyze_reports,
         "estimate": _estimate_reports,
         "rd": _rd_reports,
         "verify": _verify_reports,
         "complex": _complex_reports,
     }
-    if config.task == "analyze":
-        reports = _analyze_reports(model, grid, config, rank_tols)
-    else:
-        reports = dispatch[config.task](model, grid, config)
+    reports = dispatch[config.task](model, grid, config, rank_tols)
     elapsed = time.perf_counter() - started
     settings = {"grid_n": grid.n}
     for name in _TASK_SETTINGS[config.task]:

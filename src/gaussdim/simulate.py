@@ -15,9 +15,7 @@ alias-free.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -303,38 +301,3 @@ def welch_psd(
     clipped = np.einsum("nij,nj,nkj->nik", eigvec, eigval, eigvec.conj())
     return WelchEstimate(freqs, clipped, per_path, nperseg, segs_per_path, window)
 
-
-def export_batch(data, path, fmt: str = "csv", extra_meta: dict | None = None) -> Path:
-    """Write samples (row = path, columns time-major) plus a JSON metadata sidecar."""
-    if isinstance(data, SamplePathBatch):
-        arr, meta = data.samples, {"seed": data.seed, "fingerprint": data.fingerprint}
-    else:
-        arr, meta = np.asarray(data), {}
-    paths, k, L = arr.shape
-    flat = arr.reshape(paths, k * L)
-    path = Path(path)
-    if fmt == "csv":
-        header = ",".join(f"t{t}_c{c}" for t in range(k) for c in range(L))
-        np.savetxt(path, flat, delimiter=",", header=header, comments="")
-    elif fmt == "bin":
-        flat.astype(arr.dtype).tofile(path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    meta.update({"paths": paths, "k": k, "L": L, "dtype": str(arr.dtype), "format": fmt})
-    if extra_meta:
-        meta.update(extra_meta)
-    meta_path = path.with_name(path.name + ".meta.json")
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True))
-    return path
-
-
-def import_batch(path) -> tuple[np.ndarray, dict]:
-    """Inverse of export_batch: returns the (paths, k, L) array and its metadata."""
-    path = Path(path)
-    meta = json.loads(path.with_name(path.name + ".meta.json").read_text())
-    shape = (meta["paths"], meta["k"], meta["L"])
-    if meta["format"] == "csv":
-        flat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    else:
-        flat = np.fromfile(path, dtype=np.dtype(meta["dtype"]))
-    return flat.reshape(shape).astype(np.dtype(meta["dtype"])), meta

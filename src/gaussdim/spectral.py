@@ -234,7 +234,8 @@ def _assemble_spectrum(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_nodes(mats: np.ndarray, nodes: np.ndarray) -> None:
+def _check_nodes(mats: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Validate the density stack; return its eigenvalues (ascending per node)."""
     scale = 1.0 + np.abs(mats).max(initial=0.0)
     herm_err = np.abs(mats - mats.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     if herm_err.max(initial=0.0) > PSD_TOL * scale:
@@ -253,6 +254,7 @@ def _check_nodes(mats: np.ndarray, nodes: np.ndarray) -> None:
         raise ModelValidationError(
             f"density not PSD at theta={nodes[j]:+.6f} (min eigenvalue {eig[j, 0]:.3e})"
         )
+    return eig
 
 
 def eval_spectrum(model: SpectralModel, grid: FrequencyGrid) -> np.ndarray:
@@ -261,10 +263,17 @@ def eval_spectrum(model: SpectralModel, grid: FrequencyGrid) -> np.ndarray:
     Lines are jumps of the spectral distribution; the derivative they carry is
     zero almost everywhere, so they contribute nothing here.
     """
+    return _diagonalize(model, grid)[0]
+
+
+def _diagonalize(model: SpectralModel, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate, validate and diagonalize the density on the grid in one pass.
+
+    Returns the (n, L, L) stack and its eigenvalues, ascending per node.
+    """
     nodes = grid.nodes
     mats = _assemble_spectrum(model, nodes)
-    _check_nodes(mats, nodes)
-    return mats
+    return mats, _check_nodes(mats, nodes)
 
 
 @dataclass(frozen=True)
@@ -325,18 +334,18 @@ class RankIntegralResult:
     grid_n: int
 
 
-def _segment_rank_integral(model: SpectralModel, rel_tol: float, abs_floor: float) -> float:
-    """Exact integral of the rank for band-only models.
+def _band_segments(model: SpectralModel):
+    """Yield (length, summed band matrix) for each piece between sorted band edges.
 
-    The density is constant between consecutive band endpoints, so the rank is
-    integrated segment by segment with no grid discretization error.
+    A band-only density is constant on each piece, so integrals over the
+    frequency axis fold over these pieces with no grid discretization error.
+    Pieces of length <= 1e-15 are skipped.
     """
     edges = {-0.5, 0.5}
     for b in model.bands:
         edges.add(b.lo)
         edges.add(b.hi)
     edges = sorted(edges)
-    total = 0.0
     for a, b in zip(edges, edges[1:]):
         if b - a <= 1e-15:
             continue
@@ -345,10 +354,7 @@ def _segment_rank_integral(model: SpectralModel, rel_tol: float, abs_floor: floa
         for band in model.bands:
             if band.lo <= mid < band.hi:
                 mat += band.matrix
-        eig = np.linalg.eigvalsh(mat)[::-1]
-        rank = int(_numerical_ranks(eig[None, :], rel_tol, abs_floor)[0])
-        total += rank * (b - a)
-    return total
+        yield b - a, mat
 
 
 def rank_integral(
@@ -368,13 +374,16 @@ def rank_integral(
         grid = grid or FrequencyGrid()
         if grid.n < MIN_GRID_N:
             raise ValueError(f"grid resolution must be >= {MIN_GRID_N}, got {grid.n}")
-        mats = eval_spectrum(model, grid)
-        profile = rank_profile(mats, rel_tol, abs_floor, nodes=grid.nodes)
+        eig = _diagonalize(model, grid)[1][:, ::-1]
+        profile = RankProfile(eig, _numerical_ranks(eig, rel_tol, abs_floor), rel_tol, abs_floor)
         if model.arma_terms:
             value = profile.mean_rank
             method = "grid"
         else:
-            value = _segment_rank_integral(model, rel_tol, abs_floor)
+            value = 0.0
+            for length, mat in _band_segments(model):
+                rank = int(_numerical_ranks(np.linalg.eigvalsh(mat)[::-1], rel_tol, abs_floor))
+                value += rank * length
             method = "segment-exact"
         return RankIntegralResult(value, profile, method, grid.n)
 
@@ -499,7 +508,7 @@ def support_bound(
     """
     if isinstance(spectrum, SpectralModel):
         model = spectrum
-        d = rank_integral(model, grid).value
+        d = rank_integral(model, grid, rel_tol, abs_floor).value
         if model.arma_terms:
             bs = bivariate_from_model(model, grid)
             bound = _grid_support_measure(bs.scalar_density, rel_tol, abs_floor)
@@ -510,7 +519,7 @@ def support_bound(
             bound = _segment_support_measure(model, rel_tol, abs_floor)
             tol = 1e-9
     else:
-        d = rank_integral(spectrum).value
+        d = rank_integral(spectrum, rel_tol=rel_tol, abs_floor=abs_floor).value
         bound = _grid_support_measure(spectrum.scalar_density, rel_tol, abs_floor)
         tol = 4.0 / len(spectrum.scalar_density)
     gap = bound - d
@@ -527,24 +536,18 @@ def _grid_support_measure(s_z: np.ndarray, rel_tol: float, abs_floor: float) -> 
 
 
 def _segment_support_measure(model: SpectralModel, rel_tol: float, abs_floor: float) -> float:
-    edges = {-0.5, 0.5}
-    for b in model.bands:
-        edges.add(b.lo)
-        edges.add(b.hi)
-    edges = sorted(edges)
-    peak = max((float(b.matrix[0, 0].real + b.matrix[1, 1].real + 2 * b.matrix[0, 1].imag) for b in model.bands), default=0.0)
+    # S_Z of each band segment; bands do not overlap, so the peak over the
+    # segments is the peak over the bands.
+    segments = [
+        (length, float(mat[0, 0].real + mat[1, 1].real + 2 * mat[0, 1].imag))
+        for length, mat in _band_segments(model)
+    ]
+    peak = max((s_z for _, s_z in segments), default=0.0)
     thresh = rel_tol * max(peak, abs_floor)
     measure = 0.0
-    for a, b in zip(edges, edges[1:]):
-        if b - a <= 1e-15:
-            continue
-        mid = 0.5 * (a + b)
-        s_z = 0.0
-        for band in model.bands:
-            if band.lo <= mid < band.hi:
-                s_z += float(band.matrix[0, 0].real + band.matrix[1, 1].real + 2 * band.matrix[0, 1].imag)
+    for length, s_z in segments:
         if s_z > thresh:
-            measure += b - a
+            measure += length
     return 2.0 * measure
 
 

@@ -10,7 +10,8 @@ from gaussdim.ratedist import (
     rd_dimension_estimate,
     waterfill_rate,
 )
-from gaussdim.spectral import eval_spectrum
+from gaussdim.simulate import autocovariance_from_spectrum
+from gaussdim.spectral import Band, SpectralModel, eval_spectrum
 
 
 def _scan_waterfill(model, grid, distortion):
@@ -27,6 +28,33 @@ def _scan_waterfill(model, grid, distortion):
         if w >= 0 and lo_ok and w <= mu[i] * (1 + 1e-12):
             return float(0.5 * np.log(mu[i:] / w).sum() * w8), float(w)
     return 0.0, float(mu[-1])
+
+
+def _two_level():
+    """Density 3 on |theta| >= 1/4 and 1 inside: D = 1 is the breakpoint w = 1."""
+    return SpectralModel(
+        L=1, bands=[Band(-0.5, -0.25, [[3.0]]), Band(-0.25, 0.25, [[1.0]]), Band(0.25, 0.5, [[3.0]])]
+    )
+
+
+def _bisection_block_rate(model, k, distortion):
+    """Reference: the bisection solver finite_block_rate used before the closed form."""
+    acov = autocovariance_from_spectrum(model, max(k - 1, 0))
+    lam = np.clip(np.linalg.eigvalsh(acov.toeplitz(k)), 0.0, None)
+    target = k * distortion
+    if target >= float(lam.sum()):
+        return 0.0
+    lo, hi = 0.0, float(lam.max())
+    for _ in range(200):
+        w = 0.5 * (lo + hi)
+        d = float(np.minimum(w, lam).sum())
+        if abs(d - target) <= 1e-12 * target:
+            break
+        if d < target:
+            lo = w
+        else:
+            hi = w
+    return float(np.where(lam > w, 0.5 * np.log(np.maximum(lam, w) / w), 0.0).sum() / k)
 
 
 class TestWaterfill:
@@ -46,6 +74,31 @@ class TestWaterfill:
         rate_oracle, w_oracle = _scan_waterfill(model, grid, distortion)
         assert pt.rate == pytest.approx(rate_oracle, abs=1e-9)
         assert pt.water_level == pytest.approx(w_oracle, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "builder, distortion",
+        [
+            (white_noise, 0.25),  # every eigenvalue tied
+            (white_noise, 1e-6),
+            (lambda: narrowband(0.4), 0.1),  # 60% of the eigenvalues are 0
+            (lambda: narrowband(0.4), 1e-6),
+            (_two_level, 1.0),  # exactly on the breakpoint w = 1
+            (correlated_pair, 1e-2),  # a zero eigenvalue at every node
+            (correlated_pair, 1e-6),
+        ],
+        ids=["white", "white-low", "narrowband", "narrowband-low", "breakpoint", "pair", "pair-low"],
+    )
+    def test_against_scan_oracle_edge_cases(self, grid, builder, distortion):
+        model = builder()
+        pt = waterfill_rate(model, distortion, grid)
+        rate_oracle, w_oracle = _scan_waterfill(model, grid, distortion)
+        assert pt.rate == pytest.approx(rate_oracle, rel=1e-12, abs=1e-12)
+        assert pt.water_level == pytest.approx(w_oracle, rel=1e-12)
+
+    def test_breakpoint_closed_form(self, grid):
+        pt = waterfill_rate(_two_level(), 1.0, grid)
+        assert pt.water_level == 1.0
+        assert pt.rate == pytest.approx(0.25 * np.log(3.0), abs=1e-15)
 
     def test_water_level_reproduces_distortion(self, grid):
         model = ar1(0.6)
@@ -114,3 +167,13 @@ class TestFiniteBlockCrossCheck:
         gaps = [abs(finite_block_rate(model, k, d) - spectral) for k in (16, 64)]
         assert gaps[1] < gaps[0]
         assert gaps[1] < 0.01
+
+    @pytest.mark.parametrize("k", [16, 64])
+    @pytest.mark.parametrize("distortion", [0.05, 1e-3])
+    @pytest.mark.parametrize(
+        "builder", [lambda: ar1(0.6), lambda: narrowband(0.4), correlated_pair], ids=["ar1", "narrowband", "pair"]
+    )
+    def test_matches_bisection_reference(self, builder, k, distortion):
+        model = builder()
+        closed = finite_block_rate(model, k, distortion)
+        assert closed == pytest.approx(_bisection_block_rate(model, k, distortion), rel=0.0, abs=1e-12)

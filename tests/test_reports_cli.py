@@ -15,6 +15,7 @@ from gaussdim.modelio import (
     save_model,
 )
 from gaussdim.reports import CSV_COLUMNS, EstimateReport, RunReport, emit, load_report
+from gaussdim.spectral import Band, SpectralModel
 
 
 class TestModelDocuments:
@@ -120,6 +121,17 @@ class TestConfig:
         assert rep.reports[0].value == pytest.approx(0.4, abs=1e-12)
 
 
+    @pytest.mark.parametrize("task", ["analyze", "complex"])
+    def test_support_bound_reads_document_rank_tolerance(self, task):
+        # eigenvalues {1, 1e-6}: rank 2 at the default tolerance, 1 at 1e-3
+        doc = model_to_document(SpectralModel(L=2, bands=[Band(-0.5, 0.5, [[1.0, 0.0], [0.0, 1e-6]])]))
+        doc["rank_rel_tol"] = 1e-3
+        rows = {r.quantity: r for r in run({"task": task, "model": doc}).reports}
+        assert rows["support_bound"].value == 1.0
+        if task == "analyze":
+            assert rows["rank_integral"].value == 1.0
+
+
 class TestRunTasks:
     def test_analyze_band_model(self):
         rep = run({"task": "analyze", "model": model_to_document(narrowband(0.5))})
@@ -184,6 +196,16 @@ class TestRunTasks:
         assert list(surrogate.settings)[:4] == ["m_ladder", "k", "factor_method", "jitter"]
         assert slope.settings["factor_method"] == "cholesky"
         assert slope.settings["jitter"] == 0.0
+
+    def test_verify_rows_report_factor_method_and_jitter(self):
+        rep = run({"task": "verify", "model": model_to_document(white_noise()), "seed": 3,
+                   "m_ladder": [2, 4], "verify_paths": 2000})
+        sampled = [r for r in rep.reports if r.method != "quadrature-oracle"]
+        assert {r.quantity for r in sampled} == {
+            "invariance_scale", "invariance_translate", "bussgang_gain", "quantized_spectrum_identity",
+        }
+        for r in sampled:
+            assert (r.settings["factor_method"], r.settings["jitter"]) == ("cholesky", 0.0), r.quantity
 
     @pytest.mark.parametrize(
         "task, extra, keys",

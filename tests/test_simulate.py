@@ -20,8 +20,6 @@ from gaussdim.simulate import (
     SymmetryViolationError,
     _psd_factor,
     autocovariance_from_spectrum,
-    export_batch,
-    import_batch,
     sample_paths,
     welch_psd,
 )
@@ -330,20 +328,3 @@ class TestWelch:
         eig = np.linalg.eigvalsh(est.matrices)
         assert eig.min() >= -1e-15
 
-
-class TestExport:
-    def test_csv_roundtrip(self, tmp_path):
-        acov = autocovariance_from_spectrum(correlated_pair(), 3)
-        batch = sample_paths(acov, 4, 25, seed=2)
-        p = export_batch(batch, tmp_path / "batch.csv", fmt="csv")
-        back, meta = import_batch(p)
-        assert np.allclose(back, batch.samples)
-        assert meta["seed"] == 2 and meta["k"] == 4 and meta["L"] == 2
-
-    def test_binary_roundtrip(self, tmp_path):
-        acov = autocovariance_from_spectrum(white_noise(), 0)
-        batch = sample_paths(acov, 1, 100, seed=9)
-        p = export_batch(batch, tmp_path / "batch.bin", fmt="bin", extra_meta={"m": 8})
-        back, meta = import_batch(p)
-        assert np.array_equal(back, batch.samples)
-        assert meta["m"] == 8 and meta["fingerprint"] == batch.fingerprint

@@ -1,16 +1,31 @@
 """Spectral models, the rank integral, and the complex-process helpers."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussdim.benchmarks import line_process
+from gaussdim.benchmarks import (
+    BENCHMARKS,
+    COMPLEX_CASES,
+    ar1,
+    correlated_pair,
+    line_process,
+    white_noise,
+)
+from gaussdim.experiments import run
+from gaussdim.modelio import model_to_document
 from gaussdim.spectral import (
+    RANK_ABS_FLOOR,
     Band,
     FrequencyGrid,
     ModelValidationError,
     SpectralModel,
+    _band_segments,
+    _segment_support_measure,
     complex_to_bivariate,
     component_variances,
     eval_spectrum,
@@ -284,3 +299,106 @@ class TestNormalization:
     def test_total_power_includes_lines(self, grid):
         var = component_variances(line_process(theta=0.125, power=0.5), grid)
         assert var[0] == pytest.approx(1.0)  # two conjugate lines of power 0.5
+
+
+def _s_z(mat):
+    return float(mat[0, 0].real + mat[1, 1].real + 2 * mat[0, 1].imag)
+
+
+def _per_band_support_measure(model, rel_tol, abs_floor):
+    """Reference: the support measure with the S_Z peak taken over the bands
+    and S_Z summed per band on each segment, as before the segment walker."""
+    edges = sorted({-0.5, 0.5, *(b.lo for b in model.bands), *(b.hi for b in model.bands)})
+    peak = max((_s_z(b.matrix) for b in model.bands), default=0.0)
+    thresh = rel_tol * max(peak, abs_floor)
+    measure = 0.0
+    for a, b in zip(edges, edges[1:]):
+        if b - a <= 1e-15:
+            continue
+        mid = 0.5 * (a + b)
+        s_z = 0.0
+        for band in model.bands:
+            if band.lo <= mid < band.hi:
+                s_z += _s_z(band.matrix)
+        if s_z > thresh:
+            measure += b - a
+    return 2.0 * measure
+
+
+def _exported_models():
+    """The models scripts/export_models.py writes, by document name."""
+    models = {name: builder() for name, (builder, _) in BENCHMARKS.items()}
+    models.update({name: builder() for name, (builder, _, _) in COMPLEX_CASES.items()})
+    models["ar1_0p6"] = ar1(0.6)
+    models["line_process"] = line_process()
+    return models
+
+
+class TestBandSegments:
+    @pytest.mark.parametrize("name", sorted(n for n, m in _exported_models().items() if not m.arma_terms))
+    def test_values_equal_recorded_reference(self, name, grid):
+        model = _exported_models()[name]
+        reference = Path(__file__).parents[1] / "perfbench" / "reference.json"
+        ref = json.loads(reference.read_text())["analytic_fine_grid"]
+        result = rank_integral(model, grid)
+        assert result.method == "segment-exact"
+        assert result.value == ref[f"analyze/{name}/rank_integral/segment-exact/value"]
+        if model.L == 2:
+            assert support_bound(model, grid).bound == ref[f"analyze/{name}/support_bound/segment/reference"]
+
+    @given(band_model_params(), st.sampled_from([1e-9, 0.3, 0.9]))
+    @settings(max_examples=60, deadline=None)
+    def test_support_peak_over_segments_equals_peak_over_bands(self, params, rel_tol):
+        # Validated bands do not overlap, so every segment carries at most one
+        # band and the largest segment S_Z is the largest band S_Z; a rel_tol
+        # near 1 makes the peak decide which segments count.
+        _, seed, edges, ranks = params
+        model = _build_band_model(2, seed, edges, ranks)
+        seg_peak = max((_s_z(mat) for _, mat in _band_segments(model)), default=0.0)
+        band_peak = max((_s_z(b.matrix) for b in model.bands), default=0.0)
+        assert max(seg_peak, RANK_ABS_FLOOR) == max(band_peak, RANK_ABS_FLOOR)
+        expected = _per_band_support_measure(model, rel_tol, RANK_ABS_FLOOR)
+        assert _segment_support_measure(model, rel_tol, RANK_ABS_FLOOR) == expected
+
+    def test_support_bound_uses_its_tolerances_for_the_dimension(self, grid):
+        model = SpectralModel(L=2, bands=[Band(-0.5, 0.5, [[1.0, 0.0], [0.0, 1e-6]])])
+        assert support_bound(model, grid).dimension == 2.0
+        sb = support_bound(model, grid, rel_tol=1e-3)
+        assert sb.dimension == rank_integral(model, grid, rel_tol=1e-3).value == 1.0
+        assert sb.bound == 2.0
+
+
+def _grid_eigen_passes(monkeypatch, config, n):
+    """Run one task and count np.linalg.eigvalsh calls on n-node stacks."""
+    real = np.linalg.eigvalsh
+    calls = []
+
+    def spy(a, *args, **kwargs):
+        if np.ndim(a) == 3 and len(a) == n:
+            calls.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    run(config)
+    return len(calls)
+
+
+class TestEigenPasses:
+    @pytest.mark.parametrize(
+        "task, builder, most",
+        [
+            ("analyze", white_noise, 1),
+            ("analyze", lambda: ar1(0.6), 1),
+            ("analyze", correlated_pair, 3),
+            ("complex", correlated_pair, 2),
+            ("rd", white_noise, 2),
+            ("rd", correlated_pair, 2),
+        ],
+        ids=["analyze-white", "analyze-ar1", "analyze-pair", "complex-pair", "rd-white", "rd-pair"],
+    )
+    def test_passes_per_task(self, monkeypatch, tmp_path, task, builder, most):
+        config = {"task": task, "model": model_to_document(builder()), "grid_n": 1024}
+        if task == "rd":
+            config["out"] = str(tmp_path / "rd.json")
+        passes = _grid_eigen_passes(monkeypatch, config, 1024)
+        assert 1 <= passes <= most
