@@ -7,7 +7,6 @@ density (exact, analytic) and quantized-entropy / rate-distortion slopes
 
 from .spectral import (
     Band,
-    BivariateSpectrum,
     FrequencyGrid,
     ModelValidationError,
     PropernessReport,
@@ -17,15 +16,12 @@ from .spectral import (
     SpectralLine,
     SpectralModel,
     SupportBoundReport,
-    bivariate_from_model,
-    complex_to_bivariate,
     component_variances,
     eval_spectrum,
     normalize_components,
     permute_components,
     properness_check,
     rank_integral,
-    rank_profile,
     scale_components,
     support_bound,
 )

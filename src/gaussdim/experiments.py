@@ -118,7 +118,7 @@ def _resolve_model(config: ExperimentConfig) -> tuple[SpectralModel, FrequencyGr
 
 
 def _rank_kwargs(rank_tols: dict) -> dict:
-    """Document overrides as rank_integral/support_bound keyword arguments."""
+    """Document overrides as rank_integral keyword arguments."""
     return {key.removeprefix("rank_"): value for key, value in rank_tols.items()}
 
 
@@ -131,15 +131,19 @@ def _analyze_reports(model, grid, config, rank_tols) -> list:
         )
     ]
     if model.L == 2:
-        reports.extend(_complex_reports(model, grid, config, rank_tols))
+        reports.extend(_complex_rows(ri))
     return reports
 
 
 def _complex_reports(model, grid, config, rank_tols) -> list:
     if model.L != 2:
         raise ConfigError("complex-process analysis needs a bivariate (L=2) model")
-    prop = properness_check(model, grid)
-    sb = support_bound(model, grid, **_rank_kwargs(rank_tols))
+    return _complex_rows(rank_integral(model, grid, **_rank_kwargs(rank_tols)))
+
+
+def _complex_rows(ri) -> list:
+    prop = properness_check(ri)
+    sb = support_bound(ri)
     return [
         EstimateReport(
             "properness", "cross-spectrum", float(prop.proper),
@@ -149,7 +153,7 @@ def _complex_reports(model, grid, config, rank_tols) -> list:
             },
         ),
         EstimateReport(
-            "support_bound", "segment" if not model.arma_terms else "grid",
+            "support_bound", "segment" if not ri.model.arma_terms else "grid",
             sb.dimension, reference=sb.bound, tolerance=sb.tolerance,
             passed=bool(sb.dimension <= sb.bound + sb.tolerance),
             settings={"bound": sb.bound, "gap": sb.gap, "tight": sb.tight},

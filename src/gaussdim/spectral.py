@@ -8,7 +8,9 @@ density is the model's information dimension rate and serves as the reference
 value for every estimator in this package.
 
 Bivariate models double as complex processes (component 0 = real part,
-component 1 = imaginary part); the complex-process helpers live here too.
+component 1 = imaginary part).  The properness check and the complex support
+bound read the density stack of one rank-integral evaluation, so a complex
+analysis evaluates and diagonalizes the density once.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ _SYMMETRY_PROBE_N = 512
 
 class ModelValidationError(ValueError):
     """A spectral model violates one of its structural invariants."""
-
-
-class EigenSolverError(RuntimeError):
-    """Eigendecomposition failed on a specific frequency node."""
 
 
 @dataclass(frozen=True)
@@ -300,38 +298,14 @@ def _numerical_ranks(eigs_desc: np.ndarray, rel_tol: float, abs_floor: float) ->
     return (eigs_desc > thresh[..., None]).sum(axis=-1)
 
 
-def rank_profile(
-    matrices: np.ndarray,
-    rel_tol: float = RANK_REL_TOL,
-    abs_floor: float = RANK_ABS_FLOOR,
-    nodes: np.ndarray | None = None,
-) -> RankProfile:
-    """Eigenvalues and numerical ranks for a stack of Hermitian matrices.
-
-    An eigenvalue counts toward the rank iff it exceeds
-    rel_tol * max(largest eigenvalue at that node, abs_floor).
-    """
-    try:
-        eig = np.linalg.eigvalsh(matrices)
-    except np.linalg.LinAlgError:
-        for j, mat in enumerate(matrices):
-            try:
-                np.linalg.eigvalsh(mat)
-            except np.linalg.LinAlgError as exc:
-                where = f"theta={nodes[j]:+.6f}" if nodes is not None else f"index {j}"
-                raise EigenSolverError(f"eigendecomposition failed at node {where}") from exc
-        raise
-    eig = eig[..., ::-1]
-    ranks = _numerical_ranks(eig, rel_tol, abs_floor)
-    return RankProfile(eig, ranks, rel_tol, abs_floor)
-
-
 @dataclass(frozen=True)
 class RankIntegralResult:
     value: float
     profile: RankProfile
     method: str  # "segment-exact" or "grid"
     grid_n: int
+    model: SpectralModel
+    matrices: np.ndarray  # (n, L, L) validated density stack the profile diagonalized
 
 
 def _band_segments(model: SpectralModel):
@@ -358,7 +332,7 @@ def _band_segments(model: SpectralModel):
 
 
 def rank_integral(
-    model_or_matrices,
+    model: SpectralModel,
     grid: FrequencyGrid | None = None,
     rel_tol: float = RANK_REL_TOL,
     abs_floor: float = RANK_ABS_FLOOR,
@@ -367,92 +341,37 @@ def rank_integral(
 
     For band-only models the value is computed exactly from the band segment
     lengths; models with rational terms fall back to the midpoint grid sum.
-    The per-node RankProfile is always reported from the grid.
+    The per-node RankProfile is always reported from the grid, and the result
+    keeps the validated density stack for properness_check and support_bound.
     """
-    if isinstance(model_or_matrices, SpectralModel):
-        model = model_or_matrices
-        grid = grid or FrequencyGrid()
-        if grid.n < MIN_GRID_N:
-            raise ValueError(f"grid resolution must be >= {MIN_GRID_N}, got {grid.n}")
-        eig = _diagonalize(model, grid)[1][:, ::-1]
-        profile = RankProfile(eig, _numerical_ranks(eig, rel_tol, abs_floor), rel_tol, abs_floor)
-        if model.arma_terms:
-            value = profile.mean_rank
-            method = "grid"
-        else:
-            value = 0.0
-            for length, mat in _band_segments(model):
-                rank = int(_numerical_ranks(np.linalg.eigvalsh(mat)[::-1], rel_tol, abs_floor))
-                value += rank * length
-            method = "segment-exact"
-        return RankIntegralResult(value, profile, method, grid.n)
-
-    if isinstance(model_or_matrices, BivariateSpectrum):
-        matrices = model_or_matrices.matrices
-    else:
-        matrices = np.asarray(model_or_matrices)
-    profile = rank_profile(matrices, rel_tol, abs_floor)
-    return RankIntegralResult(profile.mean_rank, profile, "grid", len(matrices))
-
-
-@dataclass(frozen=True)
-class BivariateSpectrum:
-    """Gridded 2x2 density of a complex process viewed as (real, imaginary).
-
-    scalar_density is the density of the complex process itself:
-    S_Z = S_R + S_I + 2 Im(S_RI).
-    """
-
-    matrices: np.ndarray  # (n, 2, 2) Hermitian
-    scalar_density: np.ndarray  # (n,)
-    grid: FrequencyGrid | None = None
-
-
-def complex_to_bivariate(
-    s_r: np.ndarray,
-    s_i: np.ndarray,
-    s_ri: np.ndarray,
-    grid: FrequencyGrid | None = None,
-) -> BivariateSpectrum:
-    """Pack per-node real/imaginary/cross densities into 2x2 matrices.
-
-    Validates the PSD condition S_R * S_I >= |S_RI|^2 node by node and also
-    returns the scalar complex-process density S_Z.
-    """
-    s_r = np.asarray(s_r, dtype=float)
-    s_i = np.asarray(s_i, dtype=float)
-    s_ri = np.asarray(s_ri, dtype=complex)
-    if not (s_r.shape == s_i.shape == s_ri.shape):
-        raise ValueError("S_R, S_I, S_RI must share one grid")
-    scale = 1.0 + max(s_r.max(initial=0.0), s_i.max(initial=0.0), np.abs(s_ri).max(initial=0.0))
-    tol = PSD_TOL * scale
-    for name, arr in (("S_R", s_r), ("S_I", s_i)):
-        if arr.min() < -tol:
-            j = int(arr.argmin())
-            raise ModelValidationError(f"{name} negative at node {j} ({arr[j]:.3e})")
-    gap = s_r * s_i - np.abs(s_ri) ** 2
-    if gap.min() < -tol * scale:
-        j = int(gap.argmin())
-        raise ModelValidationError(
-            f"PSD condition S_R*S_I >= |S_RI|^2 violated at node {j} (gap {gap[j]:.3e})"
-        )
-    n = len(s_r)
-    mats = np.empty((n, 2, 2), dtype=complex)
-    mats[:, 0, 0] = np.maximum(s_r, 0.0)
-    mats[:, 1, 1] = np.maximum(s_i, 0.0)
-    mats[:, 0, 1] = s_ri
-    mats[:, 1, 0] = s_ri.conj()
-    s_z = s_r + s_i + 2.0 * s_ri.imag
-    return BivariateSpectrum(mats, s_z, grid)
-
-
-def bivariate_from_model(model: SpectralModel, grid: FrequencyGrid | None = None) -> BivariateSpectrum:
-    """View an L=2 model as the (real, imaginary) pair of a complex process."""
-    if model.L != 2:
-        raise ValueError("complex-process analysis needs a bivariate (L=2) model")
     grid = grid or FrequencyGrid()
-    mats = eval_spectrum(model, grid)
-    return complex_to_bivariate(mats[:, 0, 0].real, mats[:, 1, 1].real, mats[:, 0, 1], grid)
+    if grid.n < MIN_GRID_N:
+        raise ValueError(f"grid resolution must be >= {MIN_GRID_N}, got {grid.n}")
+    mats, eig = _diagonalize(model, grid)
+    eig = eig[:, ::-1]
+    profile = RankProfile(eig, _numerical_ranks(eig, rel_tol, abs_floor), rel_tol, abs_floor)
+    if model.arma_terms:
+        value = profile.mean_rank
+        method = "grid"
+    else:
+        value = 0.0
+        for length, mat in _band_segments(model):
+            rank = int(_numerical_ranks(np.linalg.eigvalsh(mat)[::-1], rel_tol, abs_floor))
+            value += rank * length
+        method = "segment-exact"
+    return RankIntegralResult(value, profile, method, grid.n, model, mats)
+
+
+def _bivariate_stack(ri: RankIntegralResult) -> np.ndarray:
+    """The (n, 2, 2) density stack of a complex process viewed as (real, imaginary)."""
+    if ri.model.L != 2:
+        raise ValueError("complex-process analysis needs a bivariate (L=2) model")
+    return ri.matrices
+
+
+def _scalar_density(mats: np.ndarray) -> np.ndarray:
+    """Density of the complex process itself: S_Z = S_R + S_I + 2 Im(S_RI)."""
+    return mats[..., 0, 0].real + mats[..., 1, 1].real + 2 * mats[..., 0, 1].imag
 
 
 @dataclass(frozen=True)
@@ -463,17 +382,23 @@ class PropernessReport:
     tolerance: float
 
 
-def properness_check(spectrum: BivariateSpectrum | SpectralModel, grid: FrequencyGrid | None = None) -> PropernessReport:
+def properness_check(ri: RankIntegralResult) -> PropernessReport:
     """Proper iff S_R = S_I and S_RI is purely imaginary at every node.
 
     Properness of a complex process means a vanishing pseudo-autocovariance;
     in the spectral domain that is exactly the two conditions tested here.
+    The marginal densities are read clipped at 0.
     """
-    bs = bivariate_from_model(spectrum, grid) if isinstance(spectrum, SpectralModel) else spectrum
-    s_r = bs.matrices[:, 0, 0].real
-    s_i = bs.matrices[:, 1, 1].real
-    s_ri = bs.matrices[:, 0, 1]
-    norm = np.linalg.norm(bs.matrices, axis=(1, 2))
+    mats = _bivariate_stack(ri)
+    s_r = np.maximum(mats[:, 0, 0].real, 0.0)
+    s_i = np.maximum(mats[:, 1, 1].real, 0.0)
+    s_ri = mats[:, 0, 1]
+    packed = np.empty_like(mats)
+    packed[:, 0, 0] = s_r
+    packed[:, 1, 1] = s_i
+    packed[:, 0, 1] = s_ri
+    packed[:, 1, 0] = s_ri.conj()
+    norm = np.linalg.norm(packed, axis=(1, 2))
     tol = float(PROPERNESS_TOL * (1.0 + norm.max(initial=0.0)))
     mismatch = float(np.abs(s_r - s_i).max(initial=0.0))
     real_cross = float(np.abs(s_ri.real).max(initial=0.0))
@@ -495,39 +420,24 @@ class SupportBoundReport:
     tolerance: float
 
 
-def support_bound(
-    spectrum: BivariateSpectrum | SpectralModel,
-    grid: FrequencyGrid | None = None,
-    rel_tol: float = RANK_REL_TOL,
-    abs_floor: float = RANK_ABS_FLOOR,
-) -> SupportBoundReport:
-    """Check dimension <= 2 * measure{S_Z > 0}, tight for proper processes.
+def support_bound(ri: RankIntegralResult) -> SupportBoundReport:
+    """Compare dimension with 2 * measure{S_Z > 0}; tight for proper processes.
 
-    Band-only models are evaluated exactly by segment arithmetic; gridded
-    inputs use node counting with a grid-resolution tolerance.
+    The dimension is the rank integral and both sides use its rank
+    tolerances.  Band-only models are evaluated exactly by segment
+    arithmetic; models with rational terms count grid nodes with a
+    grid-resolution tolerance.  A violated bound shows as a negative gap.
     """
-    if isinstance(spectrum, SpectralModel):
-        model = spectrum
-        d = rank_integral(model, grid, rel_tol, abs_floor).value
-        if model.arma_terms:
-            bs = bivariate_from_model(model, grid)
-            bound = _grid_support_measure(bs.scalar_density, rel_tol, abs_floor)
-            tol = 4.0 / len(bs.scalar_density)
-        else:
-            if model.L != 2:
-                raise ValueError("complex-process analysis needs a bivariate (L=2) model")
-            bound = _segment_support_measure(model, rel_tol, abs_floor)
-            tol = 1e-9
+    mats = _bivariate_stack(ri)
+    rel_tol, abs_floor = ri.profile.rel_tol, ri.profile.abs_floor
+    if ri.model.arma_terms:
+        bound = _grid_support_measure(_scalar_density(mats), rel_tol, abs_floor)
+        tol = 4.0 / len(mats)
     else:
-        d = rank_integral(spectrum, rel_tol=rel_tol, abs_floor=abs_floor).value
-        bound = _grid_support_measure(spectrum.scalar_density, rel_tol, abs_floor)
-        tol = 4.0 / len(spectrum.scalar_density)
-    gap = bound - d
-    if gap < -tol:
-        raise AssertionError(
-            f"support bound violated: dimension {d:.6f} exceeds bound {bound:.6f}"
-        )
-    return SupportBoundReport(d, bound, gap, bool(abs(gap) <= tol), tol)
+        bound = _segment_support_measure(ri.model, rel_tol, abs_floor)
+        tol = 1e-9
+    gap = bound - ri.value
+    return SupportBoundReport(ri.value, bound, gap, bool(abs(gap) <= tol), tol)
 
 
 def _grid_support_measure(s_z: np.ndarray, rel_tol: float, abs_floor: float) -> float:
@@ -538,10 +448,7 @@ def _grid_support_measure(s_z: np.ndarray, rel_tol: float, abs_floor: float) -> 
 def _segment_support_measure(model: SpectralModel, rel_tol: float, abs_floor: float) -> float:
     # S_Z of each band segment; bands do not overlap, so the peak over the
     # segments is the peak over the bands.
-    segments = [
-        (length, float(mat[0, 0].real + mat[1, 1].real + 2 * mat[0, 1].imag))
-        for length, mat in _band_segments(model)
-    ]
+    segments = [(length, float(_scalar_density(mat))) for length, mat in _band_segments(model)]
     peak = max((s_z for _, s_z in segments), default=0.0)
     thresh = rel_tol * max(peak, abs_floor)
     measure = 0.0

@@ -122,15 +122,15 @@ def test_criterion_4_complex_support_bound():
     """Equality for the proper model, a >=0.45 gap for the real-only model,
     equality for the matched-support non-proper model; <1s each."""
     started = time.perf_counter()
-    sb = support_bound(proper_complex_flat(), GRID)
+    sb = support_bound(rank_integral(proper_complex_flat(), GRID))
     assert abs(sb.dimension - sb.bound) <= sb.tolerance and sb.tight
 
-    sb = support_bound(real_only_complex(), GRID)
+    sb = support_bound(rank_integral(real_only_complex(), GRID))
     assert sb.dimension == pytest.approx(0.5, abs=1e-9)
     assert sb.bound == pytest.approx(1.0, abs=1e-9)
     assert sb.gap >= 0.45
 
-    sb = support_bound(matched_support_nonproper(), GRID)
+    sb = support_bound(rank_integral(matched_support_nonproper(), GRID))
     assert abs(sb.dimension - sb.bound) <= sb.tolerance and sb.tight
     _stamp("4 complex support bound", started, 3.0)
 

@@ -310,6 +310,25 @@ class TestCLI:
         doc = json.loads(out.read_text())
         assert [r["quantity"] for r in doc["reports"]] == ["properness", "support_bound"]
 
+    @pytest.mark.parametrize("task", ["analyze", "complex"])
+    def test_violated_support_bound_fails_the_run(self, task, tmp_path, capsys):
+        # rank-1 strong band on |theta| >= 1/4, full-rank weak band inside: at
+        # rank_rel_tol 0.3 the dimension is 1.5 and S_Z clears the threshold outside only
+        outer = [[1.0, 0.0], [0.0, 0.0]]
+        inner = [[0.1, 0.0], [0.0, 0.1]]
+        model = SpectralModel(L=2, bands=[Band(-0.5, -0.25, outer), Band(-0.25, 0.25, inner), Band(0.25, 0.5, outer)])
+        doc = model_to_document(model)
+        doc["rank_rel_tol"] = 0.3
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "rep.json"
+        assert main([task, str(model_path), "--out", str(out)]) == 1
+        assert "support_bound" in capsys.readouterr().err
+        row = {r["quantity"]: r for r in json.loads(out.read_text())["reports"]}["support_bound"]
+        assert row["pass"] is False
+        assert (row["value"], row["reference"]) == (1.5, 1.0)
+        assert row["settings"]["gap"] == -0.5 and row["settings"]["tight"] is False
+
     def test_complex_on_univariate_fails_cleanly(self, tmp_path, capsys):
         model_path = save_model(white_noise(), tmp_path / "wn.json")
         assert main(["complex", str(model_path)]) == 2

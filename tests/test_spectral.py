@@ -23,10 +23,11 @@ from gaussdim.spectral import (
     Band,
     FrequencyGrid,
     ModelValidationError,
+    RationalTerm,
     SpectralModel,
     _band_segments,
+    _scalar_density,
     _segment_support_measure,
-    complex_to_bivariate,
     component_variances,
     eval_spectrum,
     normalize_components,
@@ -206,42 +207,66 @@ class TestRankIntegralProperties:
         assert abs(coarse - fine) <= max(n_endpoints, 1) / n + 1e-12
 
 
+_AR1 = ((0.0, 0.64), (-0.6, 1.36, -0.6))  # ar1(0.6) as num/den coefficients in z
+
+
+def _rational_pair():
+    """Proper pair with rational terms: equal AR(1) marginals and the purely
+    imaginary antisymmetric cross density -0.2i sin(2 pi theta); rank 2 everywhere."""
+    return SpectralModel(L=2, arma_terms=[
+        RationalTerm(0, 0, *_AR1), RationalTerm(1, 1, *_AR1), RationalTerm(0, 1, (-0.1, 0.0, 0.1), (0.0, 1.0)),
+    ])
+
+
+def _crossed_tolerance_pair():
+    """Full-rank weak band inside |theta| < 1/4, rank-1 strong band outside: at
+    rel_tol 0.3 the dimension is 1.5 while S_Z clears the threshold outside only."""
+    outer = [[1.0, 0.0], [0.0, 0.0]]
+    inner = [[0.1, 0.0], [0.0, 0.1]]
+    return SpectralModel(L=2, bands=[Band(-0.5, -0.25, outer), Band(-0.25, 0.25, inner), Band(0.25, 0.5, outer)])
+
+
 class TestComplexHelpers:
     def test_scalar_density_from_cross_term(self, grid):
         nodes = grid.nodes
         on = (np.abs(nodes) < 0.25).astype(float)
         q = np.where(nodes > 0, 0.5, -0.5) * on  # antisymmetric
-        bs = complex_to_bivariate(on, on, 1j * q, grid)
-        assert np.allclose(bs.scalar_density, 2.0 * on + 2.0 * q * on)
+        pos = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+        model = SpectralModel(L=2, bands=[Band(-0.25, 0.0, pos.conj()), Band(0.0, 0.25, pos)])
+        s_z = _scalar_density(rank_integral(model, grid).matrices)
+        assert np.allclose(s_z, 2.0 * on + 2.0 * q * on)
 
     def test_degenerate_imaginary_part(self, grid):
         s_r = (np.abs(grid.nodes) < 0.25).astype(float)
-        bs = complex_to_bivariate(s_r, np.zeros_like(s_r), np.zeros_like(s_r) * 1j, grid)
-        assert np.allclose(bs.scalar_density, s_r)
+        model = SpectralModel(L=2, bands=[Band(-0.25, 0.25, [[1.0, 0.0], [0.0, 0.0]])])
+        assert np.allclose(_scalar_density(rank_integral(model, grid).matrices), s_r)
 
     def test_identical_parts_rank_one(self, grid):
         s = (np.abs(grid.nodes) < 0.25).astype(float) * 1.5
-        bs = complex_to_bivariate(s, s, s.astype(complex), grid)
-        eig = np.linalg.eigvalsh(bs.matrices)
+        model = SpectralModel(L=2, bands=[Band(-0.25, 0.25, np.full((2, 2), 1.5))])
+        ri = rank_integral(model, grid)
+        eig = np.linalg.eigvalsh(ri.matrices)
         # eigenvalues of [[s, s], [s, s]] are {2s, 0}
         assert np.allclose(eig[:, 1], 2.0 * s)
         assert np.allclose(eig[:, 0], 0.0, atol=1e-12)
-        assert rank_integral(bs).value == pytest.approx(0.5, abs=1e-3)
+        assert ri.value == pytest.approx(0.5, abs=1e-3)
 
     def test_psd_violation_names_node(self, grid):
-        s_r = np.ones(grid.n)
-        s_ri = np.full(grid.n, 1.5 + 0j)
-        with pytest.raises(ModelValidationError, match="node"):
-            complex_to_bivariate(s_r, s_r, s_ri, grid)
+        # constant S_R = S_I = 1 with a cross density of 1.5: S_R * S_I < |S_RI|^2 everywhere
+        terms = [RationalTerm(0, 0, (1.0,), (1.0,)), RationalTerm(1, 1, (1.0,), (1.0,)),
+                 RationalTerm(0, 1, (1.5,), (1.0,))]
+        model = SpectralModel(L=2, arma_terms=terms, validate=False)
+        with pytest.raises(ModelValidationError, match="not PSD at theta="):
+            rank_integral(model, grid)
 
     def test_properness_of_benchmarks(self, proper_flat, corr_pair, grid):
-        assert properness_check(proper_flat, grid).proper
+        assert properness_check(rank_integral(proper_flat, grid)).proper
         # identical real and imaginary parts: real positive cross density
-        assert not properness_check(corr_pair, grid).proper
+        assert not properness_check(rank_integral(corr_pair, grid)).proper
 
     def test_unequal_marginals_not_proper(self, grid):
         model = SpectralModel(L=2, bands=[Band(-0.25, 0.25, [[2.0, 0.0], [0.0, 1.0]])])
-        rep = properness_check(model, grid)
+        rep = properness_check(rank_integral(model, grid))
         assert not rep.proper
         assert rep.max_density_mismatch == pytest.approx(1.0)
 
@@ -252,13 +277,13 @@ class TestComplexHelpers:
             real_only_complex,
         )
 
-        sb = support_bound(proper_complex_flat(), grid)
+        sb = support_bound(rank_integral(proper_complex_flat(), grid))
         assert sb.tight and sb.dimension == pytest.approx(1.0, abs=1e-12)
-        sb = support_bound(real_only_complex(), grid)
+        sb = support_bound(rank_integral(real_only_complex(), grid))
         assert sb.dimension == pytest.approx(0.5, abs=1e-12)
         assert sb.bound == pytest.approx(1.0, abs=1e-12)
         assert not sb.tight
-        sb = support_bound(matched_support_nonproper(), grid)
+        sb = support_bound(rank_integral(matched_support_nonproper(), grid))
         assert sb.tight and sb.dimension == pytest.approx(1.0, abs=1e-12)
 
     def test_bound_never_violated_on_random_bivariate(self):
@@ -269,8 +294,41 @@ class TestComplexHelpers:
             hi = lo + rng.integers(1, 16) / 64.0
             mat = _random_psd(rng, 2, rank=rng.integers(1, 3))
             model = SpectralModel(L=2, bands=[Band(lo, min(hi, 0.5), mat), Band(-min(hi, 0.5), -lo, mat.conj())])
-            sb = support_bound(model, g)
+            sb = support_bound(rank_integral(model, g))
             assert sb.dimension <= sb.bound + sb.tolerance
+
+
+    def test_support_bound_counts_grid_nodes_for_rational_terms(self, grid):
+        ri = rank_integral(_rational_pair(), grid)
+        assert ri.method == "grid" and properness_check(ri).proper
+        sb = support_bound(ri)
+        assert (sb.dimension, sb.bound, sb.tolerance) == (2.0, 2.0, 4.0 / grid.n) and sb.tight
+        # AR(1) real part, imaginary part on |theta| < 1/4 only: rank 2 inside, 1 outside
+        model = SpectralModel(
+            L=2, bands=[Band(-0.25, 0.25, [[0.0, 0.0], [0.0, 1.0]])], arma_terms=[RationalTerm(0, 0, *_AR1)]
+        )
+        sb = support_bound(rank_integral(model, grid))
+        assert (sb.dimension, sb.bound, sb.gap) == (1.5, 2.0, 0.5) and not sb.tight
+
+    def test_support_bound_grid_measure_counts_scalar_density_nodes(self, grid):
+        model = SpectralModel(L=2, arma_terms=[RationalTerm(0, 0, *_AR1), RationalTerm(1, 1, (0.1,), (1.0,))])
+        ri = rank_integral(model, grid, rel_tol=0.3)
+        mats = eval_spectrum(model, grid)
+        s_z = mats[:, 0, 0].real + mats[:, 1, 1].real
+        assert support_bound(ri).bound == 2.0 * np.count_nonzero(s_z > 0.3 * s_z.max()) / grid.n
+
+    def test_violated_bound_is_a_negative_gap(self, grid):
+        sb = support_bound(rank_integral(_crossed_tolerance_pair(), grid, rel_tol=0.3))
+        assert (sb.dimension, sb.bound, sb.gap) == (1.5, 1.0, -0.5) and not sb.tight
+        model = SpectralModel(L=2, arma_terms=[RationalTerm(0, 0, *_AR1), RationalTerm(1, 1, (0.1,), (1.0,))])
+        sb = support_bound(rank_integral(model, grid, rel_tol=0.3))
+        assert sb.gap < -sb.tolerance and not sb.tight
+
+    def test_complex_checks_need_a_bivariate_model(self, white, grid):
+        ri = rank_integral(white, grid)
+        for check in (properness_check, support_bound):
+            with pytest.raises(ValueError, match="bivariate"):
+                check(ri)
 
 
 class TestNormalization:
@@ -344,7 +402,7 @@ class TestBandSegments:
         assert result.method == "segment-exact"
         assert result.value == ref[f"analyze/{name}/rank_integral/segment-exact/value"]
         if model.L == 2:
-            assert support_bound(model, grid).bound == ref[f"analyze/{name}/support_bound/segment/reference"]
+            assert support_bound(rank_integral(model, grid)).bound == ref[f"analyze/{name}/support_bound/segment/reference"]
 
     @given(band_model_params(), st.sampled_from([1e-9, 0.3, 0.9]))
     @settings(max_examples=60, deadline=None)
@@ -362,8 +420,8 @@ class TestBandSegments:
 
     def test_support_bound_uses_its_tolerances_for_the_dimension(self, grid):
         model = SpectralModel(L=2, bands=[Band(-0.5, 0.5, [[1.0, 0.0], [0.0, 1e-6]])])
-        assert support_bound(model, grid).dimension == 2.0
-        sb = support_bound(model, grid, rel_tol=1e-3)
+        assert support_bound(rank_integral(model, grid)).dimension == 2.0
+        sb = support_bound(rank_integral(model, grid, rel_tol=1e-3))
         assert sb.dimension == rank_integral(model, grid, rel_tol=1e-3).value == 1.0
         assert sb.bound == 2.0
 
@@ -389,12 +447,15 @@ class TestEigenPasses:
         [
             ("analyze", white_noise, 1),
             ("analyze", lambda: ar1(0.6), 1),
-            ("analyze", correlated_pair, 3),
-            ("complex", correlated_pair, 2),
+            ("analyze", correlated_pair, 1),
+            ("analyze", _rational_pair, 1),
+            ("complex", correlated_pair, 1),
+            ("complex", _rational_pair, 1),
             ("rd", white_noise, 2),
             ("rd", correlated_pair, 2),
         ],
-        ids=["analyze-white", "analyze-ar1", "analyze-pair", "complex-pair", "rd-white", "rd-pair"],
+        ids=["analyze-white", "analyze-ar1", "analyze-pair", "analyze-rational-pair", "complex-pair",
+             "complex-rational-pair", "rd-white", "rd-pair"],
     )
     def test_passes_per_task(self, monkeypatch, tmp_path, task, builder, most):
         config = {"task": task, "model": model_to_document(builder()), "grid_n": 1024}
