@@ -62,10 +62,8 @@ from .estimators import (
 from .ratedist import (
     RDCurve,
     WaterfillPoint,
-    finite_block_rate,
     rd_curve,
     rd_dimension_estimate,
-    waterfill_rate,
 )
 from .reports import EstimateReport, RunReport, emit, load_report
 from .experiments import ExperimentConfig, run

@@ -18,7 +18,7 @@ import numpy as np
 from .entropy import exact_cell_distribution, exact_cell_entropy, packed_keys, plugin_entropy
 from .quantize import dither, quantize
 from .simulate import autocovariance_from_spectrum, sample_paths, welch_psd
-from .spectral import FrequencyGrid, SpectralModel, normalize_components, rank_integral
+from .spectral import FrequencyGrid, SpectralModel, normalize_components
 
 DEFAULT_M_LADDER = (8, 16, 32, 64)
 SURROGATE_M_LADDER = (16, 64, 256)
@@ -48,7 +48,7 @@ def _ls_slope(x, y, y_se=None):
 
 @dataclass(frozen=True)
 class DimensionEstimate:
-    """A dimension-rate estimate with its settings and theoretical reference."""
+    """A dimension-rate estimate with its settings; the caller holds the reference."""
 
     value: float
     method: str
@@ -56,7 +56,6 @@ class DimensionEstimate:
     k: int
     paths: int
     se: float
-    reference: float | None = None
     within_bounds: bool = True
     pairwise_slopes: tuple = ()  # consecutive two-point slopes (ladder-spread proxy)
     notes: str = ""
@@ -140,11 +139,10 @@ def idr_slope_estimate(
     path keeps the standard errors honest).
     """
     ladder = _validate_ladder(m_ladder)
-    reference = rank_integral(model, grid).value
     norm = normalize_components(model, grid)
     if not norm.kept:
         return DimensionEstimate(
-            0.0, "entropy-slope", ladder, k or 0, paths, 0.0, reference,
+            0.0, "entropy-slope", ladder, k or 0, paths, 0.0,
             notes="all components have zero variance; quantized process is constant",
         )
     k_need = k if k is not None else k_cap
@@ -157,7 +155,7 @@ def idr_slope_estimate(
     within = bool(-0.1 <= slope <= L + 0.1)
     notes = "" if within else f"slope {slope:.4f} outside [-0.1, L+0.1]"
     return DimensionEstimate(
-        slope, "entropy-slope", ladder, k, paths, se, reference, within, pairwise, notes, occupancy,
+        slope, "entropy-slope", ladder, k, paths, se, within, pairwise, notes, occupancy,
         batch.factor_method, batch.jitter,
     )
 
@@ -193,11 +191,10 @@ def surrogate_idr_estimate(
     floor, and each such node inflates the estimate by ~1/n_freq.
     """
     ladder = _validate_ladder(m_ladder)
-    reference = rank_integral(model, grid).value
     norm = normalize_components(model, grid)
     if not norm.kept:
         return DimensionEstimate(
-            0.0, "gaussian-surrogate", ladder, 0, paths, 0.0, reference,
+            0.0, "gaussian-surrogate", ladder, 0, paths, 0.0,
             notes="all components have zero variance; dimension 0",
         )
     L = norm.model.L
@@ -237,7 +234,7 @@ def surrogate_idr_estimate(
     )
     within = bool(-0.1 <= value <= model.L + 0.1)
     return DimensionEstimate(
-        value, "gaussian-surrogate", ladder, k_eff, paths, se, reference, within, pairwise,
+        value, "gaussian-surrogate", ladder, k_eff, paths, se, within, pairwise,
         notes="" if within else f"estimate {value:.4f} outside [-0.1, L+0.1]",
         factor_method=batch.factor_method, jitter=batch.jitter,
     )
@@ -333,10 +330,9 @@ def invariance_check(
     if transform == "scale" and (amount <= 0).any():
         raise ValueError("scale factors must be positive")
     ladder = _validate_ladder(m_ladder)
-    reference = rank_integral(model, grid).value
     norm = normalize_components(model, grid)
     if not norm.kept:
-        zero = DimensionEstimate(0.0, "entropy-slope", ladder, 0, paths, 0.0, reference)
+        zero = DimensionEstimate(0.0, "entropy-slope", ladder, 0, paths, 0.0)
         return InvarianceReport(transform, zero, zero, 0.0)
     amount_kept = amount[list(norm.kept)]
 
@@ -354,11 +350,11 @@ def invariance_check(
     s1, se1, pw1, occ1 = _slope_from_samples(moved, ladder, k, True)
     drawn = {"factor_method": batch.factor_method, "jitter": batch.jitter}
     base = DimensionEstimate(
-        s0, "entropy-slope", ladder, k, paths, se0, reference, pairwise_slopes=pw0, occupancy=occ0,
+        s0, "entropy-slope", ladder, k, paths, se0, pairwise_slopes=pw0, occupancy=occ0,
         **drawn,
     )
     trans = DimensionEstimate(
-        s1, "entropy-slope", ladder, k, paths, se1, reference, pairwise_slopes=pw1,
+        s1, "entropy-slope", ladder, k, paths, se1, pairwise_slopes=pw1,
         notes=f"{transform} by {np.array2string(amount, precision=3)}", occupancy=occ1, **drawn,
     )
 

@@ -25,6 +25,8 @@ from .ratedist import rd_curve, rd_dimension_estimate
 from .reports import EstimateReport, RunReport
 from .simulate import autocovariance_from_spectrum, sample_paths
 from .spectral import (
+    RANK_ABS_FLOOR,
+    RANK_REL_TOL,
     FrequencyGrid,
     SpectralModel,
     normalize_components,
@@ -104,6 +106,7 @@ class ExperimentConfig:
 
 
 def _resolve_model(config: ExperimentConfig) -> tuple[SpectralModel, FrequencyGrid, dict]:
+    """The model, its grid and the document's rank tolerances as rank_integral keywords."""
     if isinstance(config.model, str):
         model, overrides = load_model(config.model)
     else:
@@ -112,33 +115,37 @@ def _resolve_model(config: ExperimentConfig) -> tuple[SpectralModel, FrequencyGr
     if "grid_n" not in config.explicit and "grid_n" in overrides:
         grid_n = int(overrides["grid_n"])
     rank_tols = {
-        key: float(overrides[key]) for key in ("rank_rel_tol", "rank_abs_floor") if key in overrides
+        key.removeprefix("rank_"): float(overrides[key])
+        for key in ("rank_rel_tol", "rank_abs_floor") if key in overrides
     }
     return model, FrequencyGrid(grid_n), rank_tols
 
 
-def _rank_kwargs(rank_tols: dict) -> dict:
-    """Document overrides as rank_integral keyword arguments."""
-    return {key.removeprefix("rank_"): value for key, value in rank_tols.items()}
-
-
-def _analyze_reports(model, grid, config, rank_tols) -> list:
-    ri = rank_integral(model, grid, **_rank_kwargs(rank_tols))
+def _analyze_reports(ri, config) -> list:
+    # Rank tolerances other than the defaults come from the model document.
+    rank_tols = {
+        key: value
+        for key, value, default in (
+            ("rank_rel_tol", ri.profile.rel_tol, RANK_REL_TOL),
+            ("rank_abs_floor", ri.profile.abs_floor, RANK_ABS_FLOOR),
+        )
+        if value != default
+    }
     reports = [
         EstimateReport(
             "rank_integral", ri.method, ri.value,
-            settings={"grid_n": grid.n, "rank_histogram": ri.profile.histogram(), **rank_tols},
+            settings={"grid_n": ri.grid_n, "rank_histogram": ri.profile.histogram(), **rank_tols},
         )
     ]
-    if model.L == 2:
+    if ri.model.L == 2:
         reports.extend(_complex_rows(ri))
     return reports
 
 
-def _complex_reports(model, grid, config, rank_tols) -> list:
-    if model.L != 2:
+def _complex_reports(ri, config) -> list:
+    if ri.model.L != 2:
         raise ConfigError("complex-process analysis needs a bivariate (L=2) model")
-    return _complex_rows(rank_integral(model, grid, **_rank_kwargs(rank_tols)))
+    return _complex_rows(ri)
 
 
 def _complex_rows(ri) -> list:
@@ -161,21 +168,22 @@ def _complex_rows(ri) -> list:
     ]
 
 
-def _estimate_reports(model, grid, config, rank_tols) -> list:
+def _estimate_reports(ri, config) -> list:
+    grid = FrequencyGrid(ri.grid_n)
     slope = idr_slope_estimate(
-        model, config.m_ladder, k=config.k, paths=config.paths, seed=config.seed, grid=grid
+        ri.model, config.m_ladder, k=config.k, paths=config.paths, seed=config.seed, grid=grid
     )
     surr = surrogate_idr_estimate(
-        model, config.surrogate_m_ladder, paths=config.surrogate_paths,
+        ri.model, config.surrogate_m_ladder, paths=config.surrogate_paths,
         k=config.surrogate_k, seed=config.seed, nperseg=config.surrogate_segment, grid=grid,
     )
     out = []
     for est in (slope, surr):
         out.append(
             EstimateReport(
-                "dimension", est.method, est.value, se=est.se, reference=est.reference,
+                "dimension", est.method, est.value, se=est.se, reference=ri.value,
                 tolerance=config.tol_estimate,
-                passed=bool(abs(est.value - est.reference) <= config.tol_estimate),
+                passed=bool(abs(est.value - ri.value) <= config.tol_estimate),
                 settings={
                     "m_ladder": list(est.m_ladder), "k": est.k, "factor_method": est.factor_method,
                     "jitter": est.jitter, "occupancy": list(est.occupancy),
@@ -186,24 +194,25 @@ def _estimate_reports(model, grid, config, rank_tols) -> list:
     return out
 
 
-def _rd_reports(model, grid, config, rank_tols) -> list:
-    est = rd_dimension_estimate(model, config.d_ladder, grid)
+def _rd_reports(ri, config) -> list:
+    est = rd_dimension_estimate(ri, config.d_ladder)
     reports = [
         EstimateReport(
-            "dimension", est.method, est.value, se=est.se, reference=est.reference,
+            "dimension", est.method, est.value, se=est.se, reference=ri.value,
             tolerance=config.tol_rd,
-            passed=bool(abs(est.value - est.reference) <= config.tol_rd),
+            passed=bool(abs(est.value - ri.value) <= config.tol_rd),
             settings={"d_ladder": list(config.d_ladder), "notes": est.notes},
         )
     ]
     if config.out:
-        curve = rd_curve(model, config.d_ladder, grid)
+        curve = rd_curve(ri, config.d_ladder)
         rows = "\n".join(f"{d!r},{r!r},{w!r}" for d, r, w in curve.as_rows())
         Path(str(config.out) + ".rd_curve.csv").write_text("D,R,water_level\n" + rows + "\n")
     return reports
 
 
-def _verify_reports(model, grid, config, rank_tols) -> list:
+def _verify_reports(ri, config) -> list:
+    model, grid = ri.model, FrequencyGrid(ri.grid_n)
     reports = []
     for kind, amount in (("scale", config.scale_factor), ("translate", config.translate_offset)):
         inv = invariance_check(
@@ -286,6 +295,8 @@ def run(config: ExperimentConfig | dict) -> RunReport:
         config = ExperimentConfig.from_dict(config)
     model, grid, rank_tols = _resolve_model(config)
     started = time.perf_counter()
+    # The task's one rank integral: every reference and every grid eigenvalue comes from it.
+    ri = rank_integral(model, grid, **rank_tols)
     dispatch = {
         "analyze": _analyze_reports,
         "estimate": _estimate_reports,
@@ -293,7 +304,7 @@ def run(config: ExperimentConfig | dict) -> RunReport:
         "verify": _verify_reports,
         "complex": _complex_reports,
     }
-    reports = dispatch[config.task](model, grid, config, rank_tols)
+    reports = dispatch[config.task](ri, config)
     elapsed = time.perf_counter() - started
     settings = {"grid_n": grid.n}
     for name in _TASK_SETTINGS[config.task]:

@@ -157,8 +157,6 @@ class SpectrumIdentityReport:
     gain: float
     mean_residual: float
     mean_residual_se: float
-    max_node_residual: float
-    max_node_z: float
     noise_mass: np.ndarray  # (L,) integral of the error spectrum estimate
     noise_mass_bound: float
     mean_ok: bool
@@ -193,11 +191,6 @@ def spectrum_identity_check(data, m: int, nperseg: int = 256) -> SpectrumIdentit
     per_path_mean = trace.mean(axis=1)
     mean_resid = float(per_path_mean.mean())
     mean_se = float(per_path_mean.std(ddof=1) / np.sqrt(paths))
-    node_mean = trace.mean(axis=0)
-    node_se = trace.std(axis=0, ddof=1) / np.sqrt(paths)
-    max_idx = int(np.abs(node_mean).argmax())
-    max_node = float(np.abs(node_mean)[max_idx])
-    max_z = float(np.abs(node_mean[max_idx]) / max(node_se[max_idx], 1e-300))
 
     noise_mass = wn.integrated_power()
     noise_bound = 1.0 / m**2
@@ -206,8 +199,6 @@ def spectrum_identity_check(data, m: int, nperseg: int = 256) -> SpectrumIdentit
         gain=gain,
         mean_residual=mean_resid,
         mean_residual_se=mean_se,
-        max_node_residual=max_node,
-        max_node_z=max_z,
         noise_mass=noise_mass,
         noise_mass_bound=noise_bound,
         mean_ok=bool(abs(mean_resid) <= 5.0 * mean_se),

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import DimensionEstimate, _ls_slope
-from .simulate import autocovariance_from_spectrum
-from .spectral import FrequencyGrid, SpectralModel, rank_integral
+from .spectral import RankIntegralResult
 
 
 @dataclass(frozen=True)
@@ -62,46 +61,29 @@ def _waterfill(eigenvalues: np.ndarray, weight: float, distortion: float) -> Wat
     return WaterfillPoint(float(distortion), rate, float(w))
 
 
-def waterfill_rate(model: SpectralModel, distortion: float, grid: FrequencyGrid | None = None) -> WaterfillPoint:
-    """Reverse water-filling at total per-time-step distortion D.
-
-    Solves sum_j min(w, mu_j) * weight = D for the water level w in closed form
-    over the grid eigenvalues mu_j and returns
-    R = sum_j max(0, (1/2) log(mu_j / w)) * weight.
-    """
-    ri = rank_integral(model, grid)
-    return _waterfill(ri.profile.eigenvalues, 1.0 / ri.grid_n, distortion)
-
-
-def rd_curve(model: SpectralModel, d_ladder, grid: FrequencyGrid | None = None) -> RDCurve:
+def rd_curve(ri: RankIntegralResult, d_ladder) -> RDCurve:
     """Rate-distortion curve at the given distortion ladder (descending),
-    water-filled from one eigen-pass over the grid."""
-    ri = rank_integral(model, grid)
+    water-filled over the grid eigenvalues of one rank-integral evaluation."""
     return RDCurve(tuple(_waterfill(ri.profile.eigenvalues, 1.0 / ri.grid_n, d) for d in d_ladder))
 
 
-def rd_dimension_estimate(
-    model: SpectralModel,
-    d_ladder=(1e-2, 1e-4, 1e-6),
-    grid: FrequencyGrid | None = None,
-) -> DimensionEstimate:
+def rd_dimension_estimate(ri: RankIntegralResult, d_ladder=(1e-2, 1e-4, 1e-6)) -> DimensionEstimate:
     """Dimension from the low-distortion rate slope.
 
     R(D) ~ -(d/2) log D + const once the water level sits below the smallest
     supported eigenvalue, so the least-squares slope of R against
     -(1/2) log D is the dimension.  Distortions must be decreasing and small
     relative to the total power (a zero-power model short-circuits to 0).
-    The reference rank integral and every rate come from one eigen-pass.
+    Every rate is water-filled over the grid eigenvalues of `ri`.
     """
     ladder = tuple(float(d) for d in d_ladder)
     if len(ladder) < 2 or any(d <= 0 for d in ladder) or sorted(ladder, reverse=True) != list(ladder):
         raise ValueError(f"d_ladder must be >= 2 strictly decreasing positive values, got {d_ladder}")
-    ri = rank_integral(model, grid)
-    reference, mu, weight = ri.value, ri.profile.eigenvalues, 1.0 / ri.grid_n
+    mu, weight = ri.profile.eigenvalues, 1.0 / ri.grid_n
     total = float(mu.sum() * weight)
     if total <= 0:
         return DimensionEstimate(
-            0.0, "rate-distortion", ladder, 0, 0, 0.0, reference,
+            0.0, "rate-distortion", ladder, 0, 0, 0.0,
             notes="zero total power: rate is identically 0",
         )
     if max(ladder) > total / 4.0:
@@ -113,20 +95,7 @@ def rd_dimension_estimate(
         float((rates[i + 1] - rates[i]) / (x[i + 1] - x[i])) for i in range(len(rates) - 1)
     )
     return DimensionEstimate(
-        float(slope), "rate-distortion", ladder, 0, 0, se, reference,
-        within_bounds=bool(-0.1 <= slope <= model.L + 0.1),
+        float(slope), "rate-distortion", ladder, 0, 0, se,
+        within_bounds=bool(-0.1 <= slope <= ri.model.L + 0.1),
         pairwise_slopes=pairwise,
     )
-
-
-def finite_block_rate(model: SpectralModel, k: int, distortion: float) -> float:
-    """Finite-block cross-check: water-fill the eigenvalues of the k-step
-    block covariance (clipped at 0, weight 1/k each) at distortion D per time
-    step, rate per time step.
-
-    Converges to the spectral waterfill_rate as k grows (Toeplitz eigenvalue
-    distributions approach the spectrum).
-    """
-    acov = autocovariance_from_spectrum(model, max(k - 1, 0))
-    lam = np.clip(np.linalg.eigvalsh(acov.toeplitz(k)), 0.0, None)
-    return _waterfill(lam, 1.0 / k, distortion).rate

@@ -63,9 +63,10 @@ def test_criterion_2_rate_distortion_equivalence():
     started = time.perf_counter()
     for name, (builder, expected) in BENCHMARKS.items():
         t0 = time.perf_counter()
-        est = rd_dimension_estimate(builder(), (1e-2, 1e-4, 1e-6), GRID)
-        assert abs(est.value - est.reference) <= 0.01, f"{name}: {est.value} vs {est.reference}"
-        assert est.reference == pytest.approx(expected, abs=1e-6)
+        ri = rank_integral(builder(), GRID)
+        est = rd_dimension_estimate(ri, (1e-2, 1e-4, 1e-6))
+        assert abs(est.value - ri.value) <= 0.01, f"{name}: {est.value} vs {ri.value}"
+        assert ri.value == pytest.approx(expected, abs=1e-6)
         assert time.perf_counter() - t0 < 10.0, f"{name} rd estimate too slow"
     _stamp("2 rate-distortion equivalence", started, 60.0)
 
@@ -81,9 +82,11 @@ def test_criterion_2_rate_distortion_equivalence():
 def test_criterion_3_entropy_slope(name, builder, expected):
     """Entropy-slope estimate within 0.05 of the rank integral at R=1e6."""
     started = time.perf_counter()
-    est = idr_slope_estimate(builder(), m_ladder=(8, 16, 32, 64), paths=1_000_000, seed=SEED)
-    assert est.reference == pytest.approx(expected, abs=1e-9)
-    assert abs(est.value - est.reference) <= 0.05, f"{name}: {est.value} vs {est.reference}"
+    model = builder()
+    reference = rank_integral(model, GRID).value
+    est = idr_slope_estimate(model, m_ladder=(8, 16, 32, 64), paths=1_000_000, seed=SEED)
+    assert reference == pytest.approx(expected, abs=1e-9)
+    assert abs(est.value - reference) <= 0.05, f"{name}: {est.value} vs {reference}"
     _stamp(f"3 entropy slope [{name}]", started, 300.0)
 
 
@@ -99,8 +102,9 @@ def test_criterion_3_entropy_slope(name, builder, expected):
     ),
 )
 def test_criterion_3_entropy_slope_narrowband():
+    reference = rank_integral(narrowband(0.4), GRID).value
     est = idr_slope_estimate(narrowband(0.4), m_ladder=(8, 16, 32, 64), paths=1_000_000, seed=SEED)
-    assert abs(est.value - est.reference) <= 0.05
+    assert abs(est.value - reference) <= 0.05
 
 
 def test_criterion_3_surrogate():
@@ -109,11 +113,11 @@ def test_criterion_3_surrogate():
     started = time.perf_counter()
     for name, (builder, expected) in BENCHMARKS.items():
         t0 = time.perf_counter()
-        est = surrogate_idr_estimate(
-            builder(), m_ladder=(16, 64, 256), paths=200, k=4096, seed=SEED
-        )
-        assert abs(est.value - est.reference) <= 0.05, f"{name}: {est.value} vs {est.reference}"
-        assert est.reference == pytest.approx(expected, abs=1e-9)
+        model = builder()
+        reference = rank_integral(model, GRID).value
+        est = surrogate_idr_estimate(model, m_ladder=(16, 64, 256), paths=200, k=4096, seed=SEED)
+        assert abs(est.value - reference) <= 0.05, f"{name}: {est.value} vs {reference}"
+        assert reference == pytest.approx(expected, abs=1e-9)
         assert time.perf_counter() - t0 < 300.0, f"{name} surrogate too slow"
     _stamp("3 spectral surrogate", started, 1500.0)
 

@@ -4,14 +4,22 @@ import numpy as np
 import pytest
 
 from gaussdim.benchmarks import ar1, correlated_pair, narrowband, white_noise, zero_process
-from gaussdim.ratedist import (
-    finite_block_rate,
-    rd_curve,
-    rd_dimension_estimate,
-    waterfill_rate,
-)
+from gaussdim.ratedist import _waterfill, rd_curve, rd_dimension_estimate
 from gaussdim.simulate import autocovariance_from_spectrum
-from gaussdim.spectral import Band, SpectralModel, eval_spectrum
+from gaussdim.spectral import Band, SpectralModel, eval_spectrum, rank_integral
+
+
+def _curve_point(model, distortion, grid):
+    """One point of the spectral rate-distortion curve."""
+    return rd_curve(rank_integral(model, grid), [distortion]).points[0]
+
+
+def _block_waterfill_rate(model, k, distortion):
+    """Rate per time step from water-filling the eigenvalues of the k-step block
+    covariance (clipped at 0, weight 1/k each) with the closed-form solver."""
+    acov = autocovariance_from_spectrum(model, max(k - 1, 0))
+    lam = np.clip(np.linalg.eigvalsh(acov.toeplitz(k)), 0.0, None)
+    return _waterfill(lam, 1.0 / k, distortion).rate
 
 
 def _scan_waterfill(model, grid, distortion):
@@ -38,7 +46,7 @@ def _two_level():
 
 
 def _bisection_block_rate(model, k, distortion):
-    """Reference: the bisection solver finite_block_rate used before the closed form."""
+    """Reference: the bisection solver the block water-filling used before the closed form."""
     acov = autocovariance_from_spectrum(model, max(k - 1, 0))
     lam = np.clip(np.linalg.eigvalsh(acov.toeplitz(k)), 0.0, None)
     target = k * distortion
@@ -59,18 +67,18 @@ def _bisection_block_rate(model, k, distortion):
 
 class TestWaterfill:
     def test_flat_spectrum_closed_form(self, grid):
-        pt = waterfill_rate(white_noise(), 0.25, grid)
+        pt = _curve_point(white_noise(), 0.25, grid)
         assert pt.rate == pytest.approx(0.5 * np.log(4.0), abs=1e-10)
         assert pt.water_level == pytest.approx(0.25, abs=1e-10)
 
     def test_distortion_above_power_gives_zero_rate(self, grid):
-        pt = waterfill_rate(white_noise(), 1.5, grid)
+        pt = _curve_point(white_noise(), 1.5, grid)
         assert pt.rate == 0.0
 
     @pytest.mark.parametrize("distortion", [0.3, 1e-2, 1e-4])
     def test_against_scan_oracle(self, grid, distortion):
         model = narrowband(0.5)
-        pt = waterfill_rate(model, distortion, grid)
+        pt = _curve_point(model, distortion, grid)
         rate_oracle, w_oracle = _scan_waterfill(model, grid, distortion)
         assert pt.rate == pytest.approx(rate_oracle, abs=1e-9)
         assert pt.water_level == pytest.approx(w_oracle, rel=1e-6)
@@ -90,41 +98,41 @@ class TestWaterfill:
     )
     def test_against_scan_oracle_edge_cases(self, grid, builder, distortion):
         model = builder()
-        pt = waterfill_rate(model, distortion, grid)
+        pt = _curve_point(model, distortion, grid)
         rate_oracle, w_oracle = _scan_waterfill(model, grid, distortion)
         assert pt.rate == pytest.approx(rate_oracle, rel=1e-12, abs=1e-12)
         assert pt.water_level == pytest.approx(w_oracle, rel=1e-12)
 
     def test_breakpoint_closed_form(self, grid):
-        pt = waterfill_rate(_two_level(), 1.0, grid)
+        pt = _curve_point(_two_level(), 1.0, grid)
         assert pt.water_level == 1.0
         assert pt.rate == pytest.approx(0.25 * np.log(3.0), abs=1e-15)
 
     def test_water_level_reproduces_distortion(self, grid):
         model = ar1(0.6)
         d = 0.01
-        pt = waterfill_rate(model, d, grid)
+        pt = _curve_point(model, d, grid)
         mu = np.linalg.eigvalsh(eval_spectrum(model, grid))
         achieved = np.minimum(pt.water_level, mu).sum() * grid.weight
         assert achieved == pytest.approx(d, rel=1e-11)
 
     def test_nonpositive_distortion_rejected(self, grid):
         with pytest.raises(ValueError, match="distortion"):
-            waterfill_rate(white_noise(), 0.0, grid)
+            _curve_point(white_noise(), 0.0, grid)
 
 
 class TestRDCurve:
     def test_monotone_and_convex_on_log_grid(self, grid):
         model = ar1(0.8)
         d_ladder = np.geomspace(0.5, 1e-6, 24)
-        curve = rd_curve(model, d_ladder, grid)
+        curve = rd_curve(rank_integral(model, grid), d_ladder)
         rates = np.array([p.rate for p in curve.points])
         assert (np.diff(rates) >= -1e-12).all()  # rate grows as distortion falls
         second = np.diff(rates, 2)  # convex in log D (equispaced log grid)
         assert (second >= -1e-9).all()
 
     def test_rows_export_shape(self, grid):
-        curve = rd_curve(white_noise(), (1e-1, 1e-2), grid)
+        curve = rd_curve(rank_integral(white_noise(), grid), (1e-1, 1e-2))
         rows = curve.as_rows()
         assert len(rows) == 2 and len(rows[0]) == 3
 
@@ -140,22 +148,24 @@ class TestRDDimension:
         ],
     )
     def test_matches_rank_integral(self, builder, expected, grid):
-        est = rd_dimension_estimate(builder(), (1e-2, 1e-4, 1e-6), grid)
-        assert abs(est.value - est.reference) <= 0.01
+        ri = rank_integral(builder(), grid)
+        est = rd_dimension_estimate(ri, (1e-2, 1e-4, 1e-6))
+        assert abs(est.value - ri.value) <= 0.01
         assert est.value == pytest.approx(expected, abs=0.01)
 
     def test_flat_spectrum_is_exact(self, grid):
-        est = rd_dimension_estimate(white_noise(), (1e-2, 1e-4, 1e-6), grid)
+        est = rd_dimension_estimate(rank_integral(white_noise(), grid), (1e-2, 1e-4, 1e-6))
         assert est.value == pytest.approx(1.0, abs=1e-10)
 
     def test_ladder_validation(self, grid):
+        ri = rank_integral(white_noise(), grid)
         with pytest.raises(ValueError, match="decreasing"):
-            rd_dimension_estimate(white_noise(), (1e-6, 1e-4), grid)
+            rd_dimension_estimate(ri, (1e-6, 1e-4))
         with pytest.raises(ValueError, match="total power"):
-            rd_dimension_estimate(white_noise(), (0.5, 1e-4), grid)
+            rd_dimension_estimate(ri, (0.5, 1e-4))
 
     def test_zero_power_short_circuits(self, grid):
-        est = rd_dimension_estimate(zero_process(), (1e-2, 1e-4), grid)
+        est = rd_dimension_estimate(rank_integral(zero_process(), grid), (1e-2, 1e-4))
         assert est.value == 0.0 and "zero total power" in est.notes
 
 
@@ -163,8 +173,8 @@ class TestFiniteBlockCrossCheck:
     def test_converges_to_spectral_limit(self, grid):
         model = ar1(0.6)
         d = 0.05
-        spectral = waterfill_rate(model, d, grid).rate
-        gaps = [abs(finite_block_rate(model, k, d) - spectral) for k in (16, 64)]
+        spectral = _curve_point(model, d, grid).rate
+        gaps = [abs(_block_waterfill_rate(model, k, d) - spectral) for k in (16, 64)]
         assert gaps[1] < gaps[0]
         assert gaps[1] < 0.01
 
@@ -175,5 +185,5 @@ class TestFiniteBlockCrossCheck:
     )
     def test_matches_bisection_reference(self, builder, k, distortion):
         model = builder()
-        closed = finite_block_rate(model, k, distortion)
+        closed = _block_waterfill_rate(model, k, distortion)
         assert closed == pytest.approx(_bisection_block_rate(model, k, distortion), rel=0.0, abs=1e-12)

@@ -131,6 +131,21 @@ class TestConfig:
         if task == "analyze":
             assert rows["rank_integral"].value == 1.0
 
+    @pytest.mark.parametrize("task", ["estimate", "rd"])
+    def test_dimension_reference_reads_document_rank_tolerance(self, task):
+        # eigenvalues {1, 1e-6}: rank 2 at the default tolerance, 1 at 1e-3
+        doc = model_to_document(SpectralModel(L=2, bands=[Band(-0.5, 0.5, [[1.0, 0.0], [0.0, 1e-6]])]))
+        doc["rank_rel_tol"] = 1e-3
+        config = {"task": task, "model": doc, "grid_n": 1024}
+        if task == "estimate":
+            config.update({
+                "seed": 3, "paths": 5000, "m_ladder": [1, 2], "surrogate_m_ladder": [16, 64],
+                "surrogate_paths": 4, "surrogate_k": 384, "surrogate_segment": 256,
+            })
+        rows = [r for r in run(config).reports if r.quantity == "dimension"]
+        assert len(rows) == (2 if task == "estimate" else 1)
+        assert all(r.reference == 1.0 for r in rows)
+
 
 class TestRunTasks:
     def test_analyze_band_model(self):
