@@ -3,6 +3,8 @@
 
 Fast by default (analytic rank integral + rate-distortion slope); pass
 --estimators to add the two Monte Carlo estimators, which takes a few minutes.
+A model whose entropy slope trips the undersampling guard prints
+"undersampled" in that column and keeps the guard's message in its JSON row.
 
 Usage:
     python scripts/run_benchmarks.py --out results --seed 7
@@ -16,7 +18,7 @@ import time
 from pathlib import Path
 
 from gaussdim.benchmarks import BENCHMARKS
-from gaussdim.estimators import idr_slope_estimate, surrogate_idr_estimate
+from gaussdim.estimators import UndersamplingError, idr_slope_estimate, surrogate_idr_estimate
 from gaussdim.ratedist import rd_dimension_estimate
 from gaussdim.spectral import FrequencyGrid, rank_integral
 
@@ -34,7 +36,7 @@ def main(argv=None) -> int:
     rows = []
     header = f"{'model':28s} {'exact':>7s} {'rank':>10s} {'rd-slope':>10s}"
     if args.estimators:
-        header += f" {'H-slope':>10s} {'surrogate':>10s}"
+        header += f" {'H-slope':>12s} {'surrogate':>10s}"
     print(header)
     print("-" * len(header))
     for name, (builder, expected) in BENCHMARKS.items():
@@ -45,13 +47,17 @@ def main(argv=None) -> int:
         row = {"model": name, "expected": expected, "rank_integral": rank, "rd_slope": rd}
         line = f"{name:28s} {expected:7.3f} {rank:10.6f} {rd:10.6f}"
         if args.estimators:
-            slope = idr_slope_estimate(model, paths=args.paths, seed=args.seed, grid=grid)
+            try:
+                slope = idr_slope_estimate(model, paths=args.paths, seed=args.seed, grid=grid)
+            except UndersamplingError as exc:
+                row.update({"entropy_slope": None, "entropy_slope_se": None, "entropy_slope_error": str(exc)})
+                line += f" {'undersampled':>12s}"
+            else:
+                row.update({"entropy_slope": slope.value, "entropy_slope_se": slope.se})
+                line += f" {slope.value:12.4f}"
             surr = surrogate_idr_estimate(model, paths=200, k=4096, seed=args.seed, grid=grid)
-            row.update({
-                "entropy_slope": slope.value, "entropy_slope_se": slope.se,
-                "surrogate": surr.value, "surrogate_se": surr.se,
-            })
-            line += f" {slope.value:10.4f} {surr.value:10.4f}"
+            row.update({"surrogate": surr.value, "surrogate_se": surr.se})
+            line += f" {surr.value:10.4f}"
         row["seconds"] = time.time() - t0
         rows.append(row)
         print(line)

@@ -31,6 +31,8 @@ class UndersamplingError(ValueError):
 
 
 def _ls_slope(x, y, y_se=None):
+    """Least-squares slope of y on x, its standard error, and the consecutive
+    two-point slopes (the ladder-spread proxy)."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     xc = x - x.mean()
@@ -43,7 +45,8 @@ def _ls_slope(x, y, y_se=None):
         se = float(np.sqrt((resid**2).sum() / dof / denom))
     else:
         se = float(np.sqrt((coeff**2 * np.asarray(y_se, float) ** 2).sum()))
-    return slope, se
+    pairwise = tuple(float(p) for p in np.diff(y) / np.diff(x))
+    return slope, se, pairwise
 
 
 @dataclass(frozen=True)
@@ -113,11 +116,7 @@ def _choose_k(samples: np.ndarray, m_max: int, paths: int, k_cap: int) -> int:
 def _slope_from_samples(samples: np.ndarray, m_ladder, k: int, miller_madow: bool):
     paths = samples.shape[0]
     values, ses, occupancy = _block_entropies(samples, k, m_ladder, paths, miller_madow)
-    logm = np.log(np.asarray(m_ladder, float))
-    slope, se = _ls_slope(logm, values, ses)
-    pairwise = tuple(
-        float((values[i + 1] - values[i]) / (logm[i + 1] - logm[i])) for i in range(len(values) - 1)
-    )
+    slope, se, pairwise = _ls_slope(np.log(np.asarray(m_ladder, float)), values, ses)
     return slope, se, pairwise, occupancy
 
 
@@ -220,7 +219,7 @@ def surrogate_idr_estimate(
         g_groups.append(per_m_groups)
 
     logm = np.log(np.asarray(ladder, float))
-    slope, _ = _ls_slope(logm, np.asarray(g_pooled))
+    slope, _, pairwise = _ls_slope(logm, g_pooled)
     value = L + slope
     g_groups = np.asarray(g_groups)  # (n_m, groups)
     if groups > 1:
@@ -228,13 +227,9 @@ def surrogate_idr_estimate(
         se = float(np.std(group_vals, ddof=1) / np.sqrt(groups))
     else:
         se = float("nan")
-    pairwise = tuple(
-        float(L + (g_pooled[i + 1] - g_pooled[i]) / (logm[i + 1] - logm[i]))
-        for i in range(len(ladder) - 1)
-    )
     within = bool(-0.1 <= value <= model.L + 0.1)
     return DimensionEstimate(
-        value, "gaussian-surrogate", ladder, k_eff, paths, se, within, pairwise,
+        value, "gaussian-surrogate", ladder, k_eff, paths, se, within, tuple(L + p for p in pairwise),
         notes="" if within else f"estimate {value:.4f} outside [-0.1, L+0.1]",
         factor_method=batch.factor_method, jitter=batch.jitter,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_rng
-from .simulate import SamplePathBatch, welch_psd
+from .simulate import _extract, welch_psd
 
 _MAX_SAFE_PRODUCT = float(2**53)
 
@@ -31,22 +31,12 @@ class UnitVarianceRequiredError(ValueError):
     """The spectral identity check applies to unit-variance components only."""
 
 
-def _extract(data) -> np.ndarray:
-    arr = data.samples if isinstance(data, SamplePathBatch) else np.asarray(data, float)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
-    if arr.ndim != 3:
-        raise ValueError("expected samples of shape (paths, k, L)")
-    return arr
-
-
 @dataclass(frozen=True)
 class QuantizedPathBatch:
     """Integer lattice codes floor(m * x); reconstruction is codes / m."""
 
     codes: np.ndarray  # (paths, k, L) int64
     m: int
-    fingerprint: str = ""
 
     @property
     def values(self) -> np.ndarray:
@@ -65,9 +55,7 @@ def quantize(data, m: int) -> QuantizedPathBatch:
         )
     scaled = m * arr
     np.floor(scaled, out=scaled)  # in place: one float temporary, not two
-    codes = scaled.astype(np.int64)
-    fp = data.fingerprint if isinstance(data, SamplePathBatch) else ""
-    return QuantizedPathBatch(codes, int(m), fp)
+    return QuantizedPathBatch(scaled.astype(np.int64), int(m))
 
 
 @dataclass(frozen=True)

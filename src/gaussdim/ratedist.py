@@ -29,7 +29,6 @@ class WaterfillPoint:
 @dataclass(frozen=True)
 class RDCurve:
     points: tuple  # WaterfillPoints, decreasing distortion
-    fingerprint: str = ""
 
     def as_rows(self):
         return [(p.distortion, p.rate, p.water_level) for p in self.points]
@@ -90,10 +89,7 @@ def rd_dimension_estimate(ri: RankIntegralResult, d_ladder=(1e-2, 1e-4, 1e-6)) -
         raise ValueError(f"d_ladder must stay below total power / 4 = {total / 4.0:.3e}")
     rates = [_waterfill(mu, weight, d).rate for d in ladder]
     x = -0.5 * np.log(np.asarray(ladder))
-    slope, se = _ls_slope(x, rates)
-    pairwise = tuple(
-        float((rates[i + 1] - rates[i]) / (x[i + 1] - x[i])) for i in range(len(rates) - 1)
-    )
+    slope, se, pairwise = _ls_slope(x, rates)
     return DimensionEstimate(
         float(slope), "rate-distortion", ladder, 0, 0, se,
         within_bounds=bool(-0.1 <= slope <= ri.model.L + 0.1),

@@ -14,12 +14,10 @@ alias-free.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
 
 from ._rng import derive_rng
 from .spectral import FrequencyGrid, SpectralModel, _eval_rational
@@ -46,7 +44,6 @@ class AutocovarianceSequence:
 
     matrices: np.ndarray  # (tau_max + 1, L, L)
     mean: np.ndarray  # (L,)
-    fingerprint: str = ""
 
     @property
     def L(self) -> int:
@@ -72,13 +69,6 @@ class AutocovarianceSequence:
         sigma = np.empty((k, L, k, L))
         sigma[...] = windows[::-1].transpose(0, 1, 3, 2)  # [t, i, s, j] = C(t - s)[i, j]
         return sigma.reshape(k * L, k * L)
-
-
-def _fingerprint(matrices: np.ndarray, mean: np.ndarray) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(np.round(matrices, 12)).tobytes())
-    h.update(np.ascontiguousarray(np.round(mean, 12)).tobytes())
-    return h.hexdigest()[:16]
 
 
 def autocovariance_from_spectrum(
@@ -132,7 +122,7 @@ def autocovariance_from_spectrum(
     if (np.abs(mats) > cap[None, :, :]).any():
         raise SymmetryViolationError("cross-covariance exceeds Cauchy-Schwarz bound")
 
-    return AutocovarianceSequence(mats, np.asarray(model.mean, float), _fingerprint(mats, model.mean))
+    return AutocovarianceSequence(mats, np.asarray(model.mean, float))
 
 
 @dataclass(frozen=True)
@@ -141,7 +131,6 @@ class SamplePathBatch:
 
     samples: np.ndarray  # (paths, k, L)
     seed: int
-    fingerprint: str
     factor_method: str = "cholesky"
     jitter: float = 0.0  # diagonal load added to the covariance before factoring
 
@@ -156,6 +145,16 @@ class SamplePathBatch:
     @property
     def L(self) -> int:
         return self.samples.shape[2]
+
+
+def _extract(data) -> np.ndarray:
+    """Samples of a batch or an array as (paths, k, L); a 2-D array gets L = 1."""
+    arr = data.samples if isinstance(data, SamplePathBatch) else np.asarray(data, float)
+    if arr.ndim == 2:
+        arr = arr[:, :, None]
+    if arr.ndim != 3:
+        raise ValueError("expected samples of shape (paths, k, L)")
+    return arr
 
 
 _EXACT_FACTOR_DIM = 512
@@ -224,7 +223,7 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
         rng = derive_rng(seed, "gauss-paths", chunk)
         z = rng.standard_normal((stop - start, k * L))
         out[start:stop] = z @ factor.T + mu
-    return SamplePathBatch(out.reshape(paths, k, L), seed, acov.fingerprint, method, jitter)
+    return SamplePathBatch(out.reshape(paths, k, L), seed, method, jitter)
 
 
 @dataclass(frozen=True)
@@ -240,64 +239,41 @@ class WelchEstimate:
     per_path: np.ndarray  # (paths, nf, L, L) Hermitian
     nperseg: int
     segments_per_path: int
-    window: str
 
     def integrated_power(self) -> np.ndarray:
         """Per-component integral of the estimated density over [-1/2, 1/2)."""
         return np.einsum("nii->i", self.matrices).real / len(self.freqs)
 
 
-def welch_psd(
-    data,
-    nperseg: int = 256,
-    window: str = "hann",
-    overlap: float = 0.5,
-    detrend: str = "constant",
-) -> WelchEstimate:
+def welch_psd(data, nperseg: int = 256) -> WelchEstimate:
     """Welch matrix-spectrum estimate from a (paths, k, L) array or batch.
 
-    Two-sided density scaling: the estimate integrates to the process power.
+    Fixed settings: segments of nperseg samples at stride nperseg - nperseg // 2
+    (half overlap), each segment's mean removed, a periodic Hann window
+    0.5 - 0.5 cos(2 pi n / nperseg), and two-sided density scaling, so the
+    estimate integrates to the process power.  Cross-periodograms are
+    conj(X_i) X_j, averaged over a path's segments.
     """
-    samples = data.samples if isinstance(data, SamplePathBatch) else np.asarray(data, float)
-    if samples.ndim == 2:
-        samples = samples[:, :, None]
+    samples = _extract(data)
     paths, k, L = samples.shape
     if nperseg > k:
         raise InsufficientDataError(f"segment length {nperseg} exceeds path length {k}")
-    noverlap = int(nperseg * overlap)
-    step = nperseg - noverlap
+    step = nperseg - nperseg // 2
     segs_per_path = 1 + (k - nperseg) // step
     if segs_per_path * paths < 2:
         raise InsufficientDataError("need at least 2 segments in total for a Welch average")
 
-    per_path = np.empty((paths, nperseg, L, L), dtype=complex)
-    freqs = None
-    for i in range(L):
-        for j in range(i, L):
-            f, pij = scipy.signal.csd(
-                samples[:, :, i],
-                samples[:, :, j],
-                fs=1.0,
-                window=window,
-                nperseg=nperseg,
-                noverlap=noverlap,
-                detrend=detrend,
-                return_onesided=False,
-                scaling="density",
-                axis=-1,
-            )
-            freqs = f
-            per_path[:, :, i, j] = pij
-            if i != j:
-                per_path[:, :, j, i] = pij.conj()
+    segs = np.lib.stride_tricks.sliding_window_view(samples, nperseg, axis=1)[:, ::step]  # (p, s, L, n)
+    segs = segs - segs.mean(axis=-1, keepdims=True)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
+    spec = np.fft.fftshift(np.fft.fft(segs * window, axis=-1), axes=-1)
+    scale = 1.0 / (segs_per_path * (window * window).sum())
+    per_path = np.einsum("psif,psjf->pfij", spec.conj(), spec) * scale
+    freqs = np.fft.fftshift(np.fft.fftfreq(nperseg))
 
-    order = np.argsort(freqs)
-    freqs = freqs[order]
-    per_path = per_path[:, order]
     pooled = per_path.mean(axis=0)
     pooled = 0.5 * (pooled + pooled.conj().transpose(0, 2, 1))
     eigval, eigvec = np.linalg.eigh(pooled)
     eigval = np.clip(eigval, 0.0, None)
     clipped = np.einsum("nij,nj,nkj->nik", eigvec, eigval, eigvec.conj())
-    return WelchEstimate(freqs, clipped, per_path, nperseg, segs_per_path, window)
-
+    return WelchEstimate(freqs, clipped, per_path, nperseg, segs_per_path)

@@ -1,8 +1,14 @@
 """Autocovariance synthesis, exact-law sampling, and Welch spectrum estimates."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gaussdim
 from gaussdim.benchmarks import (
     ar1,
     correlated_pair,
@@ -328,3 +334,48 @@ class TestWelch:
         eig = np.linalg.eigvalsh(est.matrices)
         assert eig.min() >= -1e-15
 
+    @pytest.mark.parametrize(
+        "model, k, nperseg, m",
+        [
+            (ar1(0.6), 1000, 128, None),  # 1000 - 128 is not a multiple of the stride 64
+            (ar1(0.6), 1000, 128, 16),
+            (white_noise(), 1024, 256, 8),
+            (correlated_pair(), 700, 100, None),
+            (proper_complex_flat(), 900, 256, 32),
+            (proper_complex_flat(), 2048, 1024, None),
+        ],
+        ids=["L1-real", "L1-dithered", "L1-dithered-exact-fit", "L2-real", "L2-dithered", "L2-long"],
+    )
+    def test_matches_scipy_csd(self, model, k, nperseg, m):
+        """The numpy pass reproduces scipy.signal.csd at the fixed settings:
+        periodic Hann, half overlap, constant detrend, two-sided density."""
+        import scipy.signal
+
+        batch = sample_paths(autocovariance_from_spectrum(model, k - 1), k, 6, seed=29)
+        x = batch.samples if m is None else dither(quantize(batch, m), seed=31).values
+        est = welch_psd(x, nperseg=nperseg)
+        L = x.shape[2]
+        ref = np.empty((x.shape[0], nperseg, L, L), dtype=complex)
+        for i in range(L):
+            for j in range(L):
+                freqs, ref[:, :, i, j] = scipy.signal.csd(
+                    x[:, :, i], x[:, :, j], fs=1.0, window="hann", nperseg=nperseg,
+                    noverlap=nperseg // 2, detrend="constant", return_onesided=False,
+                    scaling="density", axis=-1,
+                )
+        order = np.argsort(freqs)
+        ref = ref[:, order]
+        _, times, _ = scipy.signal.spectrogram(
+            x[:, :, 0], fs=1.0, window="hann", nperseg=nperseg, noverlap=nperseg // 2,
+            detrend="constant", return_onesided=False, scaling="density", axis=-1,
+        )
+        assert (est.freqs == freqs[order]).all()
+        assert est.segments_per_path == len(times)
+        assert np.abs(est.per_path - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_cli_import_leaves_out_scipy_signal(self):
+        code = "import sys, gaussdim.cli; print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))"
+        src = str(Path(gaussdim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
