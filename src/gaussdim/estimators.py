@@ -17,7 +17,7 @@ import numpy as np
 
 from .entropy import exact_cell_distribution, exact_cell_entropy, packed_keys, plugin_entropy
 from .quantize import dither, quantize
-from .simulate import autocovariance_from_spectrum, sample_paths, welch_psd
+from .simulate import MAX_DENSE_DIM, autocovariance_from_spectrum, sample_paths, welch_psd
 from .spectral import FrequencyGrid, SpectralModel, normalize_components
 
 DEFAULT_M_LADDER = (8, 16, 32, 64)
@@ -197,7 +197,7 @@ def surrogate_idr_estimate(
             notes="all components have zero variance; dimension 0",
         )
     L = norm.model.L
-    k_eff = min(k, 4096 // L)
+    k_eff = min(k, MAX_DENSE_DIM // L)
     if k_eff < int(1.5 * nperseg):
         raise ValueError(f"k_eff={k_eff} too short for Welch segments of {nperseg}")
     acov = autocovariance_from_spectrum(norm.model, k_eff - 1)

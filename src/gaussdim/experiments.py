@@ -272,6 +272,7 @@ def _verify_reports(ri, config) -> list:
                     passed=bool(rep.mean_ok and rep.noise_ok),
                     settings={
                         "m": m, "gain": rep.gain, "noise_mass": rep.noise_mass.tolist(),
+                        "sample_variance": rep.sample_variance.tolist(),
                         "factor_method": ident_batch.factor_method, "jitter": ident_batch.jitter,
                     },
                 )

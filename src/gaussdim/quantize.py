@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_rng
-from .simulate import _extract, welch_psd
+from .simulate import SamplePathBatch, _extract, welch_psd
 
 _MAX_SAFE_PRODUCT = float(2**53)
 
@@ -149,6 +149,7 @@ class SpectrumIdentityReport:
     noise_mass_bound: float
     mean_ok: bool
     noise_ok: bool
+    sample_variance: np.ndarray  # (L,) pooled per-component variance of the input samples
 
 
 def spectrum_identity_check(data, m: int, nperseg: int = 256) -> SpectrumIdentityReport:
@@ -158,10 +159,17 @@ def spectrum_identity_check(data, m: int, nperseg: int = 256) -> SpectrumIdentit
     settings, forms the per-path residual, and reports its pooled mean with a
     path-based standard error.  Also checks that the error spectrum integrates
     to at most 1/m^2 (a deterministic consequence of the error range).
+
+    The unit-variance precondition is tested on the variances the law fixes
+    when data is a SamplePathBatch that carries them, and on the sample
+    variances otherwise: a random sinusoid's sample variance strays far from
+    its law's even at many paths.
     """
     x = _extract(data)
     paths, k, L = x.shape
-    var = x.reshape(-1, L).var(axis=0)
+    sample_var = x.reshape(-1, L).var(axis=0)
+    law = isinstance(data, SamplePathBatch) and data.variance is not None
+    var = data.variance if law else sample_var
     if np.abs(var - 1.0).max() > 0.05:
         raise UnitVarianceRequiredError(
             f"component variances {var} are not all ~1; apply normalize_components first"
@@ -191,4 +199,5 @@ def spectrum_identity_check(data, m: int, nperseg: int = 256) -> SpectrumIdentit
         noise_mass_bound=noise_bound,
         mean_ok=bool(abs(mean_resid) <= 5.0 * mean_se),
         noise_ok=bool(np.all(noise_mass <= noise_bound * (1.0 + 1e-9))),
+        sample_variance=sample_var,
     )

@@ -1,15 +1,18 @@
 """Autocovariance synthesis, exact Gaussian path sampling, and Welch cross-spectra.
 
-The sampler draws from the exact finite-dimensional law: the block-Toeplitz
-covariance assembled from C(tau) is factored once and applied to independent
-standard normals.  The covariance is filled by one strided copy and
-Cholesky-factored in place; a failed attempt has overwritten it, so each
-retry (Cholesky with a small diagonal jitter for large matrices, then the
-eigenvalue factor) rebuilds it first.  A batch records which factor ran and
-the jitter, if any, that its law carries.  Band and line contributions to
-C(tau) are integrated in closed form; rational terms are integrated by a dense
-FFT quadrature whose resolution grows with tau_max so that long lags stay
-alias-free.
+The sampler draws from the exact law of k consecutive samples and tries its
+factors in the order circulant -> cholesky -> cholesky+jitter -> eigh.  Paths
+with k*L above _EXACT_FACTOR_DIM first try the block-circulant embedding of
+C(tau) at size 2k (Wood & Chan 1994; Chan & Wood 1999), used only when it is
+PSD: one block FFT and one batched eigh colour complex normals, and one FFT
+along time turns each into two exact-law paths.  Otherwise the block-Toeplitz
+covariance is filled by one strided copy and Cholesky-factored in place; a
+failed attempt has overwritten it, so each retry (Cholesky with a small
+diagonal jitter for large matrices, then the eigenvalue factor) rebuilds it
+first.  A batch records which factor ran and the jitter, if any, that its
+law carries.  Band and line contributions to C(tau) are integrated in closed
+form; rational terms are integrated by a dense FFT quadrature whose
+resolution grows with tau_max so that long lags stay alias-free.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._rng import derive_rng
 from .spectral import FrequencyGrid, SpectralModel, _eval_rational
@@ -131,8 +133,12 @@ class SamplePathBatch:
 
     samples: np.ndarray  # (paths, k, L)
     seed: int
+    # The factor that ran, first that applied of: "circulant" (the exact
+    # embedding, k*L > _EXACT_FACTOR_DIM only), "cholesky", "cholesky+jitter"
+    # (k*L > _EXACT_FACTOR_DIM only), "eigh".
     factor_method: str = "cholesky"
     jitter: float = 0.0  # diagonal load added to the covariance before factoring
+    variance: np.ndarray | None = None  # (L,) diag C(0): the variances the law fixes
 
     @property
     def paths(self) -> int:
@@ -160,9 +166,46 @@ def _extract(data) -> np.ndarray:
 _EXACT_FACTOR_DIM = 512
 
 
+def _circulant_root(acov: AutocovarianceSequence, k: int) -> np.ndarray | None:
+    """Per-frequency factors A_f, A_f A_f^H = Lambda_f, of the block-circulant
+    embedding of C(0..k-1) at size M = 2k, or None when it is not PSD.
+
+    Block (t, s) of the embedding is c((t - s) mod M) with c(j) = C(j) and
+    c(M - j) = C(j)^T for 0 < j < k, c(0) = C(0) symmetrized and c(k) = 0, so
+    its leading k x k blocks are acov.toeplitz(k).  It is block-diagonalized
+    by the DFT: Lambda_f = sum_j c(j) e^{-2 pi i j f / M}.  The embedding is
+    accepted under the eigh factor's floor, and only values inside that floor
+    are clipped to zero.
+    """
+    L, M = acov.L, 2 * k
+    c = np.zeros((M, L, L))
+    c0 = acov.matrices[0]
+    c[0] = 0.5 * (c0 + c0.T)
+    c[1:k] = acov.matrices[1:k]
+    c[k + 1:] = acov.matrices[k - 1:0:-1].transpose(0, 2, 1)
+    eigval, eigvec = np.linalg.eigh(np.fft.fft(c, axis=0))
+    if eigval.min() < -1e-8 * max(eigval.max(), 1e-300):
+        return None
+    return eigvec * np.sqrt(np.clip(eigval, 0.0, None))[:, None, :]
+
+
+def _circulant_draw(root: np.ndarray, k: int, z: np.ndarray) -> np.ndarray:
+    """First k samples of the embedded process driven by complex normals z.
+
+    z is (h, M, L) with E[z z^H] = 2 I and E[z z^T] = 0; the result x_t =
+    M^{-1/2} sum_f e^{+2 pi i t f / M} A_f z_f is (h, k, L), and its real and
+    imaginary parts are independent with covariance acov.toeplitz(k).
+    """
+    y = (root @ z[..., None])[..., 0]
+    return np.fft.ifft(y, axis=1, norm="ortho")[:, :k]
+
+
 def _cholesky_in_place(sigma: np.ndarray) -> np.ndarray:
     # sigma is exactly symmetric, so its F-ordered transpose is the same
     # matrix and LAPACK factors it without a copy; the factor is F-ordered.
+    # SciPy is imported here so that tasks which draw no dense factor never load it.
+    import scipy.linalg
+
     return scipy.linalg.cholesky(sigma.T, lower=True, overwrite_a=True, check_finite=False)
 
 
@@ -179,7 +222,7 @@ def _psd_factor(acov: AutocovarianceSequence, k: int) -> tuple[np.ndarray, str, 
     """
     try:
         return _cholesky_in_place(acov.toeplitz(k)), "cholesky", 0.0
-    except scipy.linalg.LinAlgError:
+    except np.linalg.LinAlgError:
         pass
     n = k * acov.L
     if n > _EXACT_FACTOR_DIM:
@@ -189,7 +232,7 @@ def _psd_factor(acov: AutocovarianceSequence, k: int) -> tuple[np.ndarray, str, 
             jittered.flat[:: n + 1] += jitter
             try:
                 return _cholesky_in_place(jittered), "cholesky+jitter", float(jitter)
-            except scipy.linalg.LinAlgError:
+            except np.linalg.LinAlgError:
                 pass
         del jittered  # free the n x n buffer before eigh gets a fresh one
     eigval, eigvec = np.linalg.eigh(acov.toeplitz(k))
@@ -204,6 +247,12 @@ def _psd_factor(acov: AutocovarianceSequence, k: int) -> tuple[np.ndarray, str, 
 def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) -> SamplePathBatch:
     """Draw `paths` independent exact-law paths of length k.
 
+    Factors are tried in the order circulant -> cholesky -> cholesky+jitter
+    -> eigh, and the batch names the one that ran.  For k*L above
+    _EXACT_FACTOR_DIM the block-circulant embedding is used whenever it is
+    PSD; each complex draw then gives two paths.  Otherwise the block-Toeplitz
+    covariance is factored densely (see _psd_factor).
+
     Deterministic given (acov, k, paths, seed); paths are generated in fixed
     chunks with per-chunk sub-streams, so chunk order (and hence parallel
     generation) cannot change the result.
@@ -215,6 +264,20 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
         raise ValueError(f"k={k} needs tau_max >= {k - 1}, have {acov.tau_max}")
     if k * L > MAX_DENSE_DIM:
         raise ValueError(f"k*L={k * L} exceeds the dense-factorization cap {MAX_DENSE_DIM}")
+    variance = np.diag(acov.matrices[0]).copy()
+    root = _circulant_root(acov, k) if k * L > _EXACT_FACTOR_DIM else None
+    if root is not None:
+        out = np.empty((paths, k, L))
+        for chunk, start in enumerate(range(0, paths, _PATH_CHUNK)):
+            stop = min(start + _PATH_CHUNK, paths)
+            half = (stop - start + 1) // 2
+            rng = derive_rng(seed, "circulant-paths", chunk)
+            z = rng.standard_normal((half, 2 * k, 2 * L)).view(complex)  # (half, 2k, L)
+            x = _circulant_draw(root, k, z)
+            out[start:start + half] = x.real
+            out[start + half:stop] = x.imag[: stop - start - half]
+        out += acov.mean
+        return SamplePathBatch(out, seed, "circulant", 0.0, variance)
     factor, method, jitter = _psd_factor(acov, k)
     mu = np.tile(acov.mean, k)
     out = np.empty((paths, k * L))
@@ -223,7 +286,7 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
         rng = derive_rng(seed, "gauss-paths", chunk)
         z = rng.standard_normal((stop - start, k * L))
         out[start:stop] = z @ factor.T + mu
-    return SamplePathBatch(out.reshape(paths, k, L), seed, method, jitter)
+    return SamplePathBatch(out.reshape(paths, k, L), seed, method, jitter, variance)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussdim.benchmarks import independent_halfband_pair, white_noise
+from gaussdim.benchmarks import independent_halfband_pair, line_process, white_noise
 from gaussdim.quantize import (
     PrecisionOverflowError,
     UnitVarianceRequiredError,
@@ -183,3 +183,15 @@ class TestSpectrumIdentity:
     def test_requires_unit_variance(self, white_batch):
         with pytest.raises(UnitVarianceRequiredError):
             spectrum_identity_check(white_batch.samples * 3.0, 8)
+
+    def test_batch_gates_on_the_law_variance(self):
+        """A random sinusoid's pooled sample variance strays from the 1 its law
+        fixes; the batch carries that law, the raw array does not."""
+        acov = autocovariance_from_spectrum(line_process(), 1023)
+        batch = sample_paths(acov, 1024, 64, seed=1)
+        sample_var = batch.samples.var()
+        assert abs(sample_var - 1.0) > 0.05
+        with pytest.raises(UnitVarianceRequiredError):
+            spectrum_identity_check(batch.samples, 8)
+        rep = spectrum_identity_check(batch, 8)
+        assert rep.sample_variance == pytest.approx([sample_var], rel=1e-12)

@@ -193,7 +193,7 @@ class TestRunTasks:
 
     @pytest.mark.parametrize(
         "builder, method, jitter",
-        [(lambda: narrowband(0.4), "cholesky+jitter", 1e-12), (white_noise, "cholesky", 0.0)],
+        [(lambda: narrowband(0.4), "cholesky+jitter", 1e-12), (white_noise, "circulant", 0.0)],
         ids=["narrowband", "white"],
     )
     def test_estimate_reports_factor_method_and_jitter(self, builder, method, jitter):
@@ -220,7 +220,22 @@ class TestRunTasks:
             "invariance_scale", "invariance_translate", "bussgang_gain", "quantized_spectrum_identity",
         }
         for r in sampled:
-            assert (r.settings["factor_method"], r.settings["jitter"]) == ("cholesky", 0.0), r.quantity
+            # only the identity check draws paths long enough (k=1024) for the circulant embedding
+            method = "circulant" if r.quantity == "quantized_spectrum_identity" else "cholesky"
+            assert (r.settings["factor_method"], r.settings["jitter"]) == (method, 0.0), r.quantity
+
+    def test_verify_line_process_gates_on_the_law_variance(self):
+        """A random sinusoid's sample variance strays from 1 at few paths; the
+        identity row still runs, since the law fixes the variance at 1."""
+        from gaussdim.benchmarks import line_process
+
+        rep = run({"task": "verify", "model": model_to_document(line_process()), "seed": 3,
+                   "m_ladder": [2, 4], "verify_paths": 2000})
+        rows = [r for r in rep.reports if r.quantity == "quantized_spectrum_identity"]
+        assert rows
+        for r in rows:
+            assert len(r.settings["sample_variance"]) == 1
+        assert abs(rows[0].settings["sample_variance"][0] - 1.0) > 0.05
 
     @pytest.mark.parametrize(
         "task, extra, keys",

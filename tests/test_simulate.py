@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import gaussdim
+from gaussdim import simulate
 from gaussdim.benchmarks import (
     ar1,
     correlated_pair,
+    independent_halfband_pair,
     line_process,
     narrowband,
     proper_complex_flat,
@@ -24,6 +26,8 @@ from gaussdim.simulate import (
     AutocovarianceSequence,
     InsufficientDataError,
     SymmetryViolationError,
+    _circulant_draw,
+    _circulant_root,
     _psd_factor,
     autocovariance_from_spectrum,
     sample_paths,
@@ -225,21 +229,33 @@ class TestDenseFactor:
         assert np.array_equal(sigma, sigma.T)
 
     @pytest.mark.parametrize(
-        "builder, k, method",
+        "builder, k, method, sampled",
         [
-            (white_noise, 64, "cholesky"),
-            (lambda: narrowband(0.4), 600, "cholesky+jitter"),
-            (correlated_pair, 4, "eigh"),
-            (correlated_pair, 300, "cholesky+jitter"),
+            (white_noise, 64, "cholesky", "cholesky"),
+            (lambda: narrowband(0.4), 600, "cholesky+jitter", "cholesky+jitter"),
+            (correlated_pair, 4, "eigh", "eigh"),
+            (correlated_pair, 300, "cholesky+jitter", "circulant"),
         ],
         ids=["white-k64", "narrowband-k600", "pair-k4", "pair-k300"],
     )
-    def test_samples_equal_copy_based_reference(self, builder, k, method):
+    def test_samples_equal_copy_based_reference(self, builder, k, method, sampled):
+        """The dense factor draws what the copy-based sampler drew, byte for byte.
+
+        The pair at k=300 has a PSD circulant embedding, so sample_paths takes
+        that route and its dense factor is reached through _psd_factor.
+        """
         acov = autocovariance_from_spectrum(builder(), k - 1)
         batch = sample_paths(acov, k, 50, seed=3)
         expected, ref_method = _reference_samples(acov, k, 50, 3)
-        assert batch.factor_method == ref_method == method
-        assert np.array_equal(batch.samples, expected)
+        assert batch.factor_method == sampled
+        if sampled == "circulant":
+            factor, got, _ = _psd_factor(acov, k)
+            z = derive_rng(3, "gauss-paths", 0).standard_normal((50, k * acov.L))
+            samples = (z @ factor.T + np.tile(acov.mean, k)).reshape(expected.shape)
+        else:
+            got, samples = batch.factor_method, batch.samples
+        assert got == ref_method == method
+        assert np.array_equal(samples, expected)
 
     @pytest.mark.parametrize(
         "builder, k, method",
@@ -267,6 +283,85 @@ class TestDenseFactor:
         assert sample_paths(acov, 600, 4, seed=1).jitter == pytest.approx(1e-12, rel=1e-6)
         acov = autocovariance_from_spectrum(white_noise(), 63)
         assert sample_paths(acov, 64, 4, seed=1).jitter == 0.0
+
+
+def _asymmetric_lag_one(k):
+    """C(0) = diag(1, 2), C(1) = [[0, 0], [1, 0]], C(tau) = 0 beyond: an MA(1)
+    pair whose lag-one cross-covariance is not symmetric."""
+    mats = np.zeros((k, 2, 2))
+    mats[0] = np.diag([1.0, 2.0])
+    mats[1] = [[0.0, 0.0], [1.0, 0.0]]
+    return AutocovarianceSequence(mats, np.zeros(2))
+
+
+_CIRCULANT_LAWS = {
+    "white": lambda k: autocovariance_from_spectrum(white_noise(), k - 1),
+    "ar1": lambda k: autocovariance_from_spectrum(ar1(0.6), k - 1),
+    "pair": lambda k: autocovariance_from_spectrum(correlated_pair(), k - 1),
+    "asymmetric": _asymmetric_lag_one,
+}
+
+
+class TestCirculant:
+    @pytest.mark.parametrize("law", sorted(_CIRCULANT_LAWS))
+    @pytest.mark.parametrize("k", [3, 64, 300])
+    def test_first_k_samples_have_the_toeplitz_law(self, law, k):
+        """Pushing every complex basis vector through the draw gives the linear
+        map G from normals to the first k samples.  With E[z z^H] = 2I and
+        E[z z^T] = 0 the real part has covariance Re(G^T conj G) and is
+        uncorrelated with the imaginary part iff Im(G^T conj G) = 0."""
+        acov = _CIRCULANT_LAWS[law](k)
+        root = _circulant_root(acov, k)
+        assert root is not None
+        n = 2 * k * acov.L
+        basis = np.eye(n, dtype=complex).reshape(n, 2 * k, acov.L)
+        g = _circulant_draw(root, k, basis).reshape(n, k * acov.L)
+        gram = g.T @ g.conj()
+        assert np.abs(gram.real - acov.toeplitz(k)).max() <= 1e-12
+        assert np.abs(gram.imag).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "builder, k",
+        [(lambda: narrowband(0.4), 600), (independent_halfband_pair, 300), (line_process, 600)],
+        ids=["narrowband-k600", "halfband-pair-k300", "line-k600"],
+    )
+    def test_indefinite_embedding_falls_back_to_dense_factor(self, builder, k):
+        acov = autocovariance_from_spectrum(builder(), k - 1)
+        assert _circulant_root(acov, k) is None  # refused, not clipped
+        batch = sample_paths(acov, k, 4, seed=1)
+        _, method, jitter = _psd_factor(acov, k)
+        assert (batch.factor_method, batch.jitter) == (method, jitter)
+
+    def test_deterministic_by_seed_and_chunk(self, monkeypatch):
+        acov = autocovariance_from_spectrum(ar1(0.6), 599)
+        odd = sample_paths(acov, 600, 7, seed=42)
+        assert (odd.factor_method, odd.jitter, odd.samples.shape) == ("circulant", 0.0, (7, 600, 1))
+        assert np.array_equal(odd.samples, sample_paths(acov, 600, 7, seed=42).samples)
+        assert not np.array_equal(odd.samples, sample_paths(acov, 600, 7, seed=43).samples)
+        # 7 paths are the real parts of 4 complex draws, then 3 imaginary parts;
+        # 8 paths use the same 4 draws and keep the fourth imaginary part.
+        even = sample_paths(acov, 600, 8, seed=42).samples
+        assert np.array_equal(odd.samples, np.concatenate([even[:4], even[4:7]]))
+        # Beyond one chunk, each chunk draws from its own sub-stream and the
+        # leading chunks do not depend on how many paths follow them.
+        monkeypatch.setattr(simulate, "_PATH_CHUNK", 4)
+        chunked = sample_paths(acov, 600, 9, seed=42).samples
+        assert np.array_equal(chunked[:4], sample_paths(acov, 600, 4, seed=42).samples)
+        assert np.array_equal(chunked[:8], sample_paths(acov, 600, 8, seed=42).samples)
+        assert not np.array_equal(chunked[:4], chunked[4:8])
+
+    @pytest.mark.parametrize("law", sorted(_CIRCULANT_LAWS))
+    def test_lagged_sample_covariances_within_5se(self, law):
+        k, paths = 600, 400
+        acov = _CIRCULANT_LAWS[law](k)
+        batch = sample_paths(acov, k, paths, seed=17)
+        assert batch.factor_method == "circulant"
+        x = batch.samples
+        for tau in range(4):
+            per_path = np.einsum("pti,ptj->pij", x[:, tau:], x[:, : k - tau]) / (k - tau)
+            se = per_path.std(axis=0, ddof=1) / np.sqrt(paths)
+            dev = np.abs(per_path.mean(axis=0) - acov.matrices[tau])
+            assert (dev <= 5.0 * se + 1e-12).all(), (tau, dev, se)
 
 
 class TestWelch:
@@ -373,9 +468,19 @@ class TestWelch:
         assert est.segments_per_path == len(times)
         assert np.abs(est.per_path - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    def test_cli_import_leaves_out_scipy_signal(self):
-        code = "import sys, gaussdim.cli; print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))"
+    def test_cli_import_and_analyze_leave_out_scipy(self, tmp_path):
+        """SciPy serves only the dense fallback factor, so it loads lazily."""
+        code = (
+            "import sys, gaussdim.cli\n"
+            "from gaussdim.benchmarks import white_noise\n"
+            "from gaussdim.modelio import save_model\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            f"path = save_model(white_noise(), {str(tmp_path / 'white.json')!r})\n"
+            "status = gaussdim.cli.main(['analyze', str(path)])\n"
+            "loaded += sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print('scipy:', loaded, status)\n"
+        )
         src = str(Path(gaussdim.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.strip().splitlines()[-1] == "scipy: [] 0"
