@@ -49,7 +49,7 @@ def _raw_config(args: argparse.Namespace) -> dict:
     if args.m_ladder is not None:
         raw["m_ladder"] = [int(tok) for tok in args.m_ladder.split(",") if tok]
     if args.paths is not None:
-        raw["paths"] = args.paths
+        raw["verify_paths" if args.task == "verify" else "paths"] = args.paths
     if args.out is not None:
         raw["out"] = args.out
     if args.format is not None:

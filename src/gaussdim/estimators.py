@@ -24,6 +24,7 @@ DEFAULT_M_LADDER = (8, 16, 32, 64)
 SURROGATE_M_LADDER = (16, 64, 256)
 OCCUPANCY_FRACTION = 0.1
 K_CAP = 4
+SURROGATE_GROUPS = 10  # path groups behind the surrogate's standard error
 
 
 class UndersamplingError(ValueError):
@@ -80,13 +81,43 @@ def _validate_ladder(m_ladder) -> tuple:
     return ladder
 
 
-def _block_entropies(samples: np.ndarray, k: int, m_ladder, paths: int, miller_madow: bool):
-    """Per-m block entropy rate H_k/k and occupied/paths ratio from one k-block per path."""
-    values, ses, occupancy = [], [], []
+def _draw(model: SpectralModel, k: int, paths: int, seed: int, grid: FrequencyGrid | None):
+    """The normalized model and `paths` k-step paths of it (None when no component is kept)."""
+    norm = normalize_components(model, grid)
+    if not norm.kept:
+        return norm, None
+    acov = autocovariance_from_spectrum(norm.model, max(k - 1, 0))
+    return norm, sample_paths(acov, k, paths, seed)
+
+
+def _choose_k(samples: np.ndarray, m_max: int) -> int:
+    """Largest block length whose occupied-cell count passes the plug-in guard.
+
+    The whole (paths, k_cap, L) batch is quantized once; the key of each
+    prefix k extends the key of k-1 by the L columns of step k.
+    """
+    paths, _, L = samples.shape
+    codes = quantize(samples, m_max).codes.reshape(paths, -1)
+    chosen = 1
+    for k, key in enumerate(packed_keys(codes, step=L), start=1):
+        if len(np.unique(key)) > paths * OCCUPANCY_FRACTION:
+            break
+        chosen = k
+    return chosen
+
+
+def _entropy_slope(samples: np.ndarray, ladder: tuple, k: int, batch, L: int, notes: str = ""):
+    """Slope of the block entropy rate H_k/k against log m, one k-block per path.
+
+    `batch` is the draw the samples came from (its factor method and jitter
+    are reported); slopes outside [-0.1, L + 0.1] are flagged.
+    """
+    paths = samples.shape[0]
     blocks = samples[:, :k, :].reshape(paths, -1)
-    for m in m_ladder:
+    values, ses, occupancy = [], [], []
+    for m in ladder:
         codes = quantize(blocks[:, :, None], m).codes.reshape(paths, -1)
-        est = plugin_entropy(codes, miller_madow=miller_madow)
+        est = plugin_entropy(codes)
         if est.occupied > paths * OCCUPANCY_FRACTION:
             raise UndersamplingError(
                 f"{est.occupied} occupied cells at m={m} with only {paths} blocks; "
@@ -95,29 +126,14 @@ def _block_entropies(samples: np.ndarray, k: int, m_ladder, paths: int, miller_m
         values.append(est.value / k)
         ses.append(est.error / k)
         occupancy.append(est.occupied / paths)
-    return np.asarray(values), np.asarray(ses), tuple(occupancy)
-
-
-def _choose_k(samples: np.ndarray, m_max: int, paths: int, k_cap: int) -> int:
-    """Largest block length whose occupied-cell count passes the plug-in guard.
-
-    The k_cap block is quantized once; the key of each prefix k extends the
-    key of k-1 by the L columns of step k.
-    """
-    codes = quantize(samples[:, :k_cap, :], m_max).codes.reshape(paths, -1)
-    chosen = 1
-    for k, key in enumerate(packed_keys(codes, step=samples.shape[2]), start=1):
-        if len(np.unique(key)) > paths * OCCUPANCY_FRACTION:
-            break
-        chosen = k
-    return chosen
-
-
-def _slope_from_samples(samples: np.ndarray, m_ladder, k: int, miller_madow: bool):
-    paths = samples.shape[0]
-    values, ses, occupancy = _block_entropies(samples, k, m_ladder, paths, miller_madow)
-    slope, se, pairwise = _ls_slope(np.log(np.asarray(m_ladder, float)), values, ses)
-    return slope, se, pairwise, occupancy
+    slope, se, pairwise = _ls_slope(np.log(np.asarray(ladder, float)), values, ses)
+    within = bool(-0.1 <= slope <= L + 0.1)
+    if not within:
+        notes = "; ".join(filter(None, (notes, f"slope {slope:.4f} outside [-0.1, L+0.1]")))
+    return DimensionEstimate(
+        slope, "entropy-slope", ladder, k, paths, se, within, pairwise, notes, tuple(occupancy),
+        batch.factor_method, batch.jitter,
+    )
 
 
 def idr_slope_estimate(
@@ -126,37 +142,26 @@ def idr_slope_estimate(
     k: int | None = None,
     paths: int = 100_000,
     seed: int = 0,
-    k_cap: int = K_CAP,
-    miller_madow: bool = True,
     grid: FrequencyGrid | None = None,
 ) -> DimensionEstimate:
     """Dimension from the slope of block entropy rates against log m.
 
     Samples `paths` independent k-blocks, counts quantized cells per ladder
-    precision, and fits the entropy-rate slope by least squares.  k defaults
-    to the largest block length the occupancy guard allows (one block per
-    path keeps the standard errors honest).
+    precision (Miller-Madow corrected), and fits the entropy-rate slope by
+    least squares.  k defaults to the largest block length up to K_CAP that
+    the occupancy guard allows (one block per path keeps the standard errors
+    honest).
     """
     ladder = _validate_ladder(m_ladder)
-    norm = normalize_components(model, grid)
-    if not norm.kept:
+    _, batch = _draw(model, K_CAP if k is None else k, paths, seed, grid)
+    if batch is None:
         return DimensionEstimate(
             0.0, "entropy-slope", ladder, k or 0, paths, 0.0,
             notes="all components have zero variance; quantized process is constant",
         )
-    k_need = k if k is not None else k_cap
-    acov = autocovariance_from_spectrum(norm.model, max(k_need - 1, 0))
-    batch = sample_paths(acov, k_need, paths, seed)
     if k is None:
-        k = _choose_k(batch.samples, ladder[-1], paths, k_cap)
-    slope, se, pairwise, occupancy = _slope_from_samples(batch.samples, ladder, k, miller_madow)
-    L = model.L
-    within = bool(-0.1 <= slope <= L + 0.1)
-    notes = "" if within else f"slope {slope:.4f} outside [-0.1, L+0.1]"
-    return DimensionEstimate(
-        slope, "entropy-slope", ladder, k, paths, se, within, pairwise, notes, occupancy,
-        batch.factor_method, batch.jitter,
-    )
+        k = _choose_k(batch.samples, ladder[-1])
+    return _entropy_slope(batch.samples, ladder, k, batch, model.L)
 
 
 def _half_mean_logdet(matrices: np.ndarray, floor: float) -> float:
@@ -173,7 +178,6 @@ def surrogate_idr_estimate(
     k: int = 4096,
     seed: int = 0,
     nperseg: int = 1024,
-    groups: int = 10,
     grid: FrequencyGrid | None = None,
 ) -> DimensionEstimate:
     """Dimension from the spectrum of the dithered quantized process.
@@ -202,7 +206,7 @@ def surrogate_idr_estimate(
         raise ValueError(f"k_eff={k_eff} too short for Welch segments of {nperseg}")
     acov = autocovariance_from_spectrum(norm.model, k_eff - 1)
     batch = sample_paths(acov, k_eff, paths, seed)
-    groups = max(1, min(groups, paths))
+    groups = max(1, min(SURROGATE_GROUPS, paths))
     bounds = np.linspace(0, paths, groups + 1).astype(int)
 
     g_pooled, g_groups = [], []
@@ -298,68 +302,65 @@ class InvarianceReport:
 
 def invariance_check(
     model: SpectralModel,
-    transform: str,
-    amount,
+    transforms,
     m_ladder=DEFAULT_M_LADDER,
     k: int | None = None,
     paths: int = 100_000,
     seed: int = 0,
     exact_block: tuple | None = (1, 4),
     grid: FrequencyGrid | None = None,
-) -> InvarianceReport:
-    """Run the slope estimator on shared sample paths before and after a
-    positive scaling or a translation; the dimension must not move.
+) -> list[InvarianceReport]:
+    """Run the slope estimator on one set of sample paths before and after each
+    component-wise transform; the dimension must not move.
 
-    Both slopes use one block length; k defaults to the largest one whose
-    occupied-cell count passes the plug-in guard on the base and on the
-    transformed paths.
+    transforms is a sequence of (kind, amount) pairs: ("scale", c) multiplies
+    by c > 0, ("translate", c) adds c; c is a scalar or one value per
+    component.  The paths are drawn once and shared by every transform, and
+    one report is returned per transform.  Each pair of slopes uses one block
+    length; k defaults to the largest one whose occupied-cell count passes the
+    plug-in guard on the base and on the transformed paths.
 
     exact_block = (k, m) additionally verifies the finite-precision
     translation inequality |H([x]_m) - H([x + c]_m)| <= k*L*log(4) by
     quadrature: a translated code differs from code-plus-shifted-code by at
     most a few lattice steps, worth log 4 of entropy per coordinate.
     """
-    if transform not in ("scale", "translate"):
-        raise ValueError("transform must be 'scale' or 'translate'")
-    amount = np.broadcast_to(np.asarray(amount, float), (model.L,)).copy()
-    if transform == "scale" and (amount <= 0).any():
-        raise ValueError("scale factors must be positive")
+    moves = []
+    for kind, amount in transforms:
+        if kind not in ("scale", "translate"):
+            raise ValueError("transform must be 'scale' or 'translate'")
+        amount = np.broadcast_to(np.asarray(amount, float), (model.L,)).copy()
+        if kind == "scale" and (amount <= 0).any():
+            raise ValueError("scale factors must be positive")
+        moves.append((kind, amount))
     ladder = _validate_ladder(m_ladder)
-    norm = normalize_components(model, grid)
-    if not norm.kept:
+    norm, batch = _draw(model, K_CAP if k is None else k, paths, seed, grid)
+    if batch is None:
         zero = DimensionEstimate(0.0, "entropy-slope", ladder, 0, paths, 0.0)
-        return InvarianceReport(transform, zero, zero, 0.0)
-    amount_kept = amount[list(norm.kept)]
+        return [InvarianceReport(kind, zero, zero, 0.0) for kind, _ in moves]
+    kept = list(norm.kept)
+    k_base = k if k is not None else _choose_k(batch.samples, ladder[-1])
+    base_at = {}  # base slope per block length, shared by the transforms that use it
+    reports = []
+    for kind, amount in moves:
+        moved = batch.samples * amount[kept] if kind == "scale" else batch.samples + amount[kept]
+        # both slopes share k, so it must pass the guard on both sample sets
+        k_t = k_base if k is not None else min(k_base, _choose_k(moved, ladder[-1]))
+        if k_t not in base_at:
+            base_at[k_t] = _entropy_slope(batch.samples, ladder, k_t, batch, model.L)
+        base = base_at[k_t]
+        notes = f"{kind} by {np.array2string(amount, precision=3)}"
+        trans = _entropy_slope(moved, ladder, k_t, batch, model.L, notes)
 
-    k_need = k if k is not None else K_CAP
-    acov = autocovariance_from_spectrum(norm.model, max(k_need - 1, 0))
-    batch = sample_paths(acov, k_need, paths, seed)
-    if transform == "scale":
-        moved = batch.samples * amount_kept
-    else:
-        moved = batch.samples + amount_kept
-    if k is None:  # both slopes share k, so it must pass the guard on both sample sets
-        k = min(_choose_k(s, ladder[-1], paths, k_cap=K_CAP) for s in (batch.samples, moved))
-
-    s0, se0, pw0, occ0 = _slope_from_samples(batch.samples, ladder, k, True)
-    s1, se1, pw1, occ1 = _slope_from_samples(moved, ladder, k, True)
-    drawn = {"factor_method": batch.factor_method, "jitter": batch.jitter}
-    base = DimensionEstimate(
-        s0, "entropy-slope", ladder, k, paths, se0, pairwise_slopes=pw0, occupancy=occ0,
-        **drawn,
-    )
-    trans = DimensionEstimate(
-        s1, "entropy-slope", ladder, k, paths, se1, pairwise_slopes=pw1,
-        notes=f"{transform} by {np.array2string(amount, precision=3)}", occupancy=occ1, **drawn,
-    )
-
-    exact_delta = exact_bound = exact_ok = None
-    if transform == "translate" and exact_block is not None:
-        k_e, m_e = exact_block
-        if k_e * model.L <= 3:
-            h0 = exact_cell_entropy(model, k_e, m_e)
-            h1 = exact_cell_entropy(model, k_e, m_e, mean_shift=amount)
-            exact_delta = abs(h1.value - h0.value)
-            exact_bound = k_e * model.L * np.log(4.0)
-            exact_ok = bool(exact_delta <= exact_bound)
-    return InvarianceReport(transform, base, trans, float(abs(s1 - s0)), exact_delta, exact_bound, exact_ok)
+        exact_delta = exact_bound = exact_ok = None
+        if kind == "translate" and exact_block is not None:
+            k_e, m_e = exact_block
+            if k_e * model.L <= 3:
+                h0 = exact_cell_entropy(model, k_e, m_e)
+                h1 = exact_cell_entropy(model, k_e, m_e, mean_shift=amount)
+                exact_delta = abs(h1.value - h0.value)
+                exact_bound = k_e * model.L * np.log(4.0)
+                exact_ok = bool(exact_delta <= exact_bound)
+        delta = float(abs(trans.value - base.value))
+        reports.append(InvarianceReport(kind, base, trans, delta, exact_delta, exact_bound, exact_ok))
+    return reports

@@ -8,7 +8,7 @@ sub-streams, so rerunning a config reproduces the report bit for bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from .ratedist import rd_curve, rd_dimension_estimate
 from .reports import EstimateReport, RunReport
 from .simulate import autocovariance_from_spectrum, sample_paths
 from .spectral import (
+    DEFAULT_GRID_N,
     RANK_ABS_FLOOR,
     RANK_REL_TOL,
     FrequencyGrid,
@@ -60,7 +61,7 @@ class ExperimentConfig:
     task: str
     model: dict | str = None
     seed: int | None = None
-    grid_n: int = 4096
+    grid_n: int | None = None  # None: the model document's grid_n, else DEFAULT_GRID_N
     m_ladder: tuple = (8, 16, 32, 64)
     surrogate_m_ladder: tuple = (16, 64, 256)
     k: int | None = None
@@ -80,7 +81,6 @@ class ExperimentConfig:
     verify_paths: int = 50_000
     out: str | None = None
     format: str = "json"
-    explicit: frozenset = field(default_factory=frozenset, compare=False, repr=False)
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -98,11 +98,10 @@ class ExperimentConfig:
     def from_dict(raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
-        known = {f.name for f in fields(ExperimentConfig)} - {"explicit"}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ConfigError(f"unknown configuration fields: {sorted(unknown)}")
-        return ExperimentConfig(**raw, explicit=frozenset(raw))
+        return ExperimentConfig(**raw)
 
 
 def _resolve_model(config: ExperimentConfig) -> tuple[SpectralModel, FrequencyGrid, dict]:
@@ -111,9 +110,7 @@ def _resolve_model(config: ExperimentConfig) -> tuple[SpectralModel, FrequencyGr
         model, overrides = load_model(config.model)
     else:
         model, overrides = model_from_document(config.model)
-    grid_n = config.grid_n
-    if "grid_n" not in config.explicit and "grid_n" in overrides:
-        grid_n = int(overrides["grid_n"])
+    grid_n = config.grid_n if config.grid_n is not None else int(overrides.get("grid_n", DEFAULT_GRID_N))
     rank_tols = {
         key.removeprefix("rank_"): float(overrides[key])
         for key in ("rank_rel_tol", "rank_abs_floor") if key in overrides
@@ -214,11 +211,12 @@ def _rd_reports(ri, config) -> list:
 def _verify_reports(ri, config) -> list:
     model, grid = ri.model, FrequencyGrid(ri.grid_n)
     reports = []
-    for kind, amount in (("scale", config.scale_factor), ("translate", config.translate_offset)):
-        inv = invariance_check(
-            model, kind, amount, m_ladder=config.m_ladder, k=config.k,
-            paths=config.verify_paths, seed=config.seed, grid=grid,
-        )
+    transforms = (("scale", config.scale_factor), ("translate", config.translate_offset))
+    invariances = invariance_check(
+        model, transforms, m_ladder=config.m_ladder, k=config.k,
+        paths=config.verify_paths, seed=config.seed, grid=grid,
+    )
+    for (kind, amount), inv in zip(transforms, invariances):
         reports.append(
             EstimateReport(
                 f"invariance_{kind}", "entropy-slope", inv.delta,

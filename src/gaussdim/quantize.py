@@ -92,7 +92,6 @@ class BussgangReport:
     noise_bound: float
     gain_bound_ok: bool
     noise_ok: bool
-    equal_gains_ok: bool | None  # None unless all variances are ~1
 
 
 def bussgang_gain(data, m: int) -> BussgangReport:
@@ -125,12 +124,7 @@ def bussgang_gain(data, m: int) -> BussgangReport:
     noise_bound = 1.0 / m**2
     gains_ok = bool(np.all(np.abs(1.0 - gain) <= bound + 5.0 * gain_se))
     noise_ok = bool(np.all(noise_var <= noise_bound * (1.0 + 1e-12)))
-    equal_ok = None
-    if L > 1 and np.abs(var - 1.0).max() <= 0.05:
-        diffs = np.abs(gain[:, None] - gain[None, :])
-        tol = 5.0 * np.sqrt(gain_se[:, None] ** 2 + gain_se[None, :] ** 2)
-        equal_ok = bool(np.all(diffs <= tol))
-    return BussgangReport(int(m), gain, gain_se, bound, noise_var, noise_bound, gains_ok, noise_ok, equal_ok)
+    return BussgangReport(int(m), gain, gain_se, bound, noise_var, noise_bound, gains_ok, noise_ok)
 
 
 @dataclass(frozen=True)

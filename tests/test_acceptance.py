@@ -164,12 +164,11 @@ def test_criterion_6_invariance():
     """|delta d| <= 0.05 under scale 3 and translation 10 with shared paths;
     exact finite-precision translation bound |delta H| <= k L log 4; <5min."""
     started = time.perf_counter()
-    scale = invariance_check(white_noise(), "scale", 3.0, paths=1_000_000, seed=SEED)
-    assert scale.delta <= 0.05
-
-    trans = invariance_check(
-        white_noise(), "translate", 10.0, paths=1_000_000, seed=SEED, exact_block=(1, 4)
+    scale, trans = invariance_check(
+        white_noise(), [("scale", 3.0), ("translate", 10.0)], paths=1_000_000, seed=SEED,
+        exact_block=(1, 4),
     )
+    assert scale.delta <= 0.05
     assert trans.delta <= 0.05
     assert trans.exact_ok is True
     assert trans.exact_entropy_delta <= 1 * 1 * np.log(4.0)

@@ -78,7 +78,7 @@ class TestSlopeEstimator:
                 if len(np.unique(codes, axis=0)) > paths * OCCUPANCY_FRACTION:
                     break
                 expected = k
-            assert _choose_k(samples, m_max, paths, K_CAP) == expected
+            assert _choose_k(samples, m_max) == expected
 
 
 class TestSurrogateEstimator:
@@ -108,7 +108,7 @@ class TestSurrogateEstimator:
             assert g == pytest.approx(-0.5 * np.log(12.0 * m * m), abs=0.02)
 
     def test_group_se_positive(self):
-        est = surrogate_idr_estimate(white_noise(), paths=40, k=2048, seed=12, groups=8)
+        est = surrogate_idr_estimate(white_noise(), paths=40, k=2048, seed=12)
         assert est.se >= 0.0 and np.isfinite(est.se)
 
     def test_bivariate_k_capped(self):
@@ -177,38 +177,57 @@ class TestKLCheck:
 
 class TestInvariance:
     def test_scale_by_three(self):
-        rep = invariance_check(white_noise(), "scale", 3.0, paths=150_000, seed=14)
+        (rep,) = invariance_check(white_noise(), [("scale", 3.0)], paths=150_000, seed=14)
         assert rep.delta <= 0.05
 
     def test_translate_by_ten(self):
-        rep = invariance_check(white_noise(), "translate", 10.0, paths=150_000, seed=15)
+        (rep,) = invariance_check(white_noise(), [("translate", 10.0)], paths=150_000, seed=15)
         assert rep.delta <= 0.05
         assert rep.exact_ok is True
         assert rep.exact_entropy_bound == pytest.approx(np.log(4.0))
 
     def test_translate_off_lattice_exact_bound(self):
-        rep = invariance_check(
-            white_noise(), "translate", 0.3, paths=50_000, seed=16, exact_block=(1, 4)
+        (rep,) = invariance_check(
+            white_noise(), [("translate", 0.3)], paths=50_000, seed=16, exact_block=(1, 4)
         )
         assert rep.exact_entropy_delta is not None
         assert rep.exact_entropy_delta <= rep.exact_entropy_bound
 
     def test_narrowband_invariance(self):
-        rep = invariance_check(narrowband(0.4), "scale", 2.0, paths=100_000, seed=17)
+        (rep,) = invariance_check(narrowband(0.4), [("scale", 2.0)], paths=100_000, seed=17)
         # base and transformed share paths, so the gap is purely quantizer-level
         assert rep.delta <= 0.05
 
     def test_scale_k_passes_guard_on_transformed_paths(self):
         # k=2 passes the guard on the unscaled paths only; scaling by 3
         # multiplies the occupied cells, so both slopes must use k=1
-        rep = invariance_check(white_noise(), "scale", 3.0, m_ladder=(1, 2), paths=5000, seed=5)
+        (rep,) = invariance_check(white_noise(), [("scale", 3.0)], m_ladder=(1, 2), paths=5000, seed=5)
         assert rep.base.k == rep.transformed.k == 1
         assert max(rep.transformed.occupancy) <= OCCUPANCY_FRACTION
 
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            invariance_check(white_noise(), "scale", -1.0, paths=1000, seed=18)
+            invariance_check(white_noise(), [("scale", -1.0)], paths=1000, seed=18)
 
     def test_unknown_transform_rejected(self):
         with pytest.raises(ValueError, match="transform"):
-            invariance_check(white_noise(), "rotate", 1.0, paths=1000, seed=19)
+            invariance_check(white_noise(), [("rotate", 1.0)], paths=1000, seed=19)
+
+    def test_one_draw_serves_every_transform(self, monkeypatch):
+        import gaussdim.estimators as estimators
+
+        transforms = [("scale", 3.0), ("translate", 10.0)]
+        singles = [invariance_check(white_noise(), [t], paths=20_000, seed=5)[0] for t in transforms]
+        calls = []
+        real_draw, real_choose = estimators.sample_paths, estimators._choose_k
+        monkeypatch.setattr(estimators, "sample_paths", lambda *a, **kw: calls.append("draw") or real_draw(*a, **kw))
+        monkeypatch.setattr(estimators, "_choose_k", lambda *a: calls.append("choose_k") or real_choose(*a))
+        both = invariance_check(white_noise(), transforms, paths=20_000, seed=5)
+        assert both == singles
+        # one draw; k is chosen once on the base paths and once per moved path set
+        assert calls.count("draw") == 1 and calls.count("choose_k") == 1 + len(transforms)
+
+    def test_zero_process_one_zero_report_per_transform(self):
+        reps = invariance_check(zero_process(), [("scale", 2.0), ("translate", 1.0)], paths=1000, seed=20)
+        assert [r.transform for r in reps] == ["scale", "translate"]
+        assert all(r.delta == 0.0 and r.base.value == r.transformed.value == 0.0 for r in reps)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from gaussdim.benchmarks import narrowband, proper_complex_flat, white_noise
-from gaussdim.cli import main
+from gaussdim.cli import _build_parser, _raw_config, main
 from gaussdim.experiments import ConfigError, ExperimentConfig, run
 from gaussdim.modelio import (
     DocumentError,
@@ -112,6 +112,8 @@ class TestConfig:
         assert rep.settings["grid_n"] == 512
         rep2 = run({"task": "analyze", "model": str(path), "grid_n": 1024})
         assert rep2.settings["grid_n"] == 1024
+        rep3 = run(ExperimentConfig(task="analyze", model=doc, grid_n=1024))
+        assert rep3.settings["grid_n"] == 1024
 
     def test_model_doc_rank_tolerance_override(self):
         doc = model_to_document(narrowband(0.4))
@@ -224,6 +226,20 @@ class TestRunTasks:
             method = "circulant" if r.quantity == "quantized_spectrum_identity" else "cholesky"
             assert (r.settings["factor_method"], r.settings["jitter"]) == (method, 0.0), r.quantity
 
+    def test_verify_draws_each_batch_once(self, monkeypatch):
+        import gaussdim.estimators as estimators
+        import gaussdim.experiments as experiments
+
+        lengths = []
+        real = experiments.sample_paths
+        spy = lambda acov, k, *a, **kw: lengths.append(k) or real(acov, k, *a, **kw)  # noqa: E731
+        monkeypatch.setattr(estimators, "sample_paths", spy)
+        monkeypatch.setattr(experiments, "sample_paths", spy)
+        run({"task": "verify", "model": model_to_document(white_noise()), "seed": 3,
+             "m_ladder": [2, 4], "verify_paths": 2000})
+        # one batch shared by both invariance transforms, then the Bussgang and identity batches
+        assert lengths == [estimators.K_CAP, 1, 1024]
+
     def test_verify_line_process_gates_on_the_law_variance(self):
         """A random sinusoid's sample variance strays from 1 at few paths; the
         identity row still runs, since the law fixes the variance at 1."""
@@ -309,6 +325,11 @@ class TestCLI:
         code = main(["analyze", "--config", str(cfg), "--grid", "2048", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["settings"]["grid_n"] == 2048
+
+    @pytest.mark.parametrize("task, field", [("verify", "verify_paths"), ("estimate", "paths")])
+    def test_paths_flag_sets_the_task_path_count(self, task, field):
+        args = _build_parser().parse_args([task, "m.json", "--seed", "1", "--paths", "2000"])
+        assert getattr(ExperimentConfig.from_dict(_raw_config(args)), field) == 2000
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
