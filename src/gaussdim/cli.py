@@ -2,7 +2,10 @@
 
 Subcommands: analyze, estimate, rd, verify, complex.  Settings come from a
 JSON config file and/or flags; flags win over the config, the config wins
-over defaults.  Exit status is 0 iff every checked quantity passed.
+over defaults.  `--m-ladder` and `--paths` exist only on the tasks that read
+them (estimate and verify); a config field the task does not read is an
+error.  Exit status is 0 iff every checked quantity passed, 2 on a
+configuration or task error.
 """
 
 from __future__ import annotations
@@ -22,38 +25,34 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Information dimension rate of stationary Gaussian processes",
     )
     sub = parser.add_subparsers(dest="task", required=True)
-    for task in TASKS:
+    for task, spec in TASKS.items():
         p = sub.add_parser(task, help=f"run the {task} task")
         p.add_argument("model", nargs="?", help="process-definition JSON (overrides config)")
         p.add_argument("--config", help="experiment configuration JSON")
         p.add_argument("--seed", type=int, help="master seed (required for stochastic tasks)")
-        p.add_argument("--grid", type=int, help="frequency-grid resolution")
-        p.add_argument("--m-ladder", help="comma-separated quantizer precisions, e.g. 8,16,32,64")
-        p.add_argument("--paths", type=int, help="Monte Carlo path count")
+        p.add_argument("--grid", type=int, dest="grid_n", metavar="GRID", help="frequency-grid resolution")
+        if "m_ladder" in spec.fields:
+            p.add_argument("--m-ladder", type=_int_list, help="comma-separated quantizer precisions, e.g. 8,16,32,64")
+        for field in ("paths", "verify_paths"):
+            if field in spec.fields:
+                p.add_argument(
+                    "--paths", type=int, dest=field, metavar="PATHS", help=f"Monte Carlo path count (sets {field})"
+                )
         p.add_argument("--out", help="report path (default: print JSON to stdout)")
         p.add_argument("--format", choices=("json", "csv"), help="report format")
     return parser
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",") if tok]
+
+
 def _raw_config(args: argparse.Namespace) -> dict:
+    """The config file's fields, overridden by every flag given; flag dests are field names."""
     raw: dict = {}
     if args.config:
         raw.update(json.loads(Path(args.config).read_text()))
-    raw["task"] = args.task
-    if args.model:
-        raw["model"] = args.model
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.grid is not None:
-        raw["grid_n"] = args.grid
-    if args.m_ladder is not None:
-        raw["m_ladder"] = [int(tok) for tok in args.m_ladder.split(",") if tok]
-    if args.paths is not None:
-        raw["verify_paths" if args.task == "verify" else "paths"] = args.paths
-    if args.out is not None:
-        raw["out"] = args.out
-    if args.format is not None:
-        raw["format"] = args.format
+    raw.update({name: value for name, value in vars(args).items() if name != "config" and value is not None})
     return raw
 
 

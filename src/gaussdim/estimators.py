@@ -60,7 +60,6 @@ class DimensionEstimate:
     k: int
     paths: int
     se: float
-    within_bounds: bool = True
     pairwise_slopes: tuple = ()  # consecutive two-point slopes (ladder-spread proxy)
     notes: str = ""
     occupancy: tuple = ()  # occupied cells / paths at each ladder m (entropy slope only)
@@ -127,11 +126,10 @@ def _entropy_slope(samples: np.ndarray, ladder: tuple, k: int, batch, L: int, no
         ses.append(est.error / k)
         occupancy.append(est.occupied / paths)
     slope, se, pairwise = _ls_slope(np.log(np.asarray(ladder, float)), values, ses)
-    within = bool(-0.1 <= slope <= L + 0.1)
-    if not within:
+    if not -0.1 <= slope <= L + 0.1:
         notes = "; ".join(filter(None, (notes, f"slope {slope:.4f} outside [-0.1, L+0.1]")))
     return DimensionEstimate(
-        slope, "entropy-slope", ladder, k, paths, se, within, pairwise, notes, tuple(occupancy),
+        slope, "entropy-slope", ladder, k, paths, se, pairwise, notes, tuple(occupancy),
         batch.factor_method, batch.jitter,
     )
 
@@ -231,10 +229,9 @@ def surrogate_idr_estimate(
         se = float(np.std(group_vals, ddof=1) / np.sqrt(groups))
     else:
         se = float("nan")
-    within = bool(-0.1 <= value <= model.L + 0.1)
     return DimensionEstimate(
-        value, "gaussian-surrogate", ladder, k_eff, paths, se, within, tuple(L + p for p in pairwise),
-        notes="" if within else f"estimate {value:.4f} outside [-0.1, L+0.1]",
+        value, "gaussian-surrogate", ladder, k_eff, paths, se, tuple(L + p for p in pairwise),
+        notes="" if -0.1 <= value <= model.L + 0.1 else f"estimate {value:.4f} outside [-0.1, L+0.1]",
         factor_method=batch.factor_method, jitter=batch.jitter,
     )
 

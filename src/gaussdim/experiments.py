@@ -8,8 +8,9 @@ sub-streams, so rerunning a config reproduces the report bit for bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .estimators import (
 )
 from .modelio import load_model, model_from_document, model_fingerprint
 from .quantize import bussgang_gain, spectrum_identity_check
-from .ratedist import rd_curve, rd_dimension_estimate
+from .ratedist import D_LADDER, rd_curve, rd_dimension_estimate
 from .reports import EstimateReport, RunReport
 from .simulate import autocovariance_from_spectrum, sample_paths
 from .spectral import (
@@ -36,18 +37,18 @@ from .spectral import (
     support_bound,
 )
 
-TASKS = ("analyze", "estimate", "rd", "verify", "complex")
-# Configuration fields each task reads, listed in its RunReport settings after grid_n.
-_TASK_SETTINGS = {
-    "analyze": (),
-    "estimate": (
-        "m_ladder", "paths", "surrogate_m_ladder", "surrogate_paths", "surrogate_k", "surrogate_segment",
-    ),
-    "rd": ("d_ladder",),
-    "verify": ("m_ladder", "verify_paths", "bussgang_m_ladder", "identity_m", "kl_m_ladder"),
-    "complex": (),
-}
-_STOCHASTIC_TASKS = ("estimate", "verify")
+# Fields every task accepts; TASKS names the others each task reads.
+COMMON_FIELDS = ("task", "model", "seed", "grid_n", "out", "format")
+# Fixed gate tolerances on |estimate - rank integral|.
+TOL_ESTIMATE = 0.05
+TOL_RD = 0.01
+# Fixed verify settings: the invariance transforms, the quantizer-gain ladder,
+# the spectral-identity precisions and Welch segment, and the KL ladder.
+INVARIANCE_TRANSFORMS = (("scale", 3.0), ("translate", 10.0))
+BUSSGANG_M_LADDER = (2, 4, 8, 16, 32, 64, 128, 256)
+IDENTITY_M = (1, 8)
+IDENTITY_SEGMENT = 256
+KL_M_LADDER = (1, 2, 4, 8)
 
 
 class ConfigError(ValueError):
@@ -56,7 +57,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated settings for one run; unknown fields are rejected up front."""
+    """Validated settings for one run; fields its task does not read are rejected up front."""
 
     task: str
     model: dict | str = None
@@ -64,43 +65,34 @@ class ExperimentConfig:
     grid_n: int | None = None  # None: the model document's grid_n, else DEFAULT_GRID_N
     m_ladder: tuple = (8, 16, 32, 64)
     surrogate_m_ladder: tuple = (16, 64, 256)
-    k: int | None = None
     paths: int = 100_000
     surrogate_paths: int = 100
     surrogate_k: int = 4096
-    surrogate_segment: int = 1024
-    segment_length: int = 256
-    d_ladder: tuple = (1e-2, 1e-4, 1e-6)
-    tol_estimate: float = 0.05
-    tol_rd: float = 0.01
-    scale_factor: float = 3.0
-    translate_offset: float = 10.0
-    bussgang_m_ladder: tuple = (2, 4, 8, 16, 32, 64, 128, 256)
-    identity_m: tuple = (1, 8)
-    kl_m_ladder: tuple = (1, 2, 4, 8)
     verify_paths: int = 50_000
     out: str | None = None
     format: str = "json"
 
     def __post_init__(self):
         if self.task not in TASKS:
-            raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
+            raise ConfigError(f"task must be one of {tuple(TASKS)}, got {self.task!r}")
         if self.model is None:
             raise ConfigError("a model document or path is required")
-        if self.task in _STOCHASTIC_TASKS and self.seed is None:
+        if "seed" in TASKS[self.task].fields and self.seed is None:
             raise ConfigError(f"task {self.task!r} is stochastic: a seed is required")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
-        for name in ("m_ladder", "surrogate_m_ladder", "d_ladder", "bussgang_m_ladder", "identity_m", "kl_m_ladder"):
+        for name in ("m_ladder", "surrogate_m_ladder"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
-        unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
+        task = raw.get("task")
+        reads = COMMON_FIELDS + (TASKS[task].fields if task in TASKS else ())
+        unknown = set(raw) - set(reads)
         if unknown:
-            raise ConfigError(f"unknown configuration fields: {sorted(unknown)}")
+            raise ConfigError(f"unknown configuration fields for task {task!r}: {sorted(unknown)}")
         return ExperimentConfig(**raw)
 
 
@@ -167,20 +159,18 @@ def _complex_rows(ri) -> list:
 
 def _estimate_reports(ri, config) -> list:
     grid = FrequencyGrid(ri.grid_n)
-    slope = idr_slope_estimate(
-        ri.model, config.m_ladder, k=config.k, paths=config.paths, seed=config.seed, grid=grid
-    )
+    slope = idr_slope_estimate(ri.model, config.m_ladder, paths=config.paths, seed=config.seed, grid=grid)
     surr = surrogate_idr_estimate(
         ri.model, config.surrogate_m_ladder, paths=config.surrogate_paths,
-        k=config.surrogate_k, seed=config.seed, nperseg=config.surrogate_segment, grid=grid,
+        k=config.surrogate_k, seed=config.seed, grid=grid,
     )
     out = []
     for est in (slope, surr):
         out.append(
             EstimateReport(
                 "dimension", est.method, est.value, se=est.se, reference=ri.value,
-                tolerance=config.tol_estimate,
-                passed=bool(abs(est.value - ri.value) <= config.tol_estimate),
+                tolerance=TOL_ESTIMATE,
+                passed=bool(abs(est.value - ri.value) <= TOL_ESTIMATE),
                 settings={
                     "m_ladder": list(est.m_ladder), "k": est.k, "factor_method": est.factor_method,
                     "jitter": est.jitter, "occupancy": list(est.occupancy),
@@ -192,17 +182,17 @@ def _estimate_reports(ri, config) -> list:
 
 
 def _rd_reports(ri, config) -> list:
-    est = rd_dimension_estimate(ri, config.d_ladder)
+    est = rd_dimension_estimate(ri)
     reports = [
         EstimateReport(
             "dimension", est.method, est.value, se=est.se, reference=ri.value,
-            tolerance=config.tol_rd,
-            passed=bool(abs(est.value - ri.value) <= config.tol_rd),
-            settings={"d_ladder": list(config.d_ladder), "notes": est.notes},
+            tolerance=TOL_RD,
+            passed=bool(abs(est.value - ri.value) <= TOL_RD),
+            settings={"d_ladder": list(D_LADDER), "notes": est.notes},
         )
     ]
     if config.out:
-        curve = rd_curve(ri, config.d_ladder)
+        curve = rd_curve(ri)
         rows = "\n".join(f"{d!r},{r!r},{w!r}" for d, r, w in curve.as_rows())
         Path(str(config.out) + ".rd_curve.csv").write_text("D,R,water_level\n" + rows + "\n")
     return reports
@@ -211,18 +201,16 @@ def _rd_reports(ri, config) -> list:
 def _verify_reports(ri, config) -> list:
     model, grid = ri.model, FrequencyGrid(ri.grid_n)
     reports = []
-    transforms = (("scale", config.scale_factor), ("translate", config.translate_offset))
     invariances = invariance_check(
-        model, transforms, m_ladder=config.m_ladder, k=config.k,
-        paths=config.verify_paths, seed=config.seed, grid=grid,
+        model, INVARIANCE_TRANSFORMS, m_ladder=config.m_ladder, paths=config.verify_paths, seed=config.seed, grid=grid,
     )
-    for (kind, amount), inv in zip(transforms, invariances):
+    for (kind, amount), inv in zip(INVARIANCE_TRANSFORMS, invariances):
         reports.append(
             EstimateReport(
                 f"invariance_{kind}", "entropy-slope", inv.delta,
                 se=float(np.hypot(inv.base.se, inv.transformed.se)),
-                reference=0.0, tolerance=config.tol_estimate,
-                passed=bool(inv.delta <= config.tol_estimate),
+                reference=0.0, tolerance=TOL_ESTIMATE,
+                passed=bool(inv.delta <= TOL_ESTIMATE),
                 settings={
                     "amount": amount, "base": inv.base.value, "transformed": inv.transformed.value,
                     # base and transformed paths come from one sampled batch
@@ -243,7 +231,7 @@ def _verify_reports(ri, config) -> list:
     if norm.kept:
         acov = autocovariance_from_spectrum(norm.model, 0)
         flat = sample_paths(acov, 1, config.verify_paths, config.seed)
-        for m in config.bussgang_m_ladder:
+        for m in BUSSGANG_M_LADDER:
             rep = bussgang_gain(flat, m)
             reports.append(
                 EstimateReport(
@@ -257,12 +245,11 @@ def _verify_reports(ri, config) -> list:
                     },
                 )
             )
-        seg = config.segment_length
-        k_id = max(2 * seg, 1024)
+        k_id = 4 * IDENTITY_SEGMENT
         acov_id = autocovariance_from_spectrum(norm.model, k_id - 1)
         ident_batch = sample_paths(acov_id, k_id, max(64, config.verify_paths // 500), config.seed)
-        for m in config.identity_m:
-            rep = spectrum_identity_check(ident_batch, m, nperseg=seg)
+        for m in IDENTITY_M:
+            rep = spectrum_identity_check(ident_batch, m, nperseg=IDENTITY_SEGMENT)
             reports.append(
                 EstimateReport(
                     "quantized_spectrum_identity", "welch", rep.mean_residual,
@@ -276,7 +263,7 @@ def _verify_reports(ri, config) -> list:
                 )
             )
         if norm.model.L == 1:
-            for m in config.kl_m_ladder:
+            for m in KL_M_LADDER:
                 rep = gaussian_surrogate_kl(norm.model, 1, m)
                 reports.append(
                     EstimateReport(
@@ -288,27 +275,39 @@ def _verify_reports(ri, config) -> list:
     return reports
 
 
+class Task(NamedTuple):
+    reports: Callable  # (the task's RankIntegralResult, ExperimentConfig) -> list of EstimateReports
+    fields: tuple  # configuration fields read beyond the common ones; reading "seed" requires it
+
+
+TASKS = {
+    "analyze": Task(_analyze_reports, ()),
+    "estimate": Task(
+        _estimate_reports,
+        ("seed", "m_ladder", "paths", "surrogate_m_ladder", "surrogate_paths", "surrogate_k"),
+    ),
+    "rd": Task(_rd_reports, ()),
+    "verify": Task(_verify_reports, ("seed", "m_ladder", "verify_paths")),
+    "complex": Task(_complex_reports, ()),
+}
+
+
 def run(config: ExperimentConfig | dict) -> RunReport:
     """Execute one configured task and assemble its report."""
     if isinstance(config, dict):
         config = ExperimentConfig.from_dict(config)
+    task = TASKS[config.task]
     model, grid, rank_tols = _resolve_model(config)
     started = time.perf_counter()
     # The task's one rank integral: every reference and every grid eigenvalue comes from it.
     ri = rank_integral(model, grid, **rank_tols)
-    dispatch = {
-        "analyze": _analyze_reports,
-        "estimate": _estimate_reports,
-        "rd": _rd_reports,
-        "verify": _verify_reports,
-        "complex": _complex_reports,
-    }
-    reports = dispatch[config.task](ri, config)
+    reports = task.reports(ri, config)
     elapsed = time.perf_counter() - started
     settings = {"grid_n": grid.n}
-    for name in _TASK_SETTINGS[config.task]:
-        value = getattr(config, name)
-        settings[name] = list(value) if isinstance(value, tuple) else value
+    for name in task.fields:
+        if name != "seed":  # the report carries the seed on its own
+            value = getattr(config, name)
+            settings[name] = list(value) if isinstance(value, tuple) else value
     return RunReport(
         task=config.task,
         seed=config.seed,

@@ -18,6 +18,8 @@ import numpy as np
 from .estimators import DimensionEstimate, _ls_slope
 from .spectral import RankIntegralResult
 
+D_LADDER = (1e-2, 1e-4, 1e-6)  # distortions of the rd slope and curve, decreasing
+
 
 @dataclass(frozen=True)
 class WaterfillPoint:
@@ -60,13 +62,13 @@ def _waterfill(eigenvalues: np.ndarray, weight: float, distortion: float) -> Wat
     return WaterfillPoint(float(distortion), rate, float(w))
 
 
-def rd_curve(ri: RankIntegralResult, d_ladder) -> RDCurve:
+def rd_curve(ri: RankIntegralResult, d_ladder=D_LADDER) -> RDCurve:
     """Rate-distortion curve at the given distortion ladder (descending),
     water-filled over the grid eigenvalues of one rank-integral evaluation."""
     return RDCurve(tuple(_waterfill(ri.profile.eigenvalues, 1.0 / ri.grid_n, d) for d in d_ladder))
 
 
-def rd_dimension_estimate(ri: RankIntegralResult, d_ladder=(1e-2, 1e-4, 1e-6)) -> DimensionEstimate:
+def rd_dimension_estimate(ri: RankIntegralResult, d_ladder=D_LADDER) -> DimensionEstimate:
     """Dimension from the low-distortion rate slope.
 
     R(D) ~ -(d/2) log D + const once the water level sits below the smallest
@@ -90,8 +92,4 @@ def rd_dimension_estimate(ri: RankIntegralResult, d_ladder=(1e-2, 1e-4, 1e-6)) -
     rates = [_waterfill(mu, weight, d).rate for d in ladder]
     x = -0.5 * np.log(np.asarray(ladder))
     slope, se, pairwise = _ls_slope(x, rates)
-    return DimensionEstimate(
-        float(slope), "rate-distortion", ladder, 0, 0, se,
-        within_bounds=bool(-0.1 <= slope <= ri.model.L + 0.1),
-        pairwise_slopes=pairwise,
-    )
+    return DimensionEstimate(float(slope), "rate-distortion", ladder, 0, 0, se, pairwise_slopes=pairwise)

@@ -73,9 +73,7 @@ class AutocovarianceSequence:
         return sigma.reshape(k * L, k * L)
 
 
-def autocovariance_from_spectrum(
-    model: SpectralModel, tau_max: int, quad_n: int | None = None
-) -> AutocovarianceSequence:
+def autocovariance_from_spectrum(model: SpectralModel, tau_max: int) -> AutocovarianceSequence:
     """C(tau) = integral of e^{-i 2 pi tau theta} against the spectral distribution.
 
     Bands and lines integrate in closed form.  Rational terms use a midpoint
@@ -100,7 +98,7 @@ def autocovariance_from_spectrum(
         c += np.exp(-2j * np.pi * taus * ln.theta)[:, None, None] * ln.power[None, :, :]
 
     if model.arma_terms:
-        n = quad_n or max(4096, 1 << int(np.ceil(np.log2(8 * (tau_max + 1)))))
+        n = max(4096, 1 << int(np.ceil(np.log2(8 * (tau_max + 1)))))
         grid = FrequencyGrid(n)
         rat = _eval_rational(model, grid.nodes)
         spec = np.fft.fft(rat, axis=0)[: tau_max + 1]

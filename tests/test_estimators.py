@@ -31,7 +31,7 @@ class TestSlopeEstimator:
     def test_iid_standard_normal(self):
         est = idr_slope_estimate(white_noise(), paths=200_000, seed=1)
         assert abs(est.value - 1.0) <= 0.05
-        assert est.k == 1 and est.within_bounds
+        assert est.k == 1 and est.notes == ""
 
     def test_constant_process(self):
         est = idr_slope_estimate(zero_process(), paths=10_000, seed=2)

@@ -1,12 +1,13 @@
 """Report emission, configuration validation, CLI contract, and determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
 from gaussdim.benchmarks import narrowband, proper_complex_flat, white_noise
 from gaussdim.cli import _build_parser, _raw_config, main
-from gaussdim.experiments import ConfigError, ExperimentConfig, run
+from gaussdim.experiments import COMMON_FIELDS, TASKS, ConfigError, ExperimentConfig, run
 from gaussdim.modelio import (
     DocumentError,
     load_model,
@@ -93,6 +94,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown"):
             ExperimentConfig.from_dict({"task": "analyze", "model": {"L": 1}, "bogus": 1})
 
+    def test_field_of_another_task_rejected(self):
+        doc = model_to_document(white_noise())
+        with pytest.raises(ConfigError, match="'paths'"):
+            ExperimentConfig.from_dict({"task": "verify", "model": doc, "seed": 1, "paths": 2000})
+        with pytest.raises(ConfigError, match="'m_ladder'"):
+            run({"task": "rd", "model": doc, "m_ladder": [2, 4]})
+
+    def test_every_field_is_common_or_read_by_a_task(self):
+        read = set(COMMON_FIELDS).union(*(task.fields for task in TASKS.values()))
+        assert {f.name for f in dataclasses.fields(ExperimentConfig)} == read
+
     def test_seed_required_for_stochastic_tasks(self):
         doc = model_to_document(white_noise())
         with pytest.raises(ConfigError, match="seed"):
@@ -142,7 +154,7 @@ class TestConfig:
         if task == "estimate":
             config.update({
                 "seed": 3, "paths": 5000, "m_ladder": [1, 2], "surrogate_m_ladder": [16, 64],
-                "surrogate_paths": 4, "surrogate_k": 384, "surrogate_segment": 256,
+                "surrogate_paths": 4, "surrogate_k": 2048,
             })
         rows = [r for r in run(config).reports if r.quantity == "dimension"]
         assert len(rows) == (2 if task == "estimate" else 1)
@@ -258,17 +270,16 @@ class TestRunTasks:
         [
             ("analyze", {}, ["grid_n"]),
             ("complex", {}, ["grid_n"]),
-            ("rd", {}, ["grid_n", "d_ladder"]),
+            ("rd", {}, ["grid_n"]),
             (
                 "estimate",
                 {"seed": 3, "m_ladder": [2, 4], "paths": 2000, "surrogate_paths": 4, "surrogate_k": 2048},
-                ["grid_n", "m_ladder", "paths", "surrogate_m_ladder", "surrogate_paths",
-                 "surrogate_k", "surrogate_segment"],
+                ["grid_n", "m_ladder", "paths", "surrogate_m_ladder", "surrogate_paths", "surrogate_k"],
             ),
             (
                 "verify",
                 {"seed": 3, "m_ladder": [2, 4], "verify_paths": 2000},
-                ["grid_n", "m_ladder", "verify_paths", "bussgang_m_ladder", "identity_m", "kl_m_ladder"],
+                ["grid_n", "m_ladder", "verify_paths"],
             ),
         ],
     )
@@ -331,6 +342,14 @@ class TestCLI:
         args = _build_parser().parse_args([task, "m.json", "--seed", "1", "--paths", "2000"])
         assert getattr(ExperimentConfig.from_dict(_raw_config(args)), field) == 2000
 
+    @pytest.mark.parametrize("flag", ["--paths", "--m-ladder"])
+    def test_flag_of_another_task_exit_code(self, flag, tmp_path, capsys):
+        model_path = save_model(white_noise(), tmp_path / "wn.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(model_path), flag, "10"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": {"L": 1}, "nope": True}))
@@ -343,12 +362,12 @@ class TestCLI:
         assert main(["estimate", str(model_path)]) == 2
 
     def test_failing_check_exit_code(self, tmp_path, capsys):
-        """A tolerance of zero on a stochastic comparison must fail the run."""
-        model_path = save_model(white_noise(), tmp_path / "wn.json")
+        """A failing gate fails the run: the narrowband entropy slope reads ~1 against 0.4."""
+        model_path = save_model(narrowband(0.4), tmp_path / "nb.json")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "model": str(model_path), "seed": 5, "paths": 5_000,
-            "surrogate_paths": 24, "surrogate_k": 2048, "tol_estimate": 0.0,
+            "model": str(model_path), "seed": 5, "m_ladder": [2, 4, 8], "paths": 5_000,
+            "surrogate_paths": 24, "surrogate_k": 2048,
         }))
         code = main(["estimate", "--config", str(cfg)])
         assert code == 1

@@ -444,9 +444,9 @@ def _grid_eigen_passes(monkeypatch, config, n):
 # Small Monte Carlo settings: the spy counts grid eigen-passes, not estimate quality.
 _SMALL_ESTIMATE = {
     "seed": 3, "paths": 2000, "m_ladder": [2, 4],
-    "surrogate_m_ladder": [16, 64], "surrogate_paths": 4, "surrogate_k": 384, "surrogate_segment": 256,
+    "surrogate_m_ladder": [16, 64], "surrogate_paths": 4, "surrogate_k": 2048,
 }
-_SMALL_VERIFY = {"seed": 3, "verify_paths": 2000, "m_ladder": [2, 4], "kl_m_ladder": [1, 2]}
+_SMALL_VERIFY = {"seed": 3, "verify_paths": 2000, "m_ladder": [2, 4]}
 
 
 class TestEigenPasses:
@@ -471,9 +471,9 @@ class TestEigenPasses:
              "verify-white", "verify-pair"],
     )
     def test_passes_per_task(self, monkeypatch, tmp_path, task, builder):
-        config = {"task": task, "model": model_to_document(builder()), "grid_n": 1024}
+        config = {"task": task, "model": model_to_document(builder()), "grid_n": 2048}
         if task == "rd":
             config["out"] = str(tmp_path / "rd.json")
         config.update({"estimate": _SMALL_ESTIMATE, "verify": _SMALL_VERIFY}.get(task, {}))
-        passes = _grid_eigen_passes(monkeypatch, config, 1024)
+        passes = _grid_eigen_passes(monkeypatch, config, 2048)
         assert passes == 1
