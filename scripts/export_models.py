@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Write the benchmark process definitions as JSON documents for CLI use.
 
+Writes one document per entry of gaussdim.benchmarks.MODELS.
+
 Usage:
     python scripts/export_models.py models/
     gaussdim analyze models/narrowband_0p4.json
@@ -10,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from gaussdim.benchmarks import BENCHMARKS, COMPLEX_CASES, ar1, line_process
+from gaussdim.benchmarks import MODELS
 from gaussdim.modelio import save_model
 
 
@@ -21,11 +23,7 @@ def main(argv=None) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    everything = {name: builder for name, (builder, _) in BENCHMARKS.items()}
-    everything.update({name: builder for name, (builder, _, _) in COMPLEX_CASES.items()})
-    everything["ar1_0p6"] = lambda: ar1(0.6)
-    everything["line_process"] = line_process
-    for name, builder in everything.items():
+    for name, (builder, _) in MODELS.items():
         path = save_model(builder(), out / f"{name}.json")
         print(f"wrote {path}")
     return 0

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Run the benchmark processes through both dimension routes and print a table.
+"""Run all 10 benchmark processes through both dimension routes and print a table.
 
-Fast by default (analytic rank integral + rate-distortion slope); pass
+The processes are gaussdim.benchmarks.MODELS, the models that
+scripts/export_models.py writes.  Fast by default (analytic rank integral + rate-distortion slope); pass
 --estimators to add the two Monte Carlo estimators, which takes a few minutes.
 A model whose entropy slope trips the undersampling guard prints
 "undersampled" in that column and keeps the guard's message in its JSON row.
@@ -17,7 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-from gaussdim.benchmarks import BENCHMARKS
+from gaussdim.benchmarks import MODELS
 from gaussdim.estimators import UndersamplingError, idr_slope_estimate, surrogate_idr_estimate
 from gaussdim.ratedist import rd_dimension_estimate
 from gaussdim.spectral import FrequencyGrid, rank_integral
@@ -39,7 +40,7 @@ def main(argv=None) -> int:
         header += f" {'H-slope':>12s} {'surrogate':>10s}"
     print(header)
     print("-" * len(header))
-    for name, (builder, expected) in BENCHMARKS.items():
+    for name, (builder, expected) in MODELS.items():
         model = builder()
         t0 = time.time()
         ri = rank_integral(model, grid)

@@ -1,7 +1,8 @@
 """Benchmark processes with closed-form information dimension rates.
 
 These are the reference models the test suite and the example scripts run:
-every constructor documents the exact dimension its spectrum implies.
+every constructor documents the exact dimension its spectrum implies, and
+MODELS is the one list of the models exported as documents.
 """
 
 from __future__ import annotations
@@ -93,17 +94,16 @@ def line_process(theta: float = 0.125, power: float = 0.5) -> SpectralModel:
     return SpectralModel(L=1, lines=[SpectralLine(-theta, p), SpectralLine(theta, p)])
 
 
-BENCHMARKS = {
+# Every exported model by document name: (builder, closed-form dimension).
+MODELS = {
     "white_noise": (white_noise, 1.0),
     "narrowband_0p4": (narrowband, 0.4),
     "independent_halfband_pair": (independent_halfband_pair, 1.0),
     "correlated_pair": (correlated_pair, 1.0),
     "zero_process": (zero_process, 0.0),
     "proper_complex_flat": (proper_complex_flat, 1.0),
-}
-
-COMPLEX_CASES = {
-    "proper_complex_flat": (proper_complex_flat, 1.0, 1.0),
-    "real_only_complex": (real_only_complex, 0.5, 1.0),
-    "matched_support_nonproper": (matched_support_nonproper, 1.0, 1.0),
+    "real_only_complex": (real_only_complex, 0.5),
+    "matched_support_nonproper": (matched_support_nonproper, 1.0),
+    "ar1_0p6": (lambda: ar1(0.6), 1.0),
+    "line_process": (line_process, 0.0),
 }

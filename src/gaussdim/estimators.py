@@ -244,7 +244,6 @@ def kl_cap_per_coordinate() -> float:
 
 @dataclass(frozen=True)
 class KLCheckReport:
-    block_len: int
     m: int
     kl: float
     bound: float
@@ -281,7 +280,7 @@ def gaussian_surrogate_kl(model: SpectralModel, block_len: int, m: int) -> KLChe
     discrete_term = float((p * np.log(np.maximum(p, 1e-300))).sum()) + d * np.log(m)
     kl = discrete_term + 0.5 * (d * np.log(2.0 * np.pi) + logdet + mean_quad)
     bound = block_len * kl_cap_per_coordinate()
-    return KLCheckReport(block_len, int(m), float(kl), float(bound), bool(kl <= bound), dist.mass_deficit)
+    return KLCheckReport(int(m), float(kl), float(bound), bool(kl <= bound), dist.mass_deficit)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ sub-streams, so rerunning a config reproduces the report bit for bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -83,17 +83,23 @@ class ExperimentConfig:
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         for name in ("m_ladder", "surrogate_m_ladder"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        # Every field has a default, so a field set away from it counts as given.
+        _reject_unread(self.task, [f.name for f in fields(self) if getattr(self, f.name) != f.default])
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
-        task = raw.get("task")
-        reads = COMMON_FIELDS + (TASKS[task].fields if task in TASKS else ())
-        unknown = set(raw) - set(reads)
-        if unknown:
-            raise ConfigError(f"unknown configuration fields for task {task!r}: {sorted(unknown)}")
+        _reject_unread(raw.get("task"), raw)
         return ExperimentConfig(**raw)
+
+
+def _reject_unread(task, given) -> None:
+    """Raise if a field named in `given` is neither common nor read by `task` (per TASKS)."""
+    reads = COMMON_FIELDS + (TASKS[task].fields if task in TASKS else ())
+    unknown = set(given) - set(reads)
+    if unknown:
+        raise ConfigError(f"unknown configuration fields for task {task!r}: {sorted(unknown)}")
 
 
 def _resolve_model(config: ExperimentConfig) -> tuple[SpectralModel, FrequencyGrid, dict]:

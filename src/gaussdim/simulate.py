@@ -298,7 +298,6 @@ class WelchEstimate:
     freqs: np.ndarray  # (nf,) ascending in [-1/2, 1/2)
     matrices: np.ndarray  # (nf, L, L) Hermitian PSD
     per_path: np.ndarray  # (paths, nf, L, L) Hermitian
-    nperseg: int
     segments_per_path: int
 
     def integrated_power(self) -> np.ndarray:
@@ -337,4 +336,4 @@ def welch_psd(data, nperseg: int = 256) -> WelchEstimate:
     eigval, eigvec = np.linalg.eigh(pooled)
     eigval = np.clip(eigval, 0.0, None)
     clipped = np.einsum("nij,nj,nkj->nik", eigvec, eigval, eigvec.conj())
-    return WelchEstimate(freqs, clipped, per_path, nperseg, segs_per_path)
+    return WelchEstimate(freqs, clipped, per_path, segs_per_path)

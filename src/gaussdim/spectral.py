@@ -494,18 +494,28 @@ def normalize_components(model: SpectralModel, grid: FrequencyGrid | None = None
     if not kept:
         empty = SpectralModel(L=model.L, bands=(), arma_terms=(), lines=(), mean=np.zeros(model.L))
         return NormalizationResult(empty, np.ones(0), kept, dropped)
+    if any(t.row in dropped or t.col in dropped for t in model.arma_terms):
+        raise ModelValidationError("rational term attached to a zero-variance component")
     idx = np.asarray(kept)
     scales = 1.0 / np.sqrt(var[idx])
+    return NormalizationResult(_congruence(model, idx, scales), scales, kept, dropped)
+
+
+def _congruence(model: SpectralModel, idx, scales) -> SpectralModel:
+    """The model of components `idx` (in that order), scaled by diag(scales).
+
+    Every matrix becomes d @ M[idx, idx] @ d with d = diag(scales), a
+    congruence by a positive diagonal matrix after a selection or
+    permutation, so the rank of the density at every frequency is unchanged.
+    """
     d = np.diag(scales)
+    remap = {int(orig): new for new, orig in enumerate(idx)}
 
     def congruence(mat):
         return d @ mat[np.ix_(idx, idx)] @ d
 
-    if any(t.row in dropped or t.col in dropped for t in model.arma_terms):
-        raise ModelValidationError("rational term attached to a zero-variance component")
-    remap = {orig: new for new, orig in enumerate(kept)}
-    new_model = SpectralModel(
-        L=len(kept),
+    return SpectralModel(
+        L=len(idx),
         bands=tuple(Band(b.lo, b.hi, congruence(b.matrix)) for b in model.bands),
         arma_terms=tuple(
             RationalTerm(
@@ -518,40 +528,4 @@ def normalize_components(model: SpectralModel, grid: FrequencyGrid | None = None
         ),
         lines=tuple(SpectralLine(ln.theta, congruence(ln.power)) for ln in model.lines),
         mean=model.mean[idx] * scales,
-    )
-    return NormalizationResult(new_model, scales, kept, dropped)
-
-
-def permute_components(model: SpectralModel, perm) -> SpectralModel:
-    """Reorder components; the rank integral is invariant under this."""
-    p = np.asarray(perm)
-    if sorted(p.tolist()) != list(range(model.L)):
-        raise ValueError("perm must be a permutation of range(L)")
-    return SpectralModel(
-        L=model.L,
-        bands=tuple(Band(b.lo, b.hi, b.matrix[np.ix_(p, p)]) for b in model.bands),
-        arma_terms=tuple(
-            RationalTerm(int(np.where(p == t.row)[0][0]), int(np.where(p == t.col)[0][0]), t.num, t.den)
-            for t in model.arma_terms
-        ),
-        lines=tuple(SpectralLine(ln.theta, ln.power[np.ix_(p, p)]) for ln in model.lines),
-        mean=model.mean[p],
-    )
-
-
-def scale_components(model: SpectralModel, factors) -> SpectralModel:
-    """Congruence-scale the model by diag(factors); density ranks are preserved."""
-    a = np.asarray(factors, dtype=float)
-    if a.shape != (model.L,) or (a <= 0).any():
-        raise ValueError("factors must be positive, one per component")
-    d = np.diag(a)
-    return SpectralModel(
-        L=model.L,
-        bands=tuple(Band(b.lo, b.hi, d @ b.matrix @ d) for b in model.bands),
-        arma_terms=tuple(
-            RationalTerm(t.row, t.col, tuple(c * a[t.row] * a[t.col] for c in t.num), t.den)
-            for t in model.arma_terms
-        ),
-        lines=tuple(SpectralLine(ln.theta, d @ ln.power @ d) for ln in model.lines),
-        mean=model.mean * a,
     )

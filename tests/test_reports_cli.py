@@ -98,6 +98,8 @@ class TestConfig:
         doc = model_to_document(white_noise())
         with pytest.raises(ConfigError, match="'paths'"):
             ExperimentConfig.from_dict({"task": "verify", "model": doc, "seed": 1, "paths": 2000})
+        with pytest.raises(ConfigError, match="unknown configuration fields for task 'verify': \\['paths'\\]"):
+            ExperimentConfig(task="verify", model=doc, seed=1, paths=2000)
         with pytest.raises(ConfigError, match="'m_ladder'"):
             run({"task": "rd", "model": doc, "m_ladder": [2, 4]})
 

@@ -8,14 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussdim.benchmarks import (
-    BENCHMARKS,
-    COMPLEX_CASES,
-    ar1,
-    correlated_pair,
-    line_process,
-    white_noise,
-)
+from gaussdim.benchmarks import MODELS, ar1, correlated_pair, line_process, white_noise
 from gaussdim.experiments import run
 from gaussdim.modelio import model_to_document
 from gaussdim.spectral import (
@@ -26,15 +19,14 @@ from gaussdim.spectral import (
     RationalTerm,
     SpectralModel,
     _band_segments,
+    _congruence,
     _scalar_density,
     _segment_support_measure,
     component_variances,
     eval_spectrum,
     normalize_components,
-    permute_components,
     properness_check,
     rank_integral,
-    scale_components,
     support_bound,
 )
 
@@ -163,7 +155,7 @@ class TestRankIntegralProperties:
     def test_scale_invariance(self, params, scale_seed):
         model = _build_band_model(*params)
         factors = np.random.default_rng(scale_seed).uniform(0.25, 4.0, size=model.L)
-        scaled = scale_components(model, factors)
+        scaled = _congruence(model, np.arange(model.L), factors)
         g = FrequencyGrid(128)
         assert rank_integral(scaled, g).value == pytest.approx(rank_integral(model, g).value, abs=1e-12)
 
@@ -173,7 +165,7 @@ class TestRankIntegralProperties:
         model = _build_band_model(*params)
         perm = np.random.default_rng(perm_seed).permutation(model.L)
         g = FrequencyGrid(128)
-        assert rank_integral(permute_components(model, perm), g).value == pytest.approx(
+        assert rank_integral(_congruence(model, perm, np.ones(model.L)), g).value == pytest.approx(
             rank_integral(model, g).value, abs=1e-12
         )
 
@@ -349,7 +341,7 @@ class TestNormalization:
         assert component_variances(res.model, grid)[0] == pytest.approx(1.0)
 
     def test_scaling_leaves_rank_unchanged(self, halfband_pair, grid):
-        scaled = scale_components(halfband_pair, [3.0, 1.0])
+        scaled = _congruence(halfband_pair, np.arange(2), np.array([3.0, 1.0]))
         assert rank_integral(scaled, grid).value == pytest.approx(
             rank_integral(halfband_pair, grid).value, abs=1e-12
         )
@@ -383,19 +375,10 @@ def _per_band_support_measure(model, rel_tol, abs_floor):
     return 2.0 * measure
 
 
-def _exported_models():
-    """The models scripts/export_models.py writes, by document name."""
-    models = {name: builder() for name, (builder, _) in BENCHMARKS.items()}
-    models.update({name: builder() for name, (builder, _, _) in COMPLEX_CASES.items()})
-    models["ar1_0p6"] = ar1(0.6)
-    models["line_process"] = line_process()
-    return models
-
-
 class TestBandSegments:
-    @pytest.mark.parametrize("name", sorted(n for n, m in _exported_models().items() if not m.arma_terms))
+    @pytest.mark.parametrize("name", sorted(n for n, (builder, _) in MODELS.items() if not builder().arma_terms))
     def test_values_equal_recorded_reference(self, name, grid):
-        model = _exported_models()[name]
+        model = MODELS[name][0]()
         reference = Path(__file__).parents[1] / "perfbench" / "reference.json"
         ref = json.loads(reference.read_text())["analytic_fine_grid"]
         result = rank_integral(model, grid)
