@@ -1,11 +1,13 @@
 """Discrete entropy estimation and an exact small-block quantized-cell oracle.
 
 plugin_entropy is the empirical route: count occupied lattice cells.  The
-oracle route enumerates every cell a small Gaussian block can occupy and
-integrates the normal density over each cell with tensor-product
-Gauss-Legendre quadrature; the density is analytic inside a cell, so 32 nodes
+oracle route enumerates every cell a small Gaussian block can occupy.  Given
+the first d-1 coordinates the last one is normal with a mean linear in them
+and a constant sd, so each cell's mass is a normal-CDF difference on the last
+axis integrated over the first d-1 axes by tensor-product Gauss-Legendre
+quadrature (Genz 1992); the density is analytic inside a cell, so 32 nodes
 per axis are far beyond what the tolerances need.  Feasible for blocks of
-total dimension k*L <= 3.
+total dimension k*L <= 3.  SciPy's normal CDF is imported on first use.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class EntropyEstimate:
     """
 
     value: float
-    method: str  # "plug-in" | "miller-madow" | "quadrature-oracle"
+    method: str  # "miller-madow" | "quadrature-oracle"
     n_samples: int
     error: float
     occupied: int
@@ -114,14 +116,14 @@ def cell_counts(codes) -> np.ndarray:
     return np.unique(key, return_counts=True)[1]
 
 
-def plugin_entropy(codes, miller_madow: bool = True) -> EntropyEstimate:
-    """Empirical entropy of a multiset of discrete symbols.
+def plugin_entropy(codes) -> EntropyEstimate:
+    """Miller-Madow entropy of a multiset of discrete symbols.
 
     codes: (n,) scalars or (n, d) rows of integer or bool dtype, any width
     and sign; rows are treated as joint symbols.  Any other dtype raises
     TypeError.  Cells are counted in the lexicographic order of their rows
-    (see cell_counts), so the sums below run in a fixed order.  The
-    Miller-Madow correction adds (occupied - 1) / (2n).
+    (see cell_counts), so the sums below run in a fixed order.  The value is
+    the plug-in entropy plus the Miller-Madow correction (occupied - 1) / (2n).
     """
     counts = cell_counts(codes)
     n = int(counts.sum())
@@ -131,9 +133,7 @@ def plugin_entropy(codes, miller_madow: bool = True) -> EntropyEstimate:
     var_logp = float((p * logp**2).sum() - h_plug**2)
     se = np.sqrt(max(var_logp, 0.0) / n)
     occupied = len(counts)
-    if miller_madow:
-        return EntropyEstimate(h_plug + (occupied - 1) / (2.0 * n), "miller-madow", n, se, occupied)
-    return EntropyEstimate(h_plug, "plug-in", n, se, occupied)
+    return EntropyEstimate(h_plug + (occupied - 1) / (2.0 * n), "miller-madow", n, se, occupied)
 
 
 def _reduce_degenerate(mu: np.ndarray, cov: np.ndarray, m: int):
@@ -175,79 +175,73 @@ def _axis_cells(mu: np.ndarray, cov: np.ndarray, m: int):
     return los, his
 
 
-def _gl_nodes(lo: int, hi: int, m: int):
-    """Gauss-Legendre nodes/weights for every cell [z/m, (z+1)/m), z in [lo, hi)."""
+def _grid_rows(shape: tuple) -> np.ndarray:
+    """Row-major indices of an array of this shape, one row per entry; shape () has one empty row."""
+    return np.indices(shape).reshape(len(shape), int(np.prod(shape))).T
+
+
+def _gl_nodes(los: np.ndarray, his: np.ndarray, m: int):
+    """Tensor Gauss-Legendre grid over the cells [z/m, (z+1)/m), z in [lo, hi), of each axis.
+
+    Returns the nodes (ncells, QUAD_NODES**d, d), cells in row-major order,
+    and the node weights (QUAD_NODES**d,).  Over zero axes the grid is a
+    single empty point of weight 1.
+    """
     xs, ws = np.polynomial.legendre.leggauss(QUAD_NODES)
-    z = np.arange(lo, hi)
-    nodes = (z[:, None] + 0.5 * (xs[None, :] + 1.0)) / m
-    return z, nodes, ws / (2.0 * m)
+    cells = los + _grid_rows(tuple(his - los))
+    q = _grid_rows((QUAD_NODES,) * len(los))
+    nodes = (cells[:, None, :] + 0.5 * (xs[q] + 1.0)) / m
+    return nodes, np.prod(ws[q] / (2.0 * m), axis=1)
 
 
-def _cell_probability_grid(mu: np.ndarray, cov: np.ndarray, m: int) -> tuple[list, np.ndarray]:
-    """Per-cell probabilities for a nondegenerate Gaussian of dimension <= 3."""
-    d = len(mu)
+def _cell_probability_grid(mu: np.ndarray, cov: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cells (ncells, d) in row-major order and their probabilities, for a
+    nondegenerate Gaussian of dimension <= 3.
+
+    The first d-1 (head) axes are integrated by Gauss-Legendre quadrature.
+    Given a head point x the last axis is normal with mean
+    mu_d + beta.(x - mu_h), beta = cov_hh^-1 cov_hd, and a constant
+    conditional sd, so its cell masses are normal-CDF differences (Genz 1992).
+    """
+    from scipy.special import ndtr
+
     eig = np.linalg.eigvalsh(cov)
     if eig.min() <= 1e-10 * max(eig.max(), 1e-300):
         raise DegenerateCovarianceError(
             "block covariance is singular beyond removable constants/duplicates; "
             f"smallest eigenvalue {eig.min():.3e}"
         )
-    prec = np.linalg.inv(cov)
-    lognorm = -0.5 * (d * np.log(2.0 * np.pi) + np.log(np.linalg.det(cov)))
     los, his = _axis_cells(mu, cov, m)
     counts = his - los
-    total_nodes = float(np.prod(counts * QUAD_NODES))
+    total_nodes = float(np.prod(counts[:-1] * QUAD_NODES)) * (counts[-1] + 1)
     if total_nodes > _BUDGET_NODES:
         raise QuadratureFeasibilityError(
-            f"cell enumeration needs ~{total_nodes:.2e} density evaluations; reduce m or the block size"
+            f"cell enumeration needs ~{total_nodes:.2e} normal-CDF evaluations; reduce m or the block size"
         )
-    axes = [_gl_nodes(los[i], his[i], m) for i in range(d)]
-
-    if d == 1:
-        z, nodes, w = axes[0]
-        u = nodes - mu[0]
-        dens = np.exp(lognorm - 0.5 * prec[0, 0] * u * u)
-        probs = dens @ w
-        return [z], probs
-
-    if d == 2:
-        (z1, n1, w1), (z2, n2, w2) = axes
-        u = (n1 - mu[0]).ravel()
-        v = (n2 - mu[1]).ravel()
-        q = (
-            prec[0, 0] * u[:, None] ** 2
-            + 2.0 * prec[0, 1] * u[:, None] * v[None, :]
-            + prec[1, 1] * v[None, :] ** 2
-        )
-        dens = np.exp(lognorm - 0.5 * q)
-        dens = dens.reshape(len(z1), QUAD_NODES, len(z2), QUAD_NODES)
-        probs = np.einsum("aqbr,q,r->ab", dens, w1, w2)
-        return [z1, z2], probs
-
-    (z1, n1, w1), (z2, n2, w2), (z3, n3, w3) = axes
-    v = (n2 - mu[1]).ravel()
-    t = (n3 - mu[2]).ravel()
-    inner = (
-        prec[1, 1] * v[:, None] ** 2
-        + 2.0 * prec[1, 2] * v[:, None] * t[None, :]
-        + prec[2, 2] * t[None, :] ** 2
-    )
-    cross_v = 2.0 * prec[0, 1] * v
-    cross_t = 2.0 * prec[0, 2] * t
-    probs = np.empty((len(z1), len(z2), len(z3)))
-    chunk = max(1, int(_CHUNK_TARGET / max(inner.size * QUAD_NODES, 1)))
-    for start in range(0, len(z1), chunk):
-        stop = min(start + chunk, len(z1))
-        u = (n1[start:stop] - mu[0]).ravel()
-        q = (
-            (prec[0, 0] * u * u)[:, None, None]
-            + u[:, None, None] * (cross_v[None, :, None] + cross_t[None, None, :])
-            + inner[None, :, :]
-        )
-        dens = np.exp(lognorm - 0.5 * q)
-        dens = dens.reshape(stop - start, QUAD_NODES, len(z2), QUAD_NODES, len(z3), QUAD_NODES)
-        probs[start:stop] = np.einsum("aqbrcs,q,r,s->abc", dens, w1, w2, w3)
-    return [z1, z2, z3], probs
+    cov_hh, cov_hd = cov[:-1, :-1], cov[:-1, -1]
+    beta = np.linalg.solve(cov_hh, cov_hd)
+    cond_sd = np.sqrt(cov[-1, -1] - cov_hd @ beta)
+    nodes, weights = _gl_nodes(los[:-1], his[:-1], m)
+    u = nodes - mu[:-1]
+    quad = np.einsum("cqi,ij,cqj->cq", u, np.linalg.inv(cov_hh), u)
+    lognorm = -0.5 * ((len(mu) - 1) * np.log(2.0 * np.pi) + np.linalg.slogdet(cov_hh)[1])
+    head_mass = weights * np.exp(lognorm - 0.5 * quad)  # (head cells, head nodes)
+    cond_mean = mu[-1] + u @ beta
+    edges = np.arange(los[-1], his[-1] + 1) / m
+    probs = np.empty((len(nodes), counts[-1]))
+    chunk = max(1, int(_CHUNK_TARGET / (nodes.shape[1] * len(edges))))
+    for start in range(0, len(nodes), chunk):
+        rows = slice(start, start + chunk)
+        t = (edges - cond_mean[rows, :, None]) / cond_sd
+        above = t >= 0.0
+        # Phi(t) - [t >= 0] from the tail beyond each edge, so a cell on one side
+        # of the mean is a difference of two tails and loses no digits to 1 - tail
+        tail = ndtr(np.negative(np.abs(t, out=t), out=t), out=t)
+        np.negative(tail, out=tail, where=above)
+        mass = np.diff(tail, axis=-1)
+        mass += np.diff(above, axis=-1)
+        probs[rows] = (head_mass[rows, None, :] @ mass)[:, 0, :]
+    return los + _grid_rows(tuple(counts)), probs.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -279,26 +273,24 @@ def _block_moments(model: SpectralModel, k: int, mean_shift=None):
 
 
 def exact_cell_distribution(model: SpectralModel, k: int, m: int, mean_shift=None) -> CellDistribution:
-    """Quadrature cell probabilities for a k-step block of the process.
+    """Exact cell probabilities for a k-step block of the process.
 
     Requires k * L <= 3.  Constant and exactly duplicated coordinates are
-    folded out before the quadrature and reinstated in the returned codes.
+    folded out first and reinstated in the returned codes.  The last remaining
+    coordinate is integrated in closed form given the others (its conditional
+    normal CDF), the others by Gauss-Legendre quadrature over each cell.
     """
     if k * model.L > 3:
         raise QuadratureFeasibilityError(f"k*L = {k * model.L} exceeds the quadrature limit 3")
     mu, cov = _block_moments(model, k, mean_shift)
     plan, mu_r, cov_r = _reduce_degenerate(mu, cov, m)
-    d_red = len(mu_r)
-    if d_red == 0:
+    if len(mu_r) == 0:
         codes = np.array([[code for kind, code in plan]], dtype=np.int64)
         return CellDistribution(codes, np.array([1.0]), 0.0, int(m))
-    axes, probs = _cell_probability_grid(mu_r, cov_r, m)
-    flat = probs.reshape(-1)
-    keepmask = flat > 0.0
-    flat = flat[keepmask]
-    grids = np.meshgrid(*axes, indexing="ij")
-    reduced_codes = np.stack([g.reshape(-1)[keepmask] for g in grids], axis=1)
-    full = np.empty((len(flat), len(plan)), dtype=np.int64)
+    cells, probs = _cell_probability_grid(mu_r, cov_r, m)
+    keep = probs > 0.0
+    probs, reduced_codes = probs[keep], cells[keep]
+    full = np.empty((len(probs), len(plan)), dtype=np.int64)
     for i, (kind, val) in enumerate(plan):
         if kind == "keep":
             full[:, i] = reduced_codes[:, val]
@@ -307,8 +299,8 @@ def exact_cell_distribution(model: SpectralModel, k: int, m: int, mean_shift=Non
             full[:, i] = reduced_codes[:, kept_val]
         else:
             full[:, i] = val
-    deficit = abs(1.0 - float(flat.sum()))
-    return CellDistribution(full, flat, deficit, int(m))
+    deficit = abs(1.0 - float(probs.sum()))
+    return CellDistribution(full, probs, deficit, int(m))
 
 
 def exact_cell_entropy(model: SpectralModel, k: int, m: int, mean_shift=None) -> EntropyEstimate:

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import norm
 
 from gaussdim import entropy
-from gaussdim.benchmarks import ar1, correlated_pair, narrowband, white_noise, zero_process
+from gaussdim.benchmarks import MODELS, ar1, correlated_pair, narrowband, white_noise, zero_process
 from gaussdim.entropy import (
     DegenerateCovarianceError,
     QuadratureFeasibilityError,
@@ -24,6 +24,7 @@ from gaussdim.entropy import (
     packed_keys,
     plugin_entropy,
 )
+from gaussdim.estimators import gaussian_surrogate_kl
 from gaussdim.quantize import quantize
 from gaussdim.simulate import autocovariance_from_spectrum, sample_paths
 from gaussdim.spectral import Band, SpectralModel
@@ -42,8 +43,8 @@ def _phi_entropy(m: int) -> float:
 
 class TestPluginEntropy:
     def test_uniform_four_symbols(self):
-        est = plugin_entropy(np.repeat(np.arange(4), 25), miller_madow=False)
-        assert est.value == pytest.approx(np.log(4.0), abs=1e-12)
+        est = plugin_entropy(np.repeat(np.arange(4), 25))
+        assert est.value == pytest.approx(np.log(4.0) + 3.0 / 200.0, abs=1e-12)
         assert est.occupied == 4
 
     def test_single_symbol(self):
@@ -52,19 +53,19 @@ class TestPluginEntropy:
 
     def test_bounded_by_log_occupied(self):
         rng = np.random.default_rng(0)
-        est = plugin_entropy(rng.integers(0, 50, size=5000), miller_madow=False)
-        assert 0.0 <= est.value <= np.log(est.occupied)
+        est = plugin_entropy(rng.integers(0, 50, size=5000))
+        assert 0.0 <= est.value <= np.log(est.occupied) + (est.occupied - 1) / (2.0 * 5000)
 
     def test_miller_madow_correction(self):
-        codes = np.repeat(np.arange(4), 25)
-        plain = plugin_entropy(codes, miller_madow=False)
-        mm = plugin_entropy(codes, miller_madow=True)
-        assert mm.value == pytest.approx(plain.value + 3.0 / 200.0, abs=1e-12)
+        codes = np.repeat(np.arange(3), [50, 30, 20])
+        p = np.array([0.5, 0.3, 0.2])
+        est = plugin_entropy(codes)
+        assert est.value == pytest.approx(-(p * np.log(p)).sum() + 2.0 / 200.0, abs=1e-12)
 
     def test_rows_as_joint_symbols(self):
         codes = np.array([[0, 0], [0, 1], [1, 0], [1, 1]] * 10)
-        est = plugin_entropy(codes, miller_madow=False)
-        assert est.value == pytest.approx(np.log(4.0), abs=1e-12)
+        est = plugin_entropy(codes)
+        assert est.value == pytest.approx(np.log(4.0) + 3.0 / 80.0, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -138,7 +139,7 @@ class TestCellCounts:
     def test_bool_codes(self):
         codes = np.array([[True, False], [False, False], [True, False]])
         assert np.array_equal(cell_counts(codes), _row_unique_counts(codes))
-        assert plugin_entropy(codes, miller_madow=False).occupied == 2
+        assert plugin_entropy(codes).occupied == 2
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128, object])
     def test_non_integer_codes_rejected(self, dtype):
@@ -238,3 +239,61 @@ class TestOracleVsPlugin:
         rates = [exact_cell_entropy(model, k, 1).value / k for k in (1, 2, 3)]
         assert rates[0] >= rates[1] - 1e-9
         assert rates[1] >= rates[2] - 1e-9
+
+
+# exact_cell_entropy (value, occupied cells) and gaussian_surrogate_kl values of
+# the full tensor Gauss-Legendre oracle, before the last axis was integrated in
+# closed form; the conditional-axis rule must reproduce them to 1e-12.
+ORACLE_ENTROPY = [
+    ("white_noise", 1, 1, None, 1.4589588284163972, 16),
+    ("white_noise", 1, 2, None, 2.1223953521571732, 32),
+    ("white_noise", 1, 4, None, 2.8078303027414484, 64),
+    ("white_noise", 1, 8, None, 3.4990306930633635, 128),
+    ("white_noise", 1, 16, None, 4.191689989375869, 256),
+    ("ar1_0p6", 1, 1, None, 1.4589588284164412, 18),
+    ("ar1_0p6", 1, 2, None, 2.1223953521572168, 34),
+    ("ar1_0p6", 1, 4, None, 2.807830302741487, 66),
+    ("ar1_0p6", 1, 8, None, 3.4990306930633928, 130),
+    ("ar1_0p6", 2, 4, None, 5.3954155933726575, 4356),
+    ("narrowband_0p4", 2, 2, None, 3.845929480981936, 1024),
+    ("narrowband_0p4", 2, 2, 0.37, 3.8459294809820084, 1089),
+    ("white_noise", 3, 1, None, 4.3768764852491815, 4096),
+    ("ar1_0p6", 3, 1, None, 4.009817431520444, 5832),
+    ("narrowband_0p4", 3, 1, None, 3.5398228454777154, 3836),
+    ("correlated_pair", 1, 4, None, 2.8078303027414484, 64),
+    ("independent_halfband_pair", 1, 2, None, 4.244790704314342, 1024),
+    ("white_noise", 1, 4, 10.0, 2.8078303027414484, 64),
+    ("ar1_0p6", 1, 4, 10.0, 2.807830302741468, 65),
+]
+ORACLE_KL = [
+    ("white_noise", 1, 1, 0.03705504940424409),
+    ("white_noise", 1, 2, 0.010101358867531607),
+    ("white_noise", 1, 3, 0.0045662419942071875),
+    ("white_noise", 1, 4, 0.0025839851008473413),
+    ("white_noise", 1, 5, 0.0016583763166544419),
+    ("white_noise", 1, 6, 0.0011534030498148162),
+    ("white_noise", 1, 7, 0.0008481766243420008),
+    ("white_noise", 1, 8, 0.0006497726711325313),
+    ("ar1_0p6", 1, 1, 0.03705504940423876),
+    ("ar1_0p6", 1, 2, 0.010101358867528498),
+    ("ar1_0p6", 1, 3, 0.004566241994204079),
+    ("ar1_0p6", 1, 4, 0.0025839851008442327),
+    ("ar1_0p6", 1, 5, 0.0016583763166524434),
+    ("ar1_0p6", 1, 6, 0.0011534030498117076),
+    ("ar1_0p6", 1, 7, 0.0008481766243397804),
+    ("ar1_0p6", 1, 8, 0.0006497726711294227),
+    ("ar1_0p6", 2, 4, 0.00800548003722712),
+]
+
+
+class TestOracleRegression:
+    @pytest.mark.parametrize("name,k,m,shift,value,occupied", ORACLE_ENTROPY)
+    def test_entropy_and_occupied_cells(self, name, k, m, shift, value, occupied):
+        model = MODELS[name][0]()
+        est = exact_cell_entropy(model, k, m, None if shift is None else [shift] * model.L)
+        assert abs(est.value - value) <= 1e-12
+        assert est.occupied == occupied
+
+    @pytest.mark.parametrize("name,block_len,m,kl", ORACLE_KL)
+    def test_surrogate_kl(self, name, block_len, m, kl):
+        assert abs(gaussian_surrogate_kl(MODELS[name][0](), block_len, m).kl - kl) <= 1e-12
