@@ -4,9 +4,13 @@ The rate (nats per time step) at total mean-square distortion D per time step
 follows from filling distortion up to a common water level w across the
 spectral eigenvalues mu_j.  The distortion sum_j min(w, mu_j) is piecewise
 linear in w with breakpoints at the sorted eigenvalues, so the level comes in
-closed form from one sort and one cumulative sum.  The low-distortion slope of
-the rate against -(1/2) log D recovers the information dimension rate, giving
-an independent semi-analytic cross-check of the spectral rank integral.
+closed form from one sort and one cumulative sum.  There is one sort per
+eigenvalue set: a rank-integral result keeps its sorted eigenvalues and their
+prefix sums (`RankProfile.sorted_eigenvalues_and_sums`), so the rd slope and
+the rd curve of one result share them however many distortions they fill.
+The low-distortion slope of the rate against -(1/2) log D recovers the
+information dimension rate, giving an independent semi-analytic cross-check
+of the spectral rank integral.
 """
 
 from __future__ import annotations
@@ -36,21 +40,21 @@ class RDCurve:
         return [(p.distortion, p.rate, p.water_level) for p in self.points]
 
 
-def _waterfill(eigenvalues: np.ndarray, weight: float, distortion: float) -> WaterfillPoint:
-    """Reverse water-filling of `eigenvalues`, each carrying `weight`, at total
+def _waterfill(sorted_eigenvalues: tuple, weight: float, distortion: float) -> WaterfillPoint:
+    """Reverse water-filling of eigenvalues mu, each carrying `weight`, at total
     distortion D: the level w with weight * sum_j min(w, mu_j) = D and the rate
     weight * sum_j max(0, (1/2) log(mu_j / w)).
 
-    With mu sorted ascending and c_i the sum of the i smallest, the level sum
-    at w in [mu_{i-1}, mu_i] is c_i + w (n - i).  Its values at the breakpoints,
-    g_i = c_i + mu_i (n - i), do not decrease, so the first i with g_i >= D/weight
-    gives w = (D/weight - c_i) / (n - i) exactly.
+    `sorted_eigenvalues` is (mu, c) as `spectral._ascending_prefix_sums`
+    returns it: mu sorted ascending and c_i the sum of the i smallest.  The
+    level sum at w in [mu_{i-1}, mu_i] is c_i + w (n - i).  Its values at the
+    breakpoints, g_i = c_i + mu_i (n - i), do not decrease, so the first i with
+    g_i >= D/weight gives w = (D/weight - c_i) / (n - i) exactly.
     """
     if distortion <= 0:
         raise ValueError(f"distortion must be > 0, got {distortion}")
-    mu = np.sort(eigenvalues, axis=None)
+    mu, csum = sorted_eigenvalues
     n = mu.size
-    csum = np.concatenate(([0.0], np.cumsum(mu)))
     target = distortion / weight
     # g_{n-1} == csum[n] bit for bit, so below this check the index is < n.
     if target >= csum[-1]:
@@ -65,7 +69,8 @@ def _waterfill(eigenvalues: np.ndarray, weight: float, distortion: float) -> Wat
 def rd_curve(ri: RankIntegralResult, d_ladder=D_LADDER) -> RDCurve:
     """Rate-distortion curve at the given distortion ladder (descending),
     water-filled over the grid eigenvalues of one rank-integral evaluation."""
-    return RDCurve(tuple(_waterfill(ri.profile.eigenvalues, 1.0 / ri.grid_n, d) for d in d_ladder))
+    levels = ri.profile.sorted_eigenvalues_and_sums
+    return RDCurve(tuple(_waterfill(levels, 1.0 / ri.grid_n, d) for d in d_ladder))
 
 
 def rd_dimension_estimate(ri: RankIntegralResult, d_ladder=D_LADDER) -> DimensionEstimate:
@@ -80,8 +85,8 @@ def rd_dimension_estimate(ri: RankIntegralResult, d_ladder=D_LADDER) -> Dimensio
     ladder = tuple(float(d) for d in d_ladder)
     if len(ladder) < 2 or any(d <= 0 for d in ladder) or sorted(ladder, reverse=True) != list(ladder):
         raise ValueError(f"d_ladder must be >= 2 strictly decreasing positive values, got {d_ladder}")
-    mu, weight = ri.profile.eigenvalues, 1.0 / ri.grid_n
-    total = float(mu.sum() * weight)
+    weight = 1.0 / ri.grid_n
+    total = float(ri.profile.eigenvalues.sum() * weight)
     if total <= 0:
         return DimensionEstimate(
             0.0, "rate-distortion", ladder, 0, 0, 0.0,
@@ -89,7 +94,8 @@ def rd_dimension_estimate(ri: RankIntegralResult, d_ladder=D_LADDER) -> Dimensio
         )
     if max(ladder) > total / 4.0:
         raise ValueError(f"d_ladder must stay below total power / 4 = {total / 4.0:.3e}")
-    rates = [_waterfill(mu, weight, d).rate for d in ladder]
+    levels = ri.profile.sorted_eigenvalues_and_sums
+    rates = [_waterfill(levels, weight, d).rate for d in ladder]
     x = -0.5 * np.log(np.asarray(ladder))
     slope, se, pairwise = _ls_slope(x, rates)
     return DimensionEstimate(float(slope), "rate-distortion", ladder, 0, 0, se, pairwise_slopes=pairwise)

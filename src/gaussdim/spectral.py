@@ -11,11 +11,17 @@ Bivariate models double as complex processes (component 0 = real part,
 component 1 = imaginary part).  The properness check and the complex support
 bound read the density stack of one rank-integral evaluation, so a complex
 analysis evaluates and diagonalizes the density once.
+
+Every grid eigen-pass goes through `_stack_eigvalsh`: a 1x1 stack's
+eigenvalue is its real diagonal, a 2x2 stack is diagonalized in closed form,
+and only stacks with L >= 3 go to LAPACK (`np.linalg.eigvalsh`).  Every
+model in `gaussdim.benchmarks` has L <= 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +67,8 @@ def _hermitian_matrix(mat, L: int, what: str) -> np.ndarray:
     arr = np.asarray(mat, dtype=complex)
     if arr.shape != (L, L):
         raise ModelValidationError(f"{what} must be {L}x{L}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ModelValidationError(f"{what} has a non-finite entry")
     scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
     if np.abs(arr - arr.conj().T).max(initial=0.0) > PSD_TOL * scale:
         raise ModelValidationError(f"{what} is not Hermitian")
@@ -122,6 +130,8 @@ class SpectralModel:
         mean = np.zeros(self.L) if self.mean is None else np.asarray(self.mean, float)
         if mean.shape != (self.L,):
             raise ModelValidationError(f"mean must have shape ({self.L},)")
+        if not np.isfinite(mean).all():
+            raise ModelValidationError("mean has a non-finite entry")
         mean = mean.copy()
         mean.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -147,7 +157,10 @@ class SpectralModel:
                 t = RationalTerm(int(t[0]), int(t[1]), tuple(t[2]), tuple(t[3]))
             if not (0 <= t.row < self.L and 0 <= t.col < self.L):
                 raise ModelValidationError(f"rational term indices ({t.row},{t.col}) out of range")
-            terms.append(RationalTerm(t.row, t.col, tuple(complex(c) for c in t.num), tuple(complex(c) for c in t.den)))
+            t = RationalTerm(t.row, t.col, tuple(complex(c) for c in t.num), tuple(complex(c) for c in t.den))
+            if not np.isfinite(t.num + t.den).all():
+                raise ModelValidationError(f"rational term ({t.row},{t.col}) has a non-finite coefficient")
+            terms.append(t)
         object.__setattr__(self, "arma_terms", tuple(terms))
 
         if self.validate:
@@ -224,28 +237,61 @@ def _eval_rational(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
 
 
 def _assemble_spectrum(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
+    """Density stack at `nodes`, which must be ascending: each band fills the
+    contiguous run of nodes in [lo, hi)."""
     out = np.zeros((len(nodes), model.L, model.L), dtype=complex)
     for b in model.bands:
-        mask = (nodes >= b.lo) & (nodes < b.hi)
-        out[mask] += b.matrix
-    out += _eval_rational(model, nodes)
+        lo, hi = np.searchsorted(nodes, (b.lo, b.hi))
+        out[lo:hi] += b.matrix
+    if model.arma_terms:
+        out += _eval_rational(model, nodes)
     return out
 
 
+def _stack_eigvalsh(mats: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending per node, of a finite (n, L, L) Hermitian stack.
+
+    L = 1 reads the real diagonal.  L = 2 uses the closed form
+    s -+ hypot((a - d)/2, |b|) with s = (a + d)/2, a and d the real diagonal
+    and b the lower off-diagonal entry, as LAPACK reads it; its error is a
+    few ulps of the largest eigenvalue.  L >= 3 calls np.linalg.eigvalsh.
+    """
+    L = mats.shape[-1]
+    if L == 1:
+        return np.ascontiguousarray(mats[:, :, 0].real)
+    if L == 2:
+        # halving each diagonal first keeps a + d from overflowing
+        half_a, half_d = 0.5 * mats[:, 0, 0].real, 0.5 * mats[:, 1, 1].real
+        s = half_a + half_d
+        r = np.hypot(half_a - half_d, np.abs(mats[:, 1, 0]))
+        return np.stack((s - r, s + r), axis=-1)
+    return np.linalg.eigvalsh(mats)
+
+
 def _check_nodes(mats: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Validate the density stack; return its eigenvalues (ascending per node)."""
+    """Validate the density stack; return its eigenvalues (ascending per node).
+
+    The stack must be finite, Hermitian, mirror as S(-t) = conj(S(t)) and be
+    PSD.  Each check reduces over the whole stack and looks for the offending
+    node only when it fails.  The eigenvalues come from `_stack_eigvalsh`, so
+    1x1 and 2x2 stacks take the closed form and larger ones LAPACK.
+    """
     scale = 1.0 + np.abs(mats).max(initial=0.0)
-    herm_err = np.abs(mats - mats.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    if herm_err.max(initial=0.0) > PSD_TOL * scale:
-        j = int(herm_err.argmax())
+    if not np.isfinite(scale):
+        j = int(np.argmin(np.isfinite(mats).all(axis=(1, 2))))
+        raise ModelValidationError(f"density not finite at theta={nodes[j]:+.6f}")
+    herm = np.abs(mats - mats.conj().transpose(0, 2, 1))
+    if herm.max(initial=0.0) > PSD_TOL * scale:
+        j = int(herm.max(axis=(1, 2)).argmax())
         raise ModelValidationError(f"density not Hermitian at theta={nodes[j]:+.6f}")
-    sym_err = np.abs(mats[::-1] - mats.conj()).max(axis=(1, 2))
-    if sym_err.max(initial=0.0) > SYMMETRY_TOL * scale:
+    sym = np.abs(mats[::-1] - mats.conj())
+    if sym.max(initial=0.0) > SYMMETRY_TOL * scale:
+        sym_err = sym.max(axis=(1, 2))
         j = int(sym_err.argmax())
         raise ModelValidationError(
             f"S(-t)=conj(S(t)) violated at theta={nodes[j]:+.6f} (error {sym_err[j]:.3e})"
         )
-    eig = np.linalg.eigvalsh(mats)
+    eig = _stack_eigvalsh(mats)
     viol = eig[:, 0] < -PSD_TOL * np.maximum(1.0, eig[:, -1])
     if viol.any():
         j = int(np.argmax(viol))
@@ -290,6 +336,18 @@ class RankProfile:
     def histogram(self) -> dict:
         vals, counts = np.unique(self.ranks, return_counts=True)
         return {int(v): float(c) / len(self.ranks) for v, c in zip(vals, counts)}
+
+    @cached_property
+    def sorted_eigenvalues_and_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every eigenvalue in one ascending array and its prefix sums, computed
+        on first use and kept, so all water-fillings of a profile share one sort."""
+        return _ascending_prefix_sums(self.eigenvalues)
+
+
+def _ascending_prefix_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`values` sorted ascending into one flat array, and its prefix sums with a leading 0."""
+    mu = np.sort(values, axis=None)
+    return mu, np.concatenate(([0.0], np.cumsum(mu)))
 
 
 def _numerical_ranks(eigs_desc: np.ndarray, rel_tol: float, abs_floor: float) -> np.ndarray:

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from gaussdim import spectral
 from gaussdim.benchmarks import ar1, correlated_pair, narrowband, white_noise, zero_process
+from gaussdim.experiments import run
+from gaussdim.modelio import model_to_document
 from gaussdim.ratedist import _waterfill, rd_curve, rd_dimension_estimate
 from gaussdim.simulate import autocovariance_from_spectrum
-from gaussdim.spectral import Band, SpectralModel, eval_spectrum, rank_integral
+from gaussdim.spectral import Band, SpectralModel, _ascending_prefix_sums, eval_spectrum, rank_integral
 
 
 def _curve_point(model, distortion, grid):
@@ -19,7 +22,7 @@ def _block_waterfill_rate(model, k, distortion):
     covariance (clipped at 0, weight 1/k each) with the closed-form solver."""
     acov = autocovariance_from_spectrum(model, max(k - 1, 0))
     lam = np.clip(np.linalg.eigvalsh(acov.toeplitz(k)), 0.0, None)
-    return _waterfill(lam, 1.0 / k, distortion).rate
+    return _waterfill(_ascending_prefix_sums(lam), 1.0 / k, distortion).rate
 
 
 def _scan_waterfill(model, grid, distortion):
@@ -167,6 +170,20 @@ class TestRDDimension:
     def test_zero_power_short_circuits(self, grid):
         est = rd_dimension_estimate(rank_integral(zero_process(), grid), (1e-2, 1e-4))
         assert est.value == 0.0 and "zero total power" in est.notes
+
+
+def test_rd_task_sorts_the_eigenvalues_once(monkeypatch, tmp_path):
+    """The rd slope and the rd curve (written with --out) share one sort."""
+    real, sorted_sizes = spectral._ascending_prefix_sums, []
+
+    def spy(values):
+        sorted_sizes.append(values.size)
+        return real(values)
+
+    monkeypatch.setattr(spectral, "_ascending_prefix_sums", spy)
+    model = model_to_document(correlated_pair())
+    run({"task": "rd", "model": model, "grid_n": 2048, "out": str(tmp_path / "rd.json")})
+    assert sorted_sizes == [2 * 2048]
 
 
 class TestFiniteBlockCrossCheck:

@@ -401,6 +401,12 @@ class TestCLI:
         assert (row["value"], row["reference"]) == (1.5, 1.0)
         assert row["settings"]["gap"] == -0.5 and row["settings"]["tight"] is False
 
+    def test_non_finite_model_exit_code(self, tmp_path, capsys):
+        model_path = tmp_path / "nan.json"
+        model_path.write_text('{"L": 1, "bands": [{"lo": -0.5, "hi": 0.5, "re": [[NaN]]}]}')
+        assert main(["analyze", str(model_path)]) == 2
+        assert "band matrix has a non-finite entry" in capsys.readouterr().err
+
     def test_complex_on_univariate_fails_cleanly(self, tmp_path, capsys):
         model_path = save_model(white_noise(), tmp_path / "wn.json")
         assert main(["complex", str(model_path)]) == 2

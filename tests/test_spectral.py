@@ -1,6 +1,7 @@
 """Spectral models, the rank integral, and the complex-process helpers."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussdim import spectral
 from gaussdim.benchmarks import MODELS, ar1, correlated_pair, line_process, white_noise
 from gaussdim.experiments import run
 from gaussdim.modelio import model_to_document
@@ -19,9 +21,12 @@ from gaussdim.spectral import (
     RationalTerm,
     SpectralModel,
     _band_segments,
+    _check_nodes,
     _congruence,
+    _numerical_ranks,
     _scalar_density,
     _segment_support_measure,
+    _stack_eigvalsh,
     component_variances,
     eval_spectrum,
     normalize_components,
@@ -69,6 +74,24 @@ class TestEvalSpectrum:
     def test_asymmetric_band_rejected(self):
         with pytest.raises(ModelValidationError, match="mirror"):
             SpectralModel(L=1, bands=[Band(0.1, 0.3, [[1.0]])])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_band_matrix_rejected(self, bad):
+        with pytest.raises(ModelValidationError, match="band matrix has a non-finite entry"):
+            SpectralModel(L=1, bands=[Band(-0.5, 0.5, [[bad]])])
+
+    def test_non_finite_line_power_rejected(self):
+        with pytest.raises(ModelValidationError, match="line power has a non-finite entry"):
+            SpectralModel(L=1, lines=[(-0.125, [[np.inf]]), (0.125, [[np.inf]])])
+
+    def test_non_finite_mean_rejected(self):
+        with pytest.raises(ModelValidationError, match="mean has a non-finite entry"):
+            SpectralModel(L=1, bands=[Band(-0.5, 0.5, [[1.0]])], mean=[np.nan])
+
+    @pytest.mark.parametrize("num, den", [((np.nan,), (1.0,)), ((1.0,), (1.0, complex(0.0, np.inf)))])
+    def test_non_finite_rational_coefficient_rejected(self, num, den):
+        with pytest.raises(ModelValidationError, match=re.escape("rational term (0,0) has a non-finite coefficient")):
+            SpectralModel(L=1, arma_terms=[RationalTerm(0, 0, num, den)])
 
 
 class TestRankIntegral:
@@ -410,16 +433,27 @@ class TestBandSegments:
 
 
 def _grid_eigen_passes(monkeypatch, config, n):
-    """Run one task and count np.linalg.eigvalsh calls on n-node stacks."""
-    real = np.linalg.eigvalsh
-    calls = []
+    """Run one task and count eigen-passes over n-node stacks: calls of the
+    grid eigenvalue helper, plus np.linalg.eigvalsh calls made outside it."""
+    real_helper, real_eigvalsh = spectral._stack_eigvalsh, np.linalg.eigvalsh
+    calls, depth = [], []
 
-    def spy(a, *args, **kwargs):
-        if np.ndim(a) == 3 and len(a) == n:
-            calls.append(len(a))
-        return real(a, *args, **kwargs)
+    def helper_spy(mats):
+        if len(mats) == n:
+            calls.append("helper")
+        depth.append(1)
+        try:
+            return real_helper(mats)
+        finally:
+            depth.pop()
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    def eigvalsh_spy(a, *args, **kwargs):
+        if not depth and np.ndim(a) == 3 and len(a) == n:
+            calls.append("eigvalsh")
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_stack_eigvalsh", helper_spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
     run(config)
     return len(calls)
 
@@ -460,3 +494,128 @@ class TestEigenPasses:
         config.update({"estimate": _SMALL_ESTIMATE, "verify": _SMALL_VERIFY}.get(task, {}))
         passes = _grid_eigen_passes(monkeypatch, config, 2048)
         assert passes == 1
+
+
+@st.composite
+def psd_pair_stacks(draw):
+    """(n, 2, 2) Hermitian PSD stacks [[a, conj b], [b, d]]: generic, rank-1
+    (|b|^2 = a d, as in correlated_pair), diagonal with zero entries, and
+    a ~ d with |b| ~ 1e-12 a, scaled by 10^-150 .. 10^150."""
+    kind = draw(st.sampled_from(["generic", "rank1", "diagonal", "near_equal"]))
+    exponent = draw(st.integers(min_value=-150, max_value=150))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    n = 64
+    a, d = rng.exponential(size=n), rng.exponential(size=n)
+    phase = np.exp(2j * np.pi * rng.uniform(size=n))
+    if kind == "generic":
+        b = np.sqrt(a * d) * rng.uniform(size=n) * phase
+    elif kind == "rank1":
+        b = np.sqrt(a * d) * phase
+        b[::4] = a[::4] = d[::4]  # exactly [[c, c], [c, c]] on every fourth node
+    elif kind == "diagonal":
+        a[rng.uniform(size=n) < 0.25] = 0.0
+        d[rng.uniform(size=n) < 0.25] = 0.0
+        b = np.zeros(n)
+    else:
+        d = a * (1.0 + 1e-12 * rng.normal(size=n))
+        b = 1e-12 * a * rng.uniform(0.5, 1.5, size=n) * phase
+    mats = np.empty((n, 2, 2), dtype=complex)
+    mats[:, 0, 0], mats[:, 1, 1], mats[:, 1, 0], mats[:, 0, 1] = a, d, b, np.conj(b)
+    return mats * 10.0**exponent
+
+
+def _three_component_model():
+    """correlated_pair beside an independent narrowband component: rank 2 on
+    |theta| < 0.2 and rank 1 outside, so dimension 1.4."""
+    pair = np.zeros((3, 3))
+    pair[:2, :2] = 1.0
+    inner = pair.copy()
+    inner[2, 2] = 2.5
+    return SpectralModel(L=3, bands=[Band(-0.5, -0.2, pair), Band(-0.2, 0.2, inner), Band(0.2, 0.5, pair)])
+
+
+class TestStackEigvalsh:
+    @given(psd_pair_stacks())
+    @settings(max_examples=80, deadline=None)
+    def test_closed_form_agrees_with_lapack(self, mats):
+        ref = np.linalg.eigvalsh(mats)
+        got = _stack_eigvalsh(mats)
+        scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert got.shape == ref.shape
+        assert (np.abs(got - ref) <= 8 * np.finfo(float).eps * scale).all()
+
+    def test_scalar_stack_is_its_real_diagonal(self):
+        mats = np.arange(5.0).reshape(5, 1, 1) + 0j
+        assert np.array_equal(_stack_eigvalsh(mats), np.linalg.eigvalsh(mats))
+
+    @pytest.mark.parametrize("n", [4096, 65536])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_ranks_match_lapack_on_every_model(self, name, n):
+        ri = rank_integral(MODELS[name][0](), FrequencyGrid(n))
+        lapack = np.linalg.eigvalsh(ri.matrices)[:, ::-1]
+        assert np.array_equal(ri.profile.ranks, _numerical_ranks(lapack, ri.profile.rel_tol, ri.profile.abs_floor))
+
+    def test_three_components_take_lapack(self, monkeypatch, grid):
+        model = _three_component_model()
+        real, stacks = np.linalg.eigvalsh, []
+
+        def spy(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                stacks.append(a)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        ri = rank_integral(model, grid)
+        assert len(stacks) == 1 and stacks[0] is ri.matrices
+        assert np.array_equal(ri.profile.eigenvalues, real(ri.matrices)[:, ::-1])
+        assert ri.value == pytest.approx(1.4, abs=1e-12)
+        assert ri.profile.mean_rank == pytest.approx(1.4, abs=2.0 / grid.n)
+
+
+def _identity_stack(L, n=64):
+    nodes = FrequencyGrid(n).nodes
+    return np.broadcast_to(np.eye(L, dtype=complex), (n, L, L)).copy(), nodes
+
+
+class TestCheckNodes:
+    """Each failure names its first offending node, as the per-node check did."""
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_valid_stack_returns_its_eigenvalues(self, L):
+        mats, nodes = _identity_stack(L)
+        assert np.array_equal(_check_nodes(mats, nodes), np.ones((64, L)))
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_non_hermitian_stack(self, L):
+        mats, nodes = _identity_stack(L)
+        mats[10, 0, 1] += 1.0
+        mats[53, 0, 1] += 2.0
+        with pytest.raises(ModelValidationError, match=re.escape("density not Hermitian at theta=+0.335938")):
+            _check_nodes(mats, nodes)
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_unmirrored_stack(self, L):
+        mats, nodes = _identity_stack(L)
+        mats[10] *= 2.0
+        with pytest.raises(
+            ModelValidationError, match=re.escape("S(-t)=conj(S(t)) violated at theta=-0.335938 (error 1.000e+00)")
+        ):
+            _check_nodes(mats, nodes)
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_non_psd_stack(self, L):
+        mats, nodes = _identity_stack(L)
+        for j, value in ((20, -0.5), (43, -0.5), (25, -1.0), (38, -1.0)):
+            mats[j, 0, 0] = value
+        with pytest.raises(
+            ModelValidationError, match=re.escape("density not PSD at theta=-0.179688 (min eigenvalue -5.000e-01)")
+        ):
+            _check_nodes(mats, nodes)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_stack(self, bad):
+        mats, nodes = _identity_stack(2)
+        mats[7, 1, 1] = bad
+        mats[56, 1, 1] = np.conj(bad)
+        with pytest.raises(ModelValidationError, match=re.escape("density not finite at theta=-0.382812")):
+            _check_nodes(mats, nodes)
