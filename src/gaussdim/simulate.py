@@ -207,22 +207,35 @@ def _cholesky_in_place(sigma: np.ndarray) -> np.ndarray:
     return scipy.linalg.cholesky(sigma.T, lower=True, overwrite_a=True, check_finite=False)
 
 
+def _cholesky_succeeds(sigma: np.ndarray) -> bool:
+    """Whether the Cholesky factorization of `sigma` (overwritten) succeeds."""
+    try:
+        _cholesky_in_place(sigma)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _psd_factor(acov: AutocovarianceSequence, k: int) -> tuple[np.ndarray, str, float]:
     """Square factor F with F F^T = acov.toeplitz(k), its method and the jitter added.
 
     Cholesky first, in place on the covariance buffer.  A failed attempt has
-    overwritten that buffer, so every retry rebuilds the covariance.  Small
-    matrices then go straight to the exact eigenvalue factor so rank-deficient
-    laws (e.g. perfectly correlated components) are sampled exactly; large
-    matrices try one Cholesky with jitter = 1e-12 * tr(sigma) / n added to the
-    diagonal before paying for the eigendecomposition.  The returned jitter is
-    that diagonal load when the jittered factor is used, else 0.0.
+    overwritten that buffer, so every retry rebuilds the covariance.  Above
+    _EXACT_FACTOR_DIM the plain attempt is made only if the leading principal
+    block of at most _EXACT_FACTOR_DIM rows factors: when that block fails the
+    full matrix fails at the same leading minor.  Small matrices then go
+    straight to the exact eigenvalue factor so rank-deficient laws (e.g.
+    perfectly correlated components) are sampled exactly; large matrices try
+    one Cholesky with jitter = 1e-12 * tr(sigma) / n added to the diagonal
+    before paying for the eigendecomposition.  The returned jitter is that
+    diagonal load when the jittered factor is used, else 0.0.
     """
-    try:
-        return _cholesky_in_place(acov.toeplitz(k)), "cholesky", 0.0
-    except np.linalg.LinAlgError:
-        pass
     n = k * acov.L
+    if n <= _EXACT_FACTOR_DIM or _cholesky_succeeds(acov.toeplitz(_EXACT_FACTOR_DIM // acov.L)):
+        try:
+            return _cholesky_in_place(acov.toeplitz(k)), "cholesky", 0.0
+        except np.linalg.LinAlgError:
+            pass
     if n > _EXACT_FACTOR_DIM:
         jittered = acov.toeplitz(k)
         jitter = 1e-12 * np.trace(jittered) / n

@@ -12,6 +12,12 @@ component 1 = imaginary part).  The properness check and the complex support
 bound read the density stack of one rank-integral evaluation, so a complex
 analysis evaluates and diagonalizes the density once.
 
+The grid pass runs once per constant run of the density, not once per node.
+A band-only density changes only at the nodes where a band edge lands, so
+the stack is validated, diagonalized and ranked on one node per run, and the
+eigenvalues and ranks are repeated back onto the grid.  A model with rational
+terms has a run at every node and is checked on the stack itself.
+
 Every grid eigen-pass goes through `_stack_eigvalsh`: a 1x1 stack's
 eigenvalue is its real diagonal, a 2x2 stack is diagonalized in closed form,
 and only stacks with L >= 3 go to LAPACK (`np.linalg.eigvalsh`).  Every
@@ -210,9 +216,7 @@ def _validate_model(model: SpectralModel) -> None:
             )
 
     if model.arma_terms:
-        probe = FrequencyGrid(_SYMMETRY_PROBE_N)
-        mats = _assemble_spectrum(model, probe.nodes)
-        _check_nodes(mats, probe.nodes)
+        _diagonalize(model, FrequencyGrid(_SYMMETRY_PROBE_N))
 
 
 def _eval_rational(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
@@ -268,35 +272,64 @@ def _stack_eigvalsh(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mats)
 
 
-def _check_nodes(mats: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Validate the density stack; return its eigenvalues (ascending per node).
+def _run_starts(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
+    """First node of each constant run of the density on the ascending `nodes`.
 
-    The stack must be finite, Hermitian, mirror as S(-t) = conj(S(t)) and be
-    PSD.  Each check reduces over the whole stack and looks for the offending
-    node only when it fails.  The eigenvalues come from `_stack_eigvalsh`, so
-    1x1 and 2x2 stacks take the closed form and larger ones LAPACK.
+    A band fills the nodes from `searchsorted(nodes, lo)` to
+    `searchsorted(nodes, hi)`, so a band-only stack changes only at those
+    indices.  The runs are also split where a mirrored run boundary n - b
+    lands, so the run set is symmetric: run i holds the mirror images
+    n - 1 - j of the nodes j of run -1 - i.  Rational terms vary from node to
+    node, so such a model has a run at every node.
     """
-    scale = 1.0 + np.abs(mats).max(initial=0.0)
+    n = len(nodes)
+    if model.arma_terms:
+        return np.arange(n)
+    edges = sorted({e for b in model.bands for e in (b.lo, b.hi)})
+    bounds = np.concatenate(([0, n], np.searchsorted(nodes, edges)))
+    return np.union1d(bounds, n - bounds)[:-1]
+
+
+def _per_node(values: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
+    """Per-run `values` repeated over the n grid nodes; `values` itself when
+    every node is a run."""
+    return values if len(starts) == n else np.repeat(values, np.diff(starts, append=n), axis=0)
+
+
+def _check_nodes(mats: np.ndarray, nodes: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Validate the density stack; return the eigenvalues of each run (ascending).
+
+    `starts` are the symmetric constant runs of `_run_starts`.  The stack must
+    be finite, Hermitian, mirror as S(-t) = conj(S(t)) and be PSD.  Each check
+    runs once per run, on its first node, and reduces over the runs; it looks
+    for the offending run only when it fails and names that run's first node,
+    which is the first offending node of the grid.  Since the runs are
+    symmetric, the mirror check compares the run stack with its reverse.  The
+    eigenvalues come from `_stack_eigvalsh`, so 1x1 and 2x2 stacks take the
+    closed form and larger ones LAPACK.
+    """
+    reps = mats if len(starts) == len(mats) else mats[starts]  # no copy when every node is a run
+    scale = 1.0 + np.abs(reps).max(initial=0.0)
     if not np.isfinite(scale):
-        j = int(np.argmin(np.isfinite(mats).all(axis=(1, 2))))
-        raise ModelValidationError(f"density not finite at theta={nodes[j]:+.6f}")
-    herm = np.abs(mats - mats.conj().transpose(0, 2, 1))
+        j = int(np.argmin(np.isfinite(reps).all(axis=(1, 2))))
+        raise ModelValidationError(f"density not finite at theta={nodes[starts[j]]:+.6f}")
+    herm = np.abs(reps - reps.conj().transpose(0, 2, 1))
     if herm.max(initial=0.0) > PSD_TOL * scale:
         j = int(herm.max(axis=(1, 2)).argmax())
-        raise ModelValidationError(f"density not Hermitian at theta={nodes[j]:+.6f}")
-    sym = np.abs(mats[::-1] - mats.conj())
+        raise ModelValidationError(f"density not Hermitian at theta={nodes[starts[j]]:+.6f}")
+    sym = np.abs(reps[::-1] - reps.conj())
     if sym.max(initial=0.0) > SYMMETRY_TOL * scale:
         sym_err = sym.max(axis=(1, 2))
         j = int(sym_err.argmax())
         raise ModelValidationError(
-            f"S(-t)=conj(S(t)) violated at theta={nodes[j]:+.6f} (error {sym_err[j]:.3e})"
+            f"S(-t)=conj(S(t)) violated at theta={nodes[starts[j]]:+.6f} (error {sym_err[j]:.3e})"
         )
-    eig = _stack_eigvalsh(mats)
+    eig = _stack_eigvalsh(reps)
     viol = eig[:, 0] < -PSD_TOL * np.maximum(1.0, eig[:, -1])
     if viol.any():
         j = int(np.argmax(viol))
         raise ModelValidationError(
-            f"density not PSD at theta={nodes[j]:+.6f} (min eigenvalue {eig[j, 0]:.3e})"
+            f"density not PSD at theta={nodes[starts[j]]:+.6f} (min eigenvalue {eig[j, 0]:.3e})"
         )
     return eig
 
@@ -310,14 +343,17 @@ def eval_spectrum(model: SpectralModel, grid: FrequencyGrid) -> np.ndarray:
     return _diagonalize(model, grid)[0]
 
 
-def _diagonalize(model: SpectralModel, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate, validate and diagonalize the density on the grid in one pass.
+def _diagonalize(model: SpectralModel, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate the density on the grid, then validate and diagonalize it once
+    per constant run.
 
-    Returns the (n, L, L) stack and its eigenvalues, ascending per node.
+    Returns the (n, L, L) stack, the first node of each run and the
+    eigenvalues of each run, ascending.
     """
     nodes = grid.nodes
     mats = _assemble_spectrum(model, nodes)
-    return mats, _check_nodes(mats, nodes)
+    starts = _run_starts(model, nodes)
+    return mats, starts, _check_nodes(mats, nodes, starts)
 
 
 @dataclass(frozen=True)
@@ -399,15 +435,19 @@ def rank_integral(
 
     For band-only models the value is computed exactly from the band segment
     lengths; models with rational terms fall back to the midpoint grid sum.
-    The per-node RankProfile is always reported from the grid, and the result
-    keeps the validated density stack for properness_check and support_bound.
+    The per-node RankProfile is always reported from the grid (ranked once per
+    constant run of the density), and the result keeps the validated density
+    stack for properness_check and support_bound.
     """
     grid = grid or FrequencyGrid()
     if grid.n < MIN_GRID_N:
         raise ValueError(f"grid resolution must be >= {MIN_GRID_N}, got {grid.n}")
-    mats, eig = _diagonalize(model, grid)
+    mats, starts, eig = _diagonalize(model, grid)
     eig = eig[:, ::-1]
-    profile = RankProfile(eig, _numerical_ranks(eig, rel_tol, abs_floor), rel_tol, abs_floor)
+    ranks = _numerical_ranks(eig, rel_tol, abs_floor)
+    profile = RankProfile(
+        _per_node(eig, starts, grid.n), _per_node(ranks, starts, grid.n), rel_tol, abs_floor
+    )
     if model.arma_terms:
         value = profile.mean_rank
         method = "grid"
@@ -451,12 +491,10 @@ def properness_check(ri: RankIntegralResult) -> PropernessReport:
     s_r = np.maximum(mats[:, 0, 0].real, 0.0)
     s_i = np.maximum(mats[:, 1, 1].real, 0.0)
     s_ri = mats[:, 0, 1]
-    packed = np.empty_like(mats)
-    packed[:, 0, 0] = s_r
-    packed[:, 1, 1] = s_i
-    packed[:, 0, 1] = s_ri
-    packed[:, 1, 0] = s_ri.conj()
-    norm = np.linalg.norm(packed, axis=(1, 2))
+    # Frobenius norm of [[s_R, S_RI], [conj S_RI, s_I]] per node, with the
+    # terms formed and summed as np.linalg.norm does, in row-major order
+    cross = (s_ri.conj() * s_ri).real
+    norm = np.sqrt(((s_r * s_r + cross) + cross) + s_i * s_i)
     tol = float(PROPERNESS_TOL * (1.0 + norm.max(initial=0.0)))
     mismatch = float(np.abs(s_r - s_i).max(initial=0.0))
     real_cross = float(np.abs(s_ri.real).max(initial=0.0))

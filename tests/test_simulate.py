@@ -278,6 +278,22 @@ class TestDenseFactor:
             assert jitter == 0.0
         assert np.abs(factor @ factor.T - (sigma + jitter * np.eye(n))).max() <= 1e-10
 
+    def test_failing_leading_block_skips_the_plain_full_attempt(self, monkeypatch):
+        # narrowband(0.4) fails its plain Cholesky at leading minor 19, so the
+        # 512-row leading block decides it and only the jittered attempt is full size
+        acov = autocovariance_from_spectrum(narrowband(0.4), 4095)
+        real, sizes = simulate._cholesky_in_place, []
+
+        def spy(sigma):
+            sizes.append(len(sigma))
+            return real(sigma)
+
+        monkeypatch.setattr(simulate, "_cholesky_in_place", spy)
+        batch = sample_paths(acov, 4096, 2, seed=1)
+        assert sizes == [simulate._EXACT_FACTOR_DIM, 4096]
+        assert batch.factor_method == "cholesky+jitter"
+        assert batch.jitter == pytest.approx(1e-12, rel=1e-6)
+
     def test_batch_records_jitter(self):
         acov = autocovariance_from_spectrum(narrowband(0.4), 599)
         assert sample_paths(acov, 600, 4, seed=1).jitter == pytest.approx(1e-12, rel=1e-6)

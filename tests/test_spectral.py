@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaussdim import spectral
@@ -16,8 +16,10 @@ from gaussdim.modelio import model_to_document
 from gaussdim.spectral import (
     RANK_ABS_FLOOR,
     Band,
+    PROPERNESS_TOL,
     FrequencyGrid,
     ModelValidationError,
+    PropernessReport,
     RationalTerm,
     SpectralModel,
     _band_segments,
@@ -433,13 +435,17 @@ class TestBandSegments:
 
 
 def _grid_eigen_passes(monkeypatch, config, n):
-    """Run one task and count eigen-passes over n-node stacks: calls of the
-    grid eigenvalue helper, plus np.linalg.eigvalsh calls made outside it."""
+    """Run one task and count its grid eigen-passes: every call of the grid
+    eigenvalue helper at any stack size (a band model's pass diagonalizes one
+    node per constant run), except those of the 512-node probe that
+    `_validate_model` runs on rational models, plus np.linalg.eigvalsh calls
+    on n-node stacks made outside the helper."""
     real_helper, real_eigvalsh = spectral._stack_eigvalsh, np.linalg.eigvalsh
-    calls, depth = [], []
+    real_validate = spectral._validate_model
+    calls, depth, probing = [], [], []
 
     def helper_spy(mats):
-        if len(mats) == n:
+        if not probing:
             calls.append("helper")
         depth.append(1)
         try:
@@ -452,7 +458,15 @@ def _grid_eigen_passes(monkeypatch, config, n):
             calls.append("eigvalsh")
         return real_eigvalsh(a, *args, **kwargs)
 
+    def validate_spy(model):
+        probing.append(1)
+        try:
+            return real_validate(model)
+        finally:
+            probing.pop()
+
     monkeypatch.setattr(spectral, "_stack_eigvalsh", helper_spy)
+    monkeypatch.setattr(spectral, "_validate_model", validate_spy)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
     run(config)
     return len(calls)
@@ -566,7 +580,10 @@ class TestStackEigvalsh:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         ri = rank_integral(model, grid)
-        assert len(stacks) == 1 and stacks[0] is ri.matrices
+        # one node per constant run: the first node and every node where the stack changes
+        changes = np.flatnonzero((ri.matrices[1:] != ri.matrices[:-1]).any(axis=(1, 2))) + 1
+        representatives = ri.matrices[np.concatenate(([0], changes))]
+        assert len(stacks) == 1 and len(stacks[0]) == 3 and np.array_equal(stacks[0], representatives)
         assert np.array_equal(ri.profile.eigenvalues, real(ri.matrices)[:, ::-1])
         assert ri.value == pytest.approx(1.4, abs=1e-12)
         assert ri.profile.mean_rank == pytest.approx(1.4, abs=2.0 / grid.n)
@@ -577,13 +594,16 @@ def _identity_stack(L, n=64):
     return np.broadcast_to(np.eye(L, dtype=complex), (n, L, L)).copy(), nodes
 
 
+_EVERY_NODE = np.arange(64)  # each node its own run, as for a model with rational terms
+
+
 class TestCheckNodes:
     """Each failure names its first offending node, as the per-node check did."""
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_valid_stack_returns_its_eigenvalues(self, L):
         mats, nodes = _identity_stack(L)
-        assert np.array_equal(_check_nodes(mats, nodes), np.ones((64, L)))
+        assert np.array_equal(_check_nodes(mats, nodes, _EVERY_NODE), np.ones((64, L)))
 
     @pytest.mark.parametrize("L", [2, 3])
     def test_non_hermitian_stack(self, L):
@@ -591,7 +611,7 @@ class TestCheckNodes:
         mats[10, 0, 1] += 1.0
         mats[53, 0, 1] += 2.0
         with pytest.raises(ModelValidationError, match=re.escape("density not Hermitian at theta=+0.335938")):
-            _check_nodes(mats, nodes)
+            _check_nodes(mats, nodes, _EVERY_NODE)
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_unmirrored_stack(self, L):
@@ -600,7 +620,7 @@ class TestCheckNodes:
         with pytest.raises(
             ModelValidationError, match=re.escape("S(-t)=conj(S(t)) violated at theta=-0.335938 (error 1.000e+00)")
         ):
-            _check_nodes(mats, nodes)
+            _check_nodes(mats, nodes, _EVERY_NODE)
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_non_psd_stack(self, L):
@@ -610,7 +630,7 @@ class TestCheckNodes:
         with pytest.raises(
             ModelValidationError, match=re.escape("density not PSD at theta=-0.179688 (min eigenvalue -5.000e-01)")
         ):
-            _check_nodes(mats, nodes)
+            _check_nodes(mats, nodes, _EVERY_NODE)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_non_finite_stack(self, bad):
@@ -618,4 +638,202 @@ class TestCheckNodes:
         mats[7, 1, 1] = bad
         mats[56, 1, 1] = np.conj(bad)
         with pytest.raises(ModelValidationError, match=re.escape("density not finite at theta=-0.382812")):
-            _check_nodes(mats, nodes)
+            _check_nodes(mats, nodes, _EVERY_NODE)
+
+
+def _per_node_check(mats, nodes):
+    """Reference: the per-node validation and eigen-pass as it was before the
+    run pass, every check over the whole (n, L, L) stack."""
+    scale = 1.0 + np.abs(mats).max(initial=0.0)
+    if not np.isfinite(scale):
+        j = int(np.argmin(np.isfinite(mats).all(axis=(1, 2))))
+        raise ModelValidationError(f"density not finite at theta={nodes[j]:+.6f}")
+    herm = np.abs(mats - mats.conj().transpose(0, 2, 1))
+    if herm.max(initial=0.0) > spectral.PSD_TOL * scale:
+        j = int(herm.max(axis=(1, 2)).argmax())
+        raise ModelValidationError(f"density not Hermitian at theta={nodes[j]:+.6f}")
+    sym = np.abs(mats[::-1] - mats.conj())
+    if sym.max(initial=0.0) > spectral.SYMMETRY_TOL * scale:
+        sym_err = sym.max(axis=(1, 2))
+        j = int(sym_err.argmax())
+        raise ModelValidationError(
+            f"S(-t)=conj(S(t)) violated at theta={nodes[j]:+.6f} (error {sym_err[j]:.3e})"
+        )
+    eig = _stack_eigvalsh(mats)
+    viol = eig[:, 0] < -spectral.PSD_TOL * np.maximum(1.0, eig[:, -1])
+    if viol.any():
+        j = int(np.argmax(viol))
+        raise ModelValidationError(
+            f"density not PSD at theta={nodes[j]:+.6f} (min eigenvalue {eig[j, 0]:.3e})"
+        )
+    return eig
+
+
+def _assert_same_as_per_node_pass(model, grid):
+    """rank_integral's profile and stack, or its error message, equal the per-node reference's."""
+    mats = spectral._assemble_spectrum(model, grid.nodes)
+    try:
+        eig = _per_node_check(mats, grid.nodes)[:, ::-1]
+    except ModelValidationError as err:
+        with pytest.raises(ModelValidationError) as got:
+            rank_integral(model, grid)
+        assert str(got.value) == str(err)
+        return False
+    ri = rank_integral(model, grid)
+    ranks = _numerical_ranks(eig, ri.profile.rel_tol, ri.profile.abs_floor)
+    assert ri.matrices.tobytes() == mats.tobytes()
+    assert np.ascontiguousarray(ri.profile.eigenvalues).tobytes() == np.ascontiguousarray(eig).tobytes()
+    assert np.array_equal(ri.profile.ranks, ranks)
+    assert ri.profile.histogram() == spectral.RankProfile(eig, ranks, ri.profile.rel_tol, ri.profile.abs_floor).histogram()
+    return True
+
+
+@st.composite
+def run_pass_band_models(draw):
+    """(bands, L, grid): 1-4 mirrored band pairs of L = 1..3 random PSD matrices
+    (ranks 0..L) on an even grid of 64..8192 nodes.  Band edges fall anywhere,
+    exactly on a grid node, at 0 or at +-1/2; bands may be narrower than one
+    node spacing and may touch; an optional real band straddles 0."""
+    L = draw(st.integers(min_value=1, max_value=3))
+    n = 2 * draw(st.integers(min_value=32, max_value=4096))
+    positive = FrequencyGrid(n).nodes[n // 2:]
+    point = st.one_of(
+        st.floats(min_value=0.0, max_value=0.5),
+        st.sampled_from([0.0, 0.5]),
+        st.integers(min_value=0, max_value=n // 2 - 1).map(lambda j: float(positive[j])),
+    )
+    starts = sorted(set(draw(st.lists(point, min_size=1, max_size=4))))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+
+    def matrix():
+        return _random_psd(rng, L, rank=int(rng.integers(0, L + 1))) * 10.0 ** rng.uniform(-3, 3)
+
+    bands = []
+    if starts[0] > 1e-9 and draw(st.booleans()):
+        bands.append(Band(-starts[0], starts[0], matrix().real))
+    for lo, nxt in zip(starts, starts[1:] + [0.5]):
+        if nxt - lo <= 1e-9:
+            continue
+        kind = draw(st.sampled_from(["narrow", "touch", "node", "fraction"]))
+        if kind == "narrow":
+            hi = lo + draw(st.floats(min_value=0.05, max_value=0.95)) / n
+        elif kind == "node":
+            above = positive[positive > lo]
+            hi = float(above[draw(st.integers(min_value=0, max_value=3)) % len(above)]) if len(above) else nxt
+        elif kind == "fraction":
+            hi = lo + draw(st.floats(min_value=0.05, max_value=1.0)) * (nxt - lo)
+        else:
+            hi = nxt
+        hi = min(hi, nxt)
+        if hi - lo <= 1e-9:
+            continue
+        mat = matrix()
+        bands += [Band(lo, hi, mat), Band(-hi, -lo, mat.conj())]
+    return bands, L, FrequencyGrid(n)
+
+
+class TestRunPass:
+    """The once-per-run validation and eigen-pass equals the per-node one."""
+
+    @given(run_pass_band_models())
+    @settings(max_examples=120, deadline=None)
+    def test_band_models_match_the_per_node_pass(self, case):
+        bands, L, grid = case
+        _assert_same_as_per_node_pass(SpectralModel(L=L, bands=bands), grid)
+
+    @given(run_pass_band_models(), st.sampled_from(["unmirrored", "non_psd", "non_hermitian", "non_finite"]),
+           st.integers(min_value=0, max_value=7))
+    @settings(max_examples=120, deadline=None)
+    def test_invalid_bands_raise_the_per_node_message(self, case, fault, which):
+        bands, L, grid = case
+        assume(bands)
+        model = SpectralModel(L=L, bands=bands, validate=False)
+        bands = list(model.bands)
+        j = which % len(bands)
+        if fault == "unmirrored":
+            del bands[j]
+        else:
+            mat = np.array(bands[j].matrix)
+            if fault == "non_psd":
+                mat[0, 0] -= 1.0 + np.abs(mat).max()
+            elif fault == "non_hermitian":
+                mat[-1, 0] += 0.5 + 1j
+            else:
+                mat[0, -1] = np.nan
+            bands[j] = Band(bands[j].lo, bands[j].hi, mat)  # a matrix SpectralModel would reject
+        object.__setattr__(model, "bands", tuple(bands))  # bypass the per-band checks of __post_init__
+        _assert_same_as_per_node_pass(model, grid)
+
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_edges_on_nodes_and_narrow_bands(self, n):
+        nodes = FrequencyGrid(n).nodes
+        narrow = (0.3, 0.3 + 0.5 / n)  # between two nodes, so no node is filled
+        cases = {
+            "on-node": [Band(-float(nodes[n - 3]), -float(nodes[n // 2 + 2]), [[1.0]]),
+                        Band(float(nodes[n // 2 + 2]), float(nodes[n - 3]), [[1.0]])],
+            "narrow": [Band(-narrow[1], -narrow[0], [[2.0]]), Band(*narrow, [[2.0]])],
+            "to-half": [Band(-0.5, -0.25, [[1.0]]), Band(-0.25, 0.25, [[3.0]]), Band(0.25, 0.5, [[1.0]])],
+        }
+        assert not _assert_same_as_per_node_pass(SpectralModel(L=1, bands=cases["on-node"]), FrequencyGrid(n))
+        assert _assert_same_as_per_node_pass(SpectralModel(L=1, bands=cases["narrow"]), FrequencyGrid(n))
+        assert _assert_same_as_per_node_pass(SpectralModel(L=1, bands=cases["to-half"]), FrequencyGrid(n))
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_every_model_matches_the_per_node_pass(self, name):
+        for n in (4096, 65536):
+            assert _assert_same_as_per_node_pass(MODELS[name][0](), FrequencyGrid(n))
+
+    def test_rational_model_is_checked_on_the_stack_itself(self, monkeypatch, grid):
+        model, real, stacks = _rational_pair(), spectral._stack_eigvalsh, []
+
+        def spy(mats):
+            stacks.append(mats)
+            return real(mats)
+
+        monkeypatch.setattr(spectral, "_stack_eigvalsh", spy)
+        ri = rank_integral(model, grid)
+        assert len(stacks) == 1 and stacks[0] is ri.matrices
+
+
+def _packed_properness(ri):
+    """Reference: properness_check with the per-node norm of a packed copy."""
+    mats = ri.matrices
+    s_r = np.maximum(mats[:, 0, 0].real, 0.0)
+    s_i = np.maximum(mats[:, 1, 1].real, 0.0)
+    s_ri = mats[:, 0, 1]
+    packed = np.empty_like(mats)
+    packed[:, 0, 0], packed[:, 1, 1], packed[:, 0, 1], packed[:, 1, 0] = s_r, s_i, s_ri, s_ri.conj()
+    norm = np.linalg.norm(packed, axis=(1, 2))
+    tol = float(PROPERNESS_TOL * (1.0 + norm.max(initial=0.0)))
+    ok = bool(
+        np.all(np.abs(s_r - s_i) <= PROPERNESS_TOL * (1.0 + norm))
+        and np.all(np.abs(s_ri.real) <= PROPERNESS_TOL * (1.0 + norm))
+    )
+    return PropernessReport(
+        ok, float(np.abs(s_r - s_i).max(initial=0.0)), float(np.abs(s_ri.real).max(initial=0.0)), tol
+    )
+
+
+class TestPropernessNorm:
+    @pytest.mark.parametrize("n", [4096, 65536])
+    @pytest.mark.parametrize("name", sorted(n for n, (b, _) in MODELS.items() if b().L == 2))
+    def test_reports_equal_the_packed_norm(self, name, n):
+        ri = rank_integral(MODELS[name][0](), FrequencyGrid(n))
+        assert properness_check(ri) == _packed_properness(ri)
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.floats(min_value=-3.0, max_value=3.0))
+    @settings(max_examples=30, deadline=None)
+    def test_each_node_norm_equals_the_packed_norm_bit_for_bit(self, seed, exponent):
+        # one node per report, so each node's norm shows in its tolerance; the
+        # marginals differ by about the tolerance and every other cross density
+        # is nearly imaginary, so the verdict can hinge on the last bit
+        rng = np.random.default_rng(seed)
+        mats = np.empty((64, 2, 2), dtype=complex)
+        mats[:, 0, 0] = rng.exponential(size=64)
+        mats[:, 1, 1] = mats[:, 0, 0].real * (1.0 + PROPERNESS_TOL * rng.uniform(0.5, 2.0, size=64))
+        mats[:, 0, 1] = rng.normal(size=64) * np.resize([1e-12, 1.0], 64) + 1j * rng.normal(size=64)
+        mats[:, 1, 0] = mats[:, 0, 1].conj()
+        mats *= 10.0**exponent
+        for j in range(64):
+            ri = spectral.RankIntegralResult(0.0, None, "grid", 1, correlated_pair(), mats[j:j + 1])
+            assert properness_check(ri) == _packed_properness(ri)
