@@ -1,23 +1,31 @@
 """Autocovariance synthesis, exact Gaussian path sampling, and Welch cross-spectra.
 
 The sampler draws from the exact law of k consecutive samples and tries its
-factors in the order circulant -> cholesky -> cholesky+jitter -> eigh.  Paths
-with k*L above _EXACT_FACTOR_DIM first try the block-circulant embedding of
-C(tau) at size 2k (Wood & Chan 1994; Chan & Wood 1999), used only when it is
-PSD: one block FFT and one batched eigh colour complex normals, and one FFT
-along time turns each into two exact-law paths.  Otherwise the block-Toeplitz
-covariance is filled by one strided copy and Cholesky-factored in place; a
-failed attempt has overwritten it, so each retry (Cholesky with a small
-diagonal jitter for large matrices, then the eigenvalue factor) rebuilds it
-first.  A batch records which factor ran and the jitter, if any, that its
-law carries.  Band and line contributions to C(tau) are integrated in closed
-form; rational terms are integrated by a dense FFT quadrature whose
-resolution grows with tau_max so that long lags stay alias-free.
+factors in the order circulant -> spectral -> cholesky -> cholesky+jitter ->
+eigh.  Paths with k*L above _EXACT_FACTOR_DIM first try the block-circulant
+embedding of C(tau) at size 2k (Wood & Chan 1994; Chan & Wood 1999), used
+only when it is PSD: one block FFT and one batched eigh colour complex
+normals, and one FFT along time turns each into two exact-law paths.  When
+the embedding is refused and the model has no rational terms, the paths come
+from a quadrature of the spectral representation x_t = integral of
+e^{-2 pi i t theta} dZ(theta): composite Gauss-Legendre nodes on each band,
+one node per line, each coloured by a root of its band matrix or line power.
+The quadrature is used only when its own covariance reproduces C(0..k-1) to
+rounding.  Otherwise the block-Toeplitz covariance is filled by one strided
+copy and Cholesky-factored in place; a failed attempt has overwritten it, so
+each retry (Cholesky with a small diagonal jitter for large matrices, then
+the eigenvalue factor) rebuilds it first.  A batch records which factor ran
+and the jitter, if any, that its law carries.  Band and line contributions to
+C(tau) are integrated in closed form; rational terms are integrated by a
+dense FFT quadrature whose resolution grows with tau_max so that long lags
+stay alias-free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +54,8 @@ class AutocovarianceSequence:
 
     matrices: np.ndarray  # (tau_max + 1, L, L)
     mean: np.ndarray  # (L,)
+    # The model the sequence was synthesized from; None for a hand-built sequence.
+    model: SpectralModel | None = field(default=None, compare=False, repr=False)
 
     @property
     def L(self) -> int:
@@ -122,7 +132,7 @@ def autocovariance_from_spectrum(model: SpectralModel, tau_max: int) -> Autocova
     if (np.abs(mats) > cap[None, :, :]).any():
         raise SymmetryViolationError("cross-covariance exceeds Cauchy-Schwarz bound")
 
-    return AutocovarianceSequence(mats, np.asarray(model.mean, float))
+    return AutocovarianceSequence(mats, np.asarray(model.mean, float), model)
 
 
 @dataclass(frozen=True)
@@ -132,8 +142,9 @@ class SamplePathBatch:
     samples: np.ndarray  # (paths, k, L)
     seed: int
     # The factor that ran, first that applied of: "circulant" (the exact
-    # embedding, k*L > _EXACT_FACTOR_DIM only), "cholesky", "cholesky+jitter"
-    # (k*L > _EXACT_FACTOR_DIM only), "eigh".
+    # embedding, k*L > _EXACT_FACTOR_DIM only), "spectral" (the quadrature of
+    # the spectral measure, k*L > _EXACT_FACTOR_DIM and no rational terms
+    # only), "cholesky", "cholesky+jitter" (k*L > _EXACT_FACTOR_DIM only), "eigh".
     factor_method: str = "cholesky"
     jitter: float = 0.0  # diagonal load added to the covariance before factoring
     variance: np.ndarray | None = None  # (L,) diag C(0): the variances the law fixes
@@ -198,6 +209,88 @@ def _circulant_draw(root: np.ndarray, k: int, z: np.ndarray) -> np.ndarray:
     return np.fft.ifft(y, axis=1, norm="ortho")[:, :k]
 
 
+_GL_ORDER = 128  # Gauss-Legendre nodes per band panel
+# Phase span (rad) of e^{-2 pi i tau theta} over one panel for tau <= k - 1:
+# a 128-node panel integrates e^{i phi} over 390 rad to about 1e-15 of its length.
+_PANEL_PHASE = 390.0
+_ROW_BLOCK = 64  # time rows built per phase block
+_QUADRATURE_TOL = 1e-11  # accepted max|C_hat - C| relative to max|C(0)|
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The _GL_ORDER-node Gauss-Legendre rule on [-1, 1], computed once (read-only)."""
+    rule = np.polynomial.legendre.leggauss(_GL_ORDER)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
+def _psd_root(mat: np.ndarray) -> np.ndarray:
+    """R with R R^H = mat for a Hermitian PSD matrix, eigenvalues clipped at 0."""
+    eigval, eigvec = np.linalg.eigh(mat)
+    return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+
+
+def _spectral_quadrature(model: SpectralModel, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes theta_q and factors A_q = sqrt(w_q) R_q of the spectral measure.
+
+    Each band [lo, hi) gets ceil(2 pi (k - 1) (hi - lo) / _PANEL_PHASE)
+    equal panels of _GL_ORDER Gauss-Legendre nodes, so that lags below k
+    integrate to rounding; each line is one node of weight 1.  R_q is a root
+    of the node's band matrix or line power.
+    """
+    x, w = _gauss_legendre()
+    thetas, roots = [], []
+    for b in model.bands:
+        panels = max(1, math.ceil(2 * np.pi * (k - 1) * (b.hi - b.lo) / _PANEL_PHASE))
+        edges = np.linspace(b.lo, b.hi, panels + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        thetas.append((0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel())
+        roots.append(np.sqrt(half * w).reshape(-1, 1, 1) * _psd_root(b.matrix))
+    for ln in model.lines:
+        thetas.append([ln.theta])
+        roots.append(_psd_root(ln.power)[None])
+    return np.concatenate(thetas), np.concatenate(roots)
+
+
+def _spectral_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) -> tuple[np.ndarray, float]:
+    """`paths` paths from the spectral quadrature and max|C_hat - C| over lags 0..k-1.
+
+    With complex normals z_q, E[z z^H] = 2 I and E[z z^T] = 0, the sum
+    y_t = sum_q e^{-2 pi i t theta_q} A_q z_q has real and imaginary parts of
+    covariance Re C_hat, uncorrelated when Im C_hat = 0, where
+    C_hat(tau) = sum_q e^{-2 pi i tau theta_q} A_q A_q^H.  Time rows are
+    built in blocks of _ROW_BLOCK from e^{-2 pi i (s + b) theta} =
+    e^{-2 pi i s theta} e^{-2 pi i b theta}, and the same loop forms C_hat.
+    The paths have the exact law when C_hat matches C(tau), imaginary part
+    included, to rounding.
+    """
+    L = acov.L
+    theta, roots = _spectral_quadrature(acov.model, k)
+    nodes = len(theta)
+    gram = (roots @ roots.conj().transpose(0, 2, 1)).reshape(nodes, L * L)
+    chunks = []  # (first path, complex draws, end path, coloured normals A_q z_q as (nodes, draws * L))
+    for chunk, start in enumerate(range(0, paths, _PATH_CHUNK)):
+        stop = min(start + _PATH_CHUNK, paths)
+        half = (stop - start + 1) // 2
+        z = derive_rng(seed, "spectral-paths", chunk).standard_normal((half, nodes, 2 * L)).view(complex)
+        chunks.append((start, half, stop, (roots @ z.transpose(1, 2, 0)).transpose(0, 2, 1).reshape(nodes, -1)))
+    out = np.empty((paths, k, L))
+    c_hat = np.empty((k, L * L), dtype=complex)
+    inner = np.exp(-2j * np.pi * np.arange(min(_ROW_BLOCK, k))[:, None] * theta)
+    for row in range(0, k, _ROW_BLOCK):
+        phases = np.exp(-2j * np.pi * row * theta) * inner[: k - row]
+        rows = slice(row, row + len(phases))
+        c_hat[rows] = phases @ gram
+        for start, half, stop, u in chunks:
+            y = (phases @ u).reshape(len(phases), half, L).transpose(1, 0, 2)  # (draws, rows, L)
+            out[start:start + half, rows] = y.real
+            out[start + half:stop, rows] = y[: stop - start - half].imag
+    out += acov.mean
+    return out, float(np.abs(c_hat - acov.matrices[:k].reshape(k, L * L)).max())
+
+
 def _cholesky_in_place(sigma: np.ndarray) -> np.ndarray:
     # sigma is exactly symmetric, so its F-ordered transpose is the same
     # matrix and LAPACK factors it without a copy; the factor is F-ordered.
@@ -258,11 +351,14 @@ def _psd_factor(acov: AutocovarianceSequence, k: int) -> tuple[np.ndarray, str, 
 def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) -> SamplePathBatch:
     """Draw `paths` independent exact-law paths of length k.
 
-    Factors are tried in the order circulant -> cholesky -> cholesky+jitter
-    -> eigh, and the batch names the one that ran.  For k*L above
-    _EXACT_FACTOR_DIM the block-circulant embedding is used whenever it is
-    PSD; each complex draw then gives two paths.  Otherwise the block-Toeplitz
-    covariance is factored densely (see _psd_factor).
+    Factors are tried in the order circulant -> spectral -> cholesky ->
+    cholesky+jitter -> eigh, and the batch names the one that ran.  For k*L
+    above _EXACT_FACTOR_DIM the block-circulant embedding is used whenever it
+    is PSD; each complex draw then gives two paths.  When it is not and the
+    sequence was synthesized from a model with no rational terms, the
+    quadrature of the spectral measure draws the paths (see _spectral_paths),
+    again two per complex draw, provided it reproduces C(0..k-1).  Otherwise
+    the block-Toeplitz covariance is factored densely (see _psd_factor).
 
     Deterministic given (acov, k, paths, seed); paths are generated in fixed
     chunks with per-chunk sub-streams, so chunk order (and hence parallel
@@ -289,6 +385,12 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
             out[start + half:stop] = x.imag[: stop - start - half]
         out += acov.mean
         return SamplePathBatch(out, seed, "circulant", 0.0, variance)
+    model = acov.model
+    if k * L > _EXACT_FACTOR_DIM and model is not None and not model.arma_terms:
+        out, residual = _spectral_paths(acov, k, paths, seed)
+        if residual <= _QUADRATURE_TOL * np.abs(acov.matrices[0]).max():
+            return SamplePathBatch(out, seed, "spectral", 0.0, variance)
+        del out  # free the paths before the dense factor allocates
     factor, method, jitter = _psd_factor(acov, k)
     mu = np.tile(acov.mean, k)
     out = np.empty((paths, k * L))

@@ -219,15 +219,25 @@ def _validate_model(model: SpectralModel) -> None:
         _diagonalize(model, FrequencyGrid(_SYMMETRY_PROBE_N))
 
 
+def _horner(coeffs: tuple, z: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] z^j by Horner's rule (ascending coefficients)."""
+    val = np.full(z.shape, coeffs[-1], dtype=complex)
+    for c in coeffs[-2::-1]:
+        val *= z
+        val += c
+    return val
+
+
 def _eval_rational(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
-    """Rational contributions only, assembled Hermitian."""
+    """Rational contributions only, assembled Hermitian, in a new (n, L, L)
+    complex stack (zero for a model without rational terms)."""
     out = np.zeros((len(nodes), model.L, model.L), dtype=complex)
     if not model.arma_terms:
         return out
     z = np.exp(-2j * np.pi * nodes)
     for t in model.arma_terms:
-        num = np.polynomial.polynomial.polyval(z, np.asarray(t.num))
-        den = np.polynomial.polynomial.polyval(z, np.asarray(t.den))
+        num = _horner(t.num, z)
+        den = _horner(t.den, z)
         bad = np.abs(den) < 1e-14
         if bad.any():
             raise ModelValidationError(
@@ -240,15 +250,32 @@ def _eval_rational(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _band_edge_index(nodes: np.ndarray, edges) -> np.ndarray:
+    """Index of the first node a band starting at each edge fills, mirror-symmetric.
+
+    A band fills the nodes from the index of its lower edge to the index of
+    its upper edge.  An edge e >= 0 indexes the first node >= e, so the band
+    fills [lo, hi) there; an edge e < 0 indexes n minus the index of -e, so
+    the band fills (lo, hi] on the negative half-axis.  A node exactly on an
+    edge thus belongs to the band on its outer side (away from theta = 0),
+    and index(-e) = n - index(e) holds exactly even where the grid's rounded
+    nodes are not exact negatives of each other, so a mirrored band fills
+    the mirrored nodes.  On a grid whose nodes are exact mirrors (every
+    dyadic n) an edge between nodes indexes as `np.searchsorted` does.
+    """
+    edges = np.asarray(edges, dtype=float)
+    index = np.searchsorted(nodes, np.abs(edges))
+    return np.where(edges < 0, len(nodes) - index, index)
+
+
 def _assemble_spectrum(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
-    """Density stack at `nodes`, which must be ascending: each band fills the
-    contiguous run of nodes in [lo, hi)."""
-    out = np.zeros((len(nodes), model.L, model.L), dtype=complex)
+    """Density stack at `nodes`, which must be ascending: the rational stack,
+    with each band added on its contiguous run of nodes (see
+    `_band_edge_index`)."""
+    out = _eval_rational(model, nodes)
     for b in model.bands:
-        lo, hi = np.searchsorted(nodes, (b.lo, b.hi))
+        lo, hi = _band_edge_index(nodes, (b.lo, b.hi))
         out[lo:hi] += b.matrix
-    if model.arma_terms:
-        out += _eval_rational(model, nodes)
     return out
 
 
@@ -275,10 +302,10 @@ def _stack_eigvalsh(mats: np.ndarray) -> np.ndarray:
 def _run_starts(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
     """First node of each constant run of the density on the ascending `nodes`.
 
-    A band fills the nodes from `searchsorted(nodes, lo)` to
-    `searchsorted(nodes, hi)`, so a band-only stack changes only at those
-    indices.  The runs are also split where a mirrored run boundary n - b
-    lands, so the run set is symmetric: run i holds the mirror images
+    A band fills the nodes from `_band_edge_index` of its lower edge to that
+    of its upper edge, so a band-only stack changes only at those indices.
+    The runs are also split where a mirrored run boundary n - b lands, so the
+    run set is symmetric: run i holds the mirror images
     n - 1 - j of the nodes j of run -1 - i.  Rational terms vary from node to
     node, so such a model has a run at every node.
     """
@@ -286,7 +313,7 @@ def _run_starts(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
     if model.arma_terms:
         return np.arange(n)
     edges = sorted({e for b in model.bands for e in (b.lo, b.hi)})
-    bounds = np.concatenate(([0, n], np.searchsorted(nodes, edges)))
+    bounds = np.concatenate(([0, n], _band_edge_index(nodes, edges)))
     return np.union1d(bounds, n - bounds)[:-1]
 
 

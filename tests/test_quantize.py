@@ -15,7 +15,7 @@ from gaussdim.quantize import (
     quantize,
     spectrum_identity_check,
 )
-from gaussdim.simulate import autocovariance_from_spectrum, sample_paths
+from gaussdim.simulate import AutocovarianceSequence, autocovariance_from_spectrum, sample_paths
 
 
 def _as_batch(values):
@@ -180,9 +180,11 @@ class TestSpectrumIdentity:
 
     def test_batch_gates_on_the_law_variance(self):
         """A random sinusoid's pooled sample variance strays from the 1 its law
-        fixes; the batch carries that law, the raw array does not."""
+        fixes; the batch carries that law, the raw array does not.  The
+        sequence is built without its model, so these 64 paths come from the
+        dense factor."""
         acov = autocovariance_from_spectrum(line_process(), 1023)
-        batch = sample_paths(acov, 1024, 64, seed=1)
+        batch = sample_paths(AutocovarianceSequence(acov.matrices, acov.mean), 1024, 64, seed=1)
         sample_var = batch.samples.var()
         assert abs(sample_var - 1.0) > 0.05
         with pytest.raises(UnitVarianceRequiredError):

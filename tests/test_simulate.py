@@ -11,6 +11,7 @@ import pytest
 import gaussdim
 from gaussdim import simulate
 from gaussdim.benchmarks import (
+    MODELS,
     ar1,
     correlated_pair,
     independent_halfband_pair,
@@ -33,7 +34,7 @@ from gaussdim.simulate import (
     sample_paths,
     welch_psd,
 )
-from gaussdim.spectral import Band, SpectralModel
+from gaussdim.spectral import Band, RationalTerm, SpectralModel
 
 
 class TestAutocovariance:
@@ -204,6 +205,11 @@ def _reference_factor(sigma):
     return eigvec * np.sqrt(np.clip(eigval, 0.0, None)), "eigh"
 
 
+def _without_model(acov):
+    """The same sequence built by hand: no model, so no spectral route."""
+    return AutocovarianceSequence(acov.matrices, acov.mean)
+
+
 def _reference_samples(acov, k, paths, seed):
     factor, method = _reference_factor(_reference_toeplitz(acov, k))
     z = derive_rng(seed, "gauss-paths", 0).standard_normal((paths, k * acov.L))
@@ -232,7 +238,7 @@ class TestDenseFactor:
         "builder, k, method, sampled",
         [
             (white_noise, 64, "cholesky", "cholesky"),
-            (lambda: narrowband(0.4), 600, "cholesky+jitter", "cholesky+jitter"),
+            (lambda: narrowband(0.4), 600, "cholesky+jitter", "spectral"),
             (correlated_pair, 4, "eigh", "eigh"),
             (correlated_pair, 300, "cholesky+jitter", "circulant"),
         ],
@@ -241,14 +247,15 @@ class TestDenseFactor:
     def test_samples_equal_copy_based_reference(self, builder, k, method, sampled):
         """The dense factor draws what the copy-based sampler drew, byte for byte.
 
-        The pair at k=300 has a PSD circulant embedding, so sample_paths takes
-        that route and its dense factor is reached through _psd_factor.
+        The pair at k=300 has a PSD circulant embedding and narrowband at
+        k=600 a spectral quadrature, so sample_paths takes those routes and
+        their dense factor is reached through _psd_factor.
         """
         acov = autocovariance_from_spectrum(builder(), k - 1)
         batch = sample_paths(acov, k, 50, seed=3)
         expected, ref_method = _reference_samples(acov, k, 50, 3)
         assert batch.factor_method == sampled
-        if sampled == "circulant":
+        if sampled != method:
             factor, got, _ = _psd_factor(acov, k)
             z = derive_rng(3, "gauss-paths", 0).standard_normal((50, k * acov.L))
             samples = (z @ factor.T + np.tile(acov.mean, k)).reshape(expected.shape)
@@ -280,8 +287,9 @@ class TestDenseFactor:
 
     def test_failing_leading_block_skips_the_plain_full_attempt(self, monkeypatch):
         # narrowband(0.4) fails its plain Cholesky at leading minor 19, so the
-        # 512-row leading block decides it and only the jittered attempt is full size
-        acov = autocovariance_from_spectrum(narrowband(0.4), 4095)
+        # 512-row leading block decides it and only the jittered attempt is full
+        # size; the sequence is built without its model, so no spectral route
+        acov = _without_model(autocovariance_from_spectrum(narrowband(0.4), 4095))
         real, sizes = simulate._cholesky_in_place, []
 
         def spy(sigma):
@@ -292,11 +300,11 @@ class TestDenseFactor:
         batch = sample_paths(acov, 4096, 2, seed=1)
         assert sizes == [simulate._EXACT_FACTOR_DIM, 4096]
         assert batch.factor_method == "cholesky+jitter"
-        assert batch.jitter == pytest.approx(1e-12, rel=1e-6)
+        assert batch.jitter == pytest.approx(1e-12, rel=1e-6, abs=0.0)
 
     def test_batch_records_jitter(self):
-        acov = autocovariance_from_spectrum(narrowband(0.4), 599)
-        assert sample_paths(acov, 600, 4, seed=1).jitter == pytest.approx(1e-12, rel=1e-6)
+        acov = _without_model(autocovariance_from_spectrum(narrowband(0.4), 599))
+        assert sample_paths(acov, 600, 4, seed=1).jitter == pytest.approx(1e-12, rel=1e-6, abs=0.0)
         acov = autocovariance_from_spectrum(white_noise(), 63)
         assert sample_paths(acov, 64, 4, seed=1).jitter == 0.0
 
@@ -308,6 +316,13 @@ def _asymmetric_lag_one(k):
     mats[0] = np.diag([1.0, 2.0])
     mats[1] = [[0.0, 0.0], [1.0, 0.0]]
     return AutocovarianceSequence(mats, np.zeros(2))
+
+
+def _narrowband_ar1():
+    """narrowband(0.4) plus 0.01 AR(1): a rational term, and an embedding refused at k = 600 and 2048."""
+    nb, rho = narrowband(0.4), 0.6
+    term = RationalTerm(0, 0, (0.0, 0.01 * (1.0 - rho**2)), (-rho, 1.0 + rho**2, -rho))
+    return SpectralModel(L=1, bands=nb.bands, arma_terms=[term])
 
 
 _CIRCULANT_LAWS = {
@@ -337,15 +352,30 @@ class TestCirculant:
         assert np.abs(gram.imag).max() <= 1e-12
 
     @pytest.mark.parametrize(
-        "builder, k",
-        [(lambda: narrowband(0.4), 600), (independent_halfband_pair, 300), (line_process, 600)],
-        ids=["narrowband-k600", "halfband-pair-k300", "line-k600"],
+        "builder, k, method",
+        [
+            (lambda: narrowband(0.4), 600, "cholesky+jitter"),
+            (independent_halfband_pair, 300, "cholesky+jitter"),
+            (line_process, 600, "cholesky+jitter"),
+            (_narrowband_ar1, 600, "cholesky"),
+            (_narrowband_ar1, 2048, "cholesky"),
+        ],
+        ids=["narrowband-k600", "halfband-pair-k300", "line-k600", "narrowband-ar1-k600", "narrowband-ar1-k2048"],
     )
-    def test_indefinite_embedding_falls_back_to_dense_factor(self, builder, k):
+    def test_indefinite_embedding_falls_back_to_dense_factor(self, builder, k, method):
+        """A refused embedding goes to the spectral quadrature for band and line
+        models and to the dense factor for a model with a rational term or a
+        sequence built without its model."""
         acov = autocovariance_from_spectrum(builder(), k - 1)
         assert _circulant_root(acov, k) is None  # refused, not clipped
-        batch = sample_paths(acov, k, 4, seed=1)
-        _, method, jitter = _psd_factor(acov, k)
+        _, got, jitter = _psd_factor(acov, k)
+        assert got == method
+        if acov.model.arma_terms:
+            dense = acov
+        else:
+            assert sample_paths(acov, k, 4, seed=1).factor_method == "spectral"
+            dense = _without_model(acov)
+        batch = sample_paths(dense, k, 4, seed=1)
         assert (batch.factor_method, batch.jitter) == (method, jitter)
 
     def test_deterministic_by_seed_and_chunk(self, monkeypatch):
@@ -378,6 +408,98 @@ class TestCirculant:
             se = per_path.std(axis=0, ddof=1) / np.sqrt(paths)
             dev = np.abs(per_path.mean(axis=0) - acov.matrices[tau])
             assert (dev <= 5.0 * se + 1e-12).all(), (tau, dev, se)
+
+
+# Band and line laws whose circulant embedding is refused at this k.
+_SPECTRAL_LAWS = {
+    "narrowband": (lambda: narrowband(0.4), 600),
+    "halfband-pair": (independent_halfband_pair, 300),
+    "complex-flat": (proper_complex_flat, 300),
+    "line": (line_process, 600),
+}
+
+
+class TestSpectralRoute:
+    @pytest.mark.parametrize("law", sorted(_SPECTRAL_LAWS))
+    def test_lag_zero_and_one_sample_covariances_within_5se(self, law):
+        builder, k = _SPECTRAL_LAWS[law]
+        paths = 400
+        acov = autocovariance_from_spectrum(builder(), k - 1)
+        assert _circulant_root(acov, k) is None
+        batch = sample_paths(acov, k, paths, seed=23)
+        assert (batch.factor_method, batch.jitter) == ("spectral", 0.0)
+        x = batch.samples
+        for tau in range(2):
+            per_path = np.einsum("pti,ptj->pij", x[:, tau:], x[:, : k - tau]) / (k - tau)
+            se = per_path.std(axis=0, ddof=1) / np.sqrt(paths)
+            dev = np.abs(per_path.mean(axis=0) - acov.matrices[tau])
+            assert (dev <= 5.0 * se + 1e-12).all(), (tau, dev, se)
+        # path r and path r + paths/2 are the real and imaginary parts of one draw: independent
+        pair = np.einsum("pti,ptj->pij", x[: paths // 2], x[paths // 2:]) / k
+        se = pair.std(axis=0, ddof=1) / np.sqrt(paths // 2)
+        assert (np.abs(pair.mean(axis=0)) <= 5.0 * se).all(), (pair.mean(axis=0), se)
+
+    @pytest.mark.parametrize(
+        "name", [n for n, (b, _) in MODELS.items() if not b().arma_terms and (b().bands or b().lines)]
+    )
+    def test_quadrature_reproduces_the_autocovariance(self, name):
+        model = MODELS[name][0]()
+        for k in (300, 600, 4096 // model.L):
+            acov = autocovariance_from_spectrum(model, k - 1)
+            _, residual = simulate._spectral_paths(acov, k, 2, seed=1)
+            assert residual <= 1e-11 * np.abs(acov.matrices[0]).max(), (k, residual)
+
+    def test_deterministic_by_seed_and_chunk(self, monkeypatch):
+        acov = autocovariance_from_spectrum(narrowband(0.4), 599)
+        odd = sample_paths(acov, 600, 7, seed=42)
+        assert (odd.factor_method, odd.samples.shape) == ("spectral", (7, 600, 1))
+        assert np.array_equal(odd.samples, sample_paths(acov, 600, 7, seed=42).samples)
+        assert not np.array_equal(odd.samples, sample_paths(acov, 600, 7, seed=43).samples)
+        # real parts of 4 complex draws, then 3 imaginary parts, as on the circulant route
+        even = sample_paths(acov, 600, 8, seed=42).samples
+        assert np.array_equal(odd.samples, np.concatenate([even[:4], even[4:7]]))
+        monkeypatch.setattr(simulate, "_PATH_CHUNK", 4)
+        chunked = sample_paths(acov, 600, 9, seed=42).samples
+        assert np.array_equal(chunked[:4], sample_paths(acov, 600, 4, seed=42).samples)
+        assert np.array_equal(chunked[:8], sample_paths(acov, 600, 8, seed=42).samples)
+        assert not np.array_equal(chunked[:4], chunked[4:8])
+
+    def test_coarse_quadrature_falls_back_to_the_dense_factor(self, monkeypatch):
+        # one 128-node panel cannot integrate lags up to 599 over a band of width 0.4
+        acov = autocovariance_from_spectrum(narrowband(0.4), 599)
+        monkeypatch.setattr(simulate, "_PANEL_PHASE", 1e9)
+        assert simulate._spectral_paths(acov, 600, 2, seed=1)[1] > 1e-11
+        batch = sample_paths(acov, 600, 6, seed=5)
+        dense = sample_paths(_without_model(acov), 600, 6, seed=5)
+        assert (batch.factor_method, batch.jitter) == (dense.factor_method, dense.jitter)
+        assert batch.factor_method == "cholesky+jitter"
+        assert np.array_equal(batch.samples, dense.samples)
+
+    def test_imaginary_residue_trips_the_check(self):
+        """Mirrored band levels that differ by 3e-10 pass model validation and
+        the autocovariance's imaginary-residue check, but the quadrature's
+        imaginary part (the correlation of its real and imaginary paths) then
+        exceeds the tolerance, so the dense factor samples the real law."""
+        model = SpectralModel(L=1, bands=[Band(-0.2, 0.0, [[2.5]]), Band(0.0, 0.2, [[2.5 + 3e-10]])])
+        acov = autocovariance_from_spectrum(model, 599)
+        assert simulate._spectral_paths(acov, 600, 2, seed=1)[1] > 1e-11 * acov.matrices[0, 0, 0]
+        assert sample_paths(acov, 600, 2, seed=1).factor_method == "cholesky+jitter"
+
+    @pytest.mark.parametrize("name", ["narrowband_0p4", "line_process"])
+    def test_estimate_at_cli_defaults_makes_no_large_dense_factor(self, name, monkeypatch):
+        from gaussdim.experiments import run
+        from gaussdim.modelio import model_to_document
+
+        real, rows = simulate._psd_factor, []
+
+        def spy(acov, k):
+            rows.append(k * acov.L)
+            return real(acov, k)
+
+        monkeypatch.setattr(simulate, "_psd_factor", spy)
+        rep = run({"task": "estimate", "model": model_to_document(MODELS[name][0]()), "seed": 7})
+        assert rep.reports[1].settings["factor_method"] == "spectral"
+        assert rows and max(rows) <= simulate._EXACT_FACTOR_DIM
 
 
 class TestWelch:

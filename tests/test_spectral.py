@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaussdim import spectral
-from gaussdim.benchmarks import MODELS, ar1, correlated_pair, line_process, white_noise
+from gaussdim.benchmarks import MODELS, ar1, correlated_pair, line_process, narrowband, white_noise
 from gaussdim.experiments import run
 from gaussdim.modelio import model_to_document
 from gaussdim.spectral import (
@@ -94,6 +94,55 @@ class TestEvalSpectrum:
     def test_non_finite_rational_coefficient_rejected(self, num, den):
         with pytest.raises(ModelValidationError, match=re.escape("rational term (0,0) has a non-finite coefficient")):
             SpectralModel(L=1, arma_terms=[RationalTerm(0, 0, num, den)])
+
+
+def _polyval_rational(model, nodes):
+    """Reference: each rational term by np.polynomial's polyval, into its own zero stack."""
+    out = np.zeros((len(nodes), model.L, model.L), dtype=complex)
+    z = np.exp(-2j * np.pi * nodes)
+    for t in model.arma_terms:
+        val = np.polynomial.polynomial.polyval(z, np.asarray(t.num)) / np.polynomial.polynomial.polyval(
+            z, np.asarray(t.den)
+        )
+        out[:, t.row, t.col] += val
+        if t.row != t.col:
+            out[:, t.col, t.row] += val.conj()
+    return out
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("n", [66, 4098])
+    def test_band_edge_on_a_node_fills_mirror_symmetrically(self, n):
+        # the edges +-1/4 of narrowband(0.5) are grid nodes when n = 2 mod 4
+        nodes = FrequencyGrid(n).nodes
+        assert -0.25 in nodes and 0.25 in nodes
+        ri = rank_integral(narrowband(0.5), FrequencyGrid(n))
+        assert abs(ri.value - 0.5) <= 1.0 / n
+        assert abs(ri.profile.mean_rank - 0.5) <= 1.0 / n + 1e-15
+        assert np.array_equal(ri.matrices[::-1], ri.matrices.conj())
+
+    def test_edge_index_is_mirror_symmetric(self):
+        nodes = FrequencyGrid(66).nodes
+        edges = np.concatenate([nodes, [0.0, 0.5, 0.3, 0.25 + 1e-3]])
+        got = spectral._band_edge_index(nodes, edges)
+        assert np.array_equal(spectral._band_edge_index(nodes, -edges), len(nodes) - got)
+
+    @pytest.mark.parametrize("n", [64, 4096, 65536])
+    def test_dyadic_fill_is_the_half_open_searchsorted_fill(self, n):
+        nodes = FrequencyGrid(n).nodes
+        for name, (builder, _) in MODELS.items():
+            model = builder()
+            ref = np.zeros((n, model.L, model.L), dtype=complex)
+            for b in model.bands:
+                lo, hi = np.searchsorted(nodes, (b.lo, b.hi))
+                ref[lo:hi] += b.matrix
+            ref += _polyval_rational(model, nodes)
+            assert spectral._assemble_spectrum(model, nodes).tobytes() == ref.tobytes(), name
+
+    @pytest.mark.parametrize("builder", [lambda: ar1(0.6), lambda: _rational_pair()], ids=["ar1", "pair"])
+    def test_horner_equals_polyval(self, builder):
+        model, nodes = builder(), FrequencyGrid(65536).nodes
+        assert np.array_equal(spectral._eval_rational(model, nodes), _polyval_rational(model, nodes))
 
 
 class TestRankIntegral:
@@ -774,7 +823,7 @@ class TestRunPass:
             "narrow": [Band(-narrow[1], -narrow[0], [[2.0]]), Band(*narrow, [[2.0]])],
             "to-half": [Band(-0.5, -0.25, [[1.0]]), Band(-0.25, 0.25, [[3.0]]), Band(0.25, 0.5, [[1.0]])],
         }
-        assert not _assert_same_as_per_node_pass(SpectralModel(L=1, bands=cases["on-node"]), FrequencyGrid(n))
+        assert _assert_same_as_per_node_pass(SpectralModel(L=1, bands=cases["on-node"]), FrequencyGrid(n))
         assert _assert_same_as_per_node_pass(SpectralModel(L=1, bands=cases["narrow"]), FrequencyGrid(n))
         assert _assert_same_as_per_node_pass(SpectralModel(L=1, bands=cases["to-half"]), FrequencyGrid(n))
 
