@@ -64,7 +64,6 @@ class DimensionEstimate:
     notes: str = ""
     occupancy: tuple = ()  # occupied cells / paths at each ladder m (entropy slope only)
     factor_method: str = ""  # how the sampled paths' covariance was factored ("" if none drawn)
-    jitter: float = 0.0  # diagonal load added to that covariance before factoring
 
     @property
     def ladder_spread(self) -> float:
@@ -108,8 +107,8 @@ def _choose_k(samples: np.ndarray, m_max: int) -> int:
 def _entropy_slope(samples: np.ndarray, ladder: tuple, k: int, batch, L: int, notes: str = ""):
     """Slope of the block entropy rate H_k/k against log m, one k-block per path.
 
-    `batch` is the draw the samples came from (its factor method and jitter
-    are reported); slopes outside [-0.1, L + 0.1] are flagged.
+    `batch` is the draw the samples came from (its factor method is
+    reported); slopes outside [-0.1, L + 0.1] are flagged.
     """
     paths = samples.shape[0]
     blocks = samples[:, :k, :].reshape(paths, -1)
@@ -129,8 +128,7 @@ def _entropy_slope(samples: np.ndarray, ladder: tuple, k: int, batch, L: int, no
     if not -0.1 <= slope <= L + 0.1:
         notes = "; ".join(filter(None, (notes, f"slope {slope:.4f} outside [-0.1, L+0.1]")))
     return DimensionEstimate(
-        slope, "entropy-slope", ladder, k, paths, se, pairwise, notes, tuple(occupancy),
-        batch.factor_method, batch.jitter,
+        slope, "entropy-slope", ladder, k, paths, se, pairwise, notes, tuple(occupancy), batch.factor_method,
     )
 
 
@@ -232,7 +230,7 @@ def surrogate_idr_estimate(
     return DimensionEstimate(
         value, "gaussian-surrogate", ladder, k_eff, paths, se, tuple(L + p for p in pairwise),
         notes="" if -0.1 <= value <= model.L + 0.1 else f"estimate {value:.4f} outside [-0.1, L+0.1]",
-        factor_method=batch.factor_method, jitter=batch.jitter,
+        factor_method=batch.factor_method,
     )
 
 

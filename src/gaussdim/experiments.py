@@ -179,8 +179,8 @@ def _estimate_reports(ri, config) -> list:
                 passed=bool(abs(est.value - ri.value) <= TOL_ESTIMATE),
                 settings={
                     "m_ladder": list(est.m_ladder), "k": est.k, "factor_method": est.factor_method,
-                    "jitter": est.jitter, "occupancy": list(est.occupancy),
-                    "paths": est.paths, "ladder_spread": est.ladder_spread, "notes": est.notes,
+                    "occupancy": list(est.occupancy), "paths": est.paths,
+                    "ladder_spread": est.ladder_spread, "notes": est.notes,
                 },
             )
         )
@@ -220,7 +220,7 @@ def _verify_reports(ri, config) -> list:
                 settings={
                     "amount": amount, "base": inv.base.value, "transformed": inv.transformed.value,
                     # base and transformed paths come from one sampled batch
-                    "factor_method": inv.base.factor_method, "jitter": inv.base.jitter,
+                    "factor_method": inv.base.factor_method,
                 },
             )
         )
@@ -243,11 +243,12 @@ def _verify_reports(ri, config) -> list:
                 EstimateReport(
                     "bussgang_gain", "monte-carlo", float(rep.gain.mean()),
                     se=float(rep.gain_se.mean()), reference=1.0,
-                    tolerance=float(rep.gain_bound.max()),
+                    # the gate accepts |1 - gain| up to the theory bound plus 5 standard errors
+                    tolerance=float((rep.gain_bound + 5.0 * rep.gain_se).max()),
                     passed=bool(rep.gain_bound_ok and rep.noise_ok),
                     settings={
-                        "m": m, "noise_var": rep.noise_var.tolist(), "noise_bound": rep.noise_bound,
-                        "factor_method": flat.factor_method, "jitter": flat.jitter,
+                        "m": m, "gain_bound": rep.gain_bound.tolist(), "noise_var": rep.noise_var.tolist(),
+                        "noise_bound": rep.noise_bound, "factor_method": flat.factor_method,
                     },
                 )
             )
@@ -264,7 +265,7 @@ def _verify_reports(ri, config) -> list:
                     settings={
                         "m": m, "gain": rep.gain, "noise_mass": rep.noise_mass.tolist(),
                         "sample_variance": rep.sample_variance.tolist(),
-                        "factor_method": ident_batch.factor_method, "jitter": ident_batch.jitter,
+                        "factor_method": ident_batch.factor_method,
                     },
                 )
             )

@@ -1,24 +1,22 @@
 """Autocovariance synthesis, exact Gaussian path sampling, and Welch cross-spectra.
 
 The sampler draws from the exact law of k consecutive samples and tries its
-factors in the order circulant -> spectral -> cholesky -> cholesky+jitter ->
-eigh.  Paths with k*L above _EXACT_FACTOR_DIM first try the block-circulant
-embedding of C(tau) at size 2k (Wood & Chan 1994; Chan & Wood 1999), used
-only when it is PSD: one block FFT and one batched eigh colour complex
-normals, and one FFT along time turns each into two exact-law paths.  When
-the embedding is refused and the model has no rational terms, the paths come
-from a quadrature of the spectral representation x_t = integral of
-e^{-2 pi i t theta} dZ(theta): composite Gauss-Legendre nodes on each band,
-one node per line, each coloured by a root of its band matrix or line power.
-The quadrature is used only when its own covariance reproduces C(0..k-1) to
-rounding.  Otherwise the block-Toeplitz covariance is filled by one strided
-copy and Cholesky-factored in place; a failed attempt has overwritten it, so
-each retry (Cholesky with a small diagonal jitter for large matrices, then
-the eigenvalue factor) rebuilds it first.  A batch records which factor ran
-and the jitter, if any, that its law carries.  Band and line contributions to
-C(tau) are integrated in closed form; rational terms are integrated by a
-dense FFT quadrature whose resolution grows with tau_max so that long lags
-stay alias-free.
+factors in the order circulant -> spectral -> cholesky -> eigh.  Paths with
+k*L above _EXACT_FACTOR_DIM first try the block-circulant embedding of C(tau)
+at size 2k (Wood & Chan 1994; Chan & Wood 1999), used only when it is PSD:
+one block FFT and one batched eigh colour complex normals, and one FFT along
+time turns each into two exact-law paths.  When the embedding is refused and
+the model has no rational terms, the paths come from a quadrature of the
+spectral representation x_t = integral of e^{-2 pi i t theta} dZ(theta):
+composite Gauss-Legendre nodes on each band, one node per line, each
+coloured by a root of its band matrix or line power.  The quadrature is used
+only when its own covariance reproduces C(0..k-1) to rounding.  Otherwise
+the block-Toeplitz covariance is filled by one strided copy and
+Cholesky-factored, or, when that fails, factored exactly by its
+eigendecomposition; no factor perturbs the law.  A batch records which
+factor ran.  Band and line contributions to C(tau) are integrated in closed
+form; rational terms are integrated by a dense FFT quadrature whose
+resolution grows with tau_max so that long lags stay alias-free.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ class SymmetryViolationError(ValueError):
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
-    """Block-Toeplitz covariance could not be factored even after repair."""
+    """Block-Toeplitz covariance is not PSD, so no exact factor exists."""
 
 
 class InsufficientDataError(ValueError):
@@ -144,9 +142,8 @@ class SamplePathBatch:
     # The factor that ran, first that applied of: "circulant" (the exact
     # embedding, k*L > _EXACT_FACTOR_DIM only), "spectral" (the quadrature of
     # the spectral measure, k*L > _EXACT_FACTOR_DIM and no rational terms
-    # only), "cholesky", "cholesky+jitter" (k*L > _EXACT_FACTOR_DIM only), "eigh".
+    # only), "cholesky", "eigh".
     factor_method: str = "cholesky"
-    jitter: float = 0.0  # diagonal load added to the covariance before factoring
     variance: np.ndarray | None = None  # (L,) diag C(0): the variances the law fixes
 
     @property
@@ -291,74 +288,39 @@ def _spectral_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int)
     return out, float(np.abs(c_hat - acov.matrices[:k].reshape(k, L * L)).max())
 
 
-def _cholesky_in_place(sigma: np.ndarray) -> np.ndarray:
-    # sigma is exactly symmetric, so its F-ordered transpose is the same
-    # matrix and LAPACK factors it without a copy; the factor is F-ordered.
-    # SciPy is imported here so that tasks which draw no dense factor never load it.
-    import scipy.linalg
+def _psd_factor(acov: AutocovarianceSequence, k: int) -> tuple[np.ndarray, str]:
+    """Square factor F with F F^T = acov.toeplitz(k), and the method that ran.
 
-    return scipy.linalg.cholesky(sigma.T, lower=True, overwrite_a=True, check_finite=False)
-
-
-def _cholesky_succeeds(sigma: np.ndarray) -> bool:
-    """Whether the Cholesky factorization of `sigma` (overwritten) succeeds."""
-    try:
-        _cholesky_in_place(sigma)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _psd_factor(acov: AutocovarianceSequence, k: int) -> tuple[np.ndarray, str, float]:
-    """Square factor F with F F^T = acov.toeplitz(k), its method and the jitter added.
-
-    Cholesky first, in place on the covariance buffer.  A failed attempt has
-    overwritten that buffer, so every retry rebuilds the covariance.  Above
-    _EXACT_FACTOR_DIM the plain attempt is made only if the leading principal
-    block of at most _EXACT_FACTOR_DIM rows factors: when that block fails the
-    full matrix fails at the same leading minor.  Small matrices then go
-    straight to the exact eigenvalue factor so rank-deficient laws (e.g.
-    perfectly correlated components) are sampled exactly; large matrices try
-    one Cholesky with jitter = 1e-12 * tr(sigma) / n added to the diagonal
-    before paying for the eigendecomposition.  The returned jitter is that
-    diagonal load when the jittered factor is used, else 0.0.
+    Cholesky first; when it fails (a singular law, such as perfectly
+    correlated components), the exact eigenvalue factor, which refuses a
+    matrix with an eigenvalue below its PSD floor.  Neither factor perturbs
+    the covariance, so the law sampled is always the one given.
     """
-    n = k * acov.L
-    if n <= _EXACT_FACTOR_DIM or _cholesky_succeeds(acov.toeplitz(_EXACT_FACTOR_DIM // acov.L)):
-        try:
-            return _cholesky_in_place(acov.toeplitz(k)), "cholesky", 0.0
-        except np.linalg.LinAlgError:
-            pass
-    if n > _EXACT_FACTOR_DIM:
-        jittered = acov.toeplitz(k)
-        jitter = 1e-12 * np.trace(jittered) / n
-        if jitter > 0:
-            jittered.flat[:: n + 1] += jitter
-            try:
-                return _cholesky_in_place(jittered), "cholesky+jitter", float(jitter)
-            except np.linalg.LinAlgError:
-                pass
-        del jittered  # free the n x n buffer before eigh gets a fresh one
-    eigval, eigvec = np.linalg.eigh(acov.toeplitz(k))
+    sigma = acov.toeplitz(k)
+    try:
+        return np.linalg.cholesky(sigma), "cholesky"
+    except np.linalg.LinAlgError:
+        pass
+    eigval, eigvec = np.linalg.eigh(sigma)
     floor = -1e-8 * max(eigval.max(), 1e-300)
     if eigval.min() < floor:
         raise NotPositiveDefiniteError(
             f"covariance is not PSD: smallest pivot/eigenvalue {eigval.min():.6e}"
         )
-    return eigvec * np.sqrt(np.clip(eigval, 0.0, None)), "eigh", 0.0
+    return eigvec * np.sqrt(np.clip(eigval, 0.0, None)), "eigh"
 
 
 def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) -> SamplePathBatch:
     """Draw `paths` independent exact-law paths of length k.
 
-    Factors are tried in the order circulant -> spectral -> cholesky ->
-    cholesky+jitter -> eigh, and the batch names the one that ran.  For k*L
-    above _EXACT_FACTOR_DIM the block-circulant embedding is used whenever it
-    is PSD; each complex draw then gives two paths.  When it is not and the
-    sequence was synthesized from a model with no rational terms, the
-    quadrature of the spectral measure draws the paths (see _spectral_paths),
-    again two per complex draw, provided it reproduces C(0..k-1).  Otherwise
-    the block-Toeplitz covariance is factored densely (see _psd_factor).
+    Factors are tried in the order circulant -> spectral -> cholesky -> eigh,
+    and the batch names the one that ran.  For k*L above _EXACT_FACTOR_DIM
+    the block-circulant embedding is used whenever it is PSD; each complex
+    draw then gives two paths.  When it is not and the sequence was
+    synthesized from a model with no rational terms, the quadrature of the
+    spectral measure draws the paths (see _spectral_paths), again two per
+    complex draw, provided it reproduces C(0..k-1).  Otherwise the
+    block-Toeplitz covariance is factored densely (see _psd_factor).
 
     Deterministic given (acov, k, paths, seed); paths are generated in fixed
     chunks with per-chunk sub-streams, so chunk order (and hence parallel
@@ -384,14 +346,14 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
             out[start:start + half] = x.real
             out[start + half:stop] = x.imag[: stop - start - half]
         out += acov.mean
-        return SamplePathBatch(out, seed, "circulant", 0.0, variance)
+        return SamplePathBatch(out, seed, "circulant", variance)
     model = acov.model
     if k * L > _EXACT_FACTOR_DIM and model is not None and not model.arma_terms:
         out, residual = _spectral_paths(acov, k, paths, seed)
         if residual <= _QUADRATURE_TOL * np.abs(acov.matrices[0]).max():
-            return SamplePathBatch(out, seed, "spectral", 0.0, variance)
+            return SamplePathBatch(out, seed, "spectral", variance)
         del out  # free the paths before the dense factor allocates
-    factor, method, jitter = _psd_factor(acov, k)
+    factor, method = _psd_factor(acov, k)
     mu = np.tile(acov.mean, k)
     out = np.empty((paths, k * L))
     for chunk, start in enumerate(range(0, paths, _PATH_CHUNK)):
@@ -399,7 +361,7 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
         rng = derive_rng(seed, "gauss-paths", chunk)
         z = rng.standard_normal((stop - start, k * L))
         out[start:stop] = z @ factor.T + mu
-    return SamplePathBatch(out.reshape(paths, k, L), seed, method, jitter, variance)
+    return SamplePathBatch(out.reshape(paths, k, L), seed, method, variance)
 
 
 @dataclass(frozen=True)

@@ -361,21 +361,13 @@ def _check_nodes(mats: np.ndarray, nodes: np.ndarray, starts: np.ndarray) -> np.
     return eig
 
 
-def eval_spectrum(model: SpectralModel, grid: FrequencyGrid) -> np.ndarray:
-    """Density matrices S(theta_j) on the grid, shape (n, L, L), lines excluded.
-
-    Lines are jumps of the spectral distribution; the derivative they carry is
-    zero almost everywhere, so they contribute nothing here.
-    """
-    return _diagonalize(model, grid)[0]
-
-
 def _diagonalize(model: SpectralModel, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate the density on the grid, then validate and diagonalize it once
     per constant run.
 
     Returns the (n, L, L) stack, the first node of each run and the
-    eigenvalues of each run, ascending.
+    eigenvalues of each run, ascending.  Lines are jumps of the spectral
+    distribution, not density, so the stack leaves them out.
     """
     nodes = grid.nodes
     mats = _assemble_spectrum(model, nodes)

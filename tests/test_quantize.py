@@ -1,5 +1,7 @@
 """Floor quantizer semantics, dither, and the gain/spectrum diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from gaussdim.quantize import (
     quantize,
     spectrum_identity_check,
 )
-from gaussdim.simulate import AutocovarianceSequence, autocovariance_from_spectrum, sample_paths
+from gaussdim.simulate import autocovariance_from_spectrum, sample_paths
 
 
 def _as_batch(values):
@@ -179,12 +181,13 @@ class TestSpectrumIdentity:
             spectrum_identity_check(white_batch.samples * 3.0, 8)
 
     def test_batch_gates_on_the_law_variance(self):
-        """A random sinusoid's pooled sample variance strays from the 1 its law
-        fixes; the batch carries that law, the raw array does not.  The
-        sequence is built without its model, so these 64 paths come from the
-        dense factor."""
+        """Paths scaled by 1.25 have a pooled sample variance off the 1 their
+        law fixes by construction; the batch carries that law, the raw array
+        does not."""
         acov = autocovariance_from_spectrum(line_process(), 1023)
-        batch = sample_paths(AutocovarianceSequence(acov.matrices, acov.mean), 1024, 64, seed=1)
+        batch = sample_paths(acov, 1024, 64, seed=1)
+        batch = dataclasses.replace(batch, samples=1.25 * batch.samples)
+        assert batch.variance == pytest.approx([1.0], rel=1e-12)
         sample_var = batch.samples.var()
         assert abs(sample_var - 1.0) > 0.05
         with pytest.raises(UnitVarianceRequiredError):

@@ -2,9 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gaussdim
 from gaussdim.benchmarks import narrowband, proper_complex_flat, white_noise
 from gaussdim.cli import _build_parser, _raw_config, main
 from gaussdim.experiments import COMMON_FIELDS, TASKS, ConfigError, ExperimentConfig, run
@@ -208,11 +213,12 @@ class TestRunTasks:
         assert surrogate.settings["occupancy"] == []
 
     @pytest.mark.parametrize(
-        "builder, method, jitter",
-        [(lambda: narrowband(0.4), "spectral", 0.0), (white_noise, "circulant", 0.0)],
+        "builder, method",
+        [(lambda: narrowband(0.4), "spectral"), (white_noise, "circulant")],
         ids=["narrowband", "white"],
     )
-    def test_estimate_reports_factor_method_and_jitter(self, builder, method, jitter):
+    def test_estimate_reports_factor_method_and_jitter(self, builder, method):
+        """Every factor samples the exact law, so no row reports a jitter."""
         rep = run({
             "task": "estimate",
             "model": model_to_document(builder()),
@@ -223,12 +229,11 @@ class TestRunTasks:
         })
         slope, surrogate = rep.reports
         assert surrogate.settings["factor_method"] == method
-        assert surrogate.settings["jitter"] == pytest.approx(jitter, rel=1e-6, abs=0.0)
-        assert list(surrogate.settings)[:4] == ["m_ladder", "k", "factor_method", "jitter"]
+        assert list(surrogate.settings)[:4] == ["m_ladder", "k", "factor_method", "occupancy"]
         assert slope.settings["factor_method"] == "cholesky"
-        assert slope.settings["jitter"] == 0.0
+        assert "jitter" not in slope.settings
 
-    def test_verify_rows_report_factor_method_and_jitter(self):
+    def test_verify_rows_report_factor_method(self):
         rep = run({"task": "verify", "model": model_to_document(white_noise()), "seed": 3,
                    "m_ladder": [2, 4], "verify_paths": 2000})
         sampled = [r for r in rep.reports if r.method != "quadrature-oracle"]
@@ -238,7 +243,43 @@ class TestRunTasks:
         for r in sampled:
             # only the identity check draws paths long enough (k=1024) for the circulant embedding
             method = "circulant" if r.quantity == "quantized_spectrum_identity" else "cholesky"
-            assert (r.settings["factor_method"], r.settings["jitter"]) == (method, 0.0), r.quantity
+            assert r.settings["factor_method"] == method, r.quantity
+            assert "jitter" not in r.settings, r.quantity
+        bussgang = [r for r in sampled if r.quantity == "bussgang_gain"]
+        assert bussgang
+        for r in bussgang:
+            # the tolerance is the threshold the gate applies, above the theory bound
+            assert r.tolerance > max(r.settings["gain_bound"])
+            assert (abs(1.0 - r.value) <= r.tolerance) == r.passed, r.settings["m"]
+
+    def test_estimate_and_verify_load_no_scipy_linalg(self, tmp_path):
+        """`estimate` loads no SciPy at all; `verify` loads only scipy.special,
+        for the exact cell oracle's normal CDF."""
+        code = (
+            "import json, sys\n"
+            "from gaussdim.benchmarks import MODELS\n"
+            "from gaussdim.experiments import run\n"
+            "from gaussdim.modelio import model_to_document\n"
+            "task, name, extra = json.loads(sys.argv[1])\n"
+            "run(dict(extra, task=task, seed=3, model=model_to_document(MODELS[name][0]())))\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        )
+        runs = [
+            ("estimate", "correlated_pair", {"paths": 20_000, "surrogate_paths": 24, "surrogate_k": 2048}),
+            ("verify", "white_noise", {"m_ladder": [2, 4], "verify_paths": 2000}),
+        ]
+        src = str(Path(gaussdim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        loaded = {}
+        for run_args in runs:
+            out = subprocess.run(
+                [sys.executable, "-c", code, json.dumps(run_args)],
+                env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
+            )
+            loaded[run_args[0]] = set(json.loads(out.stdout.strip().splitlines()[-1]))
+        assert loaded["estimate"] == set()
+        assert "scipy.special" in loaded["verify"]
+        assert not any(m.split(".")[:2] == ["scipy", "linalg"] for m in loaded["verify"])
 
     def test_verify_draws_each_batch_once(self, monkeypatch):
         import gaussdim.estimators as estimators

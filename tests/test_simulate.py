@@ -190,17 +190,6 @@ def _reference_factor(sigma):
         return scipy.linalg.cholesky(sigma, lower=True, check_finite=False), "cholesky"
     except scipy.linalg.LinAlgError:
         pass
-    n = sigma.shape[0]
-    if n > 512:
-        jitter = 1e-12 * np.trace(sigma) / n
-        if jitter > 0:
-            try:
-                return (
-                    scipy.linalg.cholesky(sigma + jitter * np.eye(n), lower=True, check_finite=False),
-                    "cholesky+jitter",
-                )
-            except scipy.linalg.LinAlgError:
-                pass
     eigval, eigvec = np.linalg.eigh(sigma)
     return eigvec * np.sqrt(np.clip(eigval, 0.0, None)), "eigh"
 
@@ -238,9 +227,9 @@ class TestDenseFactor:
         "builder, k, method, sampled",
         [
             (white_noise, 64, "cholesky", "cholesky"),
-            (lambda: narrowband(0.4), 600, "cholesky+jitter", "spectral"),
+            (lambda: narrowband(0.4), 600, "eigh", "spectral"),
             (correlated_pair, 4, "eigh", "eigh"),
-            (correlated_pair, 300, "cholesky+jitter", "circulant"),
+            (correlated_pair, 300, "eigh", "circulant"),
         ],
         ids=["white-k64", "narrowband-k600", "pair-k4", "pair-k300"],
     )
@@ -256,7 +245,7 @@ class TestDenseFactor:
         expected, ref_method = _reference_samples(acov, k, 50, 3)
         assert batch.factor_method == sampled
         if sampled != method:
-            factor, got, _ = _psd_factor(acov, k)
+            factor, got = _psd_factor(acov, k)
             z = derive_rng(3, "gauss-paths", 0).standard_normal((50, k * acov.L))
             samples = (z @ factor.T + np.tile(acov.mean, k)).reshape(expected.shape)
         else:
@@ -265,48 +254,17 @@ class TestDenseFactor:
         assert np.array_equal(samples, expected)
 
     @pytest.mark.parametrize(
-        "builder, k, method",
-        [
-            (lambda: narrowband(0.4), 600, "cholesky+jitter"),
-            (lambda: narrowband(0.4), 300, "eigh"),
-            (correlated_pair, 300, "cholesky+jitter"),
-        ],
+        "builder, k",
+        [(lambda: narrowband(0.4), 600), (lambda: narrowband(0.4), 300), (correlated_pair, 300)],
         ids=["narrowband-k600", "narrowband-k300", "pair-k300"],
     )
-    def test_retry_rebuilds_overwritten_covariance(self, builder, k, method):
+    def test_retry_rebuilds_overwritten_covariance(self, builder, k):
+        """Cholesky fails on these singular laws; the eigh retry factors the
+        intact covariance, so its factor reproduces toeplitz(k) unperturbed."""
         acov = autocovariance_from_spectrum(builder(), k - 1)
-        factor, got, jitter = _psd_factor(acov, k)
-        sigma = acov.toeplitz(k)
-        n = sigma.shape[0]
-        assert got == method
-        if method == "cholesky+jitter":
-            assert jitter == 1e-12 * np.trace(sigma) / n
-        else:
-            assert jitter == 0.0
-        assert np.abs(factor @ factor.T - (sigma + jitter * np.eye(n))).max() <= 1e-10
-
-    def test_failing_leading_block_skips_the_plain_full_attempt(self, monkeypatch):
-        # narrowband(0.4) fails its plain Cholesky at leading minor 19, so the
-        # 512-row leading block decides it and only the jittered attempt is full
-        # size; the sequence is built without its model, so no spectral route
-        acov = _without_model(autocovariance_from_spectrum(narrowband(0.4), 4095))
-        real, sizes = simulate._cholesky_in_place, []
-
-        def spy(sigma):
-            sizes.append(len(sigma))
-            return real(sigma)
-
-        monkeypatch.setattr(simulate, "_cholesky_in_place", spy)
-        batch = sample_paths(acov, 4096, 2, seed=1)
-        assert sizes == [simulate._EXACT_FACTOR_DIM, 4096]
-        assert batch.factor_method == "cholesky+jitter"
-        assert batch.jitter == pytest.approx(1e-12, rel=1e-6, abs=0.0)
-
-    def test_batch_records_jitter(self):
-        acov = _without_model(autocovariance_from_spectrum(narrowband(0.4), 599))
-        assert sample_paths(acov, 600, 4, seed=1).jitter == pytest.approx(1e-12, rel=1e-6, abs=0.0)
-        acov = autocovariance_from_spectrum(white_noise(), 63)
-        assert sample_paths(acov, 64, 4, seed=1).jitter == 0.0
+        factor, got = _psd_factor(acov, k)
+        assert got == "eigh"
+        assert np.abs(factor @ factor.T - acov.toeplitz(k)).max() <= 1e-10
 
 
 def _asymmetric_lag_one(k):
@@ -354,9 +312,9 @@ class TestCirculant:
     @pytest.mark.parametrize(
         "builder, k, method",
         [
-            (lambda: narrowband(0.4), 600, "cholesky+jitter"),
-            (independent_halfband_pair, 300, "cholesky+jitter"),
-            (line_process, 600, "cholesky+jitter"),
+            (lambda: narrowband(0.4), 600, "eigh"),
+            (independent_halfband_pair, 300, "eigh"),
+            (line_process, 600, "eigh"),
             (_narrowband_ar1, 600, "cholesky"),
             (_narrowband_ar1, 2048, "cholesky"),
         ],
@@ -368,7 +326,7 @@ class TestCirculant:
         sequence built without its model."""
         acov = autocovariance_from_spectrum(builder(), k - 1)
         assert _circulant_root(acov, k) is None  # refused, not clipped
-        _, got, jitter = _psd_factor(acov, k)
+        _, got = _psd_factor(acov, k)
         assert got == method
         if acov.model.arma_terms:
             dense = acov
@@ -376,12 +334,12 @@ class TestCirculant:
             assert sample_paths(acov, k, 4, seed=1).factor_method == "spectral"
             dense = _without_model(acov)
         batch = sample_paths(dense, k, 4, seed=1)
-        assert (batch.factor_method, batch.jitter) == (method, jitter)
+        assert batch.factor_method == method
 
     def test_deterministic_by_seed_and_chunk(self, monkeypatch):
         acov = autocovariance_from_spectrum(ar1(0.6), 599)
         odd = sample_paths(acov, 600, 7, seed=42)
-        assert (odd.factor_method, odd.jitter, odd.samples.shape) == ("circulant", 0.0, (7, 600, 1))
+        assert (odd.factor_method, odd.samples.shape) == ("circulant", (7, 600, 1))
         assert np.array_equal(odd.samples, sample_paths(acov, 600, 7, seed=42).samples)
         assert not np.array_equal(odd.samples, sample_paths(acov, 600, 7, seed=43).samples)
         # 7 paths are the real parts of 4 complex draws, then 3 imaginary parts;
@@ -427,7 +385,7 @@ class TestSpectralRoute:
         acov = autocovariance_from_spectrum(builder(), k - 1)
         assert _circulant_root(acov, k) is None
         batch = sample_paths(acov, k, paths, seed=23)
-        assert (batch.factor_method, batch.jitter) == ("spectral", 0.0)
+        assert batch.factor_method == "spectral"
         x = batch.samples
         for tau in range(2):
             per_path = np.einsum("pti,ptj->pij", x[:, tau:], x[:, : k - tau]) / (k - tau)
@@ -471,8 +429,7 @@ class TestSpectralRoute:
         assert simulate._spectral_paths(acov, 600, 2, seed=1)[1] > 1e-11
         batch = sample_paths(acov, 600, 6, seed=5)
         dense = sample_paths(_without_model(acov), 600, 6, seed=5)
-        assert (batch.factor_method, batch.jitter) == (dense.factor_method, dense.jitter)
-        assert batch.factor_method == "cholesky+jitter"
+        assert batch.factor_method == dense.factor_method == "eigh"
         assert np.array_equal(batch.samples, dense.samples)
 
     def test_imaginary_residue_trips_the_check(self):
@@ -483,7 +440,7 @@ class TestSpectralRoute:
         model = SpectralModel(L=1, bands=[Band(-0.2, 0.0, [[2.5]]), Band(0.0, 0.2, [[2.5 + 3e-10]])])
         acov = autocovariance_from_spectrum(model, 599)
         assert simulate._spectral_paths(acov, 600, 2, seed=1)[1] > 1e-11 * acov.matrices[0, 0, 0]
-        assert sample_paths(acov, 600, 2, seed=1).factor_method == "cholesky+jitter"
+        assert sample_paths(acov, 600, 2, seed=1).factor_method == "eigh"
 
     @pytest.mark.parametrize("name", ["narrowband_0p4", "line_process"])
     def test_estimate_at_cli_defaults_makes_no_large_dense_factor(self, name, monkeypatch):
@@ -607,7 +564,7 @@ class TestWelch:
         assert np.abs(est.per_path - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_cli_import_and_analyze_leave_out_scipy(self, tmp_path):
-        """SciPy serves only the dense fallback factor, so it loads lazily."""
+        """SciPy serves only the exact cell oracle's normal CDF, so it loads lazily."""
         code = (
             "import sys, gaussdim.cli\n"
             "from gaussdim.benchmarks import white_noise\n"

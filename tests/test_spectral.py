@@ -25,12 +25,12 @@ from gaussdim.spectral import (
     _band_segments,
     _check_nodes,
     _congruence,
+    _diagonalize,
     _numerical_ranks,
     _scalar_density,
     _segment_support_measure,
     _stack_eigvalsh,
     component_variances,
-    eval_spectrum,
     normalize_components,
     properness_check,
     rank_integral,
@@ -40,25 +40,25 @@ from gaussdim.spectral import (
 
 class TestEvalSpectrum:
     def test_white_noise_constant(self, white, grid):
-        mats = eval_spectrum(white, grid)
+        mats = _diagonalize(white, grid)[0]
         assert mats.shape == (4096, 1, 1)
         assert np.allclose(mats[:, 0, 0], 1.0)
 
     def test_band_indicator(self, grid):
         model = SpectralModel(L=1, bands=[Band(-0.25, 0.25, [[2.0]])])
-        vals = eval_spectrum(model, grid)[:, 0, 0].real
+        vals = _diagonalize(model, grid)[0][:, 0, 0].real
         inside = np.abs(grid.nodes) < 0.25
         assert np.allclose(vals[inside], 2.0)
         assert np.allclose(vals[~inside], 0.0)
 
     def test_all_ones_pair_eigenvalues(self, corr_pair, grid):
-        mats = eval_spectrum(corr_pair, grid)
+        mats = _diagonalize(corr_pair, grid)[0]
         eig = np.linalg.eigvalsh(mats)
         assert np.allclose(eig[:, 0], 0.0, atol=1e-12)
         assert np.allclose(eig[:, 1], 2.0)
 
     def test_lines_do_not_contribute(self, grid):
-        mats = eval_spectrum(line_process(), grid)
+        mats = _diagonalize(line_process(), grid)[0]
         assert np.abs(mats).max() == 0.0
 
     def test_non_hermitian_band_rejected(self):
@@ -379,7 +379,7 @@ class TestComplexHelpers:
     def test_support_bound_grid_measure_counts_scalar_density_nodes(self, grid):
         model = SpectralModel(L=2, arma_terms=[RationalTerm(0, 0, *_AR1), RationalTerm(1, 1, (0.1,), (1.0,))])
         ri = rank_integral(model, grid, rel_tol=0.3)
-        mats = eval_spectrum(model, grid)
+        mats = _diagonalize(model, grid)[0]
         s_z = mats[:, 0, 0].real + mats[:, 1, 1].real
         assert support_bound(ri).bound == 2.0 * np.count_nonzero(s_z > 0.3 * s_z.max()) / grid.n
 
