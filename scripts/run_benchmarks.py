@@ -3,7 +3,7 @@
 
 The processes are gaussdim.benchmarks.MODELS, the models that
 scripts/export_models.py writes.  Fast by default (analytic rank integral + rate-distortion slope); pass
---estimators to add the two Monte Carlo estimators, which takes a few minutes.
+--estimators to add the two Monte Carlo estimators (5-7 s in all on 2 cores).
 A model whose entropy slope trips the undersampling guard prints
 "undersampled" in that column and keeps the guard's message in its JSON row.
 
@@ -49,14 +49,14 @@ def main(argv=None) -> int:
         line = f"{name:28s} {expected:7.3f} {rank:10.6f} {rd:10.6f}"
         if args.estimators:
             try:
-                slope = idr_slope_estimate(model, paths=args.paths, seed=args.seed, grid=grid)
+                slope = idr_slope_estimate(model, paths=args.paths, seed=args.seed)
             except UndersamplingError as exc:
                 row.update({"entropy_slope": None, "entropy_slope_se": None, "entropy_slope_error": str(exc)})
                 line += f" {'undersampled':>12s}"
             else:
                 row.update({"entropy_slope": slope.value, "entropy_slope_se": slope.se})
                 line += f" {slope.value:12.4f}"
-            surr = surrogate_idr_estimate(model, paths=200, k=4096, seed=args.seed, grid=grid)
+            surr = surrogate_idr_estimate(model, paths=200, k=4096, seed=args.seed)
             row.update({"surrogate": surr.value, "surrogate_se": surr.se})
             line += f" {surr.value:10.4f}"
         row["seconds"] = time.time() - t0

@@ -18,7 +18,7 @@ import numpy as np
 from .entropy import exact_cell_distribution, exact_cell_entropy, packed_keys, plugin_entropy
 from .quantize import dither, quantize
 from .simulate import MAX_DENSE_DIM, autocovariance_from_spectrum, sample_paths, welch_psd
-from .spectral import FrequencyGrid, SpectralModel, normalize_components
+from .spectral import SpectralModel, normalize_components
 
 DEFAULT_M_LADDER = (8, 16, 32, 64)
 SURROGATE_M_LADDER = (16, 64, 256)
@@ -79,9 +79,9 @@ def _validate_ladder(m_ladder) -> tuple:
     return ladder
 
 
-def _draw(model: SpectralModel, k: int, paths: int, seed: int, grid: FrequencyGrid | None):
+def _draw(model: SpectralModel, k: int, paths: int, seed: int):
     """The normalized model and `paths` k-step paths of it (None when no component is kept)."""
-    norm = normalize_components(model, grid)
+    norm = normalize_components(model)
     if not norm.kept:
         return norm, None
     acov = autocovariance_from_spectrum(norm.model, max(k - 1, 0))
@@ -138,7 +138,6 @@ def idr_slope_estimate(
     k: int | None = None,
     paths: int = 100_000,
     seed: int = 0,
-    grid: FrequencyGrid | None = None,
 ) -> DimensionEstimate:
     """Dimension from the slope of block entropy rates against log m.
 
@@ -149,7 +148,7 @@ def idr_slope_estimate(
     honest).
     """
     ladder = _validate_ladder(m_ladder)
-    _, batch = _draw(model, K_CAP if k is None else k, paths, seed, grid)
+    _, batch = _draw(model, K_CAP if k is None else k, paths, seed)
     if batch is None:
         return DimensionEstimate(
             0.0, "entropy-slope", ladder, k or 0, paths, 0.0,
@@ -174,7 +173,6 @@ def surrogate_idr_estimate(
     k: int = 4096,
     seed: int = 0,
     nperseg: int = 1024,
-    grid: FrequencyGrid | None = None,
 ) -> DimensionEstimate:
     """Dimension from the spectrum of the dithered quantized process.
 
@@ -190,7 +188,7 @@ def surrogate_idr_estimate(
     floor, and each such node inflates the estimate by ~1/n_freq.
     """
     ladder = _validate_ladder(m_ladder)
-    norm = normalize_components(model, grid)
+    norm = normalize_components(model)
     if not norm.kept:
         return DimensionEstimate(
             0.0, "gaussian-surrogate", ladder, 0, paths, 0.0,
@@ -302,7 +300,6 @@ def invariance_check(
     paths: int = 100_000,
     seed: int = 0,
     exact_block: tuple | None = (1, 4),
-    grid: FrequencyGrid | None = None,
 ) -> list[InvarianceReport]:
     """Run the slope estimator on one set of sample paths before and after each
     component-wise transform; the dimension must not move.
@@ -328,7 +325,7 @@ def invariance_check(
             raise ValueError("scale factors must be positive")
         moves.append((kind, amount))
     ladder = _validate_ladder(m_ladder)
-    norm, batch = _draw(model, K_CAP if k is None else k, paths, seed, grid)
+    norm, batch = _draw(model, K_CAP if k is None else k, paths, seed)
     if batch is None:
         zero = DimensionEstimate(0.0, "entropy-slope", ladder, 0, paths, 0.0)
         return [InvarianceReport(kind, zero, zero, 0.0) for kind, _ in moves]

@@ -164,11 +164,10 @@ def _complex_rows(ri) -> list:
 
 
 def _estimate_reports(ri, config) -> list:
-    grid = FrequencyGrid(ri.grid_n)
-    slope = idr_slope_estimate(ri.model, config.m_ladder, paths=config.paths, seed=config.seed, grid=grid)
+    slope = idr_slope_estimate(ri.model, config.m_ladder, paths=config.paths, seed=config.seed)
     surr = surrogate_idr_estimate(
         ri.model, config.surrogate_m_ladder, paths=config.surrogate_paths,
-        k=config.surrogate_k, seed=config.seed, grid=grid,
+        k=config.surrogate_k, seed=config.seed,
     )
     out = []
     for est in (slope, surr):
@@ -205,10 +204,10 @@ def _rd_reports(ri, config) -> list:
 
 
 def _verify_reports(ri, config) -> list:
-    model, grid = ri.model, FrequencyGrid(ri.grid_n)
+    model = ri.model
     reports = []
     invariances = invariance_check(
-        model, INVARIANCE_TRANSFORMS, m_ladder=config.m_ladder, paths=config.verify_paths, seed=config.seed, grid=grid,
+        model, INVARIANCE_TRANSFORMS, m_ladder=config.m_ladder, paths=config.verify_paths, seed=config.seed,
     )
     for (kind, amount), inv in zip(INVARIANCE_TRANSFORMS, invariances):
         reports.append(
@@ -233,7 +232,7 @@ def _verify_reports(ri, config) -> list:
                 )
             )
 
-    norm = normalize_components(model, grid)
+    norm = normalize_components(model)
     if norm.kept:
         acov = autocovariance_from_spectrum(norm.model, 0)
         flat = sample_paths(acov, 1, config.verify_paths, config.seed)

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._rng import derive_rng
-from .spectral import FrequencyGrid, SpectralModel, _eval_rational
+from .spectral import SpectralModel, _lag_integrals
 
 MAX_DENSE_DIM = 4096
 _PATH_CHUNK = 1 << 16
@@ -84,35 +84,14 @@ class AutocovarianceSequence:
 def autocovariance_from_spectrum(model: SpectralModel, tau_max: int) -> AutocovarianceSequence:
     """C(tau) = integral of e^{-i 2 pi tau theta} against the spectral distribution.
 
-    Bands and lines integrate in closed form.  Rational terms use a midpoint
-    FFT quadrature with at least 8 nodes per lag of tau_max.
+    The integral is `spectral._lag_integrals` (bands and lines in closed
+    form, rational terms by an FFT quadrature with at least 8 nodes per lag
+    of tau_max); this checks that it came out real, with C(0) PSD and every
+    lag within the Cauchy-Schwarz bound.
     """
     if tau_max < 0:
         raise ValueError("tau_max must be >= 0")
-    taus = np.arange(tau_max + 1)
-    c = np.zeros((tau_max + 1, model.L, model.L), dtype=complex)
-
-    for b in model.bands:
-        weights = np.empty(tau_max + 1, dtype=complex)
-        weights[0] = b.hi - b.lo
-        if tau_max >= 1:
-            t = taus[1:]
-            weights[1:] = (np.exp(-2j * np.pi * t * b.lo) - np.exp(-2j * np.pi * t * b.hi)) / (
-                2j * np.pi * t
-            )
-        c += weights[:, None, None] * b.matrix[None, :, :]
-
-    for ln in model.lines:
-        c += np.exp(-2j * np.pi * taus * ln.theta)[:, None, None] * ln.power[None, :, :]
-
-    if model.arma_terms:
-        n = max(4096, 1 << int(np.ceil(np.log2(8 * (tau_max + 1)))))
-        grid = FrequencyGrid(n)
-        rat = _eval_rational(model, grid.nodes)
-        spec = np.fft.fft(rat, axis=0)[: tau_max + 1]
-        phase = np.exp(1j * np.pi * taus * (1.0 - 1.0 / n))
-        c += phase[:, None, None] * spec / n
-
+    c = _lag_integrals(model, tau_max)
     scale = 1.0 + np.abs(c.real).max(initial=0.0)
     imag_max = np.abs(c.imag).max(initial=0.0)
     if imag_max > 1e-10 * scale:

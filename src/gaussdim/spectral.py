@@ -573,47 +573,63 @@ def _segment_support_measure(model: SpectralModel, rel_tol: float, abs_floor: fl
     return 2.0 * measure
 
 
-def component_variances(model: SpectralModel, grid: FrequencyGrid | None = None) -> np.ndarray:
-    """Per-component total power: integrated density plus line jumps."""
-    var = np.zeros(model.L)
+def _lag_integrals(model: SpectralModel, tau_max: int) -> np.ndarray:
+    """Complex C(tau) = integral of e^{-i 2 pi tau theta} dF(theta), tau = 0..tau_max.
+
+    Bands and lines integrate in closed form.  Rational terms use a midpoint
+    FFT quadrature of max(4096, 8 (tau_max + 1)) nodes, rounded up to a power
+    of two, so long lags stay alias-free.  Returns a (tau_max + 1, L, L) stack.
+    """
+    taus = np.arange(tau_max + 1)
+    c = np.zeros((tau_max + 1, model.L, model.L), dtype=complex)
     for b in model.bands:
-        var += (b.hi - b.lo) * np.diag(b.matrix).real
+        weights = np.empty(tau_max + 1, dtype=complex)
+        weights[0] = b.hi - b.lo
+        t = taus[1:]
+        weights[1:] = (np.exp(-2j * np.pi * t * b.lo) - np.exp(-2j * np.pi * t * b.hi)) / (2j * np.pi * t)
+        c += weights[:, None, None] * b.matrix[None, :, :]
     for ln in model.lines:
-        var += np.diag(ln.power).real
+        c += np.exp(-2j * np.pi * taus * ln.theta)[:, None, None] * ln.power[None, :, :]
     if model.arma_terms:
-        grid = grid or FrequencyGrid()
-        rat = _eval_rational(model, grid.nodes)
-        var += np.einsum("nii->i", rat).real * grid.weight
-    return var
+        n = max(4096, 1 << int(np.ceil(np.log2(8 * (tau_max + 1)))))
+        rat = _eval_rational(model, FrequencyGrid(n).nodes)
+        spec = np.fft.fft(rat, axis=0)[: tau_max + 1]
+        phase = np.exp(1j * np.pi * taus * (1.0 - 1.0 / n))
+        c += phase[:, None, None] * spec / n
+    return c
+
+
+def component_variances(model: SpectralModel) -> np.ndarray:
+    """Per-component total power: the real diagonal of `_lag_integrals` at lag 0,
+    i.e. diag C(0) of the law that `autocovariance_from_spectrum` synthesizes."""
+    return np.diag(_lag_integrals(model, 0)[0]).real.copy()
 
 
 @dataclass(frozen=True)
 class NormalizationResult:
     model: SpectralModel
-    scales: np.ndarray  # multiplier applied to each kept component
-    kept: tuple
-    dropped: tuple
+    kept: tuple  # original indices of the components with positive variance
 
 
-def normalize_components(model: SpectralModel, grid: FrequencyGrid | None = None) -> NormalizationResult:
+def normalize_components(model: SpectralModel) -> NormalizationResult:
     """Drop zero-variance components and rescale the rest to unit variance.
 
-    Rescaling is a congruence by a positive diagonal matrix, so the rank of
-    the density (and hence the dimension) is unchanged; zero-variance
-    components contribute nothing to either.
+    The variances are the sampled law's own diag C(0) (`component_variances`),
+    so no rank-integral grid enters and the normalized C(0) has a unit
+    diagonal to rounding.  Rescaling is a congruence by a positive diagonal
+    matrix, so the rank of the density (and hence the dimension) is
+    unchanged; zero-variance components contribute nothing to either.
     """
-    var = component_variances(model, grid)
+    var = component_variances(model)
     tol = 1e-14 * max(1.0, var.max(initial=0.0))
     kept = tuple(int(i) for i in np.flatnonzero(var > tol))
-    dropped = tuple(int(i) for i in np.flatnonzero(var <= tol))
     if not kept:
         empty = SpectralModel(L=model.L, bands=(), arma_terms=(), lines=(), mean=np.zeros(model.L))
-        return NormalizationResult(empty, np.ones(0), kept, dropped)
-    if any(t.row in dropped or t.col in dropped for t in model.arma_terms):
+        return NormalizationResult(empty, kept)
+    if any(t.row not in kept or t.col not in kept for t in model.arma_terms):
         raise ModelValidationError("rational term attached to a zero-variance component")
     idx = np.asarray(kept)
-    scales = 1.0 / np.sqrt(var[idx])
-    return NormalizationResult(_congruence(model, idx, scales), scales, kept, dropped)
+    return NormalizationResult(_congruence(model, idx, 1.0 / np.sqrt(var[idx])), kept)
 
 
 def _congruence(model: SpectralModel, idx, scales) -> SpectralModel:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import gaussdim
-from gaussdim.benchmarks import narrowband, proper_complex_flat, white_noise
+from gaussdim.benchmarks import ar1, narrowband, proper_complex_flat, white_noise
 from gaussdim.cli import _build_parser, _raw_config, main
 from gaussdim.experiments import COMMON_FIELDS, TASKS, ConfigError, ExperimentConfig, run
 from gaussdim.modelio import (
@@ -347,6 +347,17 @@ class TestRunTasks:
         quantities = {r.quantity for r in rep.reports}
         assert {"invariance_scale", "invariance_translate", "bussgang_gain",
                 "quantized_spectrum_identity", "gaussian_surrogate_kl"} <= quantities
+
+    def test_verify_rows_do_not_depend_on_the_rank_grid(self):
+        """The sampled law is normalized by its own C(0), so grid_n moves only
+        the rank integral; a variance summed on 64 nodes would leave ar1(0.95)
+        at 1.078 and fail the unit-variance gate."""
+        doc = model_to_document(ar1(0.95))
+        rows = {
+            n: run({"task": "verify", "model": doc, "grid_n": n, "seed": 7, "verify_paths": 20_000}).reports
+            for n in (64, 4096)
+        }
+        assert rows[64] == rows[4096]
 
     def test_rd_task(self):
         rep = run({"task": "rd", "model": model_to_document(narrowband(0.4))})

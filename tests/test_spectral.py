@@ -13,6 +13,7 @@ from gaussdim import spectral
 from gaussdim.benchmarks import MODELS, ar1, correlated_pair, line_process, narrowband, white_noise
 from gaussdim.experiments import run
 from gaussdim.modelio import model_to_document
+from gaussdim.simulate import autocovariance_from_spectrum
 from gaussdim.spectral import (
     RANK_ABS_FLOOR,
     Band,
@@ -399,20 +400,20 @@ class TestComplexHelpers:
 
 class TestNormalization:
     def test_unit_variance_is_identity(self, white, grid):
-        res = normalize_components(white, grid)
-        assert res.dropped == ()
-        assert np.allclose(res.scales, 1.0)
+        res = normalize_components(white)
+        assert res.kept == (0,)
+        assert autocovariance_from_spectrum(res.model, 0).matrices[0, 0, 0] == 1.0
         assert rank_integral(res.model, grid).value == pytest.approx(1.0)
 
     def test_zero_variance_component_dropped(self, grid):
         mat = np.array([[2.0, 0.0], [0.0, 0.0]])
         model = SpectralModel(L=2, bands=[Band(-0.25, 0.25, mat)])
-        res = normalize_components(model, grid)
-        assert res.model.L == 1 and res.dropped == (1,)
+        res = normalize_components(model)
+        assert res.model.L == 1 and res.kept == (0,)
         assert rank_integral(res.model, grid).value == pytest.approx(
             rank_integral(model, grid).value, abs=1e-12
         )
-        assert component_variances(res.model, grid)[0] == pytest.approx(1.0)
+        assert component_variances(res.model)[0] == pytest.approx(1.0)
 
     def test_scaling_leaves_rank_unchanged(self, halfband_pair, grid):
         scaled = _congruence(halfband_pair, np.arange(2), np.array([3.0, 1.0]))
@@ -420,9 +421,17 @@ class TestNormalization:
             rank_integral(halfband_pair, grid).value, abs=1e-12
         )
 
-    def test_total_power_includes_lines(self, grid):
-        var = component_variances(line_process(theta=0.125, power=0.5), grid)
+    def test_total_power_includes_lines(self):
+        var = component_variances(line_process(theta=0.125, power=0.5))
         assert var[0] == pytest.approx(1.0)  # two conjugate lines of power 0.5
+
+    @pytest.mark.parametrize("rho", [0.6, 0.95, 0.99])
+    def test_rational_model_normalizes_to_its_own_lag_zero(self, rho):
+        """The variance comes from the lag integral, not from a rank-integral
+        grid: a 64-node midpoint sum gives 1.078 at rho = 0.95 and 3.216 at 0.99."""
+        res = normalize_components(ar1(rho))
+        c0 = autocovariance_from_spectrum(res.model, 0).matrices[0, 0, 0]
+        assert abs(c0 - 1.0) <= 1e-12
 
 
 def _s_z(mat):
