@@ -12,11 +12,12 @@ component 1 = imaginary part).  The properness check and the complex support
 bound read the density stack of one rank-integral evaluation, so a complex
 analysis evaluates and diagonalizes the density once.
 
-The grid pass runs once per constant run of the density, not once per node.
-A band-only density changes only at the nodes where a band edge lands, so
-the stack is validated, diagonalized and ranked on one node per run, and the
-eigenvalues and ranks are repeated back onto the grid.  A model with rational
-terms has a run at every node and is checked on the stack itself.
+One walk over the band edges (`_band_pieces`) cuts [-1/2, 1/2] into pieces
+on which a band-only density is constant.  Each piece is validated,
+diagonalized and ranked once; repeated over its grid nodes it fills the
+stack and the profile, and the rank integral and the complex support measure
+sum piece lengths.  A model with rational terms has a piece of length 1/n at
+every node, its stack itself.
 
 Every grid eigen-pass goes through `_stack_eigvalsh`: a 1x1 stack's
 eigenvalue is its real diagonal, a 2x2 stack is diagonalized in closed form,
@@ -62,7 +63,7 @@ class FrequencyGrid:
 
     @property
     def nodes(self) -> np.ndarray:
-        return -0.5 + (np.arange(self.n) + 0.5) / self.n
+        return (np.arange(self.n, dtype=float) + 0.5) / self.n - 0.5
 
     @property
     def weight(self) -> float:
@@ -228,10 +229,10 @@ def _horner(coeffs: tuple, z: np.ndarray) -> np.ndarray:
     return val
 
 
-def _eval_rational(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
-    """Rational contributions only, assembled Hermitian, in a new (n, L, L)
-    complex stack (zero for a model without rational terms)."""
-    out = np.zeros((len(nodes), model.L, model.L), dtype=complex)
+def _eval_rational(model: SpectralModel, nodes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rational contributions, assembled Hermitian, added into the (n, L, L)
+    complex stack `out` (a new zero stack by default) and returned."""
+    out = np.zeros((len(nodes), model.L, model.L), dtype=complex) if out is None else out
     if not model.arma_terms:
         return out
     z = np.exp(-2j * np.pi * nodes)
@@ -268,15 +269,20 @@ def _band_edge_index(nodes: np.ndarray, edges) -> np.ndarray:
     return np.where(edges < 0, len(nodes) - index, index)
 
 
-def _assemble_spectrum(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
-    """Density stack at `nodes`, which must be ascending: the rational stack,
-    with each band added on its contiguous run of nodes (see
-    `_band_edge_index`)."""
-    out = _eval_rational(model, nodes)
+def _band_pieces(model: SpectralModel, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ascending pieces between the band edges, their mirrors and +-1/2.
+
+    Returns each piece's length, its summed band matrix in a (p, L, L) stack
+    and the number of the ascending `nodes` it holds, from `_band_edge_index`
+    of its lower edge to that of its upper edge: repeating each piece over its
+    count fills the grid.  The edge set is closed under negation, so piece
+    -1 - i has the length and count of piece i and holds its mirrored nodes.
+    """
+    edges = np.array(sorted({-0.5, 0.5, *(e for b in model.bands for e in (b.lo, b.hi, -b.lo, -b.hi))}))
+    mats = np.zeros((len(edges) - 1, model.L, model.L), dtype=complex)
     for b in model.bands:
-        lo, hi = _band_edge_index(nodes, (b.lo, b.hi))
-        out[lo:hi] += b.matrix
-    return out
+        mats[(b.lo <= edges[:-1]) & (edges[1:] <= b.hi)] += b.matrix
+    return np.diff(edges), mats, np.diff(_band_edge_index(nodes, edges))
 
 
 def _stack_eigvalsh(mats: np.ndarray) -> np.ndarray:
@@ -299,80 +305,68 @@ def _stack_eigvalsh(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mats)
 
 
-def _run_starts(model: SpectralModel, nodes: np.ndarray) -> np.ndarray:
-    """First node of each constant run of the density on the ascending `nodes`.
+def _check_nodes(mats: np.ndarray, nodes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Validate the pieces that hold a node; return every piece's eigenvalues, ascending.
 
-    A band fills the nodes from `_band_edge_index` of its lower edge to that
-    of its upper edge, so a band-only stack changes only at those indices.
-    The runs are also split where a mirrored run boundary n - b lands, so the
-    run set is symmetric: run i holds the mirror images
-    n - 1 - j of the nodes j of run -1 - i.  Rational terms vary from node to
-    node, so such a model has a run at every node.
+    `mats` is a mirror-closed (p, L, L) piece stack and piece i holds
+    `counts[i]` of the ascending `nodes`.  The pieces that hold a node must be
+    finite, Hermitian, mirror as S(-t) = conj(S(t)) (their stack against its
+    reverse) and be PSD.  Each check reduces over them and looks for the
+    offending piece only when it fails, naming its first node: the first
+    offending node of the grid.  All pieces, held or not, are diagonalized in
+    one `_stack_eigvalsh` call.
     """
-    n = len(nodes)
-    if model.arma_terms:
-        return np.arange(n)
-    edges = sorted({e for b in model.bands for e in (b.lo, b.hi)})
-    bounds = np.concatenate(([0, n], _band_edge_index(nodes, edges)))
-    return np.union1d(bounds, n - bounds)[:-1]
+    held = counts > 0
+    every = held.all()
+    reps = mats if every else mats[held]  # no copy when every piece holds a node
 
+    def theta(j):  # the first node of held piece j
+        return nodes[(np.cumsum(counts) - counts)[held][j]]
 
-def _per_node(values: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
-    """Per-run `values` repeated over the n grid nodes; `values` itself when
-    every node is a run."""
-    return values if len(starts) == n else np.repeat(values, np.diff(starts, append=n), axis=0)
-
-
-def _check_nodes(mats: np.ndarray, nodes: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Validate the density stack; return the eigenvalues of each run (ascending).
-
-    `starts` are the symmetric constant runs of `_run_starts`.  The stack must
-    be finite, Hermitian, mirror as S(-t) = conj(S(t)) and be PSD.  Each check
-    runs once per run, on its first node, and reduces over the runs; it looks
-    for the offending run only when it fails and names that run's first node,
-    which is the first offending node of the grid.  Since the runs are
-    symmetric, the mirror check compares the run stack with its reverse.  The
-    eigenvalues come from `_stack_eigvalsh`, so 1x1 and 2x2 stacks take the
-    closed form and larger ones LAPACK.
-    """
-    reps = mats if len(starts) == len(mats) else mats[starts]  # no copy when every node is a run
     scale = 1.0 + np.abs(reps).max(initial=0.0)
     if not np.isfinite(scale):
         j = int(np.argmin(np.isfinite(reps).all(axis=(1, 2))))
-        raise ModelValidationError(f"density not finite at theta={nodes[starts[j]]:+.6f}")
-    herm = np.abs(reps - reps.conj().transpose(0, 2, 1))
+        raise ModelValidationError(f"density not finite at theta={theta(j):+.6f}")
+    conj = reps.conj()
+    herm = np.abs(reps - conj.transpose(0, 2, 1))
     if herm.max(initial=0.0) > PSD_TOL * scale:
         j = int(herm.max(axis=(1, 2)).argmax())
-        raise ModelValidationError(f"density not Hermitian at theta={nodes[starts[j]]:+.6f}")
-    sym = np.abs(reps[::-1] - reps.conj())
+        raise ModelValidationError(f"density not Hermitian at theta={theta(j):+.6f}")
+    sym = np.abs(reps[::-1] - conj)
     if sym.max(initial=0.0) > SYMMETRY_TOL * scale:
         sym_err = sym.max(axis=(1, 2))
         j = int(sym_err.argmax())
         raise ModelValidationError(
-            f"S(-t)=conj(S(t)) violated at theta={nodes[starts[j]]:+.6f} (error {sym_err[j]:.3e})"
+            f"S(-t)=conj(S(t)) violated at theta={theta(j):+.6f} (error {sym_err[j]:.3e})"
         )
-    eig = _stack_eigvalsh(reps)
-    viol = eig[:, 0] < -PSD_TOL * np.maximum(1.0, eig[:, -1])
+    eig = _stack_eigvalsh(mats)
+    held_eig = eig if every else eig[held]
+    viol = held_eig[:, 0] < -PSD_TOL * np.maximum(1.0, held_eig[:, -1])
     if viol.any():
         j = int(np.argmax(viol))
         raise ModelValidationError(
-            f"density not PSD at theta={nodes[starts[j]]:+.6f} (min eigenvalue {eig[j, 0]:.3e})"
+            f"density not PSD at theta={theta(j):+.6f} (min eigenvalue {held_eig[j, 0]:.3e})"
         )
     return eig
 
 
-def _diagonalize(model: SpectralModel, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate the density on the grid, then validate and diagonalize it once
-    per constant run.
+def _diagonalize(model: SpectralModel, grid: FrequencyGrid) -> tuple[np.ndarray, ...]:
+    """Evaluate the density on the grid, then validate and diagonalize it once per piece.
 
-    Returns the (n, L, L) stack, the first node of each run and the
-    eigenvalues of each run, ascending.  Lines are jumps of the spectral
+    Returns the (n, L, L) stack and the pieces' lengths, (p, L, L) stack, node
+    counts and ascending eigenvalues.  The stack repeats each `_band_pieces`
+    piece over its nodes and adds the rational terms, which vary from node to
+    node: a model with them has a piece of length 1/n per node, and its piece
+    stack is the grid stack itself.  Lines are jumps of the spectral
     distribution, not density, so the stack leaves them out.
     """
     nodes = grid.nodes
-    mats = _assemble_spectrum(model, nodes)
-    starts = _run_starts(model, nodes)
-    return mats, starts, _check_nodes(mats, nodes, starts)
+    lengths, mats, counts = _band_pieces(model, nodes)
+    stack = np.repeat(mats, counts, axis=0)
+    if model.arma_terms:
+        mats = _eval_rational(model, nodes, out=stack)
+        lengths, counts = np.broadcast_to(grid.weight, grid.n), np.broadcast_to(1, grid.n)
+    return stack, lengths, mats, counts, _check_nodes(mats, nodes, counts)
 
 
 @dataclass(frozen=True)
@@ -419,29 +413,8 @@ class RankIntegralResult:
     grid_n: int
     model: SpectralModel
     matrices: np.ndarray  # (n, L, L) validated density stack the profile diagonalized
-
-
-def _band_segments(model: SpectralModel):
-    """Yield (length, summed band matrix) for each piece between sorted band edges.
-
-    A band-only density is constant on each piece, so integrals over the
-    frequency axis fold over these pieces with no grid discretization error.
-    Pieces of length <= 1e-15 are skipped.
-    """
-    edges = {-0.5, 0.5}
-    for b in model.bands:
-        edges.add(b.lo)
-        edges.add(b.hi)
-    edges = sorted(edges)
-    for a, b in zip(edges, edges[1:]):
-        if b - a <= 1e-15:
-            continue
-        mid = 0.5 * (a + b)
-        mat = np.zeros((model.L, model.L), dtype=complex)
-        for band in model.bands:
-            if band.lo <= mid < band.hi:
-                mat += band.matrix
-        yield b - a, mat
+    piece_lengths: np.ndarray  # (p,) length of each piece of the frequency axis the value sums over
+    piece_matrices: np.ndarray  # (p, L, L) density on each piece; `matrices` itself for rational terms
 
 
 def rank_integral(
@@ -452,31 +425,29 @@ def rank_integral(
 ) -> RankIntegralResult:
     """Average rank of the spectral density over [-1/2, 1/2].
 
-    For band-only models the value is computed exactly from the band segment
-    lengths; models with rational terms fall back to the midpoint grid sum.
-    The per-node RankProfile is always reported from the grid (ranked once per
-    constant run of the density), and the result keeps the validated density
-    stack for properness_check and support_bound.
+    The value is the sum of length * rank over the pieces of `_diagonalize`:
+    exact for a band-only density, which is constant on each piece
+    ("segment-exact"), and the midpoint grid sum for a model with rational
+    terms, a piece of length 1/n per node ("grid").  The per-node RankProfile
+    repeats each piece over its nodes; the result keeps the validated stack
+    and the pieces for properness_check and support_bound.  It needs
+    0 <= rel_tol < 1 and a finite abs_floor >= 0.
     """
     grid = grid or FrequencyGrid()
     if grid.n < MIN_GRID_N:
         raise ValueError(f"grid resolution must be >= {MIN_GRID_N}, got {grid.n}")
-    mats, starts, eig = _diagonalize(model, grid)
+    if not (0.0 <= rel_tol < 1.0 and 0.0 <= abs_floor < np.inf):
+        raise ValueError(f"rank tolerances need 0 <= rel_tol < 1 and 0 <= abs_floor < inf: {rel_tol}, {abs_floor}")
+    stack, lengths, mats, counts, eig = _diagonalize(model, grid)
     eig = eig[:, ::-1]
     ranks = _numerical_ranks(eig, rel_tol, abs_floor)
-    profile = RankProfile(
-        _per_node(eig, starts, grid.n), _per_node(ranks, starts, grid.n), rel_tol, abs_floor
+    value = float(np.sum(lengths * ranks))
+    if mats is not stack:  # band pieces: repeat each over its nodes
+        eig, ranks = np.repeat(eig, counts, axis=0), np.repeat(ranks, counts)
+    method = "grid" if model.arma_terms else "segment-exact"
+    return RankIntegralResult(
+        value, RankProfile(eig, ranks, rel_tol, abs_floor), method, grid.n, model, stack, lengths, mats
     )
-    if model.arma_terms:
-        value = profile.mean_rank
-        method = "grid"
-    else:
-        value = 0.0
-        for length, mat in _band_segments(model):
-            rank = int(_numerical_ranks(np.linalg.eigvalsh(mat)[::-1], rel_tol, abs_floor))
-            value += rank * length
-        method = "segment-exact"
-    return RankIntegralResult(value, profile, method, grid.n, model, mats)
 
 
 def _bivariate_stack(ri: RankIntegralResult) -> np.ndarray:
@@ -538,47 +509,30 @@ class SupportBoundReport:
 def support_bound(ri: RankIntegralResult) -> SupportBoundReport:
     """Compare dimension with 2 * measure{S_Z > 0}; tight for proper processes.
 
-    The dimension is the rank integral and both sides use its rank
-    tolerances.  Band-only models are evaluated exactly by segment
-    arithmetic; models with rational terms count grid nodes with a
+    The dimension is the rank integral and the measure is the summed length
+    of its pieces whose S_Z clears the threshold of its rank tolerances.
+    Both are exact for band-only models; a model with rational terms has a
+    piece per grid node, so its measure counts nodes and is compared with a
     grid-resolution tolerance.  A violated bound shows as a negative gap.
     """
-    mats = _bivariate_stack(ri)
-    rel_tol, abs_floor = ri.profile.rel_tol, ri.profile.abs_floor
-    if ri.model.arma_terms:
-        bound = _grid_support_measure(_scalar_density(mats), rel_tol, abs_floor)
-        tol = 4.0 / len(mats)
-    else:
-        bound = _segment_support_measure(ri.model, rel_tol, abs_floor)
-        tol = 1e-9
+    _bivariate_stack(ri)
+    s_z = _scalar_density(ri.piece_matrices)
+    thresh = ri.profile.rel_tol * max(s_z.max(initial=0.0), ri.profile.abs_floor)
+    bound = 2.0 * float(np.sum(ri.piece_lengths[s_z > thresh]))
+    tol = 4.0 / ri.grid_n if ri.method == "grid" else 1e-9
     gap = bound - ri.value
     return SupportBoundReport(ri.value, bound, gap, bool(abs(gap) <= tol), tol)
-
-
-def _grid_support_measure(s_z: np.ndarray, rel_tol: float, abs_floor: float) -> float:
-    thresh = rel_tol * max(s_z.max(initial=0.0), abs_floor)
-    return 2.0 * float((s_z > thresh).sum()) / len(s_z)
-
-
-def _segment_support_measure(model: SpectralModel, rel_tol: float, abs_floor: float) -> float:
-    # S_Z of each band segment; bands do not overlap, so the peak over the
-    # segments is the peak over the bands.
-    segments = [(length, float(_scalar_density(mat))) for length, mat in _band_segments(model)]
-    peak = max((s_z for _, s_z in segments), default=0.0)
-    thresh = rel_tol * max(peak, abs_floor)
-    measure = 0.0
-    for length, s_z in segments:
-        if s_z > thresh:
-            measure += length
-    return 2.0 * measure
 
 
 def _lag_integrals(model: SpectralModel, tau_max: int) -> np.ndarray:
     """Complex C(tau) = integral of e^{-i 2 pi tau theta} dF(theta), tau = 0..tau_max.
 
     Bands and lines integrate in closed form.  Rational terms use a midpoint
-    FFT quadrature of max(4096, 8 (tau_max + 1)) nodes, rounded up to a power
-    of two, so long lags stay alias-free.  Returns a (tau_max + 1, L, L) stack.
+    FFT quadrature of n nodes, a power of two: at least 4096 and 8 (tau_max + 1),
+    so long lags stay alias-free, and at least 37 / -ln r, so the aliasing,
+    about r^n for r = min(|z|, 1/|z|) of the denominator root z nearest the
+    unit circle, stays <= 1e-16.  A root that needs more than 2^20 nodes
+    raises ModelValidationError.  Returns a (tau_max + 1, L, L) stack.
     """
     taus = np.arange(tau_max + 1)
     c = np.zeros((tau_max + 1, model.L, model.L), dtype=complex)
@@ -591,7 +545,12 @@ def _lag_integrals(model: SpectralModel, tau_max: int) -> np.ndarray:
     for ln in model.lines:
         c += np.exp(-2j * np.pi * taus * ln.theta)[:, None, None] * ln.power[None, :, :]
     if model.arma_terms:
-        n = max(4096, 1 << int(np.ceil(np.log2(8 * (tau_max + 1)))))
+        moduli = np.abs(np.concatenate([np.polynomial.polynomial.polyroots(t.den) for t in model.arma_terms]))
+        r = np.minimum(moduli, 1.0 / np.maximum(moduli, 1.0)).max(initial=0.0)
+        decay = -np.log(r) if r > 0 else np.inf
+        if 37.0 > decay * 2**20:
+            raise ModelValidationError(f"rational pole {1.0 - r:.3e} from the unit circle needs > 2^20 lag nodes")
+        n = 1 << int(np.ceil(np.log2(max(4096, 8 * (tau_max + 1), 37.0 / decay))))
         rat = _eval_rational(model, FrequencyGrid(n).nodes)
         spec = np.fft.fft(rat, axis=0)[: tau_max + 1]
         phase = np.exp(1j * np.pi * taus * (1.0 - 1.0 / n))

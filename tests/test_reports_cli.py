@@ -459,6 +459,18 @@ class TestCLI:
         assert main(["analyze", str(model_path)]) == 2
         assert "band matrix has a non-finite entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value", [("rank_rel_tol", -1.0), ("rank_rel_tol", 2.0), ("rank_rel_tol", float("nan")), ("rank_abs_floor", -5.0)]
+    )
+    def test_invalid_rank_tolerance_exit_code(self, key, value, tmp_path, capsys):
+        # these once reported narrowband_0p4 as 1.0 or 0.0 with exit 0
+        doc = model_to_document(narrowband(0.4))
+        doc[key] = value
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(doc))
+        assert main(["analyze", str(model_path)]) == 2
+        assert "rank tolerances" in capsys.readouterr().err
+
     def test_complex_on_univariate_fails_cleanly(self, tmp_path, capsys):
         model_path = save_model(white_noise(), tmp_path / "wn.json")
         assert main(["complex", str(model_path)]) == 2

@@ -23,13 +23,12 @@ from gaussdim.spectral import (
     PropernessReport,
     RationalTerm,
     SpectralModel,
-    _band_segments,
+    _band_pieces,
     _check_nodes,
     _congruence,
     _diagonalize,
     _numerical_ranks,
     _scalar_density,
-    _segment_support_measure,
     _stack_eigvalsh,
     component_variances,
     normalize_components,
@@ -138,7 +137,7 @@ class TestAssembly:
                 lo, hi = np.searchsorted(nodes, (b.lo, b.hi))
                 ref[lo:hi] += b.matrix
             ref += _polyval_rational(model, nodes)
-            assert spectral._assemble_spectrum(model, nodes).tobytes() == ref.tobytes(), name
+            assert _diagonalize(model, FrequencyGrid(n))[0].tobytes() == ref.tobytes(), name
 
     @pytest.mark.parametrize("builder", [lambda: ar1(0.6), lambda: _rational_pair()], ids=["ar1", "pair"])
     def test_horner_equals_polyval(self, builder):
@@ -176,6 +175,14 @@ class TestRankIntegral:
     def test_min_resolution_enforced(self, white):
         with pytest.raises(ValueError, match="resolution"):
             rank_integral(white, FrequencyGrid(32))
+
+    @pytest.mark.parametrize(
+        "rel_tol, abs_floor",
+        [(-1.0, 0.0), (1.0, 0.0), (2.0, 0.0), (np.nan, 0.0), (np.inf, 0.0), (1e-9, -5.0), (1e-9, np.nan), (1e-9, np.inf)],
+    )
+    def test_invalid_rank_tolerances_rejected(self, band04, grid, rel_tol, abs_floor):
+        with pytest.raises(ValueError, match="rank tolerances"):
+            rank_integral(band04, grid, rel_tol, abs_floor)
 
     def test_rank_histogram(self, halfband_pair, grid):
         hist = rank_integral(halfband_pair, grid).profile.histogram()
@@ -433,6 +440,34 @@ class TestNormalization:
         c0 = autocovariance_from_spectrum(res.model, 0).matrices[0, 0, 0]
         assert abs(c0 - 1.0) <= 1e-12
 
+    def test_near_unit_root_law_does_not_depend_on_the_path_length(self):
+        # the quadrature is sized from the pole radius too: 65536 nodes at every tau_max for rho = 0.999,
+        # where 4096 nodes gave C(0) = 0.967 at tau_max 0 and a normalized C(0) of 1.034 at tau_max 4095
+        model = normalize_components(ar1(0.999)).model
+        c0 = [autocovariance_from_spectrum(model, tau_max).matrices[0, 0, 0] for tau_max in (0, 4095)]
+        assert c0[0] == c0[1] and abs(c0[0] - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("rho", [0.6, 0.95, 0.99])
+    @pytest.mark.parametrize("tau_max", [0, 4095])
+    def test_quadrature_away_from_the_unit_circle_is_sized_from_tau_max(self, rho, tau_max):
+        ref = _tau_sized_rational_lags(ar1(rho), tau_max)
+        assert spectral._lag_integrals(ar1(rho), tau_max).tobytes() == ref.tobytes()
+        assert autocovariance_from_spectrum(ar1(rho), tau_max).matrices.tobytes() == ref.real.tobytes()
+
+    def test_pole_too_close_to_the_unit_circle_is_refused(self):
+        with pytest.raises(ModelValidationError, match="unit circle"):
+            component_variances(ar1(0.99999))
+
+
+def _tau_sized_rational_lags(model, tau_max):
+    """Reference: the lag integrals of a rational-only model on a midpoint FFT
+    quadrature of max(4096, 8 (tau_max + 1)) nodes, sized from tau_max alone."""
+    n = max(4096, 1 << int(np.ceil(np.log2(8 * (tau_max + 1)))))
+    c = np.zeros((tau_max + 1, model.L, model.L), dtype=complex)
+    spec = np.fft.fft(spectral._eval_rational(model, FrequencyGrid(n).nodes), axis=0)[: tau_max + 1]
+    c += np.exp(1j * np.pi * np.arange(tau_max + 1) * (1.0 - 1.0 / n))[:, None, None] * spec / n
+    return c
+
 
 def _s_z(mat):
     return float(mat[0, 0].real + mat[1, 1].real + 2 * mat[0, 1].imag)
@@ -473,16 +508,16 @@ class TestBandSegments:
     @given(band_model_params(), st.sampled_from([1e-9, 0.3, 0.9]))
     @settings(max_examples=60, deadline=None)
     def test_support_peak_over_segments_equals_peak_over_bands(self, params, rel_tol):
-        # Validated bands do not overlap, so every segment carries at most one
-        # band and the largest segment S_Z is the largest band S_Z; a rel_tol
-        # near 1 makes the peak decide which segments count.
+        # Validated bands do not overlap, so every piece carries at most one
+        # band and the largest piece S_Z is the largest band S_Z; a rel_tol
+        # near 1 makes the peak decide which pieces count.
         _, seed, edges, ranks = params
-        model = _build_band_model(2, seed, edges, ranks)
-        seg_peak = max((_s_z(mat) for _, mat in _band_segments(model)), default=0.0)
+        model, grid = _build_band_model(2, seed, edges, ranks), FrequencyGrid(128)
+        piece_peak = max(_s_z(mat) for mat in _band_pieces(model, grid.nodes)[1])
         band_peak = max((_s_z(b.matrix) for b in model.bands), default=0.0)
-        assert max(seg_peak, RANK_ABS_FLOOR) == max(band_peak, RANK_ABS_FLOOR)
+        assert max(piece_peak, RANK_ABS_FLOOR) == max(band_peak, RANK_ABS_FLOOR)
         expected = _per_band_support_measure(model, rel_tol, RANK_ABS_FLOOR)
-        assert _segment_support_measure(model, rel_tol, RANK_ABS_FLOOR) == expected
+        assert support_bound(rank_integral(model, grid, rel_tol=rel_tol)).bound == expected
 
     def test_support_bound_uses_its_tolerances_for_the_dimension(self, grid):
         model = SpectralModel(L=2, bands=[Band(-0.5, 0.5, [[1.0, 0.0], [0.0, 1e-6]])])
@@ -491,13 +526,32 @@ class TestBandSegments:
         assert sb.dimension == rank_integral(model, grid, rel_tol=1e-3).value == 1.0
         assert sb.bound == 2.0
 
+    @pytest.mark.parametrize(
+        "w, pinned",
+        [
+            (0.3, {4096: 1.2998046875, 65536: 1.29998779296875}),
+            (0.37, {4096: 1.3701171875, 65536: 1.3699951171875}),
+            (0.1234, {4096: 1.12353515625, 65536: 1.1234130859375}),
+        ],
+    )
+    def test_band_beside_rational_term_counts_nodes(self, w, pinned):
+        # narrowband(w) beside an independent AR(0.6): each node is its own
+        # piece, so the value is 1 + (nodes inside the band) / n, and S_Z > 0
+        # everywhere
+        model = SpectralModel(L=2, bands=[Band(-w / 2, w / 2, [[1 / w, 0.0], [0.0, 0.0]])],
+                              arma_terms=[RationalTerm(1, 1, *_AR1)])
+        for n, value in pinned.items():
+            ri = rank_integral(model, FrequencyGrid(n))
+            assert (ri.method, ri.value) == ("grid", value)
+            assert support_bound(ri).bound == 2.0
+
 
 def _grid_eigen_passes(monkeypatch, config, n):
     """Run one task and count its grid eigen-passes: every call of the grid
     eigenvalue helper at any stack size (a band model's pass diagonalizes one
-    node per constant run), except those of the 512-node probe that
-    `_validate_model` runs on rational models, plus np.linalg.eigvalsh calls
-    on n-node stacks made outside the helper."""
+    matrix per piece between its band edges), except those of the 512-node
+    probe that `_validate_model` runs on rational models, plus
+    np.linalg.eigvalsh calls on n-node stacks made outside the helper."""
     real_helper, real_eigvalsh = spectral._stack_eigvalsh, np.linalg.eigvalsh
     real_validate = spectral._validate_model
     calls, depth, probing = [], [], []
@@ -638,7 +692,8 @@ class TestStackEigvalsh:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         ri = rank_integral(model, grid)
-        # one node per constant run: the first node and every node where the stack changes
+        # one matrix per piece, and each of the three pieces holds nodes: the
+        # first node and every node where the stack changes
         changes = np.flatnonzero((ri.matrices[1:] != ri.matrices[:-1]).any(axis=(1, 2))) + 1
         representatives = ri.matrices[np.concatenate(([0], changes))]
         assert len(stacks) == 1 and len(stacks[0]) == 3 and np.array_equal(stacks[0], representatives)
@@ -652,7 +707,7 @@ def _identity_stack(L, n=64):
     return np.broadcast_to(np.eye(L, dtype=complex), (n, L, L)).copy(), nodes
 
 
-_EVERY_NODE = np.arange(64)  # each node its own run, as for a model with rational terms
+_EVERY_NODE = np.ones(64, dtype=int)  # each node its own piece, as for a model with rational terms
 
 
 class TestCheckNodes:
@@ -698,6 +753,17 @@ class TestCheckNodes:
         with pytest.raises(ModelValidationError, match=re.escape("density not finite at theta=-0.382812")):
             _check_nodes(mats, nodes, _EVERY_NODE)
 
+    def test_pieces_without_a_node_are_diagonalized_not_checked(self):
+        # five mirror-closed pieces over 64 nodes; pieces 1 and 3 hold none
+        nodes = FrequencyGrid(64).nodes
+        counts = np.array([20, 0, 24, 0, 20])
+        mats = np.ones((5, 1, 1), dtype=complex)
+        mats[1, 0, 0] = -3.0  # not PSD, but holds no node
+        assert np.array_equal(_check_nodes(mats, nodes, counts), mats[:, :, 0].real)
+        mats[2, 0, 0] = -1.0  # the first node of piece 2 is node 20
+        with pytest.raises(ModelValidationError, match=re.escape(f"density not PSD at theta={nodes[20]:+.6f}")):
+            _check_nodes(mats, nodes, counts)
+
 
 def _per_node_check(mats, nodes):
     """Reference: the per-node validation and eigen-pass as it was before the
@@ -727,9 +793,36 @@ def _per_node_check(mats, nodes):
     return eig
 
 
+def _slice_fill(model, nodes):
+    """Reference: the density stack with each band added on its own slice of
+    nodes, as before the pieces were shared."""
+    out = spectral._eval_rational(model, nodes)
+    for b in model.bands:
+        lo, hi = spectral._band_edge_index(nodes, (b.lo, b.hi))
+        out[lo:hi] += b.matrix
+    return out
+
+
+def _segment_value(model, rel_tol, abs_floor):
+    """Reference: the band-only rank integral summed in order over the
+    segments between the sorted band edges, one LAPACK call per segment."""
+    edges = sorted({-0.5, 0.5, *(b.lo for b in model.bands), *(b.hi for b in model.bands)})
+    value = 0.0
+    for a, b in zip(edges, edges[1:]):
+        if b - a <= 1e-15:
+            continue
+        mat = np.zeros((model.L, model.L), dtype=complex)
+        for band in model.bands:
+            if band.lo <= 0.5 * (a + b) < band.hi:
+                mat += band.matrix
+        value += int(_numerical_ranks(np.linalg.eigvalsh(mat)[::-1], rel_tol, abs_floor)) * (b - a)
+    return value
+
+
 def _assert_same_as_per_node_pass(model, grid):
-    """rank_integral's profile and stack, or its error message, equal the per-node reference's."""
-    mats = spectral._assemble_spectrum(model, grid.nodes)
+    """rank_integral's profile and stack, or its error message, equal the per-node
+    reference's; a band-only value is within 2 ulps of the segment loop's."""
+    mats = _slice_fill(model, grid.nodes)
     try:
         eig = _per_node_check(mats, grid.nodes)[:, ::-1]
     except ModelValidationError as err:
@@ -743,6 +836,9 @@ def _assert_same_as_per_node_pass(model, grid):
     assert np.ascontiguousarray(ri.profile.eigenvalues).tobytes() == np.ascontiguousarray(eig).tobytes()
     assert np.array_equal(ri.profile.ranks, ranks)
     assert ri.profile.histogram() == spectral.RankProfile(eig, ranks, ri.profile.rel_tol, ri.profile.abs_floor).histogram()
+    if not model.arma_terms:
+        ref = _segment_value(model, ri.profile.rel_tol, ri.profile.abs_floor)
+        assert abs(ri.value - ref) <= 2 * np.spacing(ref)
     return True
 
 
@@ -791,13 +887,21 @@ def run_pass_band_models(draw):
 
 
 class TestRunPass:
-    """The once-per-run validation and eigen-pass equals the per-node one."""
+    """The once-per-piece validation and eigen-pass equals the per-node one."""
 
     @given(run_pass_band_models())
     @settings(max_examples=120, deadline=None)
     def test_band_models_match_the_per_node_pass(self, case):
         bands, L, grid = case
         _assert_same_as_per_node_pass(SpectralModel(L=L, bands=bands), grid)
+
+    @given(run_pass_band_models())
+    @settings(max_examples=60, deadline=None)
+    def test_pieces_are_their_own_mirror_image(self, case):
+        bands, L, grid = case
+        lengths, mats, counts = _band_pieces(SpectralModel(L=L, bands=bands), grid.nodes)
+        assert np.array_equal(lengths, lengths[::-1]) and np.array_equal(counts, counts[::-1])
+        assert np.array_equal(mats[::-1], mats.conj()) and counts.sum() == grid.n
 
     @given(run_pass_band_models(), st.sampled_from(["unmirrored", "non_psd", "non_hermitian", "non_finite"]),
            st.integers(min_value=0, max_value=7))
@@ -893,5 +997,5 @@ class TestPropernessNorm:
         mats[:, 1, 0] = mats[:, 0, 1].conj()
         mats *= 10.0**exponent
         for j in range(64):
-            ri = spectral.RankIntegralResult(0.0, None, "grid", 1, correlated_pair(), mats[j:j + 1])
+            ri = spectral.RankIntegralResult(0.0, None, "grid", 1, correlated_pair(), mats[j:j + 1], None, None)
             assert properness_check(ri) == _packed_properness(ri)
