@@ -18,7 +18,7 @@ import numpy as np
 from .entropy import exact_cell_distribution, exact_cell_entropy, packed_keys, plugin_entropy
 from .quantize import dither, quantize
 from .simulate import MAX_DENSE_DIM, autocovariance_from_spectrum, sample_paths, welch_psd
-from .spectral import SpectralModel, normalize_components
+from .spectral import SpectralModel, _stack_eigvalsh, normalize_components
 
 DEFAULT_M_LADDER = (8, 16, 32, 64)
 SURROGATE_M_LADDER = (16, 64, 256)
@@ -161,9 +161,7 @@ def idr_slope_estimate(
 
 def _half_mean_logdet(matrices: np.ndarray, floor: float) -> float:
     """(1/2) * frequency average of log det, eigenvalues floored before the log."""
-    eig = np.linalg.eigvalsh(matrices)
-    eig = np.maximum(eig, floor)
-    return 0.5 * float(np.log(eig).sum(axis=1).mean())
+    return 0.5 * float(np.log(np.maximum(_stack_eigvalsh(matrices), floor)).sum(axis=1).mean())
 
 
 def surrogate_idr_estimate(
@@ -209,12 +207,7 @@ def surrogate_idr_estimate(
         west = welch_psd(w.values, nperseg=nperseg)
         floor = 0.01 / (12.0 * m * m)
         g_pooled.append(_half_mean_logdet(west.matrices, floor))
-        per_m_groups = []
-        for gi in range(groups):
-            sel = west.per_path[bounds[gi]:bounds[gi + 1]].mean(axis=0)
-            sel = 0.5 * (sel + sel.conj().transpose(0, 2, 1))
-            per_m_groups.append(_half_mean_logdet(sel, floor))
-        g_groups.append(per_m_groups)
+        g_groups.append([_half_mean_logdet(west.per_path[a:b].mean(axis=0), floor) for a, b in zip(bounds, bounds[1:])])
 
     logm = np.log(np.asarray(ladder, float))
     slope, _, pairwise = _ls_slope(logm, g_pooled)

@@ -254,15 +254,14 @@ def _verify_reports(ri, config) -> list:
         k_id = 4 * IDENTITY_SEGMENT
         acov_id = autocovariance_from_spectrum(norm.model, k_id - 1)
         ident_batch = sample_paths(acov_id, k_id, max(64, config.verify_paths // 500), config.seed)
-        for m in IDENTITY_M:
-            rep = spectrum_identity_check(ident_batch, m, nperseg=IDENTITY_SEGMENT)
+        for rep in spectrum_identity_check(ident_batch, IDENTITY_M, nperseg=IDENTITY_SEGMENT):
             reports.append(
                 EstimateReport(
                     "quantized_spectrum_identity", "welch", rep.mean_residual,
                     se=rep.mean_residual_se, reference=0.0, tolerance=5.0 * rep.mean_residual_se,
                     passed=bool(rep.mean_ok and rep.noise_ok),
                     settings={
-                        "m": m, "gain": rep.gain, "noise_mass": rep.noise_mass.tolist(),
+                        "m": rep.m, "gain": rep.gain, "noise_mass": rep.noise_mass.tolist(),
                         "sample_variance": rep.sample_variance.tolist(),
                         "factor_method": ident_batch.factor_method,
                     },

@@ -102,8 +102,12 @@ def bussgang_gain(data, m: int) -> BussgangReport:
     independent by construction.
     """
     x = _extract(data)
+    return _gain_report(x, quantize(x, m).values, m)
+
+
+def _gain_report(x: np.ndarray, z: np.ndarray, m: int) -> BussgangReport:
+    """bussgang_gain of the (paths, k, L) input x from its quantized values z."""
     paths, k, L = x.shape
-    z = quantize(x, m).values
     mu = x.reshape(-1, L).mean(axis=0)
     zmu = z.reshape(-1, L).mean(axis=0)
     var = ((x - mu) ** 2).reshape(-1, L).mean(axis=0)
@@ -146,13 +150,15 @@ class SpectrumIdentityReport:
     sample_variance: np.ndarray  # (L,) pooled per-component variance of the input samples
 
 
-def spectrum_identity_check(data, m: int, nperseg: int = 256) -> SpectrumIdentityReport:
-    """Check the spectral decomposition of the quantized process empirically.
+def spectrum_identity_check(data, ms, nperseg: int = 256) -> list[SpectrumIdentityReport]:
+    """Check the spectral decomposition of the quantized process empirically,
+    one report per precision in ms.
 
     Estimates input, quantized, and error spectra with identical Welch
     settings, forms the per-path residual, and reports its pooled mean with a
     path-based standard error.  Also checks that the error spectrum integrates
-    to at most 1/m^2 (a deterministic consequence of the error range).
+    to at most 1/m^2 (a deterministic consequence of the error range).  The
+    input's spectrum and sample variance are computed once for every m.
 
     The unit-variance precondition is tested on the variances the law fixes
     when data is a SamplePathBatch that carries them, and on the sample
@@ -168,30 +174,34 @@ def spectrum_identity_check(data, m: int, nperseg: int = 256) -> SpectrumIdentit
         raise UnitVarianceRequiredError(
             f"component variances {var} are not all ~1; apply normalize_components first"
         )
-    z = quantize(x, m).values
-    n = x - z
-    gain = float(bussgang_gain(x, m).gain.mean())
-
     wx = welch_psd(x, nperseg=nperseg)
-    wz = welch_psd(z, nperseg=nperseg)
-    wn = welch_psd(n, nperseg=nperseg)
-    resid = wz.per_path - (2.0 * gain - 1.0) * wx.per_path - wn.per_path
-    trace = np.einsum("pnii->pn", resid).real / L  # (paths, nf)
+    reports = []
+    for m in ms:
+        z = quantize(x, m).values
+        n = x - z
+        gain = float(_gain_report(x, z, m).gain.mean())
+        wz = welch_psd(z, nperseg=nperseg)
+        wn = welch_psd(n, nperseg=nperseg)
+        resid = wz.per_path - (2.0 * gain - 1.0) * wx.per_path - wn.per_path
+        trace = np.einsum("pnii->pn", resid).real / L  # (paths, nf)
 
-    per_path_mean = trace.mean(axis=1)
-    mean_resid = float(per_path_mean.mean())
-    mean_se = float(per_path_mean.std(ddof=1) / np.sqrt(paths))
+        per_path_mean = trace.mean(axis=1)
+        mean_resid = float(per_path_mean.mean())
+        mean_se = float(per_path_mean.std(ddof=1) / np.sqrt(paths))
 
-    noise_mass = wn.integrated_power()
-    noise_bound = 1.0 / m**2
-    return SpectrumIdentityReport(
-        m=int(m),
-        gain=gain,
-        mean_residual=mean_resid,
-        mean_residual_se=mean_se,
-        noise_mass=noise_mass,
-        noise_mass_bound=noise_bound,
-        mean_ok=bool(abs(mean_resid) <= 5.0 * mean_se),
-        noise_ok=bool(np.all(noise_mass <= noise_bound * (1.0 + 1e-9))),
-        sample_variance=sample_var,
-    )
+        noise_mass = wn.integrated_power()
+        noise_bound = 1.0 / m**2
+        reports.append(
+            SpectrumIdentityReport(
+                m=int(m),
+                gain=gain,
+                mean_residual=mean_resid,
+                mean_residual_se=mean_se,
+                noise_mass=noise_mass,
+                noise_mass_bound=noise_bound,
+                mean_ok=bool(abs(mean_resid) <= 5.0 * mean_se),
+                noise_ok=bool(np.all(noise_mass <= noise_bound * (1.0 + 1e-9))),
+                sample_variance=sample_var,
+            )
+        )
+    return reports

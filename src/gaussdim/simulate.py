@@ -16,7 +16,9 @@ Cholesky-factored, or, when that fails, factored exactly by its
 eigendecomposition; no factor perturbs the law.  A batch records which
 factor ran.  Band and line contributions to C(tau) are integrated in closed
 form; rational terms are integrated by a dense FFT quadrature whose
-resolution grows with tau_max so that long lags stay alias-free.
+resolution grows with tau_max so that long lags stay alias-free.  Welch
+cross-spectra of the real paths come from the rfft half-spectrum, mirrored
+as P(-f) = conj(P(f)); their path mean is Hermitian PSD with no eigen-clip.
 """
 
 from __future__ import annotations
@@ -345,15 +347,15 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
 
 @dataclass(frozen=True)
 class WelchEstimate:
-    """Averaged cross-periodogram matrices on the Welch frequency grid.
+    """Averaged cross-periodogram matrices of a real input on the Welch frequency grid.
 
-    matrices is the path-pooled, eigenvalue-clipped (PSD) estimate;
-    per_path keeps the unclipped per-path averages for error bars.
+    per_path keeps each path's segment average, mirrored from f >= 0 as
+    P(-f) = conj(P(f)); matrices is its path mean, Hermitian PSD with no clip.
     """
 
     freqs: np.ndarray  # (nf,) ascending in [-1/2, 1/2)
     matrices: np.ndarray  # (nf, L, L) Hermitian PSD
-    per_path: np.ndarray  # (paths, nf, L, L) Hermitian
+    per_path: np.ndarray  # (paths, nf, L, L) Hermitian PSD
     segments_per_path: int
 
     def integrated_power(self) -> np.ndarray:
@@ -362,13 +364,14 @@ class WelchEstimate:
 
 
 def welch_psd(data, nperseg: int = 256) -> WelchEstimate:
-    """Welch matrix-spectrum estimate from a (paths, k, L) array or batch.
+    """Welch matrix-spectrum estimate from a real (paths, k, L) array or batch.
 
     Fixed settings: segments of nperseg samples at stride nperseg - nperseg // 2
     (half overlap), each segment's mean removed, a periodic Hann window
     0.5 - 0.5 cos(2 pi n / nperseg), and two-sided density scaling, so the
-    estimate integrates to the process power.  Cross-periodograms are
-    conj(X_i) X_j, averaged over a path's segments.
+    estimate integrates to the process power.  Cross-periodograms conj(X_i) X_j
+    come from one rfft per segment: one product per pair i <= j on f = 0..1/2,
+    summed over a path's segments, with (j, i) and -f filled by conjugates.
     """
     samples = _extract(data)
     paths, k, L = samples.shape
@@ -379,17 +382,21 @@ def welch_psd(data, nperseg: int = 256) -> WelchEstimate:
     if segs_per_path * paths < 2:
         raise InsufficientDataError("need at least 2 segments in total for a Welch average")
 
-    segs = np.lib.stride_tricks.sliding_window_view(samples, nperseg, axis=1)[:, ::step]  # (p, s, L, n)
+    series = np.ascontiguousarray(samples.transpose(0, 2, 1))  # (p, L, k): contiguous segments
+    segs = np.lib.stride_tricks.sliding_window_view(series, nperseg, axis=-1)[:, :, ::step]  # (p, L, s, n)
     segs = segs - segs.mean(axis=-1, keepdims=True)
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
-    spec = np.fft.fftshift(np.fft.fft(segs * window, axis=-1), axes=-1)
+    segs *= window
+    spec = np.fft.rfft(segs, axis=-1)  # (p, L, s, nperseg // 2 + 1)
     scale = 1.0 / (segs_per_path * (window * window).sum())
-    per_path = np.einsum("psif,psjf->pfij", spec.conj(), spec) * scale
+    half = np.empty((paths, spec.shape[-1], L, L), dtype=complex)
+    for i in range(L):
+        xi = spec[:, i]
+        half[:, :, i, i] = (xi.real * xi.real + xi.imag * xi.imag).sum(axis=1) * scale
+        for j in range(i + 1, L):
+            half[:, :, i, j] = (xi.conj() * spec[:, j]).sum(axis=1) * scale
+            half[:, :, j, i] = half[:, :, i, j].conj()
+    h = nperseg // 2
+    per_path = np.concatenate([half[:, h:0:-1].conj(), half[:, :nperseg - h]], axis=1)
     freqs = np.fft.fftshift(np.fft.fftfreq(nperseg))
-
-    pooled = per_path.mean(axis=0)
-    pooled = 0.5 * (pooled + pooled.conj().transpose(0, 2, 1))
-    eigval, eigvec = np.linalg.eigh(pooled)
-    eigval = np.clip(eigval, 0.0, None)
-    clipped = np.einsum("nij,nj,nkj->nik", eigvec, eigval, eigvec.conj())
-    return WelchEstimate(freqs, clipped, per_path, segs_per_path)
+    return WelchEstimate(freqs, per_path.mean(axis=0), per_path, segs_per_path)

@@ -428,10 +428,11 @@ def rank_integral(
     The value is the sum of length * rank over the pieces of `_diagonalize`:
     exact for a band-only density, which is constant on each piece
     ("segment-exact"), and the midpoint grid sum for a model with rational
-    terms, a piece of length 1/n per node ("grid").  The per-node RankProfile
-    repeats each piece over its nodes; the result keeps the validated stack
-    and the pieces for properness_check and support_bound.  It needs
-    0 <= rel_tol < 1 and a finite abs_floor >= 0.
+    terms, a piece of length 1/n per node ("grid"), whose integer rank sum
+    is divided once by n.  The per-node RankProfile repeats each piece over
+    its nodes; the result keeps the validated stack and the pieces for
+    properness_check and support_bound.  It needs 0 <= rel_tol < 1 and a
+    finite abs_floor >= 0.
     """
     grid = grid or FrequencyGrid()
     if grid.n < MIN_GRID_N:
@@ -441,8 +442,10 @@ def rank_integral(
     stack, lengths, mats, counts, eig = _diagonalize(model, grid)
     eig = eig[:, ::-1]
     ranks = _numerical_ranks(eig, rel_tol, abs_floor)
-    value = float(np.sum(lengths * ranks))
-    if mats is not stack:  # band pieces: repeat each over its nodes
+    if mats is stack:  # a piece per node: the integer rank sum, divided once by n
+        value = float(ranks.sum() / grid.n)
+    else:  # band pieces: repeat each over its nodes
+        value = float(np.sum(lengths * ranks))
         eig, ranks = np.repeat(eig, counts, axis=0), np.repeat(ranks, counts)
     method = "grid" if model.arma_terms else "segment-exact"
     return RankIntegralResult(

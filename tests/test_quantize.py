@@ -166,19 +166,19 @@ def white_batch():
 class TestSpectrumIdentity:
     @pytest.mark.parametrize("m", [1, 8])
     def test_residual_within_5se(self, white_batch, m):
-        rep = spectrum_identity_check(white_batch, m)
+        (rep,) = spectrum_identity_check(white_batch, [m])
         assert rep.mean_ok
         assert abs(rep.mean_residual) <= 5.0 * rep.mean_residual_se
 
     @pytest.mark.parametrize("m", [1, 8])
     def test_noise_mass_bound(self, white_batch, m):
-        rep = spectrum_identity_check(white_batch, m)
+        (rep,) = spectrum_identity_check(white_batch, [m])
         assert rep.noise_ok
         assert (rep.noise_mass <= 1.0 / m**2 + 1e-12).all()
 
     def test_requires_unit_variance(self, white_batch):
         with pytest.raises(UnitVarianceRequiredError):
-            spectrum_identity_check(white_batch.samples * 3.0, 8)
+            spectrum_identity_check(white_batch.samples * 3.0, [8])
 
     def test_batch_gates_on_the_law_variance(self):
         """Paths scaled by 1.25 have a pooled sample variance off the 1 their
@@ -191,6 +191,6 @@ class TestSpectrumIdentity:
         sample_var = batch.samples.var()
         assert abs(sample_var - 1.0) > 0.05
         with pytest.raises(UnitVarianceRequiredError):
-            spectrum_identity_check(batch.samples, 8)
-        rep = spectrum_identity_check(batch, 8)
+            spectrum_identity_check(batch.samples, [8])
+        (rep,) = spectrum_identity_check(batch, [8])
         assert rep.sample_variance == pytest.approx([sample_var], rel=1e-12)

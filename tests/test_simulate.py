@@ -467,6 +467,23 @@ class TestSpectralRoute:
         assert rows and max(rows) <= simulate._EXACT_FACTOR_DIM
 
 
+def _full_fft_welch(x, nperseg):
+    """Reference Welch pass: the full-length complex FFT of every segment, all
+    L x L cross-periodograms by einsum, and an eigenvalue-clipped path mean."""
+    step = nperseg - nperseg // 2
+    segs = np.lib.stride_tricks.sliding_window_view(x, nperseg, axis=1)[:, ::step]  # (p, s, L, n)
+    segs = segs - segs.mean(axis=-1, keepdims=True)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
+    spec = np.fft.fftshift(np.fft.fft(segs * window, axis=-1), axes=-1)
+    scale = 1.0 / (segs.shape[1] * (window * window).sum())
+    per_path = np.einsum("psif,psjf->pfij", spec.conj(), spec) * scale
+    pooled = per_path.mean(axis=0)
+    pooled = 0.5 * (pooled + pooled.conj().transpose(0, 2, 1))
+    eigval, eigvec = np.linalg.eigh(pooled)
+    clipped = np.einsum("nij,nj,nkj->nik", eigvec, np.clip(eigval, 0.0, None), eigvec.conj())
+    return per_path, clipped
+
+
 class TestWelch:
     def test_white_noise_flat_within_5se(self):
         acov = autocovariance_from_spectrum(white_noise(), 2047)
@@ -531,6 +548,25 @@ class TestWelch:
         est = welch_psd(rng.normal(size=(8, 512, 2)), nperseg=128)
         eig = np.linalg.eigvalsh(est.matrices)
         assert eig.min() >= -1e-15
+
+    @pytest.mark.parametrize("nperseg", [128, 255, 256])
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_half_spectrum_matches_full_fft_reference(self, L, nperseg):
+        """The rfft half-spectrum, mirrored, reproduces the full-length FFT
+        cross-periodograms and their eigen-clipped path mean; an odd segment
+        length checks the mirror indexing."""
+        rng = np.random.default_rng(41 + L)
+        x = rng.normal(size=(6, 1000, L)) @ rng.normal(size=(L, L)) + 0.3
+        est = welch_psd(x, nperseg=nperseg)
+        per_path, matrices = _full_fft_welch(x, nperseg)
+        assert np.abs(est.per_path - per_path).max() <= 1e-13 * np.abs(per_path).max()
+        assert np.abs(est.matrices - matrices).max() <= 1e-13 * np.abs(matrices).max()
+        # exactly Hermitian, and P(-f) = conj(P(f)) bit for bit; -1/2 is its own mirror
+        for mats in (est.per_path, est.matrices[None]):
+            assert (mats == mats.conj().transpose(0, 1, 3, 2)).all()
+        mirror = np.searchsorted(est.freqs, -est.freqs) % nperseg
+        assert (est.freqs[mirror] == np.where(est.freqs == -0.5, -0.5, -est.freqs)).all()
+        assert (est.per_path[:, mirror] == est.per_path.conj()).all()
 
     @pytest.mark.parametrize(
         "model, k, nperseg, m",

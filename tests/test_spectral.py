@@ -193,6 +193,14 @@ class TestRankIntegral:
         assert result.method == "grid"
         assert result.value == pytest.approx(1.0, abs=1e-12)
 
+    def test_rational_value_is_exact_at_every_grid(self):
+        """A node-per-piece value is the integer rank sum over n, so a full-rank
+        rational model reads exactly 1 on non-dyadic grids too (a float sum of
+        1/n per node reads 0.9999999999999999 at n = 68)."""
+        model = ar1(0.6)
+        wrong = [n for n in range(64, 8193, 2) if rank_integral(model, FrequencyGrid(n)).value != 1.0]
+        assert wrong == []
+
 
 def _random_psd(rng, L, rank=None):
     rank = rank if rank is not None else L
