@@ -8,12 +8,13 @@ one block FFT and one batched eigh colour complex normals, and one FFT along
 time turns each into two exact-law paths.  When the embedding is refused and
 the model has no rational terms, the paths come from a quadrature of the
 spectral representation x_t = integral of e^{-2 pi i t theta} dZ(theta):
-composite Gauss-Legendre nodes on each band, one node per line, each
-coloured by a root of its band matrix or line power.  The quadrature is used
-only when its own covariance reproduces C(0..k-1) to rounding.  Otherwise
-the block-Toeplitz covariance is filled by one strided copy and
-Cholesky-factored, or, when that fails, factored exactly by its
-eigendecomposition; no factor perturbs the law.  A batch records which
+Gauss-Legendre panels on one grid of cells, whose whole cells share their
+node offsets and so sum over k time steps in k x 128 products per path, and
+one node per line, each node coloured by a root of its band matrix or line
+power.  The quadrature is used only when its own covariance reproduces
+C(0..k-1) to rounding.  Otherwise the block-Toeplitz covariance is filled by
+one strided copy and Cholesky-factored, or, when that fails, factored exactly
+by its eigendecomposition; no factor perturbs the law.  A batch records which
 factor ran.  Band and line contributions to C(tau) are integrated in closed
 form; rational terms are integrated by a dense FFT quadrature whose
 resolution grows with tau_max so that long lags stay alias-free.  Welch
@@ -192,6 +193,7 @@ _GL_ORDER = 128  # Gauss-Legendre nodes per band panel
 # a 128-node panel integrates e^{i phi} over 390 rad to about 1e-15 of its length.
 _PANEL_PHASE = 390.0
 _ROW_BLOCK = 64  # time rows built per phase block
+_GRID_SNAP = 1e-12  # a band edge this close to a grid point, in cells, lies on it
 _QUADRATURE_TOL = 1e-11  # accepted max|C_hat - C| relative to max|C(0)|
 
 
@@ -210,26 +212,54 @@ def _psd_root(mat: np.ndarray) -> np.ndarray:
     return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
 
 
-def _spectral_quadrature(model: SpectralModel, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes theta_q and factors A_q = sqrt(w_q) R_q of the spectral measure.
+def _spectral_quadrature(model: SpectralModel, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Nodes theta_q and factors A_q = sqrt(w_q) R_q of the spectral measure, on one panel grid.
 
-    Each band [lo, hi) gets ceil(2 pi (k - 1) (hi - lo) / _PANEL_PHASE)
-    equal panels of _GL_ORDER Gauss-Legendre nodes, so that lags below k
-    integrate to rounding; each line is one node of weight 1.  R_q is a root
-    of the node's band matrix or line power.
+    The grid has n = ceil(2 pi (k - 1) / _PANEL_PHASE) cells [c/n, (c+1)/n) per
+    unit frequency, so lags below k integrate over a cell to rounding.  Bands
+    are cut at the grid points inside them.  A piece that fills cell c is a
+    whole panel, with the shared nodes c/n + (1 + x_j)/(2n) and weights
+    w_j/(2n); every other piece (at most two per band) has its own
+    _GL_ORDER-node rule, and a line is one node of weight 1.  R_q is a root of
+    the band matrix or line power.  Returns theta, the factors, the whole
+    cells c (their nodes come first, _GL_ORDER per cell) and n.
     """
     x, w = _gauss_legendre()
-    thetas, roots = [], []
+    n = max(1, math.ceil(2 * np.pi * (k - 1) / _PANEL_PHASE))
+    cells, whole, edges = [], [], []  # whole and edges: (nodes, factors) per piece
     for b in model.bands:
-        panels = max(1, math.ceil(2 * np.pi * (k - 1) * (b.hi - b.lo) / _PANEL_PHASE))
-        edges = np.linspace(b.lo, b.hi, panels + 1)
-        half = 0.5 * np.diff(edges)[:, None]
-        thetas.append((0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel())
-        roots.append(np.sqrt(half * w).reshape(-1, 1, 1) * _psd_root(b.matrix))
-    for ln in model.lines:
-        thetas.append([ln.theta])
-        roots.append(_psd_root(ln.power)[None])
-    return np.concatenate(thetas), np.concatenate(roots)
+        root = _psd_root(b.matrix)
+        lo, hi = (round(v) if abs(v - round(v)) <= _GRID_SNAP else v for v in (b.lo * n, b.hi * n))
+        cuts = [lo, *range(math.floor(lo) + 1, math.ceil(hi)), hi]  # in cells
+        for a, z in zip(cuts, cuts[1:]):
+            half = (z - a) / (2 * n)
+            piece = ((a + z) / (2 * n) + half * x, np.sqrt(half * w).reshape(-1, 1, 1) * root)
+            if z - a == 1:  # both ends on the grid: the whole cell a
+                cells.append(a)
+                whole.append(piece)
+            else:
+                edges.append(piece)
+    pieces = whole + edges + [([ln.theta], _psd_root(ln.power)[None]) for ln in model.lines]
+    theta, roots = (np.concatenate(part) for part in zip(*pieces))
+    return theta, roots, np.array(cells, dtype=np.int64), n
+
+
+def _whole_panel_sum(vals: np.ndarray, cells: np.ndarray, n: int, k: int) -> np.ndarray:
+    """y_t = sum over the whole-panel nodes of e^{-2 pi i t theta_q} vals_q for t < k, as (k, cols).
+
+    vals holds _GL_ORDER rows per cell, in the order of `cells`.  With t = b n + r,
+    y_t = sum_j e^{-2 pi i b n delta_j} e^{-2 pi i r delta_j} S[r, j], where
+    S[r] = sum_c e^{-2 pi i r c / n} vals_c: k _GL_ORDER products per column.
+    """
+    x, _ = _gauss_legendre()
+    cols = vals.shape[1]
+    r = np.arange(n)
+    fourier = np.exp(-2j * np.pi * (np.outer(r, cells) % n) / n)  # (n, cells)
+    s = (fourier @ vals.reshape(len(cells), _GL_ORDER * cols)).reshape(n, _GL_ORDER, cols)
+    s *= np.exp(-1j * np.pi * np.outer(r, 1 + x) / n)[:, :, None]  # e^{-2 pi i r delta_j}
+    blocks = -(-k // n)
+    y = np.exp(-1j * np.pi * np.outer(np.arange(blocks), 1 + x)) @ s  # (n, blocks, cols)
+    return y.transpose(1, 0, 2).reshape(blocks * n, cols)[:k]
 
 
 def _spectral_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) -> tuple[np.ndarray, float]:
@@ -238,33 +268,38 @@ def _spectral_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int)
     With complex normals z_q, E[z z^H] = 2 I and E[z z^T] = 0, the sum
     y_t = sum_q e^{-2 pi i t theta_q} A_q z_q has real and imaginary parts of
     covariance Re C_hat, uncorrelated when Im C_hat = 0, where
-    C_hat(tau) = sum_q e^{-2 pi i tau theta_q} A_q A_q^H.  Time rows are
-    built in blocks of _ROW_BLOCK from e^{-2 pi i (s + b) theta} =
-    e^{-2 pi i s theta} e^{-2 pi i b theta}, and the same loop forms C_hat.
+    C_hat(tau) = sum_q e^{-2 pi i tau theta_q} A_q A_q^H.  The whole panels
+    are summed through the grid (_whole_panel_sum), the edge pieces and lines
+    in blocks of _ROW_BLOCK time rows from e^{-2 pi i (s + b) theta} =
+    e^{-2 pi i s theta} e^{-2 pi i b theta}; C_hat takes the same two sums.
     The paths have the exact law when C_hat matches C(tau), imaginary part
     included, to rounding.
     """
     L = acov.L
-    theta, roots = _spectral_quadrature(acov.model, k)
-    nodes = len(theta)
+    theta, roots, cells, n = _spectral_quadrature(acov.model, k)
+    nodes, whole = len(theta), _GL_ORDER * len(cells)
     gram = (roots @ roots.conj().transpose(0, 2, 1)).reshape(nodes, L * L)
-    chunks = []  # (first path, complex draws, end path, coloured normals A_q z_q as (nodes, draws * L))
+    chunks = []  # (first path, end path, coloured normals A_q z_q off the whole panels, y as (k, draws * L))
     for chunk, start in enumerate(range(0, paths, _PATH_CHUNK)):
         stop = min(start + _PATH_CHUNK, paths)
-        half = (stop - start + 1) // 2
-        z = derive_rng(seed, "spectral-paths", chunk).standard_normal((half, nodes, 2 * L)).view(complex)
-        chunks.append((start, half, stop, (roots @ z.transpose(1, 2, 0)).transpose(0, 2, 1).reshape(nodes, -1)))
-    out = np.empty((paths, k, L))
-    c_hat = np.empty((k, L * L), dtype=complex)
+        z = derive_rng(seed, "spectral-paths", chunk).standard_normal(((stop - start + 1) // 2, nodes, 2 * L))
+        u = (roots @ z.view(complex).transpose(1, 2, 0)).transpose(0, 2, 1).reshape(nodes, -1)
+        chunks.append((start, stop, u[whole:], _whole_panel_sum(u[:whole], cells, n, k)))
+    c_hat = _whole_panel_sum(gram[:whole], cells, n, k)
+    theta, gram = theta[whole:], gram[whole:]
     inner = np.exp(-2j * np.pi * np.arange(min(_ROW_BLOCK, k))[:, None] * theta)
     for row in range(0, k, _ROW_BLOCK):
         phases = np.exp(-2j * np.pi * row * theta) * inner[: k - row]
         rows = slice(row, row + len(phases))
-        c_hat[rows] = phases @ gram
-        for start, half, stop, u in chunks:
-            y = (phases @ u).reshape(len(phases), half, L).transpose(1, 0, 2)  # (draws, rows, L)
-            out[start:start + half, rows] = y.real
-            out[start + half:stop, rows] = y[: stop - start - half].imag
+        c_hat[rows] += phases @ gram
+        for _, _, u, y in chunks:
+            y[rows] += phases @ u
+    out = np.empty((paths, k, L))
+    for start, stop, _, y in chunks:
+        y = y.reshape(k, -1, L).transpose(1, 0, 2)  # (draws, k, L)
+        half = len(y)
+        out[start:start + half] = y.real
+        out[start + half:stop] = y[: stop - start - half].imag
     out += acov.mean
     return out, float(np.abs(c_hat - acov.matrices[:k].reshape(k, L * L)).max())
 

@@ -1,8 +1,11 @@
 """Autocovariance synthesis, exact-law sampling, and Welch spectrum estimates."""
 
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +37,7 @@ from gaussdim.simulate import (
     sample_paths,
     welch_psd,
 )
-from gaussdim.spectral import Band, RationalTerm, SpectralModel
+from gaussdim.spectral import Band, RationalTerm, SpectralLine, SpectralModel
 
 
 class TestAutocovariance:
@@ -385,6 +388,60 @@ _SPECTRAL_LAWS = {
 }
 
 
+def _direct_spectral_sum(theta, roots, k, paths, seed):
+    """Reference spectral draw: every node phased directly, in blocks of 64 time
+    rows, with the normals of chunk 0.  Returns the paths without the mean and
+    C_hat as (k, L*L)."""
+    nodes, L = roots.shape[:2]
+    gram = (roots @ roots.conj().transpose(0, 2, 1)).reshape(nodes, L * L)
+    half = (paths + 1) // 2
+    z = derive_rng(seed, "spectral-paths", 0).standard_normal((half, nodes, 2 * L)).view(complex)
+    u = (roots @ z.transpose(1, 2, 0)).transpose(0, 2, 1).reshape(nodes, -1)
+    out = np.empty((paths, k, L))
+    c_hat = np.empty((k, L * L), dtype=complex)
+    inner = np.exp(-2j * np.pi * np.arange(64)[:, None] * theta)
+    for row in range(0, k, 64):
+        phases = np.exp(-2j * np.pi * row * theta) * inner[: k - row]
+        rows = slice(row, row + len(phases))
+        c_hat[rows] = phases @ gram
+        y = (phases @ u).reshape(len(phases), half, L).transpose(1, 0, 2)
+        out[:half, rows] = y.real
+        out[half:, rows] = y[: paths - half].imag
+    return out, c_hat
+
+
+# Band layouts for the panel-grid cut, each as n -> [(lo, hi, level)] with exact
+# fractional edges, and the line frequencies added to the model.
+_CUT_CASES = {
+    "straddles-zero": (lambda n: [(Fraction(-1, 1000), Fraction(1, 1000), 500.0)], ()),
+    "inside-one-cell": (
+        lambda n: [(Fraction(-2005, 10000), Fraction(-2001, 10000), 1250.0),
+                   (Fraction(2001, 10000), Fraction(2005, 10000), 1250.0)],
+        (),
+    ),
+    "straddles-one-point": (
+        lambda n: [(Fraction(-3, 10), Fraction(-1, 10), 2.5), (Fraction(1, 10), Fraction(3, 10), 2.5)], ()
+    ),
+    "edges-on-grid": (
+        lambda n: [(Fraction(-2, n), Fraction(-1, n), 1.0), (Fraction(-1, n), Fraction(1, n), 2.0),
+                   (Fraction(1, n), Fraction(2, n), 1.0)],
+        (),
+    ),
+    "adjacent-inside-a-cell": (
+        lambda n: [(Fraction(-1, 4), Fraction(-13, 100), 1.0), (Fraction(-13, 100), Fraction(13, 100), 3.0),
+                   (Fraction(13, 100), Fraction(1, 4), 1.0)],
+        (),
+    ),
+    # 0.14 * 50 and 0.28 * 50 round to 7.000000000000001 and 14.000000000000002
+    "decimal-edges-on-grid": (
+        lambda n: [(Fraction(-28, 100), Fraction(-14, 100), 1.0), (Fraction(-14, 100), Fraction(14, 100), 2.0),
+                   (Fraction(14, 100), Fraction(28, 100), 1.0)],
+        (),
+    ),
+    "band-and-lines": (lambda n: [(Fraction(-3, 20), Fraction(3, 20), 2.0)], (-0.3, 0.3)),
+}
+
+
 class TestSpectralRoute:
     @pytest.mark.parametrize("law", sorted(_SPECTRAL_LAWS))
     def test_lag_zero_and_one_sample_covariances_within_5se(self, law):
@@ -414,6 +471,62 @@ class TestSpectralRoute:
             acov = autocovariance_from_spectrum(model, k - 1)
             _, residual = simulate._spectral_paths(acov, k, 2, seed=1)
             assert residual <= 1e-11 * np.abs(acov.matrices[0]).max(), (k, residual)
+
+    @pytest.mark.parametrize("name", ["narrowband_0p4", "correlated_pair", "matched_support_nonproper"])
+    def test_panel_grid_sum_matches_the_direct_sum(self, name):
+        model = MODELS[name][0]()
+        for k in (300, 4096 // model.L):
+            acov = autocovariance_from_spectrum(model, k - 1)
+            theta, roots, cells, n = simulate._spectral_quadrature(model, k)
+            whole = simulate._GL_ORDER * len(cells)
+            x, _ = simulate._gauss_legendre()
+            assert np.abs(theta[:whole] - (cells[:, None] / n + (1 + x) / (2 * n)).ravel()).max() <= 1e-15
+            ref, ref_c_hat = _direct_spectral_sum(theta, roots, k, 9, seed=3)
+            out, residual = simulate._spectral_paths(acov, k, 9, seed=3)
+            assert np.abs(out - acov.mean - ref).max() <= 1e-12 * np.abs(ref).max(), k
+            scale = np.abs(acov.matrices[0]).max()
+            gram = (roots @ roots.conj().transpose(0, 2, 1)).reshape(len(theta), -1)
+            grid_c_hat = simulate._whole_panel_sum(gram[:whole], cells, n, k)
+            _, whole_c_hat = _direct_spectral_sum(theta[:whole], roots[:whole], k, 1, seed=3)
+            assert np.abs(grid_c_hat - whole_c_hat).max() <= 1e-12 * scale, k
+            ref_residual = np.abs(ref_c_hat - acov.matrices[:k].reshape(k, -1)).max()
+            assert abs(residual - ref_residual) <= 1e-12 * scale, k
+
+    @pytest.mark.parametrize("case", sorted(_CUT_CASES))
+    def test_bands_are_cut_at_the_grid_points_inside_them(self, case):
+        layout, lines = _CUT_CASES[case]
+        for k in (300, 600, 1000, 1500, 3072, 4096):  # n = 5, 10, 17, 25, 50, 66
+            n = math.ceil(2 * np.pi * (k - 1) / simulate._PANEL_PHASE)
+            bands = layout(n)
+            model = SpectralModel(
+                L=1,
+                bands=[Band(float(lo), float(hi), [[level]]) for lo, hi, level in bands],
+                lines=[SpectralLine(t, [[0.5]]) for t in lines],
+            )
+            theta, roots, cells, n_used = simulate._spectral_quadrature(model, k)
+            assert n_used == n
+            # exact counts: pieces = 1 + grid points strictly inside; whole = cells inside the band
+            pieces = sum(math.ceil(hi * n) - math.floor(lo * n) for lo, hi, _ in bands)
+            whole = sum(max(0, math.floor(hi * n) - math.ceil(lo * n)) for lo, hi, _ in bands)
+            assert len(cells) == whole, (k, len(cells), whole)
+            assert len(theta) == simulate._GL_ORDER * pieces + len(lines), (k, len(theta), pieces)
+            assert (roots.real > 0).all()  # every node has a positive weight: no empty piece
+            for lo, hi, level in bands:  # every band's weights add up to its width
+                inside = (theta >= float(lo)) & (theta < float(hi))
+                assert abs((roots[inside, 0, 0] ** 2).sum() / level - float(hi - lo)) <= 1e-14, (k, lo, hi)
+            acov = autocovariance_from_spectrum(model, k - 1)
+            _, residual = simulate._spectral_paths(acov, k, 2, seed=1)
+            assert residual <= 1e-11 * np.abs(acov.matrices[0]).max(), (k, residual)
+
+    def test_traced_peak_of_a_band_draw(self):
+        acov = autocovariance_from_spectrum(narrowband(0.4), 4095)
+        tracemalloc.start()
+        try:
+            simulate._spectral_paths(acov, 4096, 100, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6, peak
 
     def test_deterministic_by_seed_and_chunk(self, monkeypatch):
         acov = autocovariance_from_spectrum(narrowband(0.4), 599)
