@@ -1,25 +1,25 @@
 """Autocovariance synthesis, exact Gaussian path sampling, and Welch cross-spectra.
 
 The sampler draws from the exact law of k consecutive samples and tries its
-factors in the order circulant -> spectral -> cholesky -> eigh.  Paths with
-k*L above _EXACT_FACTOR_DIM first try the block-circulant embedding of C(tau)
-at size 2k (Wood & Chan 1994; Chan & Wood 1999), used only when it is PSD:
-one block FFT and one batched eigh colour complex normals, and one FFT along
-time turns each into two exact-law paths.  When the embedding is refused and
-the model has no rational terms, the paths come from a quadrature of the
-spectral representation x_t = integral of e^{-2 pi i t theta} dZ(theta):
-Gauss-Legendre panels on one grid of cells, whose whole cells share their
-node offsets and so sum over k time steps in k x 128 products per path, and
-one node per line, each node coloured by a root of its band matrix or line
-power.  The quadrature is used only when its own covariance reproduces
-C(0..k-1) to rounding.  Otherwise the block-Toeplitz covariance is filled by
-one strided copy and Cholesky-factored, or, when that fails, factored exactly
-by its eigendecomposition; no factor perturbs the law.  A batch records which
-factor ran.  Band and line contributions to C(tau) are integrated in closed
-form; rational terms are integrated by a dense FFT quadrature whose
-resolution grows with tau_max so that long lags stay alias-free.  Welch
-cross-spectra of the real paths come from the rfft half-spectrum, mirrored
-as P(-f) = conj(P(f)); their path mean is Hermitian PSD with no eigen-clip.
+factors in the order spectral -> cholesky -> eigh.  Paths with k*L above
+_EXACT_FACTOR_DIM whose sequence was synthesized from a model come from a
+quadrature of the spectral representation x_t = integral of
+e^{-2 pi i t theta} dZ(theta) (Shinozuka & Deodatis 1991): Gauss-Legendre
+panels on one grid of cells, whose whole cells share their node offsets and
+so sum over k time steps in k x 128 products per path, and one node per line.
+A model with rational terms also gets zero pieces in the gaps between its
+bands, so its panels tile [-1/2, 1/2).  Each node is coloured by a root of
+the model's total density there (band matrix plus rational terms), each line
+by a root of its power.  The quadrature is used only when its own covariance
+reproduces C(0..k-1) to rounding.  Otherwise the block-Toeplitz covariance
+is filled by one strided copy and Cholesky-factored, or, when that fails,
+factored exactly by its eigendecomposition; no factor perturbs the law.  A
+batch records which factor ran.  Band and line contributions to C(tau) are
+integrated in closed form; rational terms are integrated by a dense FFT
+quadrature whose resolution grows with tau_max so that long lags stay
+alias-free.  Welch cross-spectra of the real paths come from the rfft
+half-spectrum, mirrored as P(-f) = conj(P(f)); their path mean is Hermitian
+PSD with no eigen-clip.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._rng import derive_rng
-from .spectral import SpectralModel, _lag_integrals
+from .spectral import SpectralModel, _eval_rational, _lag_integrals
 
 MAX_DENSE_DIM = 4096
 _PATH_CHUNK = 1 << 16
@@ -121,10 +121,9 @@ class SamplePathBatch:
 
     samples: np.ndarray  # (paths, k, L)
     seed: int
-    # The factor that ran, first that applied of: "circulant" (the exact
-    # embedding, k*L > _EXACT_FACTOR_DIM only), "spectral" (the quadrature of
-    # the spectral measure, k*L > _EXACT_FACTOR_DIM and no rational terms
-    # only), "cholesky", "eigh".
+    # The factor that ran, first that applied of: "spectral" (the quadrature
+    # of the spectral measure, k*L > _EXACT_FACTOR_DIM and a sequence with
+    # its model only), "cholesky", "eigh".
     factor_method: str = "cholesky"
     variance: np.ndarray | None = None  # (L,) diag C(0): the variances the law fixes
 
@@ -152,42 +151,6 @@ def _extract(data) -> np.ndarray:
 
 
 _EXACT_FACTOR_DIM = 512
-
-
-def _circulant_root(acov: AutocovarianceSequence, k: int) -> np.ndarray | None:
-    """Per-frequency factors A_f, A_f A_f^H = Lambda_f, of the block-circulant
-    embedding of C(0..k-1) at size M = 2k, or None when it is not PSD.
-
-    Block (t, s) of the embedding is c((t - s) mod M) with c(j) = C(j) and
-    c(M - j) = C(j)^T for 0 < j < k, c(0) = C(0) symmetrized and c(k) = 0, so
-    its leading k x k blocks are acov.toeplitz(k).  It is block-diagonalized
-    by the DFT: Lambda_f = sum_j c(j) e^{-2 pi i j f / M}.  The embedding is
-    accepted under the eigh factor's floor, and only values inside that floor
-    are clipped to zero.
-    """
-    L, M = acov.L, 2 * k
-    c = np.zeros((M, L, L))
-    c0 = acov.matrices[0]
-    c[0] = 0.5 * (c0 + c0.T)
-    c[1:k] = acov.matrices[1:k]
-    c[k + 1:] = acov.matrices[k - 1:0:-1].transpose(0, 2, 1)
-    eigval, eigvec = np.linalg.eigh(np.fft.fft(c, axis=0))
-    if eigval.min() < -1e-8 * max(eigval.max(), 1e-300):
-        return None
-    return eigvec * np.sqrt(np.clip(eigval, 0.0, None))[:, None, :]
-
-
-def _circulant_draw(root: np.ndarray, k: int, z: np.ndarray) -> np.ndarray:
-    """First k samples of the embedded process driven by complex normals z.
-
-    z is (h, M, L) with E[z z^H] = 2 I and E[z z^T] = 0; the result x_t =
-    M^{-1/2} sum_f e^{+2 pi i t f / M} A_f z_f is (h, k, L), and its real and
-    imaginary parts are independent with covariance acov.toeplitz(k).
-    """
-    y = (root @ z[..., None])[..., 0]
-    return np.fft.ifft(y, axis=1, norm="ortho")[:, :k]
-
-
 _GL_ORDER = 128  # Gauss-Legendre nodes per band panel
 # Phase span (rad) of e^{-2 pi i tau theta} over one panel for tau <= k - 1:
 # a 128-node panel integrates e^{i phi} over 390 rad to about 1e-15 of its length.
@@ -207,40 +170,49 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _psd_root(mat: np.ndarray) -> np.ndarray:
-    """R with R R^H = mat for a Hermitian PSD matrix, eigenvalues clipped at 0."""
+    """R with R R^H = mat for a Hermitian PSD matrix or (n, L, L) stack, eigenvalues clipped at 0."""
     eigval, eigvec = np.linalg.eigh(mat)
-    return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+    return eigvec * np.sqrt(np.clip(eigval, 0.0, None))[..., None, :]
 
 
 def _spectral_quadrature(model: SpectralModel, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Nodes theta_q and factors A_q = sqrt(w_q) R_q of the spectral measure, on one panel grid.
 
     The grid has n = ceil(2 pi (k - 1) / _PANEL_PHASE) cells [c/n, (c+1)/n) per
-    unit frequency, so lags below k integrate over a cell to rounding.  Bands
+    unit frequency, so lags below k integrate over a cell to rounding.  Bands,
+    and for a model with rational terms the gaps between them as zero bands,
     are cut at the grid points inside them.  A piece that fills cell c is a
     whole panel, with the shared nodes c/n + (1 + x_j)/(2n) and weights
     w_j/(2n); every other piece (at most two per band) has its own
     _GL_ORDER-node rule, and a line is one node of weight 1.  R_q is a root of
-    the band matrix or line power.  Returns theta, the factors, the whole
-    cells c (their nodes come first, _GL_ORDER per cell) and n.
+    the band matrix plus the rational terms at theta_q, or of the line power.
+    Returns theta, the factors, the whole cells c (their nodes come first,
+    _GL_ORDER per cell) and n.
     """
     x, w = _gauss_legendre()
     n = max(1, math.ceil(2 * np.pi * (k - 1) / _PANEL_PHASE))
+    L = model.L
+    spans = [(b.lo, b.hi, b.matrix) for b in model.bands]
+    if model.arma_terms:
+        bounds = [-0.5, *(e for b in model.bands for e in (b.lo, b.hi)), 0.5]
+        spans += [(lo, hi, np.zeros((L, L))) for lo, hi in zip(bounds[::2], bounds[1::2]) if lo < hi]
     cells, whole, edges = [], [], []  # whole and edges: (nodes, factors) per piece
-    for b in model.bands:
-        root = _psd_root(b.matrix)
-        lo, hi = (round(v) if abs(v - round(v)) <= _GRID_SNAP else v for v in (b.lo * n, b.hi * n))
+    for span_lo, span_hi, mat in spans:
+        lo, hi = (round(v) if abs(v - round(v)) <= _GRID_SNAP else v for v in (span_lo * n, span_hi * n))
         cuts = [lo, *range(math.floor(lo) + 1, math.ceil(hi)), hi]  # in cells
         for a, z in zip(cuts, cuts[1:]):
             half = (z - a) / (2 * n)
-            piece = ((a + z) / (2 * n) + half * x, np.sqrt(half * w).reshape(-1, 1, 1) * root)
+            nodes = (a + z) / (2 * n) + half * x
+            density = mat + _eval_rational(model, nodes) if model.arma_terms else mat
+            piece = (nodes, np.sqrt(half * w).reshape(-1, 1, 1) * _psd_root(density))
             if z - a == 1:  # both ends on the grid: the whole cell a
                 cells.append(a)
                 whole.append(piece)
             else:
                 edges.append(piece)
-    pieces = whole + edges + [([ln.theta], _psd_root(ln.power)[None]) for ln in model.lines]
-    theta, roots = (np.concatenate(part) for part in zip(*pieces))
+    lines = [([ln.theta], _psd_root(ln.power)[None]) for ln in model.lines]
+    empty = (np.empty(0), np.empty((0, L, L)))  # an empty measure has no nodes: its paths are the mean
+    theta, roots = (np.concatenate(part) for part in zip(empty, *whole, *edges, *lines))
     return theta, roots, np.array(cells, dtype=np.int64), n
 
 
@@ -283,7 +255,7 @@ def _spectral_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int)
     for chunk, start in enumerate(range(0, paths, _PATH_CHUNK)):
         stop = min(start + _PATH_CHUNK, paths)
         z = derive_rng(seed, "spectral-paths", chunk).standard_normal(((stop - start + 1) // 2, nodes, 2 * L))
-        u = (roots @ z.view(complex).transpose(1, 2, 0)).transpose(0, 2, 1).reshape(nodes, -1)
+        u = (roots @ z.view(complex).transpose(1, 2, 0)).transpose(0, 2, 1).reshape(nodes, len(z) * L)
         chunks.append((start, stop, u[whole:], _whole_panel_sum(u[:whole], cells, n, k)))
     c_hat = _whole_panel_sum(gram[:whole], cells, n, k)
     theta, gram = theta[whole:], gram[whole:]
@@ -329,14 +301,12 @@ def _psd_factor(acov: AutocovarianceSequence, k: int) -> tuple[np.ndarray, str]:
 def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) -> SamplePathBatch:
     """Draw `paths` independent exact-law paths of length k.
 
-    Factors are tried in the order circulant -> spectral -> cholesky -> eigh,
-    and the batch names the one that ran.  For k*L above _EXACT_FACTOR_DIM
-    the block-circulant embedding is used whenever it is PSD; each complex
-    draw then gives two paths.  When it is not and the sequence was
-    synthesized from a model with no rational terms, the quadrature of the
-    spectral measure draws the paths (see _spectral_paths), again two per
-    complex draw, provided it reproduces C(0..k-1).  Otherwise the
-    block-Toeplitz covariance is factored densely (see _psd_factor).
+    Factors are tried in the order spectral -> cholesky -> eigh, and the
+    batch names the one that ran.  For k*L above _EXACT_FACTOR_DIM and a
+    sequence synthesized from a model, the quadrature of the spectral
+    measure draws the paths (see _spectral_paths), two per complex draw,
+    provided it reproduces C(0..k-1).  Otherwise the block-Toeplitz
+    covariance is factored densely (see _psd_factor).
 
     Deterministic given (acov, k, paths, seed); paths are generated in fixed
     chunks with per-chunk sub-streams, so chunk order (and hence parallel
@@ -350,21 +320,7 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
     if k * L > MAX_DENSE_DIM:
         raise ValueError(f"k*L={k * L} exceeds the dense-factorization cap {MAX_DENSE_DIM}")
     variance = np.diag(acov.matrices[0]).copy()
-    root = _circulant_root(acov, k) if k * L > _EXACT_FACTOR_DIM else None
-    if root is not None:
-        out = np.empty((paths, k, L))
-        for chunk, start in enumerate(range(0, paths, _PATH_CHUNK)):
-            stop = min(start + _PATH_CHUNK, paths)
-            half = (stop - start + 1) // 2
-            rng = derive_rng(seed, "circulant-paths", chunk)
-            z = rng.standard_normal((half, 2 * k, 2 * L)).view(complex)  # (half, 2k, L)
-            x = _circulant_draw(root, k, z)
-            out[start:start + half] = x.real
-            out[start + half:stop] = x.imag[: stop - start - half]
-        out += acov.mean
-        return SamplePathBatch(out, seed, "circulant", variance)
-    model = acov.model
-    if k * L > _EXACT_FACTOR_DIM and model is not None and not model.arma_terms:
+    if k * L > _EXACT_FACTOR_DIM and acov.model is not None:
         out, residual = _spectral_paths(acov, k, paths, seed)
         if residual <= _QUADRATURE_TOL * np.abs(acov.matrices[0]).max():
             return SamplePathBatch(out, seed, "spectral", variance)

@@ -214,7 +214,7 @@ class TestRunTasks:
 
     @pytest.mark.parametrize(
         "builder, method",
-        [(lambda: narrowband(0.4), "spectral"), (white_noise, "circulant")],
+        [(lambda: narrowband(0.4), "spectral"), (white_noise, "spectral")],
         ids=["narrowband", "white"],
     )
     def test_estimate_reports_factor_method_and_jitter(self, builder, method):
@@ -241,8 +241,8 @@ class TestRunTasks:
             "invariance_scale", "invariance_translate", "bussgang_gain", "quantized_spectrum_identity",
         }
         for r in sampled:
-            # only the identity check draws paths long enough (k=1024) for the circulant embedding
-            method = "circulant" if r.quantity == "quantized_spectrum_identity" else "cholesky"
+            # only the identity check draws paths long enough (k=1024) for the spectral quadrature
+            method = "spectral" if r.quantity == "quantized_spectrum_identity" else "cholesky"
             assert r.settings["factor_method"] == method, r.quantity
             assert "jitter" not in r.settings, r.quantity
         bussgang = [r for r in sampled if r.quantity == "bussgang_gain"]

@@ -22,6 +22,7 @@ from gaussdim.benchmarks import (
     narrowband,
     proper_complex_flat,
     white_noise,
+    zero_process,
 )
 from gaussdim.entropy import exact_cell_distribution
 from gaussdim.quantize import dither, quantize
@@ -30,8 +31,6 @@ from gaussdim.simulate import (
     AutocovarianceSequence,
     InsufficientDataError,
     SymmetryViolationError,
-    _circulant_draw,
-    _circulant_root,
     _psd_factor,
     autocovariance_from_spectrum,
     sample_paths,
@@ -240,16 +239,16 @@ class TestDenseFactor:
             (white_noise, 64, "cholesky", "cholesky"),
             (lambda: narrowband(0.4), 600, "eigh", "spectral"),
             (correlated_pair, 4, "eigh", "eigh"),
-            (correlated_pair, 300, "eigh", "circulant"),
+            (correlated_pair, 300, "eigh", "spectral"),
         ],
         ids=["white-k64", "narrowband-k600", "pair-k4", "pair-k300"],
     )
     def test_samples_equal_copy_based_reference(self, builder, k, method, sampled):
         """The dense factor draws what the copy-based sampler drew, byte for byte.
 
-        The pair at k=300 has a PSD circulant embedding and narrowband at
-        k=600 a spectral quadrature, so sample_paths takes those routes and
-        their dense factor is reached through _psd_factor.
+        Narrowband at k=600 and the pair at k=300 have a spectral quadrature,
+        so sample_paths takes that route and their dense factor is reached
+        through _psd_factor.
         """
         acov = autocovariance_from_spectrum(builder(), k - 1)
         batch = sample_paths(acov, k, 50, seed=3)
@@ -288,98 +287,47 @@ def _asymmetric_lag_one(k):
 
 
 def _narrowband_ar1():
-    """narrowband(0.4) plus 0.01 AR(1): a rational term, and an embedding refused at k = 600 and 2048."""
+    """narrowband(0.4) plus 0.01 AR(1): a band and a rational term."""
     nb, rho = narrowband(0.4), 0.6
     term = RationalTerm(0, 0, (0.0, 0.01 * (1.0 - rho**2)), (-rho, 1.0 + rho**2, -rho))
     return SpectralModel(L=1, bands=nb.bands, arma_terms=[term])
 
 
-_CIRCULANT_LAWS = {
-    "white": lambda k: autocovariance_from_spectrum(white_noise(), k - 1),
-    "ar1": lambda k: autocovariance_from_spectrum(ar1(0.6), k - 1),
-    "pair": lambda k: autocovariance_from_spectrum(correlated_pair(), k - 1),
-    "asymmetric": _asymmetric_lag_one,
+def _band_plus_cosine():
+    """Band(1) plus 0.5 cos(2 pi theta): a PSD total whose rational part is indefinite on its own."""
+    return SpectralModel(
+        L=1, bands=[Band(-0.5, 0.5, [[1.0]])], arma_terms=[RationalTerm(0, 0, (0.25, 0.0, 0.25), (0.0, 1.0))]
+    )
+
+
+def _delayed_copy(d):
+    """White noise and its copy shifted by d samples: density [[1, conj(z)^d], [z^d, 1]],
+    rank 1 at every theta, and a rational part [[0, conj(z)^d], [z^d, 0]] that is indefinite."""
+    return SpectralModel(
+        L=2, bands=[Band(-0.5, 0.5, np.eye(2))], arma_terms=[RationalTerm(1, 0, (0.0,) * d + (1.0,), (1.0,))]
+    )
+
+
+# Rational laws outside MODELS, each with a PSD total density.
+_RATIONAL_LAWS = {
+    "narrowband_ar1": _narrowband_ar1,
+    "band_plus_cosine": _band_plus_cosine,
+    "delayed_copy_d1": lambda: _delayed_copy(1),
+    "delayed_copy_d4": lambda: _delayed_copy(4),
+    "ar1_0p99": lambda: ar1(0.99),
+}
+
+# Laws whose lagged covariances are checked at k = 600, with the route they take:
+# three models on the spectral quadrature, and a sequence built by hand on the dense factor.
+_LAGGED_LAWS = {
+    "white": (lambda k: autocovariance_from_spectrum(white_noise(), k - 1), "spectral"),
+    "ar1": (lambda k: autocovariance_from_spectrum(ar1(0.6), k - 1), "spectral"),
+    "pair": (lambda k: autocovariance_from_spectrum(correlated_pair(), k - 1), "spectral"),
+    "asymmetric": (_asymmetric_lag_one, "cholesky"),
 }
 
 
-class TestCirculant:
-    @pytest.mark.parametrize("law", sorted(_CIRCULANT_LAWS))
-    @pytest.mark.parametrize("k", [3, 64, 300])
-    def test_first_k_samples_have_the_toeplitz_law(self, law, k):
-        """Pushing every complex basis vector through the draw gives the linear
-        map G from normals to the first k samples.  With E[z z^H] = 2I and
-        E[z z^T] = 0 the real part has covariance Re(G^T conj G) and is
-        uncorrelated with the imaginary part iff Im(G^T conj G) = 0."""
-        acov = _CIRCULANT_LAWS[law](k)
-        root = _circulant_root(acov, k)
-        assert root is not None
-        n = 2 * k * acov.L
-        basis = np.eye(n, dtype=complex).reshape(n, 2 * k, acov.L)
-        g = _circulant_draw(root, k, basis).reshape(n, k * acov.L)
-        gram = g.T @ g.conj()
-        assert np.abs(gram.real - acov.toeplitz(k)).max() <= 1e-12
-        assert np.abs(gram.imag).max() <= 1e-12
-
-    @pytest.mark.parametrize(
-        "builder, k, method",
-        [
-            (lambda: narrowband(0.4), 600, "eigh"),
-            (independent_halfband_pair, 300, "eigh"),
-            (line_process, 600, "eigh"),
-            (_narrowband_ar1, 600, "cholesky"),
-            (_narrowband_ar1, 2048, "cholesky"),
-        ],
-        ids=["narrowband-k600", "halfband-pair-k300", "line-k600", "narrowband-ar1-k600", "narrowband-ar1-k2048"],
-    )
-    def test_indefinite_embedding_falls_back_to_dense_factor(self, builder, k, method):
-        """A refused embedding goes to the spectral quadrature for band and line
-        models and to the dense factor for a model with a rational term or a
-        sequence built without its model."""
-        acov = autocovariance_from_spectrum(builder(), k - 1)
-        assert _circulant_root(acov, k) is None  # refused, not clipped
-        _, got = _psd_factor(acov, k)
-        assert got == method
-        if acov.model.arma_terms:
-            dense = acov
-        else:
-            assert sample_paths(acov, k, 4, seed=1).factor_method == "spectral"
-            dense = _without_model(acov)
-        batch = sample_paths(dense, k, 4, seed=1)
-        assert batch.factor_method == method
-
-    def test_deterministic_by_seed_and_chunk(self, monkeypatch):
-        acov = autocovariance_from_spectrum(ar1(0.6), 599)
-        odd = sample_paths(acov, 600, 7, seed=42)
-        assert (odd.factor_method, odd.samples.shape) == ("circulant", (7, 600, 1))
-        assert np.array_equal(odd.samples, sample_paths(acov, 600, 7, seed=42).samples)
-        assert not np.array_equal(odd.samples, sample_paths(acov, 600, 7, seed=43).samples)
-        # 7 paths are the real parts of 4 complex draws, then 3 imaginary parts;
-        # 8 paths use the same 4 draws and keep the fourth imaginary part.
-        even = sample_paths(acov, 600, 8, seed=42).samples
-        assert np.array_equal(odd.samples, np.concatenate([even[:4], even[4:7]]))
-        # Beyond one chunk, each chunk draws from its own sub-stream and the
-        # leading chunks do not depend on how many paths follow them.
-        monkeypatch.setattr(simulate, "_PATH_CHUNK", 4)
-        chunked = sample_paths(acov, 600, 9, seed=42).samples
-        assert np.array_equal(chunked[:4], sample_paths(acov, 600, 4, seed=42).samples)
-        assert np.array_equal(chunked[:8], sample_paths(acov, 600, 8, seed=42).samples)
-        assert not np.array_equal(chunked[:4], chunked[4:8])
-
-    @pytest.mark.parametrize("law", sorted(_CIRCULANT_LAWS))
-    def test_lagged_sample_covariances_within_5se(self, law):
-        k, paths = 600, 400
-        acov = _CIRCULANT_LAWS[law](k)
-        batch = sample_paths(acov, k, paths, seed=17)
-        assert batch.factor_method == "circulant"
-        x = batch.samples
-        for tau in range(4):
-            per_path = np.einsum("pti,ptj->pij", x[:, tau:], x[:, : k - tau]) / (k - tau)
-            se = per_path.std(axis=0, ddof=1) / np.sqrt(paths)
-            dev = np.abs(per_path.mean(axis=0) - acov.matrices[tau])
-            assert (dev <= 5.0 * se + 1e-12).all(), (tau, dev, se)
-
-
-# Band and line laws whose circulant embedding is refused at this k.
+# Band and line laws, each at a k that the spectral quadrature draws.
 _SPECTRAL_LAWS = {
     "narrowband": (lambda: narrowband(0.4), 600),
     "halfband-pair": (independent_halfband_pair, 300),
@@ -448,7 +396,6 @@ class TestSpectralRoute:
         builder, k = _SPECTRAL_LAWS[law]
         paths = 400
         acov = autocovariance_from_spectrum(builder(), k - 1)
-        assert _circulant_root(acov, k) is None
         batch = sample_paths(acov, k, paths, seed=23)
         assert batch.factor_method == "spectral"
         x = batch.samples
@@ -462,11 +409,55 @@ class TestSpectralRoute:
         se = pair.std(axis=0, ddof=1) / np.sqrt(paths // 2)
         assert (np.abs(pair.mean(axis=0)) <= 5.0 * se).all(), (pair.mean(axis=0), se)
 
+    @pytest.mark.parametrize("law", sorted(_LAGGED_LAWS))
+    def test_lagged_sample_covariances_within_5se(self, law):
+        k, paths = 600, 400
+        build, method = _LAGGED_LAWS[law]
+        acov = build(k)
+        batch = sample_paths(acov, k, paths, seed=17)
+        assert batch.factor_method == method
+        x = batch.samples
+        for tau in range(4):
+            per_path = np.einsum("pti,ptj->pij", x[:, tau:], x[:, : k - tau]) / (k - tau)
+            se = per_path.std(axis=0, ddof=1) / np.sqrt(paths)
+            dev = np.abs(per_path.mean(axis=0) - acov.matrices[tau])
+            assert (dev <= 5.0 * se + 1e-12).all(), (tau, dev, se)
+
     @pytest.mark.parametrize(
-        "name", [n for n, (b, _) in MODELS.items() if not b().arma_terms and (b().bands or b().lines)]
+        "builder, k, method",
+        [
+            (lambda: narrowband(0.4), 600, "eigh"),
+            (independent_halfband_pair, 300, "eigh"),
+            (line_process, 600, "eigh"),
+            (lambda: ar1(0.6), 600, "cholesky"),
+            (_narrowband_ar1, 600, "cholesky"),
+            (_narrowband_ar1, 2048, "cholesky"),
+        ],
+        ids=["narrowband-k600", "halfband-pair-k300", "line-k600", "ar1-k600", "narrowband-ar1-k600",
+             "narrowband-ar1-k2048"],
+    )
+    def test_route_with_and_without_the_model(self, builder, k, method):
+        """A sequence with its model takes the spectral quadrature, rational
+        terms or not; the same sequence built without its model takes the
+        dense factor."""
+        acov = autocovariance_from_spectrum(builder(), k - 1)
+        assert sample_paths(acov, k, 4, seed=1).factor_method == "spectral"
+        assert _psd_factor(acov, k)[1] == method
+        assert sample_paths(_without_model(acov), k, 4, seed=1).factor_method == method
+
+    @pytest.mark.parametrize("k", [600, 4096])
+    def test_empty_measure_draws_the_mean(self, k):
+        acov = autocovariance_from_spectrum(zero_process(), k - 1)
+        batch = sample_paths(acov, k, 5, seed=2)
+        assert (batch.factor_method, batch.samples.shape) == ("spectral", (5, k, 1))
+        assert (batch.samples == 0.0).all()
+
+    @pytest.mark.parametrize(
+        "name",
+        [n for n, (b, _) in MODELS.items() if b().bands or b().lines or b().arma_terms] + sorted(_RATIONAL_LAWS),
     )
     def test_quadrature_reproduces_the_autocovariance(self, name):
-        model = MODELS[name][0]()
+        model = (MODELS[name][0] if name in MODELS else _RATIONAL_LAWS[name])()
         for k in (300, 600, 4096 // model.L):
             acov = autocovariance_from_spectrum(model, k - 1)
             _, residual = simulate._spectral_paths(acov, k, 2, seed=1)
@@ -534,7 +525,7 @@ class TestSpectralRoute:
         assert (odd.factor_method, odd.samples.shape) == ("spectral", (7, 600, 1))
         assert np.array_equal(odd.samples, sample_paths(acov, 600, 7, seed=42).samples)
         assert not np.array_equal(odd.samples, sample_paths(acov, 600, 7, seed=43).samples)
-        # real parts of 4 complex draws, then 3 imaginary parts, as on the circulant route
+        # real parts of 4 complex draws, then 3 imaginary parts
         even = sample_paths(acov, 600, 8, seed=42).samples
         assert np.array_equal(odd.samples, np.concatenate([even[:4], even[4:7]]))
         monkeypatch.setattr(simulate, "_PATH_CHUNK", 4)
@@ -553,6 +544,15 @@ class TestSpectralRoute:
         assert batch.factor_method == dense.factor_method == "eigh"
         assert np.array_equal(batch.samples, dense.samples)
 
+    def test_rational_quadrature_falls_back_to_the_dense_factor(self):
+        # the AR(1) pole lies 1.6e-4 off the frequency axis: 10 cells of 128 nodes reach 2e-6, not rounding
+        acov = autocovariance_from_spectrum(ar1(0.999), 599)
+        assert simulate._spectral_paths(acov, 600, 2, seed=1)[1] > 1e-11 * acov.matrices[0, 0, 0]
+        batch = sample_paths(acov, 600, 6, seed=5)
+        dense = sample_paths(_without_model(acov), 600, 6, seed=5)
+        assert batch.factor_method == dense.factor_method == "cholesky"
+        assert np.array_equal(batch.samples, dense.samples)
+
     def test_imaginary_residue_trips_the_check(self):
         """Mirrored band levels that differ by 3e-10 pass model validation and
         the autocovariance's imaginary-residue check, but the quadrature's
@@ -563,7 +563,9 @@ class TestSpectralRoute:
         assert simulate._spectral_paths(acov, 600, 2, seed=1)[1] > 1e-11 * acov.matrices[0, 0, 0]
         assert sample_paths(acov, 600, 2, seed=1).factor_method == "eigh"
 
-    @pytest.mark.parametrize("name", ["narrowband_0p4", "line_process"])
+    @pytest.mark.parametrize(
+        "name", ["narrowband_0p4", "line_process", "white_noise", "correlated_pair", "real_only_complex", "ar1_0p6"]
+    )
     def test_estimate_at_cli_defaults_makes_no_large_dense_factor(self, name, monkeypatch):
         from gaussdim.experiments import run
         from gaussdim.modelio import model_to_document
@@ -576,7 +578,8 @@ class TestSpectralRoute:
 
         monkeypatch.setattr(simulate, "_psd_factor", spy)
         rep = run({"task": "estimate", "model": model_to_document(MODELS[name][0]()), "seed": 7})
-        assert rep.reports[1].settings["factor_method"] == "spectral"
+        (surrogate,) = [r for r in rep.reports if r.method == "gaussian-surrogate"]
+        assert surrogate.settings["factor_method"] == "spectral"
         assert rows and max(rows) <= simulate._EXACT_FACTOR_DIM
 
 
