@@ -4,7 +4,10 @@ The quantizer maps x to floor(m*x)/m, so the error n = x - floor(m*x)/m always
 lies in [0, 1/m).  The diagnostics estimate the linear-regression gain of the
 quantized process on its input and check the gain bound, the error-power
 bound, and the spectral decomposition identity that ties the quantized
-spectrum to the input and error spectra.
+spectrum to the input and error spectra.  Their per-component sums run on a
+contiguous component-major (L, paths, k) copy of the samples, so each is one
+reduction over a contiguous trailing axis; over the time-major layout NumPy
+would reduce L elements per inner-loop call.  At L = 1 the copy is a view.
 """
 
 from __future__ import annotations
@@ -101,30 +104,36 @@ def bussgang_gain(data, m: int) -> BussgangReport:
     the standard error comes from the spread of per-path estimates, which are
     independent by construction.
     """
-    x = _extract(data)
-    return _gain_report(x, quantize(x, m).values, m)
+    xc = np.ascontiguousarray(np.moveaxis(_extract(data), -1, 0))
+    return _gain_report(xc, quantize(xc, m).values, m)
 
 
-def _gain_report(x: np.ndarray, z: np.ndarray, m: int) -> BussgangReport:
-    """bussgang_gain of the (paths, k, L) input x from its quantized values z."""
-    paths, k, L = x.shape
-    mu = x.reshape(-1, L).mean(axis=0)
-    zmu = z.reshape(-1, L).mean(axis=0)
-    var = ((x - mu) ** 2).reshape(-1, L).mean(axis=0)
+def _gain_report(xc: np.ndarray, zc: np.ndarray, m: int) -> BussgangReport:
+    """bussgang_gain of the input from its quantized values, both component-major (L, paths, k).
+
+    The callers pass one contiguous component-major copy of the samples (a
+    view at L = 1), so every per-component sum reduces over the contiguous
+    trailing axes of one component.
+    """
+    L, paths, k = xc.shape
+    mu = xc.reshape(L, -1).mean(axis=1)
+    zmu = zc.reshape(L, -1).mean(axis=1)
+    var = xc.reshape(L, -1).var(axis=1)
     if (var < 1e-12).any():
         bad = int(np.argmin(var))
         raise ZeroVarianceComponentError(
             f"component {bad} has (near-)zero variance; apply normalize_components first"
         )
-    per_path = ((x - mu) * (z - zmu)).mean(axis=1) / var  # (paths, L)
-    gain = per_path.mean(axis=0)
+    work = xc - mu[:, None, None]  # one scratch array: the cross products, then the error
+    work *= zc - zmu[:, None, None]
+    per_path = work.mean(axis=2) / var[:, None]  # (L, paths)
+    gain = per_path.mean(axis=1)
     if paths > 1:
-        gain_se = per_path.std(axis=0, ddof=1) / np.sqrt(paths)
+        gain_se = per_path.std(axis=1, ddof=1) / np.sqrt(paths)
     else:
         gain_se = np.full(L, np.nan)
     bound = np.sqrt(2.0 / (np.pi * var)) / m
-    noise = x - z
-    noise_var = noise.reshape(-1, L).var(axis=0)
+    noise_var = np.subtract(xc, zc, out=work).reshape(L, -1).var(axis=1)
     noise_bound = 1.0 / m**2
     gains_ok = bool(np.all(np.abs(1.0 - gain) <= bound + 5.0 * gain_se))
     noise_ok = bool(np.all(noise_var <= noise_bound * (1.0 + 1e-12)))
@@ -167,7 +176,8 @@ def spectrum_identity_check(data, ms, nperseg: int = 256) -> list[SpectrumIdenti
     """
     x = _extract(data)
     paths, k, L = x.shape
-    sample_var = x.reshape(-1, L).var(axis=0)
+    xc = np.ascontiguousarray(np.moveaxis(x, -1, 0))  # (L, paths, k)
+    sample_var = xc.reshape(L, -1).var(axis=1)
     law = isinstance(data, SamplePathBatch) and data.variance is not None
     var = data.variance if law else sample_var
     if np.abs(var - 1.0).max() > 0.05:
@@ -177,11 +187,11 @@ def spectrum_identity_check(data, ms, nperseg: int = 256) -> list[SpectrumIdenti
     wx = welch_psd(x, nperseg=nperseg)
     reports = []
     for m in ms:
-        z = quantize(x, m).values
-        n = x - z
-        gain = float(_gain_report(x, z, m).gain.mean())
-        wz = welch_psd(z, nperseg=nperseg)
-        wn = welch_psd(n, nperseg=nperseg)
+        zc = quantize(xc, m).values
+        gain = float(_gain_report(xc, zc, m).gain.mean())
+        wz = welch_psd(np.moveaxis(zc, 0, -1), nperseg=nperseg)  # a (paths, k, L) view
+        np.subtract(xc, zc, out=zc)  # zc now holds the error x - z
+        wn = welch_psd(np.moveaxis(zc, 0, -1), nperseg=nperseg)
         resid = wz.per_path - (2.0 * gain - 1.0) * wx.per_path - wn.per_path
         trace = np.einsum("pnii->pn", resid).real / L  # (paths, nf)
 

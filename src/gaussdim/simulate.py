@@ -178,8 +178,10 @@ def _psd_root(mat: np.ndarray) -> np.ndarray:
 def _spectral_quadrature(model: SpectralModel, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Nodes theta_q and factors A_q = sqrt(w_q) R_q of the spectral measure, on one panel grid.
 
-    The grid has n = ceil(2 pi (k - 1) / _PANEL_PHASE) cells [c/n, (c+1)/n) per
-    unit frequency, so lags below k integrate over a cell to rounding.  Bands,
+    The grid has n = 2 ceil(pi (k - 1) / _PANEL_PHASE) cells [c/n, (c+1)/n) per
+    unit frequency, so lags below k integrate over a cell to rounding.  n is
+    even, so +-1/2 are grid points: a band or gap that reaches them ends in
+    whole cells, not in two edge half-cells that are one cell modulo 1.  Bands,
     and for a model with rational terms the gaps between them as zero bands,
     are cut at the grid points inside them.  A piece that fills cell c is a
     whole panel, with the shared nodes c/n + (1 + x_j)/(2n) and weights
@@ -190,7 +192,7 @@ def _spectral_quadrature(model: SpectralModel, k: int) -> tuple[np.ndarray, np.n
     _GL_ORDER per cell) and n.
     """
     x, w = _gauss_legendre()
-    n = max(1, math.ceil(2 * np.pi * (k - 1) / _PANEL_PHASE))
+    n = 2 * max(1, math.ceil(np.pi * (k - 1) / _PANEL_PHASE))
     L = model.L
     spans = [(b.lo, b.hi, b.matrix) for b in model.bands]
     if model.arma_terms:

@@ -157,6 +157,61 @@ class TestBussgang:
             bussgang_gain(np.zeros((100, 4, 1)), 4)
 
 
+def _time_major_report(x, m):
+    """The gain statistics as reductions over the time-major (paths, k, L) layout."""
+    paths, k, L = x.shape
+    z = np.floor(m * x) / m
+    mu = x.reshape(-1, L).mean(axis=0)
+    zmu = z.reshape(-1, L).mean(axis=0)
+    var = ((x - mu) ** 2).reshape(-1, L).mean(axis=0)
+    per_path = ((x - mu) * (z - zmu)).mean(axis=1) / var
+    gain_se = per_path.std(axis=0, ddof=1) / np.sqrt(paths)
+    bound = np.sqrt(2.0 / (np.pi * var)) / m
+    noise_var = (x - z).reshape(-1, L).var(axis=0)
+    return per_path.mean(axis=0), gain_se, bound, noise_var
+
+
+def _report_arrays(rep):
+    return rep.gain, rep.gain_se, rep.gain_bound, rep.noise_var
+
+
+@pytest.fixture(scope="module")
+def pair_samples():
+    """Two correlated components with unequal variances and means, as (paths, k, L)."""
+    z = np.random.default_rng(31).standard_normal((3000, 6, 2))
+    return z @ np.array([[1.0, 0.6], [0.0, 0.7]]) + [0.3, -1.2]
+
+
+class TestComponentMajorGain:
+    @pytest.mark.parametrize("m", [1, 4, 64])
+    def test_pair_matches_each_component_alone(self, pair_samples, m):
+        rep = bussgang_gain(pair_samples, m)
+        for i in range(2):
+            alone = bussgang_gain(pair_samples[..., i:i + 1], m)
+            for both, one in zip(_report_arrays(rep), _report_arrays(alone)):
+                assert both[i] == pytest.approx(one[0], rel=1e-12, abs=0), (m, i)
+
+    @pytest.mark.parametrize("m", [1, 4, 64])
+    def test_one_component_equals_the_time_major_formulas(self, pair_samples, m):
+        x = np.ascontiguousarray(pair_samples[..., :1])
+        for got, want in zip(_report_arrays(bussgang_gain(x, m)), _time_major_report(x, m)):
+            assert np.array_equal(got, want), m
+
+    def test_non_contiguous_inputs_give_the_same_report(self, pair_samples):
+        strided = pair_samples[:, ::2, :]
+        for x in (strided, np.asfortranarray(pair_samples)):
+            assert not x.flags.c_contiguous
+            rep, ref = bussgang_gain(x, 8), bussgang_gain(np.ascontiguousarray(x), 8)
+            for got, want in zip(_report_arrays(rep), _report_arrays(ref)):
+                assert np.array_equal(got, want)
+
+    def test_identity_sample_variance_per_component(self):
+        z = np.random.default_rng(37).standard_normal((4, 512, 2))
+        x = z / z.std(axis=(0, 1)) * np.sqrt([0.97, 1.03])  # unequal, both inside the unit-variance gate
+        (rep,) = spectrum_identity_check(x, [8], nperseg=128)
+        assert rep.sample_variance == pytest.approx([x[..., i].var() for i in range(2)], rel=1e-12, abs=0)
+
+
 @pytest.fixture(scope="module")
 def white_batch():
     acov = autocovariance_from_spectrum(white_noise(), 2047)

@@ -486,8 +486,8 @@ class TestSpectralRoute:
     @pytest.mark.parametrize("case", sorted(_CUT_CASES))
     def test_bands_are_cut_at_the_grid_points_inside_them(self, case):
         layout, lines = _CUT_CASES[case]
-        for k in (300, 600, 1000, 1500, 3072, 4096):  # n = 5, 10, 17, 25, 50, 66
-            n = math.ceil(2 * np.pi * (k - 1) / simulate._PANEL_PHASE)
+        for k in (300, 600, 1000, 1500, 3072, 4096):  # n = 6, 10, 18, 26, 50, 66
+            n = 2 * math.ceil(np.pi * (k - 1) / simulate._PANEL_PHASE)
             bands = layout(n)
             model = SpectralModel(
                 L=1,
@@ -508,6 +508,14 @@ class TestSpectralRoute:
             acov = autocovariance_from_spectrum(model, k - 1)
             _, residual = simulate._spectral_paths(acov, k, 2, seed=1)
             assert residual <= 1e-11 * np.abs(acov.matrices[0]).max(), (k, residual)
+
+    @pytest.mark.parametrize("k", [300, 1000, 1024, 2048])
+    def test_a_full_band_is_whole_cells(self, k):
+        """The grid has an even cell count, so +-1/2 are grid points and a band
+        over [-1/2, 1/2) leaves no edge half-cells."""
+        theta, _, cells, n = simulate._spectral_quadrature(white_noise(), k)
+        assert n % 2 == 0 and len(cells) == n
+        assert len(theta) == simulate._GL_ORDER * len(cells)
 
     def test_traced_peak_of_a_band_draw(self):
         acov = autocovariance_from_spectrum(narrowband(0.4), 4095)
