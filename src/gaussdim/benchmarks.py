@@ -86,6 +86,16 @@ def ar1(rho: float = 0.6) -> SpectralModel:
     )
 
 
+def delayed_copy(d: int = 1) -> SpectralModel:
+    """A white unit-variance component 1 and its copy delayed by d steps,
+    x0_t = x1_{t-d}.  The density [[1, z^-d], [z^d, 1]], z = e^{-i 2 pi theta},
+    has rank 1 at every frequency but a null space that turns with theta;
+    dimension 1.  Not in MODELS."""
+    return SpectralModel(
+        L=2, bands=[Band(-0.5, 0.5, np.eye(2))], arma_terms=[RationalTerm(1, 0, (0.0,) * d + (1.0,), (1.0,))]
+    )
+
+
 def line_process(theta: float = 0.125, power: float = 0.5) -> SpectralModel:
     """Pure spectral-line pair at +-theta (a random sinusoid); the spectral
     derivative vanishes almost everywhere, so dimension 0 despite positive

@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .estimators import (
+    _draw,
     gaussian_surrogate_kl,
     idr_slope_estimate,
     invariance_check,
@@ -24,14 +25,12 @@ from .modelio import load_model, model_from_document, model_fingerprint
 from .quantize import bussgang_gain, spectrum_identity_check
 from .ratedist import D_LADDER, rd_curve, rd_dimension_estimate
 from .reports import EstimateReport, RunReport
-from .simulate import autocovariance_from_spectrum, sample_paths
 from .spectral import (
     DEFAULT_GRID_N,
     RANK_ABS_FLOOR,
     RANK_REL_TOL,
     FrequencyGrid,
     SpectralModel,
-    normalize_components,
     properness_check,
     rank_integral,
     support_bound,
@@ -232,10 +231,8 @@ def _verify_reports(ri, config) -> list:
                 )
             )
 
-    norm = normalize_components(model)
-    if norm.kept:
-        acov = autocovariance_from_spectrum(norm.model, 0)
-        flat = sample_paths(acov, 1, config.verify_paths, config.seed)
+    norm, flat = _draw(model, 1, config.verify_paths, config.seed)
+    if flat is not None:
         for m in BUSSGANG_M_LADDER:
             rep = bussgang_gain(flat, m)
             reports.append(
@@ -251,9 +248,7 @@ def _verify_reports(ri, config) -> list:
                     },
                 )
             )
-        k_id = 4 * IDENTITY_SEGMENT
-        acov_id = autocovariance_from_spectrum(norm.model, k_id - 1)
-        ident_batch = sample_paths(acov_id, k_id, max(64, config.verify_paths // 500), config.seed)
+        _, ident_batch = _draw(model, 4 * IDENTITY_SEGMENT, max(64, config.verify_paths // 500), config.seed)
         for rep in spectrum_identity_check(ident_batch, IDENTITY_M, nperseg=IDENTITY_SEGMENT):
             reports.append(
                 EstimateReport(

@@ -29,6 +29,12 @@ class DocumentError(ValueError):
     """Malformed or unknown content in a process-definition document."""
 
 
+def _field(entry: dict, name: str, what: str):
+    if name not in entry:
+        raise DocumentError(f"{what} needs the field {name!r}")
+    return entry[name]
+
+
 def _matrix_from(entry: dict, L: int, what: str) -> np.ndarray:
     if "re" not in entry:
         raise DocumentError(f"{what} needs an 're' matrix")
@@ -65,33 +71,28 @@ def model_from_document(doc: dict) -> tuple[SpectralModel, dict]:
     unknown = set(doc) - _MODEL_KEYS - _OVERRIDE_KEYS
     if unknown:
         raise DocumentError(f"unknown document fields: {sorted(unknown)}")
-    if "L" not in doc:
-        raise DocumentError("document needs the field 'L'")
-    L = int(doc["L"])
+    L = int(_field(doc, "L", "document"))
     bands = []
     for i, b in enumerate(doc.get("bands", [])):
         extra = set(b) - {"lo", "hi", "re", "im"}
         if extra:
             raise DocumentError(f"band {i} has unknown fields {sorted(extra)}")
-        bands.append(Band(float(b["lo"]), float(b["hi"]), _matrix_from(b, L, f"band {i}")))
+        what = f"band {i}"
+        bands.append(Band(float(_field(b, "lo", what)), float(_field(b, "hi", what)), _matrix_from(b, L, what)))
     lines = []
     for i, ln in enumerate(doc.get("lines", [])):
         extra = set(ln) - {"theta", "re", "im"}
         if extra:
             raise DocumentError(f"line {i} has unknown fields {sorted(extra)}")
-        lines.append(SpectralLine(float(ln["theta"]), _matrix_from(ln, L, f"line {i}")))
+        lines.append(SpectralLine(float(_field(ln, "theta", f"line {i}")), _matrix_from(ln, L, f"line {i}")))
     terms = []
     for i, t in enumerate(doc.get("arma_terms", [])):
         extra = set(t) - {"row", "col", "num", "den"}
         if extra:
             raise DocumentError(f"arma term {i} has unknown fields {sorted(extra)}")
+        row, col, num, den = (_field(t, name, f"arma term {i}") for name in ("row", "col", "num", "den"))
         terms.append(
-            RationalTerm(
-                int(t["row"]),
-                int(t["col"]),
-                tuple(_coeff_from(c) for c in t["num"]),
-                tuple(_coeff_from(c) for c in t["den"]),
-            )
+            RationalTerm(int(row), int(col), tuple(_coeff_from(c) for c in num), tuple(_coeff_from(c) for c in den))
         )
     mean = doc.get("mean")
     model = SpectralModel(L=L, bands=tuple(bands), arma_terms=tuple(terms), lines=tuple(lines), mean=mean)

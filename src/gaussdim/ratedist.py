@@ -5,9 +5,10 @@ follows from filling distortion up to a common water level w across the
 spectral eigenvalues mu_j.  The distortion sum_j min(w, mu_j) is piecewise
 linear in w with breakpoints at the sorted eigenvalues, so the level comes in
 closed form from one sort and one cumulative sum.  There is one sort per
-eigenvalue set: a rank-integral result keeps its sorted eigenvalues and their
-prefix sums (`RankProfile.sorted_eigenvalues_and_sums`), so the rd slope and
-the rd curve of one result share them however many distortions they fill.
+eigenvalue set: a rank-integral profile repeats each piece's eigenvalues over
+its grid nodes once, sorted, with their prefix sums
+(`RankProfile.sorted_eigenvalues_and_sums`), so the rd slope, its total power
+and the rd curve of one result share them however many distortions they fill.
 The low-distortion slope of the rate against -(1/2) log D recovers the
 information dimension rate, giving an independent semi-analytic cross-check
 of the spectral rank integral.
@@ -86,7 +87,8 @@ def rd_dimension_estimate(ri: RankIntegralResult, d_ladder=D_LADDER) -> Dimensio
     if len(ladder) < 2 or any(d <= 0 for d in ladder) or sorted(ladder, reverse=True) != list(ladder):
         raise ValueError(f"d_ladder must be >= 2 strictly decreasing positive values, got {d_ladder}")
     weight = 1.0 / ri.grid_n
-    total = float(ri.profile.eigenvalues.sum() * weight)
+    levels = ri.profile.sorted_eigenvalues_and_sums
+    total = float(levels[1][-1] * weight)
     if total <= 0:
         return DimensionEstimate(
             0.0, "rate-distortion", ladder, 0, 0, 0.0,
@@ -94,7 +96,6 @@ def rd_dimension_estimate(ri: RankIntegralResult, d_ladder=D_LADDER) -> Dimensio
         )
     if max(ladder) > total / 4.0:
         raise ValueError(f"d_ladder must stay below total power / 4 = {total / 4.0:.3e}")
-    levels = ri.profile.sorted_eigenvalues_and_sums
     rates = [_waterfill(levels, weight, d).rate for d in ladder]
     x = -0.5 * np.log(np.asarray(ladder))
     slope, se, pairwise = _ls_slope(x, rates)

@@ -9,15 +9,16 @@ value for every estimator in this package.
 
 Bivariate models double as complex processes (component 0 = real part,
 component 1 = imaginary part).  The properness check and the complex support
-bound read the density stack of one rank-integral evaluation, so a complex
-analysis evaluates and diagonalizes the density once.
+bound read the pieces of one rank-integral evaluation, so a complex analysis
+evaluates and diagonalizes the density once.
 
 One walk over the band edges (`_band_pieces`) cuts [-1/2, 1/2] into pieces
-on which a band-only density is constant.  Each piece is validated,
-diagonalized and ranked once; repeated over its grid nodes it fills the
-stack and the profile, and the rank integral and the complex support measure
-sum piece lengths.  A model with rational terms has a piece of length 1/n at
-every node, its stack itself.
+on which a band-only density is constant, each with its length and the
+number of grid nodes it holds.  Each piece is validated, diagonalized and
+ranked once, and the pieces are all a rank-integral result keeps: the rank
+integral and the complex support measure sum piece lengths, and the rank
+profile weights each piece by its node count.  A model with rational terms
+has a piece of length 1/n at every node, the only case with a per-node stack.
 
 Every grid eigen-pass goes through `_stack_eigvalsh`: a 1x1 stack's
 eigenvalue is its real diagonal, a 2x2 stack is diagonalized in closed form,
@@ -351,46 +352,47 @@ def _check_nodes(mats: np.ndarray, nodes: np.ndarray, counts: np.ndarray) -> np.
 
 
 def _diagonalize(model: SpectralModel, grid: FrequencyGrid) -> tuple[np.ndarray, ...]:
-    """Evaluate the density on the grid, then validate and diagonalize it once per piece.
+    """Evaluate the density on the grid's pieces, then validate and diagonalize each once.
 
-    Returns the (n, L, L) stack and the pieces' lengths, (p, L, L) stack, node
-    counts and ascending eigenvalues.  The stack repeats each `_band_pieces`
-    piece over its nodes and adds the rational terms, which vary from node to
-    node: a model with them has a piece of length 1/n per node, and its piece
-    stack is the grid stack itself.  Lines are jumps of the spectral
-    distribution, not density, so the stack leaves them out.
+    Returns the pieces' lengths, (p, L, L) stack, node counts and ascending
+    eigenvalues.  A band-only density is its `_band_pieces`.  Rational terms
+    vary from node to node, so a model with them has a piece of length 1/n
+    per node: each band piece repeated over its nodes, plus the terms.  Lines
+    are jumps of the spectral distribution, not density, so the pieces leave
+    them out.
     """
     nodes = grid.nodes
     lengths, mats, counts = _band_pieces(model, nodes)
-    stack = np.repeat(mats, counts, axis=0)
     if model.arma_terms:
-        mats = _eval_rational(model, nodes, out=stack)
+        mats = _eval_rational(model, nodes, out=np.repeat(mats, counts, axis=0))
         lengths, counts = np.broadcast_to(grid.weight, grid.n), np.broadcast_to(1, grid.n)
-    return stack, lengths, mats, counts, _check_nodes(mats, nodes, counts)
+    return lengths, mats, counts, _check_nodes(mats, nodes, counts)
 
 
 @dataclass(frozen=True)
 class RankProfile:
-    """Per-node eigenvalues (descending) and numerical ranks of the density."""
+    """Eigenvalues (descending) and numerical ranks of the density on each piece,
+    and the grid nodes each piece holds, by which the node averages weight it."""
 
-    eigenvalues: np.ndarray  # (n, L), descending per node
-    ranks: np.ndarray  # (n,) ints
+    eigenvalues: np.ndarray  # (p, L), descending per piece
+    ranks: np.ndarray  # (p,) ints
+    counts: np.ndarray  # (p,) grid nodes per piece, summing to n
     rel_tol: float
     abs_floor: float
 
     @property
     def mean_rank(self) -> float:
-        return float(self.ranks.mean())
+        return float(np.dot(self.counts, self.ranks) / self.counts.sum())
 
     def histogram(self) -> dict:
-        vals, counts = np.unique(self.ranks, return_counts=True)
-        return {int(v): float(c) / len(self.ranks) for v, c in zip(vals, counts)}
+        n = int(self.counts.sum())
+        return {v: float(c) / n for v, c in enumerate(np.bincount(self.ranks, weights=self.counts)) if c > 0}
 
     @cached_property
     def sorted_eigenvalues_and_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every eigenvalue in one ascending array and its prefix sums, computed
-        on first use and kept, so all water-fillings of a profile share one sort."""
-        return _ascending_prefix_sums(self.eigenvalues)
+        """Every node's eigenvalues (its piece's) in one ascending array and its prefix
+        sums, computed on first use and kept, so all water-fillings of a profile share one sort."""
+        return _ascending_prefix_sums(np.repeat(self.eigenvalues, self.counts, axis=0))
 
 
 def _ascending_prefix_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -412,9 +414,8 @@ class RankIntegralResult:
     method: str  # "segment-exact" or "grid"
     grid_n: int
     model: SpectralModel
-    matrices: np.ndarray  # (n, L, L) validated density stack the profile diagonalized
     piece_lengths: np.ndarray  # (p,) length of each piece of the frequency axis the value sums over
-    piece_matrices: np.ndarray  # (p, L, L) density on each piece; `matrices` itself for rational terms
+    piece_matrices: np.ndarray  # (p, L, L) validated density on each piece; its node counts are the profile's
 
 
 def rank_integral(
@@ -429,35 +430,33 @@ def rank_integral(
     exact for a band-only density, which is constant on each piece
     ("segment-exact"), and the midpoint grid sum for a model with rational
     terms, a piece of length 1/n per node ("grid"), whose integer rank sum
-    is divided once by n.  The per-node RankProfile repeats each piece over
-    its nodes; the result keeps the validated stack and the pieces for
-    properness_check and support_bound.  It needs 0 <= rel_tol < 1 and a
-    finite abs_floor >= 0.
+    is divided once by n.  The result keeps the pieces, with their node
+    counts in the RankProfile, for properness_check and support_bound.  It
+    needs 0 <= rel_tol < 1 and a finite abs_floor >= 0.
     """
     grid = grid or FrequencyGrid()
     if grid.n < MIN_GRID_N:
         raise ValueError(f"grid resolution must be >= {MIN_GRID_N}, got {grid.n}")
     if not (0.0 <= rel_tol < 1.0 and 0.0 <= abs_floor < np.inf):
         raise ValueError(f"rank tolerances need 0 <= rel_tol < 1 and 0 <= abs_floor < inf: {rel_tol}, {abs_floor}")
-    stack, lengths, mats, counts, eig = _diagonalize(model, grid)
+    lengths, mats, counts, eig = _diagonalize(model, grid)
     eig = eig[:, ::-1]
     ranks = _numerical_ranks(eig, rel_tol, abs_floor)
-    if mats is stack:  # a piece per node: the integer rank sum, divided once by n
-        value = float(ranks.sum() / grid.n)
-    else:  # band pieces: repeat each over its nodes
-        value = float(np.sum(lengths * ranks))
-        eig, ranks = np.repeat(eig, counts, axis=0), np.repeat(ranks, counts)
-    method = "grid" if model.arma_terms else "segment-exact"
+    if model.arma_terms:  # a piece per node: the integer rank sum, divided once by n
+        value, method = float(ranks.sum() / grid.n), "grid"
+    else:
+        value, method = float(np.sum(lengths * ranks)), "segment-exact"
     return RankIntegralResult(
-        value, RankProfile(eig, ranks, rel_tol, abs_floor), method, grid.n, model, stack, lengths, mats
+        value, RankProfile(eig, ranks, counts, rel_tol, abs_floor), method, grid.n, model, lengths, mats
     )
 
 
-def _bivariate_stack(ri: RankIntegralResult) -> np.ndarray:
-    """The (n, 2, 2) density stack of a complex process viewed as (real, imaginary)."""
+def _bivariate_pieces(ri: RankIntegralResult) -> np.ndarray:
+    """The (p, 2, 2) pieces holding a grid node of a complex process viewed as (real, imaginary)."""
     if ri.model.L != 2:
         raise ValueError("complex-process analysis needs a bivariate (L=2) model")
-    return ri.matrices
+    held = ri.profile.counts > 0
+    return ri.piece_matrices if held.all() else ri.piece_matrices[held]  # no copy of a per-node stack
 
 
 def _scalar_density(mats: np.ndarray) -> np.ndarray:
@@ -477,14 +476,14 @@ def properness_check(ri: RankIntegralResult) -> PropernessReport:
     """Proper iff S_R = S_I and S_RI is purely imaginary at every node.
 
     Properness of a complex process means a vanishing pseudo-autocovariance;
-    in the spectral domain that is exactly the two conditions tested here.
-    The marginal densities are read clipped at 0.
+    in the spectral domain that is exactly the two conditions tested here, on
+    each piece that holds a node.  The marginal densities are read clipped at 0.
     """
-    mats = _bivariate_stack(ri)
+    mats = _bivariate_pieces(ri)
     s_r = np.maximum(mats[:, 0, 0].real, 0.0)
     s_i = np.maximum(mats[:, 1, 1].real, 0.0)
     s_ri = mats[:, 0, 1]
-    # Frobenius norm of [[s_R, S_RI], [conj S_RI, s_I]] per node, with the
+    # Frobenius norm of [[s_R, S_RI], [conj S_RI, s_I]] per piece, with the
     # terms formed and summed as np.linalg.norm does, in row-major order
     cross = (s_ri.conj() * s_ri).real
     norm = np.sqrt(((s_r * s_r + cross) + cross) + s_i * s_i)
@@ -518,7 +517,7 @@ def support_bound(ri: RankIntegralResult) -> SupportBoundReport:
     piece per grid node, so its measure counts nodes and is compared with a
     grid-resolution tolerance.  A violated bound shows as a negative gap.
     """
-    _bivariate_stack(ri)
+    _bivariate_pieces(ri)
     s_z = _scalar_density(ri.piece_matrices)
     thresh = ri.profile.rel_tol * max(s_z.max(initial=0.0), ri.profile.abs_floor)
     bound = 2.0 * float(np.sum(ri.piece_lengths[s_z > thresh]))

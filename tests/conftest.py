@@ -1,5 +1,7 @@
-"""Shared fixtures: the benchmark processes and a default frequency grid."""
+"""Shared fixtures: the benchmark processes and a default frequency grid;
+and `per_node`, the per-node view of a rank integral's pieces."""
 
+import numpy as np
 import pytest
 
 from gaussdim.benchmarks import (
@@ -12,6 +14,12 @@ from gaussdim.benchmarks import (
     zero_process,
 )
 from gaussdim.spectral import FrequencyGrid
+
+
+def per_node(ri, rows):
+    """`rows`, one per piece of the rank integral `ri` (its piece matrices or a
+    profile field), each repeated over the grid nodes its piece holds."""
+    return np.repeat(rows, ri.profile.counts, axis=0)
 
 
 @pytest.fixture(scope="session")

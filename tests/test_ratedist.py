@@ -9,7 +9,9 @@ from gaussdim.experiments import run
 from gaussdim.modelio import model_to_document
 from gaussdim.ratedist import _waterfill, rd_curve, rd_dimension_estimate
 from gaussdim.simulate import autocovariance_from_spectrum
-from gaussdim.spectral import Band, SpectralModel, _ascending_prefix_sums, _diagonalize, rank_integral
+from gaussdim.spectral import Band, SpectralModel, _ascending_prefix_sums, rank_integral
+
+from conftest import per_node
 
 
 def _curve_point(model, distortion, grid):
@@ -28,7 +30,8 @@ def _block_waterfill_rate(model, k, distortion):
 def _scan_waterfill(model, grid, distortion):
     """Independent oracle: walk the sorted eigenvalues and solve the
     piecewise-linear water-level equation segment by segment in closed form."""
-    mu = np.sort(np.linalg.eigvalsh(_diagonalize(model, grid)[0]).ravel())
+    ri = rank_integral(model, grid)
+    mu = np.sort(np.linalg.eigvalsh(per_node(ri, ri.piece_matrices)).ravel())
     w8 = grid.weight
     csum = np.concatenate([[0.0], np.cumsum(mu) * w8])
     n = len(mu)
@@ -115,7 +118,8 @@ class TestWaterfill:
         model = ar1(0.6)
         d = 0.01
         pt = _curve_point(model, d, grid)
-        mu = np.linalg.eigvalsh(_diagonalize(model, grid)[0])
+        ri = rank_integral(model, grid)
+        mu = np.linalg.eigvalsh(per_node(ri, ri.piece_matrices))
         achieved = np.minimum(pt.water_level, mu).sum() * grid.weight
         assert achieved == pytest.approx(d, rel=1e-11)
 

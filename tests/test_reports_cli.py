@@ -51,6 +51,24 @@ class TestModelDocuments:
         with pytest.raises(DocumentError, match="band 0"):
             model_from_document({"L": 1, "bands": [{"lo": -0.5, "hi": 0.5, "re": [[1.0]], "extra": 1}]})
 
+    @pytest.mark.parametrize(
+        "kind, index, field",
+        [("bands", 0, "lo"), ("bands", 1, "hi"), ("lines", 1, "theta"),
+         ("arma_terms", 0, "row"), ("arma_terms", 0, "col"), ("arma_terms", 0, "num"), ("arma_terms", 0, "den")],
+    )
+    def test_missing_entry_field_is_named(self, kind, index, field):
+        doc = model_to_document(narrowband(0.4)) if kind == "bands" else model_to_document(ar1(0.6))
+        doc["lines"] = [{"theta": -0.125, "re": [[0.5]]}, {"theta": 0.125, "re": [[0.5]]}]
+        doc["bands"] = doc.get("bands", []) + [{"lo": -0.5, "hi": -0.4, "re": [[0.0]]}]
+        del doc[kind][index][field]
+        what = {"bands": "band", "lines": "line", "arma_terms": "arma term"}[kind]
+        with pytest.raises(DocumentError, match=f"^{what} {index} needs the field '{field}'$"):
+            model_from_document(doc)
+
+    def test_missing_model_size_is_named(self):
+        with pytest.raises(DocumentError, match="^document needs the field 'L'$"):
+            model_from_document({"bands": []})
+
 
 class TestReports:
     def _sample_report(self):
@@ -283,13 +301,11 @@ class TestRunTasks:
 
     def test_verify_draws_each_batch_once(self, monkeypatch):
         import gaussdim.estimators as estimators
-        import gaussdim.experiments as experiments
 
         lengths = []
-        real = experiments.sample_paths
+        real = estimators.sample_paths
         spy = lambda acov, k, *a, **kw: lengths.append(k) or real(acov, k, *a, **kw)  # noqa: E731
-        monkeypatch.setattr(estimators, "sample_paths", spy)
-        monkeypatch.setattr(experiments, "sample_paths", spy)
+        monkeypatch.setattr(estimators, "sample_paths", spy)  # every batch comes from estimators._draw
         run({"task": "verify", "model": model_to_document(white_noise()), "seed": 3,
              "m_ladder": [2, 4], "verify_paths": 2000})
         # one batch shared by both invariance transforms, then the Bussgang and identity batches
@@ -452,6 +468,12 @@ class TestCLI:
         assert row["pass"] is False
         assert (row["value"], row["reference"]) == (1.5, 1.0)
         assert row["settings"]["gap"] == -0.5 and row["settings"]["tight"] is False
+
+    def test_missing_band_edge_exit_code(self, tmp_path, capsys):
+        model_path = tmp_path / "edge.json"
+        model_path.write_text('{"L": 1, "bands": [{"hi": 0.5, "re": [[1.0]]}]}')
+        assert main(["analyze", str(model_path)]) == 2
+        assert "analyze failed: DocumentError: band 0 needs the field 'lo'" in capsys.readouterr().err
 
     def test_non_finite_model_exit_code(self, tmp_path, capsys):
         model_path = tmp_path / "nan.json"

@@ -17,6 +17,7 @@ from gaussdim.benchmarks import (
     MODELS,
     ar1,
     correlated_pair,
+    delayed_copy,
     independent_halfband_pair,
     line_process,
     narrowband,
@@ -300,20 +301,13 @@ def _band_plus_cosine():
     )
 
 
-def _delayed_copy(d):
-    """White noise and its copy shifted by d samples: density [[1, conj(z)^d], [z^d, 1]],
-    rank 1 at every theta, and a rational part [[0, conj(z)^d], [z^d, 0]] that is indefinite."""
-    return SpectralModel(
-        L=2, bands=[Band(-0.5, 0.5, np.eye(2))], arma_terms=[RationalTerm(1, 0, (0.0,) * d + (1.0,), (1.0,))]
-    )
-
-
-# Rational laws outside MODELS, each with a PSD total density.
+# Rational laws outside MODELS, each with a PSD total density (delayed_copy's
+# rational part [[0, conj(z)^d], [z^d, 0]] is indefinite on its own).
 _RATIONAL_LAWS = {
     "narrowband_ar1": _narrowband_ar1,
     "band_plus_cosine": _band_plus_cosine,
-    "delayed_copy_d1": lambda: _delayed_copy(1),
-    "delayed_copy_d4": lambda: _delayed_copy(4),
+    "delayed_copy_d1": lambda: delayed_copy(1),
+    "delayed_copy_d4": lambda: delayed_copy(4),
     "ar1_0p99": lambda: ar1(0.99),
 }
 
@@ -589,6 +583,16 @@ class TestSpectralRoute:
         (surrogate,) = [r for r in rep.reports if r.method == "gaussian-surrogate"]
         assert surrogate.settings["factor_method"] == "spectral"
         assert rows and max(rows) <= simulate._EXACT_FACTOR_DIM
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("k, route", [(4, "eigh"), (300, "spectral"), (2048, "spectral")])
+    def test_delayed_copy_paths_are_delayed_copies(self, d, k, route):
+        # a rank-1 density whose null space turns with theta: each route must
+        # reproduce the delay itself, not only the marginal laws
+        batch = sample_paths(autocovariance_from_spectrum(delayed_copy(d), k - 1), k, 20, seed=5)
+        assert batch.factor_method == route
+        x = batch.samples
+        assert np.abs(x[:, d:, 0] - x[:, :-d, 1]).max() <= 1e-6
 
 
 def _full_fft_welch(x, nperseg):

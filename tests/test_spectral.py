@@ -1,7 +1,9 @@
 """Spectral models, the rank integral, and the complex-process helpers."""
 
+import dataclasses
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +12,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaussdim import spectral
-from gaussdim.benchmarks import MODELS, ar1, correlated_pair, line_process, narrowband, white_noise
+from gaussdim.benchmarks import (
+    MODELS,
+    ar1,
+    correlated_pair,
+    delayed_copy,
+    line_process,
+    narrowband,
+    proper_complex_flat,
+    white_noise,
+)
 from gaussdim.experiments import run
-from gaussdim.modelio import model_to_document
+from gaussdim.modelio import model_from_document, model_to_document
+from gaussdim.ratedist import rd_dimension_estimate
 from gaussdim.simulate import autocovariance_from_spectrum
 from gaussdim.spectral import (
     RANK_ABS_FLOOR,
@@ -26,7 +38,6 @@ from gaussdim.spectral import (
     _band_pieces,
     _check_nodes,
     _congruence,
-    _diagonalize,
     _numerical_ranks,
     _scalar_density,
     _stack_eigvalsh,
@@ -37,29 +48,33 @@ from gaussdim.spectral import (
     support_bound,
 )
 
+from conftest import per_node
+
 
 class TestEvalSpectrum:
     def test_white_noise_constant(self, white, grid):
-        mats = _diagonalize(white, grid)[0]
+        ri = rank_integral(white, grid)
+        mats = per_node(ri, ri.piece_matrices)
         assert mats.shape == (4096, 1, 1)
         assert np.allclose(mats[:, 0, 0], 1.0)
 
     def test_band_indicator(self, grid):
         model = SpectralModel(L=1, bands=[Band(-0.25, 0.25, [[2.0]])])
-        vals = _diagonalize(model, grid)[0][:, 0, 0].real
+        ri = rank_integral(model, grid)
+        vals = per_node(ri, ri.piece_matrices)[:, 0, 0].real
         inside = np.abs(grid.nodes) < 0.25
         assert np.allclose(vals[inside], 2.0)
         assert np.allclose(vals[~inside], 0.0)
 
     def test_all_ones_pair_eigenvalues(self, corr_pair, grid):
-        mats = _diagonalize(corr_pair, grid)[0]
-        eig = np.linalg.eigvalsh(mats)
+        ri = rank_integral(corr_pair, grid)
+        eig = np.linalg.eigvalsh(per_node(ri, ri.piece_matrices))
         assert np.allclose(eig[:, 0], 0.0, atol=1e-12)
         assert np.allclose(eig[:, 1], 2.0)
 
     def test_lines_do_not_contribute(self, grid):
-        mats = _diagonalize(line_process(), grid)[0]
-        assert np.abs(mats).max() == 0.0
+        ri = rank_integral(line_process(), grid)
+        assert np.abs(per_node(ri, ri.piece_matrices)).max() == 0.0
 
     def test_non_hermitian_band_rejected(self):
         with pytest.raises(ModelValidationError, match="Hermitian"):
@@ -119,7 +134,8 @@ class TestAssembly:
         ri = rank_integral(narrowband(0.5), FrequencyGrid(n))
         assert abs(ri.value - 0.5) <= 1.0 / n
         assert abs(ri.profile.mean_rank - 0.5) <= 1.0 / n + 1e-15
-        assert np.array_equal(ri.matrices[::-1], ri.matrices.conj())
+        stack = per_node(ri, ri.piece_matrices)
+        assert np.array_equal(stack[::-1], stack.conj())
 
     def test_edge_index_is_mirror_symmetric(self):
         nodes = FrequencyGrid(66).nodes
@@ -137,7 +153,8 @@ class TestAssembly:
                 lo, hi = np.searchsorted(nodes, (b.lo, b.hi))
                 ref[lo:hi] += b.matrix
             ref += _polyval_rational(model, nodes)
-            assert _diagonalize(model, FrequencyGrid(n))[0].tobytes() == ref.tobytes(), name
+            ri = rank_integral(model, FrequencyGrid(n))
+            assert per_node(ri, ri.piece_matrices).tobytes() == ref.tobytes(), name
 
     @pytest.mark.parametrize("builder", [lambda: ar1(0.6), lambda: _rational_pair()], ids=["ar1", "pair"])
     def test_horner_equals_polyval(self, builder):
@@ -187,6 +204,25 @@ class TestRankIntegral:
     def test_rank_histogram(self, halfband_pair, grid):
         hist = rank_integral(halfband_pair, grid).profile.histogram()
         assert hist == {1: 1.0}
+
+    def test_band_result_keeps_one_row_per_piece(self):
+        ri = rank_integral(narrowband(0.4), FrequencyGrid(65536))
+        assert "matrices" not in {f.name for f in dataclasses.fields(ri)}
+        assert ri.piece_matrices.shape == (3, 1, 1) and ri.piece_lengths.shape == (3,)
+        assert ri.profile.eigenvalues.shape == (3, 1) and ri.profile.ranks.shape == (3,)
+        assert ri.profile.counts.tolist() == [19661, 26214, 19661]
+        assert ri.profile.mean_rank == 26214 / 65536
+
+    def test_band_result_memory_is_independent_of_the_grid(self):
+        rank_integral(correlated_pair(), FrequencyGrid(64))  # first-call allocations
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ri = rank_integral(correlated_pair(), FrequencyGrid(65536))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert ri.value == 1.0 and kept < 2**20  # a per-node (65536, 2, 2) stack alone is 4 MiB
 
     def test_arma_model_uses_grid(self, ar_model, grid):
         result = rank_integral(ar_model, grid)
@@ -315,19 +351,21 @@ class TestComplexHelpers:
         q = np.where(nodes > 0, 0.5, -0.5) * on  # antisymmetric
         pos = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
         model = SpectralModel(L=2, bands=[Band(-0.25, 0.0, pos.conj()), Band(0.0, 0.25, pos)])
-        s_z = _scalar_density(rank_integral(model, grid).matrices)
+        ri = rank_integral(model, grid)
+        s_z = _scalar_density(per_node(ri, ri.piece_matrices))
         assert np.allclose(s_z, 2.0 * on + 2.0 * q * on)
 
     def test_degenerate_imaginary_part(self, grid):
         s_r = (np.abs(grid.nodes) < 0.25).astype(float)
         model = SpectralModel(L=2, bands=[Band(-0.25, 0.25, [[1.0, 0.0], [0.0, 0.0]])])
-        assert np.allclose(_scalar_density(rank_integral(model, grid).matrices), s_r)
+        ri = rank_integral(model, grid)
+        assert np.allclose(_scalar_density(per_node(ri, ri.piece_matrices)), s_r)
 
     def test_identical_parts_rank_one(self, grid):
         s = (np.abs(grid.nodes) < 0.25).astype(float) * 1.5
         model = SpectralModel(L=2, bands=[Band(-0.25, 0.25, np.full((2, 2), 1.5))])
         ri = rank_integral(model, grid)
-        eig = np.linalg.eigvalsh(ri.matrices)
+        eig = np.linalg.eigvalsh(per_node(ri, ri.piece_matrices))
         # eigenvalues of [[s, s], [s, s]] are {2s, 0}
         assert np.allclose(eig[:, 1], 2.0 * s)
         assert np.allclose(eig[:, 0], 0.0, atol=1e-12)
@@ -395,7 +433,7 @@ class TestComplexHelpers:
     def test_support_bound_grid_measure_counts_scalar_density_nodes(self, grid):
         model = SpectralModel(L=2, arma_terms=[RationalTerm(0, 0, *_AR1), RationalTerm(1, 1, (0.1,), (1.0,))])
         ri = rank_integral(model, grid, rel_tol=0.3)
-        mats = _diagonalize(model, grid)[0]
+        mats = per_node(ri, ri.piece_matrices)
         s_z = mats[:, 0, 0].real + mats[:, 1, 1].real
         assert support_bound(ri).bound == 2.0 * np.count_nonzero(s_z > 0.3 * s_z.max()) / grid.n
 
@@ -411,6 +449,24 @@ class TestComplexHelpers:
         for check in (properness_check, support_bound):
             with pytest.raises(ValueError, match="bivariate"):
                 check(ri)
+
+
+class TestDelayedCopy:
+    """The paper's rotating null space: delayed_copy(d) has rank 1 at every
+    theta, but its null space turns with theta, so its dimension is 1."""
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_exact_references(self, d):
+        model = delayed_copy(d)
+        for n in (64, 66, 4096, 4098, 65536):
+            ri = rank_integral(model, FrequencyGrid(n))
+            assert ri.method == "grid" and abs(ri.value - 1.0) <= 1e-12, n
+            assert abs(rd_dimension_estimate(ri).value - 1.0) <= 1e-10, n
+            assert not properness_check(ri).proper
+            sb = support_bound(ri)
+            assert sb.dimension <= sb.bound + sb.tolerance, n
+        doc = model_to_document(model)
+        assert model_to_document(model_from_document(doc)[0]) == doc
 
 
 class TestNormalization:
@@ -686,8 +742,9 @@ class TestStackEigvalsh:
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_ranks_match_lapack_on_every_model(self, name, n):
         ri = rank_integral(MODELS[name][0](), FrequencyGrid(n))
-        lapack = np.linalg.eigvalsh(ri.matrices)[:, ::-1]
-        assert np.array_equal(ri.profile.ranks, _numerical_ranks(lapack, ri.profile.rel_tol, ri.profile.abs_floor))
+        lapack = np.linalg.eigvalsh(per_node(ri, ri.piece_matrices))[:, ::-1]
+        ranks = _numerical_ranks(lapack, ri.profile.rel_tol, ri.profile.abs_floor)
+        assert np.array_equal(per_node(ri, ri.profile.ranks), ranks)
 
     def test_three_components_take_lapack(self, monkeypatch, grid):
         model = _three_component_model()
@@ -702,10 +759,11 @@ class TestStackEigvalsh:
         ri = rank_integral(model, grid)
         # one matrix per piece, and each of the three pieces holds nodes: the
         # first node and every node where the stack changes
-        changes = np.flatnonzero((ri.matrices[1:] != ri.matrices[:-1]).any(axis=(1, 2))) + 1
-        representatives = ri.matrices[np.concatenate(([0], changes))]
+        stack = per_node(ri, ri.piece_matrices)
+        changes = np.flatnonzero((stack[1:] != stack[:-1]).any(axis=(1, 2))) + 1
+        representatives = stack[np.concatenate(([0], changes))]
         assert len(stacks) == 1 and len(stacks[0]) == 3 and np.array_equal(stacks[0], representatives)
-        assert np.array_equal(ri.profile.eigenvalues, real(ri.matrices)[:, ::-1])
+        assert np.array_equal(per_node(ri, ri.profile.eigenvalues), real(stack)[:, ::-1])
         assert ri.value == pytest.approx(1.4, abs=1e-12)
         assert ri.profile.mean_rank == pytest.approx(1.4, abs=2.0 / grid.n)
 
@@ -828,8 +886,9 @@ def _segment_value(model, rel_tol, abs_floor):
 
 
 def _assert_same_as_per_node_pass(model, grid):
-    """rank_integral's profile and stack, or its error message, equal the per-node
-    reference's; a band-only value is within 2 ulps of the segment loop's."""
+    """rank_integral's pieces and profile repeated over their nodes, or its error
+    message, equal the per-node reference's, and so do its mean rank and rank
+    histogram; a band-only value is within 2 ulps of the segment loop's."""
     mats = _slice_fill(model, grid.nodes)
     try:
         eig = _per_node_check(mats, grid.nodes)[:, ::-1]
@@ -840,10 +899,12 @@ def _assert_same_as_per_node_pass(model, grid):
         return False
     ri = rank_integral(model, grid)
     ranks = _numerical_ranks(eig, ri.profile.rel_tol, ri.profile.abs_floor)
-    assert ri.matrices.tobytes() == mats.tobytes()
-    assert np.ascontiguousarray(ri.profile.eigenvalues).tobytes() == np.ascontiguousarray(eig).tobytes()
-    assert np.array_equal(ri.profile.ranks, ranks)
-    assert ri.profile.histogram() == spectral.RankProfile(eig, ranks, ri.profile.rel_tol, ri.profile.abs_floor).histogram()
+    assert per_node(ri, ri.piece_matrices).tobytes() == mats.tobytes()
+    assert per_node(ri, ri.profile.eigenvalues).tobytes() == np.ascontiguousarray(eig).tobytes()
+    assert np.array_equal(per_node(ri, ri.profile.ranks), ranks)
+    assert ri.profile.mean_rank == float(ranks.mean())
+    values, counts = np.unique(ranks, return_counts=True)
+    assert ri.profile.histogram() == {int(v): float(c) / len(ranks) for v, c in zip(values, counts)}
     if not model.arma_terms:
         ref = _segment_value(model, ri.profile.rel_tol, ri.profile.abs_floor)
         assert abs(ri.value - ref) <= 2 * np.spacing(ref)
@@ -962,12 +1023,12 @@ class TestRunPass:
 
         monkeypatch.setattr(spectral, "_stack_eigvalsh", spy)
         ri = rank_integral(model, grid)
-        assert len(stacks) == 1 and stacks[0] is ri.matrices
+        assert len(stacks) == 1 and stacks[0] is ri.piece_matrices
 
 
 def _packed_properness(ri):
-    """Reference: properness_check with the per-node norm of a packed copy."""
-    mats = ri.matrices
+    """Reference: properness_check with the per-node norm of a packed copy of every node."""
+    mats = per_node(ri, ri.piece_matrices)
     s_r = np.maximum(mats[:, 0, 0].real, 0.0)
     s_i = np.maximum(mats[:, 1, 1].real, 0.0)
     s_ri = mats[:, 0, 1]
@@ -991,6 +1052,15 @@ class TestPropernessNorm:
         ri = rank_integral(MODELS[name][0](), FrequencyGrid(n))
         assert properness_check(ri) == _packed_properness(ri)
 
+    def test_a_piece_without_a_node_is_not_read(self):
+        # proper_complex_flat plus a real-only band between two nodes, which no node sees
+        n, narrow, real_only = 64, (0.3125, 0.3125 + 0.25 / 64), [[1.0, 0.0], [0.0, 0.0]]
+        bands = [*proper_complex_flat().bands, Band(-narrow[1], -narrow[0], real_only), Band(*narrow, real_only)]
+        ri = rank_integral(SpectralModel(L=2, bands=bands), FrequencyGrid(n))
+        assert 0 in ri.profile.counts
+        rep = properness_check(ri)
+        assert rep == _packed_properness(ri) and rep.proper and rep.max_density_mismatch == 0.0
+
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.floats(min_value=-3.0, max_value=3.0))
     @settings(max_examples=30, deadline=None)
     def test_each_node_norm_equals_the_packed_norm_bit_for_bit(self, seed, exponent):
@@ -1004,6 +1074,7 @@ class TestPropernessNorm:
         mats[:, 0, 1] = rng.normal(size=64) * np.resize([1e-12, 1.0], 64) + 1j * rng.normal(size=64)
         mats[:, 1, 0] = mats[:, 0, 1].conj()
         mats *= 10.0**exponent
+        profile = spectral.RankProfile(None, None, np.ones(1, dtype=int), 0.0, 0.0)
         for j in range(64):
-            ri = spectral.RankIntegralResult(0.0, None, "grid", 1, correlated_pair(), mats[j:j + 1], None, None)
+            ri = spectral.RankIntegralResult(0.0, profile, "grid", 1, correlated_pair(), np.ones(1), mats[j:j + 1])
             assert properness_check(ri) == _packed_properness(ri)
