@@ -6,7 +6,9 @@ log m over a precision ladder: block entropies grow like d * log m + const,
 and the additive constant (which decays only like 1/log m in a ratio) drops
 out of the slope.  The surrogate route replaces cell counting with the
 log-determinant of the spectrum of the dithered quantized process, which is
-what makes narrowband processes reachable at desk scale.
+what makes narrowband processes reachable at desk scale.  It runs one path
+group at a time: each m has one dither stream that continues across the
+groups, so its working arrays are a group's size, not the batch's.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import exact_cell_distribution, exact_cell_entropy, packed_keys, plugin_entropy
-from .quantize import dither, quantize
+from .quantize import check_precision, dither_stream, quantize
 from .simulate import MAX_DENSE_DIM, autocovariance_from_spectrum, sample_paths, welch_psd
 from .spectral import SpectralModel, _stack_eigvalsh, normalize_components
 
@@ -185,6 +187,12 @@ def surrogate_idr_estimate(
     The long default segment keeps window-leakage bias down: nodes within a
     main lobe of a band edge read leaked in-band power instead of the 1/m^2
     floor, and each such node inflates the estimate by ~1/n_freq.
+
+    The paths run in SURROGATE_GROUPS groups, one group at a time, and each
+    group's Welch estimate gives its own g(m) for the standard error.  Each m
+    has one dither stream that continues across the groups, and the pooled
+    spectrum adds the per-path estimates in path order, so every value is
+    the one a whole-batch pass would give.
     """
     ladder = _validate_ladder(m_ladder)
     norm = normalize_components(model)
@@ -199,21 +207,30 @@ def surrogate_idr_estimate(
         raise ValueError(f"k_eff={k_eff} too short for Welch segments of {nperseg}")
     acov = autocovariance_from_spectrum(norm.model, k_eff - 1)
     batch = sample_paths(acov, k_eff, paths, seed)
+    check_precision(batch.samples, ladder[-1])  # |x| * m grows with m: the top of the ladder covers it
     groups = max(1, min(SURROGATE_GROUPS, paths))
     bounds = np.linspace(0, paths, groups + 1).astype(int)
+    draws = [dither_stream(seed, m) for m in ladder]
+    floors = [0.01 / (12.0 * m * m) for m in ladder]
 
-    g_pooled, g_groups = [], []
-    for m in ladder:
-        w = dither(quantize(batch, m), seed)
-        west = welch_psd(w.values, nperseg=nperseg)
-        floor = 0.01 / (12.0 * m * m)
-        g_pooled.append(_half_mean_logdet(west.matrices, floor))
-        g_groups.append([_half_mean_logdet(west.per_path[a:b].mean(axis=0), floor) for a, b in zip(bounds, bounds[1:])])
+    pooled = np.zeros((len(ladder), nperseg, L, L), dtype=complex)  # per-path spectra summed, per m
+    g_groups = np.empty((len(ladder), groups))
+    for gi, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        x = batch.samples[a:b]
+        for i, m in enumerate(ladder):
+            w = m * x
+            np.floor(w, out=w)
+            w /= m
+            w += draws[i](w.shape)
+            west = welch_psd(w, nperseg=nperseg)
+            g_groups[i, gi] = _half_mean_logdet(west.matrices, floors[i])
+            for row in west.per_path:  # one path at a time, in path order, as a whole-batch mean adds them
+                pooled[i] += row
+    g_pooled = [_half_mean_logdet(total / paths, floor) for total, floor in zip(pooled, floors)]
 
     logm = np.log(np.asarray(ladder, float))
     slope, _, pairwise = _ls_slope(logm, g_pooled)
     value = L + slope
-    g_groups = np.asarray(g_groups)  # (n_m, groups)
     if groups > 1:
         group_vals = [L + _ls_slope(logm, g_groups[:, gi])[0] for gi in range(groups)]
         se = float(np.std(group_vals, ddof=1) / np.sqrt(groups))

@@ -46,16 +46,25 @@ class QuantizedPathBatch:
         return self.codes / self.m
 
 
+def check_precision(arr: np.ndarray, m: int) -> None:
+    """Raise PrecisionOverflowError unless |x| * m < 2^53 for every entry.
+
+    The peak |x| is max(max x, -min x), so no |x| array is made.  An
+    infinite entry raises; NaN entries pass.
+    """
+    peak = max(arr.max(initial=0.0), -arr.min(initial=0.0))
+    if peak * m >= _MAX_SAFE_PRODUCT:
+        raise PrecisionOverflowError(
+            f"|x|*m reaches {peak * m:.3e}; exact floor semantics need |x| < 2^53/m"
+        )
+
+
 def quantize(data, m: int) -> QuantizedPathBatch:
     """Component-wise floor quantization with step 1/m."""
     if m < 1 or int(m) != m:
         raise ValueError(f"precision m must be a positive integer, got {m}")
     arr = _extract(data)
-    peak = np.abs(arr).max(initial=0.0)
-    if peak * m >= _MAX_SAFE_PRODUCT:
-        raise PrecisionOverflowError(
-            f"|x|*m reaches {peak * m:.3e}; exact floor semantics need |x| < 2^53/m"
-        )
+    check_precision(arr, m)
     scaled = m * arr
     np.floor(scaled, out=scaled)  # in place: one float temporary, not two
     return QuantizedPathBatch(scaled.astype(np.int64), int(m))
@@ -71,10 +80,18 @@ class DitheredPathBatch:
     seed: int
 
 
+def dither_stream(seed: int, m: int):
+    """The dither of precision m: a function of a shape that returns i.i.d.
+    uniform values on [0, 1/m) from the one derive_rng(seed, "dither", m)
+    stream.  Each call continues the stream, so drawing a batch in
+    consecutive path slices gives the values of one whole-batch draw."""
+    rng = derive_rng(seed, "dither", m)
+    return lambda shape: rng.uniform(0.0, 1.0 / m, size=shape)
+
+
 def dither(qbatch: QuantizedPathBatch, seed: int) -> DitheredPathBatch:
     """w = codes/m + u with u i.i.d. uniform on [0, 1/m), independent of codes."""
-    rng = derive_rng(seed, "dither", qbatch.m)
-    u = rng.uniform(0.0, 1.0 / qbatch.m, size=qbatch.codes.shape)
+    u = dither_stream(seed, qbatch.m)(qbatch.codes.shape)
     return DitheredPathBatch(qbatch.codes / qbatch.m + u, u, qbatch.m, seed)
 
 

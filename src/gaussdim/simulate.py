@@ -312,7 +312,8 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
 
     Deterministic given (acov, k, paths, seed); paths are generated in fixed
     chunks with per-chunk sub-streams, so chunk order (and hence parallel
-    generation) cannot change the result.
+    generation) cannot change the result.  A dense chunk's product with the
+    factor and its mean are written in place into the output rows.
     """
     L = acov.L
     if k < 1:
@@ -334,7 +335,8 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
         stop = min(start + _PATH_CHUNK, paths)
         rng = derive_rng(seed, "gauss-paths", chunk)
         z = rng.standard_normal((stop - start, k * L))
-        out[start:stop] = z @ factor.T + mu
+        np.matmul(z, factor.T, out=out[start:stop])  # in place: no product or sum temporaries
+        out[start:stop] += mu
     return SamplePathBatch(out.reshape(paths, k, L), seed, method, variance)
 
 

@@ -1,6 +1,8 @@
 """Entropy-slope and Gaussian-surrogate dimension estimators, the KL check,
 and the scale/translation invariance runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,20 +13,26 @@ from gaussdim.benchmarks import (
     white_noise,
     zero_process,
 )
+import gaussdim.estimators as estimators
 from gaussdim.estimators import (
     K_CAP,
     OCCUPANCY_FRACTION,
+    SURROGATE_GROUPS,
+    SURROGATE_M_LADDER,
     UndersamplingError,
     _choose_k,
+    _half_mean_logdet,
+    _ls_slope,
     gaussian_surrogate_kl,
     idr_slope_estimate,
     invariance_check,
     kl_cap_per_coordinate,
     surrogate_idr_estimate,
 )
-from gaussdim.quantize import quantize
-from gaussdim.simulate import autocovariance_from_spectrum, sample_paths
-from gaussdim.spectral import rank_integral
+from gaussdim.experiments import ExperimentConfig
+from gaussdim.quantize import PrecisionOverflowError, dither, quantize
+from gaussdim.simulate import MAX_DENSE_DIM, autocovariance_from_spectrum, sample_paths, welch_psd
+from gaussdim.spectral import normalize_components, rank_integral
 
 
 class TestSlopeEstimator:
@@ -97,10 +105,6 @@ class TestSurrogateEstimator:
     def test_dither_only_slope_is_minus_dimension(self):
         """Quantizing an exactly-zero signal leaves only dither: the half
         log-det integral must fall like -log(12 m^2)/2 per component."""
-        from gaussdim.quantize import dither, quantize
-        from gaussdim.simulate import welch_psd
-        from gaussdim.estimators import _half_mean_logdet
-
         for m in (16, 64):
             w = dither(quantize(np.zeros((40, 2048, 1)), m), seed=11)
             est = welch_psd(w.values, nperseg=1024)
@@ -123,6 +127,79 @@ class TestSurrogateEstimator:
 
         est = surrogate_idr_estimate(line_process(theta=0.125, power=0.5), paths=60, k=2048, seed=20)
         assert abs(est.value) <= 0.05
+
+
+def _surrogate_batch(model, paths, seed, k=4096):
+    """The batch surrogate_idr_estimate draws for `model` at these settings."""
+    norm = normalize_components(model)
+    k_eff = min(k, MAX_DENSE_DIM // norm.model.L)
+    return sample_paths(autocovariance_from_spectrum(norm.model, k_eff - 1), k_eff, paths, seed)
+
+
+def _whole_batch_surrogate(batch, seed, ladder=SURROGATE_M_LADDER, nperseg=1024):
+    """(value, se, pairwise slopes) of the surrogate formed on the whole batch at
+    once: one dithered quantized batch and one Welch estimate per m, each group
+    read as its slice of the per-path spectra."""
+    paths, _, L = batch.samples.shape
+    groups = max(1, min(SURROGATE_GROUPS, paths))
+    bounds = np.linspace(0, paths, groups + 1).astype(int)
+    g_pooled, g_groups = [], []
+    for m in ladder:
+        west = welch_psd(dither(quantize(batch, m), seed).values, nperseg=nperseg)
+        floor = 0.01 / (12.0 * m * m)
+        g_pooled.append(_half_mean_logdet(west.matrices, floor))
+        g_groups.append([_half_mean_logdet(west.per_path[a:b].mean(axis=0), floor)
+                         for a, b in zip(bounds, bounds[1:])])
+    logm = np.log(np.asarray(ladder, float))
+    slope, _, pairwise = _ls_slope(logm, g_pooled)
+    group_vals = [L + _ls_slope(logm, col)[0] for col in np.asarray(g_groups).T]
+    se = float(np.std(group_vals, ddof=1) / np.sqrt(groups))
+    return L + slope, se, tuple(L + p for p in pairwise)
+
+
+class TestSurrogateGroups:
+    """The surrogate runs one path group at a time and gives the whole-batch values."""
+
+    @pytest.mark.parametrize("paths", [100, 24, 4])  # equal groups, unequal groups, fewer paths than groups
+    @pytest.mark.parametrize("builder", [white_noise, correlated_pair], ids=["white", "pair"])
+    def test_equals_the_whole_batch_formula(self, builder, paths):
+        est = surrogate_idr_estimate(builder(), paths=paths, seed=5)
+        value, se, pairwise = _whole_batch_surrogate(_surrogate_batch(builder(), paths, 5), 5)
+        assert (est.value, est.se, est.pairwise_slopes) == (value, se, pairwise)
+
+    @pytest.mark.parametrize("builder", [white_noise, correlated_pair], ids=["L1", "L2"])
+    def test_ladder_peak_is_a_group_not_the_batch(self, builder, monkeypatch):
+        paths = ExperimentConfig.surrogate_paths  # the CLI default
+        batch = _surrogate_batch(builder(), paths, 7)
+        monkeypatch.setattr(estimators, "sample_paths", lambda *a: batch)
+        surrogate_idr_estimate(builder(), paths=paths, seed=7)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            surrogate_idr_estimate(builder(), paths=paths, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, f"ladder peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize(
+        "value", [np.inf, -np.inf, 2.0**53 / 256, -(2.0**53) / 256, 2.0**53 / 16],
+        ids=["inf", "-inf", "top", "-top", "every-m"],
+    )
+    def test_range_check_raises_before_the_ladder(self, value, monkeypatch):
+        batch = _surrogate_batch(white_noise(), 4, 3)
+        batch.samples[2, 100, 0] = value
+        monkeypatch.setattr(estimators, "sample_paths", lambda *a: batch)
+        monkeypatch.setattr(estimators, "welch_psd", lambda *a, **kw: pytest.fail("ladder ran"))
+        with pytest.raises(PrecisionOverflowError):
+            surrogate_idr_estimate(white_noise(), paths=4, seed=3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.nextafter(2.0**53 / 256, 0.0)], ids=["nan", "below-top"])
+    def test_range_check_passes_nan_and_values_below_the_top(self, value, monkeypatch):
+        batch = _surrogate_batch(white_noise(), 4, 3)
+        batch.samples[2, 100, 0] = value
+        monkeypatch.setattr(estimators, "sample_paths", lambda *a: batch)
+        est = surrogate_idr_estimate(white_noise(), paths=4, seed=3)
+        assert est.paths == 4
 
 
 class TestKLCheck:

@@ -13,6 +13,7 @@ from gaussdim.quantize import (
     UnitVarianceRequiredError,
     ZeroVarianceComponentError,
     bussgang_gain,
+    check_precision,
     dither,
     quantize,
     spectrum_identity_check,
@@ -75,6 +76,24 @@ class TestQuantize:
     def test_overflow_guard(self):
         with pytest.raises(PrecisionOverflowError):
             quantize(_as_batch([2.0**53]), 4)
+
+    @pytest.mark.parametrize("x", [np.inf, -np.inf, 2.0**51, -(2.0**51)], ids=["inf", "-inf", "top", "-top"])
+    def test_range_check_raises_at_the_peak(self, x):
+        # |x| * m >= 2^53 on either side of zero raises in the helper and in quantize
+        values = _as_batch([0.5, x, -0.25])
+        with pytest.raises(PrecisionOverflowError):
+            check_precision(values, 4)
+        with pytest.raises(PrecisionOverflowError):
+            quantize(values, 4)
+
+    @pytest.mark.parametrize("x", [np.nan, np.nextafter(2.0**51, 0.0), -np.nextafter(2.0**51, 0.0)],
+                             ids=["nan", "below-top", "-below-top"])
+    def test_range_check_passes_nan_and_values_below_the_top(self, x):
+        values = _as_batch([0.5, x, -0.25])
+        check_precision(values, 4)
+        check_precision(np.empty((0, 3, 1)), 4)
+        with np.errstate(invalid="ignore"):  # NaN has no int64 code
+            assert quantize(values, 4).codes.shape == values.shape
 
     def test_bad_precision(self):
         with pytest.raises(ValueError):

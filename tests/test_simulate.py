@@ -238,14 +238,18 @@ class TestDenseFactor:
         "builder, k, method, sampled",
         [
             (white_noise, 64, "cholesky", "cholesky"),
+            (lambda: SpectralModel(L=1, bands=[Band(-0.5, 0.5, [[1.0]])], mean=[2.5]), 16, "cholesky", "cholesky"),
             (lambda: narrowband(0.4), 600, "eigh", "spectral"),
             (correlated_pair, 4, "eigh", "eigh"),
+            (lambda: SpectralModel(L=2, bands=correlated_pair().bands, mean=[1.0, -2.0]), 4, "eigh", "eigh"),
             (correlated_pair, 300, "eigh", "spectral"),
         ],
-        ids=["white-k64", "narrowband-k600", "pair-k4", "pair-k300"],
+        ids=["white-k64", "white-mean-k16", "narrowband-k600", "pair-k4", "pair-mean-k4", "pair-k300"],
     )
     def test_samples_equal_copy_based_reference(self, builder, k, method, sampled):
-        """The dense factor draws what the copy-based sampler drew, byte for byte.
+        """The dense factor draws what the copy-based sampler drew, byte for byte:
+        z @ factor.T + mean on the chunk's stream, which sample_paths forms in
+        place in its output rows.
 
         Narrowband at k=600 and the pair at k=300 have a spectral quadrature,
         so sample_paths takes that route and their dense factor is reached

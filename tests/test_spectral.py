@@ -998,7 +998,8 @@ class TestRunPass:
     @pytest.mark.parametrize("n", [64, 4096])
     def test_edges_on_nodes_and_narrow_bands(self, n):
         nodes = FrequencyGrid(n).nodes
-        narrow = (0.3, 0.3 + 0.5 / n)  # between two nodes, so no node is filled
+        below = float(nodes[nodes < 0.3][-1])
+        narrow = (below + 0.25 / n, below + 0.75 / n)  # strictly between two nodes, so no node is filled
         cases = {
             "on-node": [Band(-float(nodes[n - 3]), -float(nodes[n // 2 + 2]), [[1.0]]),
                         Band(float(nodes[n // 2 + 2]), float(nodes[n - 3]), [[1.0]])],
@@ -1006,6 +1007,8 @@ class TestRunPass:
             "to-half": [Band(-0.5, -0.25, [[1.0]]), Band(-0.25, 0.25, [[3.0]]), Band(0.25, 0.5, [[1.0]])],
         }
         assert _assert_same_as_per_node_pass(SpectralModel(L=1, bands=cases["on-node"]), FrequencyGrid(n))
+        _, mats, counts = _band_pieces(SpectralModel(L=1, bands=cases["narrow"]), nodes)
+        assert counts[mats[:, 0, 0] != 0].tolist() == [0, 0]
         assert _assert_same_as_per_node_pass(SpectralModel(L=1, bands=cases["narrow"]), FrequencyGrid(n))
         assert _assert_same_as_per_node_pass(SpectralModel(L=1, bands=cases["to-half"]), FrequencyGrid(n))
 
