@@ -1,10 +1,11 @@
-"""Uniform floor quantization, subtractive dither, and quantizer-gain diagnostics.
+"""Uniform floor quantization, the dither stream, and quantizer-gain diagnostics.
 
 The quantizer maps x to floor(m*x)/m, so the error n = x - floor(m*x)/m always
-lies in [0, 1/m).  The diagnostics estimate the linear-regression gain of the
-quantized process on its input and check the gain bound, the error-power
-bound, and the spectral decomposition identity that ties the quantized
-spectrum to the input and error spectra.  Their per-component sums run on a
+lies in [0, 1/m); `dither_stream` draws the uniform dither on [0, 1/m) that
+the Gaussian surrogate adds.  The diagnostics estimate the linear-regression
+gain of the quantized process on its input and check the gain bound, the
+error-power bound, and the spectral decomposition identity that ties the
+quantized spectrum to the input and error spectra.  Their sums run on a
 contiguous component-major (L, paths, k) copy of the samples, so each is one
 reduction over a contiguous trailing axis; over the time-major layout NumPy
 would reduce L elements per inner-loop call.  At L = 1 the copy is a view.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_rng
-from .simulate import SamplePathBatch, _extract, welch_psd
+from .simulate import InsufficientDataError, SamplePathBatch, _extract, welch_segments
 
 _MAX_SAFE_PRODUCT = float(2**53)
 
@@ -50,12 +51,13 @@ def check_precision(arr: np.ndarray, m: int) -> None:
     """Raise PrecisionOverflowError unless |x| * m < 2^53 for every entry.
 
     The peak |x| is max(max x, -min x), so no |x| array is made.  An
-    infinite entry raises; NaN entries pass.
+    infinite entry raises, and so does NaN, which has no floor code: the
+    peak is then NaN, and NaN fails the comparison.
     """
     peak = max(arr.max(initial=0.0), -arr.min(initial=0.0))
-    if peak * m >= _MAX_SAFE_PRODUCT:
+    if not peak * m < _MAX_SAFE_PRODUCT:
         raise PrecisionOverflowError(
-            f"|x|*m reaches {peak * m:.3e}; exact floor semantics need |x| < 2^53/m"
+            f"|x|*m reaches {peak * m:.3e}; exact floor semantics need |x| < 2^53/m and no NaN"
         )
 
 
@@ -70,16 +72,6 @@ def quantize(data, m: int) -> QuantizedPathBatch:
     return QuantizedPathBatch(scaled.astype(np.int64), int(m))
 
 
-@dataclass(frozen=True)
-class DitheredPathBatch:
-    """Quantized values plus independent uniform dither on [0, 1/m)."""
-
-    values: np.ndarray  # (paths, k, L)
-    dither: np.ndarray  # (paths, k, L)
-    m: int
-    seed: int
-
-
 def dither_stream(seed: int, m: int):
     """The dither of precision m: a function of a shape that returns i.i.d.
     uniform values on [0, 1/m) from the one derive_rng(seed, "dither", m)
@@ -87,12 +79,6 @@ def dither_stream(seed: int, m: int):
     consecutive path slices gives the values of one whole-batch draw."""
     rng = derive_rng(seed, "dither", m)
     return lambda shape: rng.uniform(0.0, 1.0 / m, size=shape)
-
-
-def dither(qbatch: QuantizedPathBatch, seed: int) -> DitheredPathBatch:
-    """w = codes/m + u with u i.i.d. uniform on [0, 1/m), independent of codes."""
-    u = dither_stream(seed, qbatch.m)(qbatch.codes.shape)
-    return DitheredPathBatch(qbatch.codes / qbatch.m + u, u, qbatch.m, seed)
 
 
 @dataclass(frozen=True)
@@ -161,8 +147,10 @@ def _gain_report(xc: np.ndarray, zc: np.ndarray, m: int) -> BussgangReport:
 class SpectrumIdentityReport:
     """Residual of quantized-spectrum = (2a-1) * input-spectrum + error-spectrum.
 
-    The residual is the per-node trace of the empirical mismatch; its mean is
-    zero in expectation for unit-variance Gaussian inputs at any precision m.
+    With z = x - n the Welch estimates obey P_z = P_x - 2 Re P_xn + P_n, so the
+    residual is 2(1-a) P_x - 2 Re P_xn.  Its frequency mean (trace / L) is zero
+    except through the window and the per-segment mean removal, since a is
+    fitted on the same samples: (1-a) var x matches cov(x, n).
     """
 
     m: int
@@ -180,11 +168,13 @@ def spectrum_identity_check(data, ms, nperseg: int = 256) -> list[SpectrumIdenti
     """Check the spectral decomposition of the quantized process empirically,
     one report per precision in ms.
 
-    Estimates input, quantized, and error spectra with identical Welch
-    settings, forms the per-path residual, and reports its pooled mean with a
-    path-based standard error.  Also checks that the error spectrum integrates
-    to at most 1/m^2 (a deterministic consequence of the error range).  The
-    input's spectrum and sample variance are computed once for every m.
+    By Parseval, a frequency mean of a Welch estimate is scale times an inner
+    product of `welch_segments` output, so no spectrum is formed: the input's
+    segments s_x are cut once, and per m those of the error n = x - z.  The
+    per-path residual mean (2(1-a) <s_x, s_x> - 2 <s_x, s_n>) scale / L is
+    pooled with a path-based standard error, and the error spectrum's
+    integral, <s_n, s_n> scale per component, is checked against 1/m^2 (a
+    deterministic consequence of the error range).
 
     The unit-variance precondition is tested on the variances the law fixes
     when data is a SamplePathBatch that carries them, and on the sample
@@ -201,22 +191,22 @@ def spectrum_identity_check(data, ms, nperseg: int = 256) -> list[SpectrumIdenti
         raise UnitVarianceRequiredError(
             f"component variances {var} are not all ~1; apply normalize_components first"
         )
-    wx = welch_psd(x, nperseg=nperseg)
+    sx, scale = welch_segments(xc, nperseg)  # (L, paths, segments, nperseg)
+    if paths * sx.shape[2] < 2:
+        raise InsufficientDataError("need at least 2 segments in total for a Welch average")
+    px = np.einsum("lpst,lpst->p", sx, sx) * scale  # per path: frequency mean of tr P_x
     reports = []
     for m in ms:
         zc = quantize(xc, m).values
         gain = float(_gain_report(xc, zc, m).gain.mean())
-        wz = welch_psd(np.moveaxis(zc, 0, -1), nperseg=nperseg)  # a (paths, k, L) view
         np.subtract(xc, zc, out=zc)  # zc now holds the error x - z
-        wn = welch_psd(np.moveaxis(zc, 0, -1), nperseg=nperseg)
-        resid = wz.per_path - (2.0 * gain - 1.0) * wx.per_path - wn.per_path
-        trace = np.einsum("pnii->pn", resid).real / L  # (paths, nf)
-
-        per_path_mean = trace.mean(axis=1)
+        sn, _ = welch_segments(zc, nperseg)
+        pxn = np.einsum("lpst,lpst->p", sx, sn) * scale  # per path: frequency mean of tr Re P_xn
+        per_path_mean = (2.0 * (1.0 - gain) * px - 2.0 * pxn) / L
         mean_resid = float(per_path_mean.mean())
         mean_se = float(per_path_mean.std(ddof=1) / np.sqrt(paths))
 
-        noise_mass = wn.integrated_power()
+        noise_mass = np.einsum("lpst,lpst->l", sn, sn) * scale / paths
         noise_bound = 1.0 / m**2
         reports.append(
             SpectrumIdentityReport(

@@ -18,8 +18,8 @@ batch records which factor ran.  Band and line contributions to C(tau) are
 integrated in closed form; rational terms are integrated by a dense FFT
 quadrature whose resolution grows with tau_max so that long lags stay
 alias-free.  Welch cross-spectra of the real paths come from the rfft
-half-spectrum, mirrored as P(-f) = conj(P(f)); their path mean is Hermitian
-PSD with no eigen-clip.
+half-spectrum of the windowed segments that `welch_segments` cuts, mirrored
+as P(-f) = conj(P(f)); their path mean is Hermitian PSD with no eigen-clip.
 """
 
 from __future__ import annotations
@@ -353,37 +353,45 @@ class WelchEstimate:
     per_path: np.ndarray  # (paths, nf, L, L) Hermitian PSD
     segments_per_path: int
 
-    def integrated_power(self) -> np.ndarray:
-        """Per-component integral of the estimated density over [-1/2, 1/2)."""
-        return np.einsum("nii->i", self.matrices).real / len(self.freqs)
+
+def welch_segments(series: np.ndarray, nperseg: int) -> tuple[np.ndarray, float]:
+    """Welch segments (..., segments, nperseg) of each row of `series` (..., k), and their scale.
+
+    Segments start every nperseg - nperseg // 2 samples (half overlap); each
+    has its mean removed and the periodic Hann window 0.5 - 0.5 cos(2 pi n /
+    nperseg) applied.  scale = 1 / (segments * sum w^2) is the two-sided
+    density scaling, so by Parseval the mean of a row's Welch estimate over
+    the nperseg DFT frequencies is scale times its segments' sum of squares.
+    """
+    k = series.shape[-1]
+    if nperseg > k:
+        raise InsufficientDataError(f"segment length {nperseg} exceeds path length {k}")
+    step = nperseg - nperseg // 2
+    segs = np.lib.stride_tricks.sliding_window_view(series, nperseg, axis=-1)[..., ::step, :]
+    segs = segs - segs.mean(axis=-1, keepdims=True)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
+    segs *= window
+    return segs, 1.0 / (segs.shape[-2] * (window * window).sum())
 
 
 def welch_psd(data, nperseg: int = 256) -> WelchEstimate:
     """Welch matrix-spectrum estimate from a real (paths, k, L) array or batch.
 
-    Fixed settings: segments of nperseg samples at stride nperseg - nperseg // 2
-    (half overlap), each segment's mean removed, a periodic Hann window
-    0.5 - 0.5 cos(2 pi n / nperseg), and two-sided density scaling, so the
-    estimate integrates to the process power.  Cross-periodograms conj(X_i) X_j
-    come from one rfft per segment: one product per pair i <= j on f = 0..1/2,
-    summed over a path's segments, with (j, i) and -f filled by conjugates.
+    Fixed settings: the `welch_segments` of each component's path (half
+    overlap, segment means removed, periodic Hann window) and two-sided density
+    scaling, so the estimate integrates to the process power.
+    Cross-periodograms conj(X_i) X_j come from one rfft per segment: one
+    product per pair i <= j on f = 0..1/2, summed over a path's segments, with
+    (j, i) and -f filled by conjugates.
     """
     samples = _extract(data)
     paths, k, L = samples.shape
-    if nperseg > k:
-        raise InsufficientDataError(f"segment length {nperseg} exceeds path length {k}")
-    step = nperseg - nperseg // 2
-    segs_per_path = 1 + (k - nperseg) // step
+    series = np.ascontiguousarray(samples.transpose(0, 2, 1))  # (p, L, k): contiguous segments
+    segs, scale = welch_segments(series, nperseg)  # (p, L, s, n)
+    segs_per_path = segs.shape[2]
     if segs_per_path * paths < 2:
         raise InsufficientDataError("need at least 2 segments in total for a Welch average")
-
-    series = np.ascontiguousarray(samples.transpose(0, 2, 1))  # (p, L, k): contiguous segments
-    segs = np.lib.stride_tricks.sliding_window_view(series, nperseg, axis=-1)[:, :, ::step]  # (p, L, s, n)
-    segs = segs - segs.mean(axis=-1, keepdims=True)
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
-    segs *= window
     spec = np.fft.rfft(segs, axis=-1)  # (p, L, s, nperseg // 2 + 1)
-    scale = 1.0 / (segs_per_path * (window * window).sum())
     half = np.empty((paths, spec.shape[-1], L, L), dtype=complex)
     for i in range(L):
         xi = spec[:, i]

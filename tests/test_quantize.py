@@ -1,24 +1,25 @@
 """Floor quantizer semantics, dither, and the gain/spectrum diagnostics."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussdim.benchmarks import line_process, white_noise
+from gaussdim.benchmarks import correlated_pair, line_process, white_noise
 from gaussdim.quantize import (
     PrecisionOverflowError,
     UnitVarianceRequiredError,
     ZeroVarianceComponentError,
     bussgang_gain,
     check_precision,
-    dither,
+    dither_stream,
     quantize,
     spectrum_identity_check,
 )
-from gaussdim.simulate import autocovariance_from_spectrum, sample_paths
+from gaussdim.simulate import autocovariance_from_spectrum, sample_paths, welch_psd
 
 
 def _as_batch(values):
@@ -77,27 +78,35 @@ class TestQuantize:
         with pytest.raises(PrecisionOverflowError):
             quantize(_as_batch([2.0**53]), 4)
 
-    @pytest.mark.parametrize("x", [np.inf, -np.inf, 2.0**51, -(2.0**51)], ids=["inf", "-inf", "top", "-top"])
+    @pytest.mark.parametrize("x", [np.inf, -np.inf, 2.0**51, -(2.0**51), np.nan],
+                             ids=["inf", "-inf", "top", "-top", "nan"])
     def test_range_check_raises_at_the_peak(self, x):
-        # |x| * m >= 2^53 on either side of zero raises in the helper and in quantize
+        # |x| * m >= 2^53 on either side of zero raises in the helper and in quantize, and so
+        # does NaN, which has no int64 code
         values = _as_batch([0.5, x, -0.25])
         with pytest.raises(PrecisionOverflowError):
             check_precision(values, 4)
         with pytest.raises(PrecisionOverflowError):
             quantize(values, 4)
 
-    @pytest.mark.parametrize("x", [np.nan, np.nextafter(2.0**51, 0.0), -np.nextafter(2.0**51, 0.0)],
-                             ids=["nan", "below-top", "-below-top"])
+    @pytest.mark.parametrize("x", [np.nextafter(2.0**51, 0.0), -np.nextafter(2.0**51, 0.0)],
+                             ids=["below-top", "-below-top"])
     def test_range_check_passes_nan_and_values_below_the_top(self, x):
+        # NaN raises: see test_range_check_raises_at_the_peak
         values = _as_batch([0.5, x, -0.25])
         check_precision(values, 4)
         check_precision(np.empty((0, 3, 1)), 4)
-        with np.errstate(invalid="ignore"):  # NaN has no int64 code
-            assert quantize(values, 4).codes.shape == values.shape
+        assert quantize(values, 4).codes.shape == values.shape
 
     def test_bad_precision(self):
         with pytest.raises(ValueError):
             quantize(_as_batch([0.0]), 0)
+
+
+def _dithered(q, seed):
+    """The dithered values w = codes/m + u and the dither u, drawn from dither_stream(seed, m)."""
+    u = dither_stream(seed, q.m)(q.codes.shape)
+    return q.values + u, u
 
 
 class TestDither:
@@ -109,40 +118,40 @@ class TestDither:
 
     def test_uniform_range_and_determinism(self, qbatch):
         _, q = qbatch
-        w1 = dither(q, seed=9)
-        w2 = dither(q, seed=9)
-        assert np.array_equal(w1.values, w2.values)
-        assert w1.dither.min() >= 0.0 and w1.dither.max() < 0.25
-        assert not np.array_equal(w1.dither, dither(q, seed=10).dither)
+        w1, u1 = _dithered(q, seed=9)
+        w2, _ = _dithered(q, seed=9)
+        assert np.array_equal(w1, w2)
+        assert u1.min() >= 0.0 and u1.max() < 0.25
+        assert not np.array_equal(u1, _dithered(q, seed=10)[1])
 
     def test_unit_codes_give_uniform(self):
         q = quantize(np.zeros((1, 100_000, 1)), 1)
-        w = dither(q, seed=3)
-        assert 0.0 <= w.values.min() and w.values.max() < 1.0
-        n = w.values.size
-        assert abs(w.values.mean() - 0.5) <= 5.0 * np.sqrt(1.0 / 12 / n)
+        w, _ = _dithered(q, seed=3)
+        assert 0.0 <= w.min() and w.max() < 1.0
+        n = w.size
+        assert abs(w.mean() - 0.5) <= 5.0 * np.sqrt(1.0 / 12 / n)
 
     def test_variance_adds_uniform_term(self, qbatch):
         _, q = qbatch
-        w = dither(q, seed=7)
+        w, _ = _dithered(q, seed=7)
         m = q.m
-        n = w.values.size
-        gap = w.values.var() - q.values.var() - 1.0 / (12 * m * m)
+        n = w.size
+        gap = w.var() - q.values.var() - 1.0 / (12 * m * m)
         # dominant error: empirical cov(z, u); se ~ 2 sqrt(var_z var_u / n)
         se = 2.0 * np.sqrt(q.values.var() / (12 * m * m) / n)
         assert abs(gap) <= 5.0 * se
 
     def test_mean_offset_bounded(self, qbatch):
         batch, q = qbatch
-        w = dither(q, seed=11)
-        offset = abs(w.values.mean() - batch.samples.mean())
+        w, _ = _dithered(q, seed=11)
+        offset = abs(w.mean() - batch.samples.mean())
         assert offset <= 1.0 / q.m + 1.0 / (2 * q.m)
 
     def test_dither_independent_of_codes(self, qbatch):
         _, q = qbatch
-        w = dither(q, seed=13)
+        _, u = _dithered(q, seed=13)
         codes = q.codes.ravel().astype(float)
-        u = w.dither.ravel()
+        u = u.ravel()
         r = np.corrcoef(codes, u)[0, 1]
         assert abs(r) <= 5.0 / np.sqrt(codes.size)
 
@@ -237,6 +246,31 @@ def white_batch():
     return sample_paths(acov, 2048, 128, seed=23)
 
 
+def _three_spectrum_identity(x, m, nperseg=256):
+    """The identity report's fields from the three Welch spectra of the input, its
+    quantized values z and the error x - z: the residual P_z - (2a-1) P_x - P_n,
+    traced over components per node and averaged over frequency."""
+    paths, _, L = x.shape
+    z = quantize(x, m).values
+    gain = float(bussgang_gain(x, m).gain.mean())
+    wx, wz, wn = (welch_psd(v, nperseg=nperseg) for v in (x, z, x - z))
+    resid = wz.per_path - (2.0 * gain - 1.0) * wx.per_path - wn.per_path
+    per_path_mean = (np.einsum("pnii->pn", resid).real / L).mean(axis=1)
+    mean_resid = float(per_path_mean.mean())
+    mean_se = float(per_path_mean.std(ddof=1) / np.sqrt(paths))
+    noise_mass = np.einsum("nii->i", wn.matrices).real / len(wn.freqs)
+    return {
+        "gain": gain, "mean_residual": mean_resid, "mean_residual_se": mean_se, "noise_mass": noise_mass,
+        "sample_variance": np.ascontiguousarray(np.moveaxis(x, -1, 0)).reshape(L, -1).var(axis=1),
+        "mean_ok": bool(abs(mean_resid) <= 5.0 * mean_se),
+        "noise_ok": bool(np.all(noise_mass <= (1.0 + 1e-9) / m**2)),
+    }
+
+
+def _identity_batch(builder, paths=100, k=1024, seed=3):
+    return sample_paths(autocovariance_from_spectrum(builder(), k - 1), k, paths, seed)
+
+
 class TestSpectrumIdentity:
     @pytest.mark.parametrize("m", [1, 8])
     def test_residual_within_5se(self, white_batch, m):
@@ -249,6 +283,32 @@ class TestSpectrumIdentity:
         (rep,) = spectrum_identity_check(white_batch, [m])
         assert rep.noise_ok
         assert (rep.noise_mass <= 1.0 / m**2 + 1e-12).all()
+
+    @pytest.mark.parametrize("builder", [white_noise, correlated_pair, line_process],
+                             ids=["white", "pair", "line"])
+    def test_equals_the_three_spectrum_formula(self, builder):
+        """The segment inner products give the fields of the residual built from
+        three Welch spectra; no gain, variance or flag moves."""
+        batch = _identity_batch(builder, paths=40)
+        ms = (1, 8, 64)
+        for m, rep in zip(ms, spectrum_identity_check(batch, ms)):
+            ref = _three_spectrum_identity(batch.samples, m)
+            assert abs(rep.mean_residual - ref["mean_residual"]) <= 1e-15, m
+            assert abs(rep.mean_residual_se - ref["mean_residual_se"]) <= 1e-16, m
+            assert np.abs(rep.noise_mass - ref["noise_mass"]).max() <= 1e-14, m
+            assert rep.gain == ref["gain"] and np.array_equal(rep.sample_variance, ref["sample_variance"]), m
+            assert (rep.mean_ok, rep.noise_ok) == (ref["mean_ok"], ref["noise_ok"]), m
+
+    def test_bivariate_check_peak(self):
+        batch = _identity_batch(correlated_pair)
+        spectrum_identity_check(batch, (1, 8))  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            spectrum_identity_check(batch, (1, 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 2**20, f"identity check peak {peak / 2**20:.1f} MiB"
 
     def test_requires_unit_variance(self, white_batch):
         with pytest.raises(UnitVarianceRequiredError):

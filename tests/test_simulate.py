@@ -26,7 +26,7 @@ from gaussdim.benchmarks import (
     zero_process,
 )
 from gaussdim.entropy import exact_cell_distribution
-from gaussdim.quantize import dither, quantize
+from gaussdim.quantize import dither_stream, quantize
 from gaussdim._rng import derive_rng
 from gaussdim.simulate import (
     AutocovarianceSequence,
@@ -636,7 +636,8 @@ class TestWelch:
         est = welch_psd(batch, nperseg=256)
         per_path_power = est.per_path[:, :, 0, 0].real.mean(axis=1)
         se = per_path_power.std(ddof=1) / np.sqrt(batch.paths)
-        assert abs(est.integrated_power()[0] - 1.0) <= 5.0 * se
+        integrated_power = np.einsum("nii->i", est.matrices).real / len(est.freqs)
+        assert abs(integrated_power[0] - 1.0) <= 5.0 * se
 
     def test_out_of_band_leakage_bounded(self):
         model = SpectralModel(L=1, bands=[Band(-0.25, 0.25, [[2.0]])])
@@ -651,13 +652,13 @@ class TestWelch:
 
     def test_dither_only_floor(self):
         m = 4
-        codes = quantize(np.zeros((60, 2048, 1)), m)
-        w = dither(codes, seed=23)
-        est = welch_psd(w.values, nperseg=256)
+        w = quantize(np.zeros((60, 2048, 1)), m).values + dither_stream(23, m)((60, 2048, 1))
+        est = welch_psd(w, nperseg=256)
         level = 1.0 / (12.0 * m * m)
         per_path = est.per_path[:, :, 0, 0].real.mean(axis=1)
         se = per_path.std(ddof=1) / np.sqrt(60)
-        assert abs(est.integrated_power()[0] - level) <= 5.0 * se
+        integrated_power = np.einsum("nii->i", est.matrices).real / len(est.freqs)
+        assert abs(integrated_power[0] - level) <= 5.0 * se
 
     def test_cross_spectrum_orientation(self):
         """The estimated cross density reproduces the sign of the built-in
@@ -718,7 +719,7 @@ class TestWelch:
         import scipy.signal
 
         batch = sample_paths(autocovariance_from_spectrum(model, k - 1), k, 6, seed=29)
-        x = batch.samples if m is None else dither(quantize(batch, m), seed=31).values
+        x = batch.samples if m is None else quantize(batch, m).values + dither_stream(31, m)(batch.samples.shape)
         est = welch_psd(x, nperseg=nperseg)
         L = x.shape[2]
         ref = np.empty((x.shape[0], nperseg, L, L), dtype=complex)
