@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import autocovariance_from_spectrum
+from .simulate import _gauss_legendre, autocovariance_from_spectrum
 from .spectral import SpectralModel
 
 TAIL_SIGMAS = 8.0
@@ -77,33 +77,33 @@ def _offset_column(col: np.ndarray) -> tuple[np.ndarray, int]:
     return col.astype(np.int64) - lo, span
 
 
-def packed_keys(codes, step: int | None = None):
-    """Yield one int64 key per row for the column prefixes of width step, 2*step, ...
+def packed_keys(blocks):
+    """Yield one int64 key per row after each block of code columns in `blocks`.
 
-    Keys sort in the lexicographic order of the prefix rows, so equal keys
-    mean equal rows.  Each column is offset by its minimum and folded into
-    the key of the previous columns; before the key span would pass 2^62
-    the key is replaced by its dense rank, which keeps the order.  The key
-    of each prefix extends the one before it, so all prefixes cost one pass.
-    step defaults to all columns (one key).
+    blocks is an iterable of (n,) or (n, w) integer code arrays with one n.
+    It is read one block at a time, so a caller can make a block only when
+    the keys before it are used.  The key after a block is that of the row
+    prefix ending with it: keys sort in the lexicographic order of the prefix
+    rows, so equal keys mean equal rows.  Each column is offset by its
+    minimum and folded into the key of the previous columns; before the key
+    span would pass 2^62 the key is replaced by its dense rank, which keeps
+    the order.  The key of each prefix extends the one before it, so all
+    prefixes cost one pass.
     """
-    arr = _code_rows(codes)
-    n, d = arr.shape
-    step = d if step is None else step
-    if step < 1 or d % step:
-        raise ValueError(f"step {step} must be positive and divide the {d} columns")
-    key = np.zeros(n, dtype=np.int64)
-    span = 1
-    for j in range(d):
-        col, col_span = _offset_column(arr[:, j])
-        if span * col_span > _KEY_LIMIT:
-            key, span = _ranks(key)
+    key, span = None, 1
+    for block in blocks:
+        arr = _code_rows(block)
+        if key is None:
+            key = np.zeros(len(arr), dtype=np.int64)
+        for j in range(arr.shape[1]):
+            col, col_span = _offset_column(arr[:, j])
             if span * col_span > _KEY_LIMIT:
-                col, col_span = _ranks(col)
-        key = key * col_span + col
-        span *= col_span
-        if (j + 1) % step == 0:
-            yield key
+                key, span = _ranks(key)
+                if span * col_span > _KEY_LIMIT:
+                    col, col_span = _ranks(col)
+            key = key * col_span + col
+            span *= col_span
+        yield key
 
 
 def cell_counts(codes) -> np.ndarray:
@@ -112,7 +112,7 @@ def cell_counts(codes) -> np.ndarray:
     Equal, element for element, to the counts of a row sort (numpy's unique
     over axis 0), at a fraction of its cost.
     """
-    *_, key = packed_keys(codes)
+    *_, key = packed_keys([codes])
     return np.unique(key, return_counts=True)[1]
 
 
@@ -187,7 +187,7 @@ def _gl_nodes(los: np.ndarray, his: np.ndarray, m: int):
     and the node weights (QUAD_NODES**d,).  Over zero axes the grid is a
     single empty point of weight 1.
     """
-    xs, ws = np.polynomial.legendre.leggauss(QUAD_NODES)
+    xs, ws = _gauss_legendre(QUAD_NODES)
     cells = los + _grid_rows(tuple(his - los))
     q = _grid_rows((QUAD_NODES,) * len(los))
     nodes = (cells[:, None, :] + 0.5 * (xs[q] + 1.0)) / m

@@ -93,13 +93,17 @@ def _draw(model: SpectralModel, k: int, paths: int, seed: int):
 def _choose_k(samples: np.ndarray, m_max: int) -> int:
     """Largest block length whose occupied-cell count passes the plug-in guard.
 
-    The whole (paths, k_cap, L) batch is quantized once; the key of each
-    prefix k extends the key of k-1 by the L columns of step k.
+    One range check at m_max covers the whole (paths, k_cap, L) batch, so a
+    value out of range at any step raises, as quantizing the batch would.
+    The L code columns of step k, floor(m_max x), are then made only when k
+    is tried, and the key of each prefix k extends the key of k-1
+    (packed_keys).
     """
-    paths, _, L = samples.shape
-    codes = quantize(samples, m_max).codes.reshape(paths, -1)
+    paths, k_cap, _ = samples.shape
+    check_precision(samples, m_max)
+    steps = (np.floor(m_max * samples[:, j]).astype(np.int64) for j in range(k_cap))
     chosen = 1
-    for k, key in enumerate(packed_keys(codes, step=L), start=1):
+    for k, key in enumerate(packed_keys(steps), start=1):
         key = np.sort(key)  # distinct values by a sort: np.unique's hash set is slower on these keys
         if 1 + np.count_nonzero(key[1:] != key[:-1]) > paths * OCCUPANCY_FRACTION:
             break

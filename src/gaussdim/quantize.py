@@ -172,7 +172,8 @@ def spectrum_identity_check(data, ms, nperseg: int = 256) -> list[SpectrumIdenti
     product of `welch_segments` output, so no spectrum is formed: the input's
     segments s_x are cut once, and per m those of the error n = x - z.  The
     per-path residual mean (2(1-a) <s_x, s_x> - 2 <s_x, s_n>) scale / L is
-    pooled with a path-based standard error, and the error spectrum's
+    pooled with a path-based standard error, so a batch of fewer than 2 paths
+    raises InsufficientDataError, and the error spectrum's
     integral, <s_n, s_n> scale per component, is checked against 1/m^2 (a
     deterministic consequence of the error range).
 
@@ -194,6 +195,8 @@ def spectrum_identity_check(data, ms, nperseg: int = 256) -> list[SpectrumIdenti
     sx, scale = welch_segments(xc, nperseg)  # (L, paths, segments, nperseg)
     if paths * sx.shape[2] < 2:
         raise InsufficientDataError("need at least 2 segments in total for a Welch average")
+    if paths < 2:
+        raise InsufficientDataError("need at least 2 paths for the path-based standard error")
     px = np.einsum("lpst,lpst->p", sx, sx) * scale  # per path: frequency mean of tr P_x
     reports = []
     for m in ms:

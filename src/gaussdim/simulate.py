@@ -10,9 +10,11 @@ so sum over k time steps in k x 128 products per path, and one node per line.
 A model with rational terms also gets zero pieces in the gaps between its
 bands, so its panels tile [-1/2, 1/2).  Each node is coloured by a root of
 the model's total density there (band matrix plus rational terms), each line
-by a root of its power.  The quadrature is used only when its own covariance
-reproduces C(0..k-1) to rounding.  Otherwise the block-Toeplitz covariance
-is filled by one strided copy and Cholesky-factored, or, when that fails,
+by a root of its power.  Its paths are drawn in slices of a few complex
+draws, so the draw's working set grows with a slice, not with the batch.
+The quadrature is used only when its own covariance reproduces C(0..k-1)
+to rounding.  Otherwise the block-Toeplitz covariance is filled by one
+strided copy and Cholesky-factored, or, when that fails,
 factored exactly by its eigendecomposition; no factor perturbs the law.  A
 batch records which factor ran.  Band and line contributions to C(tau) are
 integrated in closed form; rational terms are integrated by a dense FFT
@@ -156,14 +158,15 @@ _GL_ORDER = 128  # Gauss-Legendre nodes per band panel
 # a 128-node panel integrates e^{i phi} over 390 rad to about 1e-15 of its length.
 _PANEL_PHASE = 390.0
 _ROW_BLOCK = 64  # time rows built per phase block
+_SLICE_BYTES = 1 << 20  # per-node array bytes of one spectral draw slice
 _GRID_SNAP = 1e-12  # a band edge this close to a grid point, in cells, lies on it
 _QUADRATURE_TOL = 1e-11  # accepted max|C_hat - C| relative to max|C(0)|
 
 
 @lru_cache(maxsize=None)
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The _GL_ORDER-node Gauss-Legendre rule on [-1, 1], computed once (read-only)."""
-    rule = np.polynomial.legendre.leggauss(_GL_ORDER)
+def _gauss_legendre(order: int = _GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
+    """The order-node Gauss-Legendre rule on [-1, 1], computed once per order (read-only)."""
+    rule = np.polynomial.legendre.leggauss(order)
     for arr in rule:
         arr.setflags(write=False)
     return rule
@@ -218,22 +221,31 @@ def _spectral_quadrature(model: SpectralModel, k: int) -> tuple[np.ndarray, np.n
     return theta, roots, np.array(cells, dtype=np.int64), n
 
 
-def _whole_panel_sum(vals: np.ndarray, cells: np.ndarray, n: int, k: int) -> np.ndarray:
-    """y_t = sum over the whole-panel nodes of e^{-2 pi i t theta_q} vals_q for t < k, as (k, cols).
+def _whole_panel_sum(cells: np.ndarray, n: int, k: int):
+    """The map vals -> y_t = sum over the whole-panel nodes of e^{-2 pi i t theta_q} vals_q, t < k, as (k, cols).
 
     vals holds _GL_ORDER rows per cell, in the order of `cells`.  With t = b n + r,
     y_t = sum_j e^{-2 pi i b n delta_j} e^{-2 pi i r delta_j} S[r, j], where
     S[r] = sum_c e^{-2 pi i r c / n} vals_c: k _GL_ORDER products per column.
+    The twiddled S is laid out node-major, (j, r, cols), so one product with
+    the block phases gives y as (b, r, cols), which is time-major already.
+    The cell-Fourier, twiddle and block-phase tables are built here, once, and
+    every call of the map shares them.
     """
     x, _ = _gauss_legendre()
-    cols = vals.shape[1]
     r = np.arange(n)
     fourier = np.exp(-2j * np.pi * (np.outer(r, cells) % n) / n)  # (n, cells)
-    s = (fourier @ vals.reshape(len(cells), _GL_ORDER * cols)).reshape(n, _GL_ORDER, cols)
-    s *= np.exp(-1j * np.pi * np.outer(r, 1 + x) / n)[:, :, None]  # e^{-2 pi i r delta_j}
+    twiddle = np.exp(-1j * np.pi * np.outer(1 + x, r) / n)[:, :, None]  # e^{-2 pi i r delta_j} as (j, r, 1)
     blocks = -(-k // n)
-    y = np.exp(-1j * np.pi * np.outer(np.arange(blocks), 1 + x)) @ s  # (n, blocks, cols)
-    return y.transpose(1, 0, 2).reshape(blocks * n, cols)[:k]
+    block_phase = np.exp(-1j * np.pi * np.outer(np.arange(blocks), 1 + x))
+
+    def panel_sum(vals: np.ndarray) -> np.ndarray:
+        cols = vals.shape[1]
+        s = (fourier @ vals.reshape(len(cells), _GL_ORDER * cols)).reshape(n, _GL_ORDER, cols)
+        s = np.multiply(s.transpose(1, 0, 2), twiddle, out=np.empty((_GL_ORDER, n, cols), complex))
+        return (block_phase @ s.reshape(_GL_ORDER, n * cols)).reshape(blocks * n, cols)[:k]
+
+    return panel_sum
 
 
 def _spectral_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) -> tuple[np.ndarray, float]:
@@ -242,38 +254,60 @@ def _spectral_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int)
     With complex normals z_q, E[z z^H] = 2 I and E[z z^T] = 0, the sum
     y_t = sum_q e^{-2 pi i t theta_q} A_q z_q has real and imaginary parts of
     covariance Re C_hat, uncorrelated when Im C_hat = 0, where
-    C_hat(tau) = sum_q e^{-2 pi i tau theta_q} A_q A_q^H.  The whole panels
-    are summed through the grid (_whole_panel_sum), the edge pieces and lines
-    in blocks of _ROW_BLOCK time rows from e^{-2 pi i (s + b) theta} =
-    e^{-2 pi i s theta} e^{-2 pi i b theta}; C_hat takes the same two sums.
-    The paths have the exact law when C_hat matches C(tau), imaginary part
-    included, to rounding.
+    C_hat(tau) = sum_q e^{-2 pi i tau theta_q} A_q A_q^H.  The paths have the
+    exact law when C_hat matches C(tau), imaginary part included, to rounding.
+
+    A chunk of paths takes ceil(paths / 2) complex draws from its one
+    derive_rng(seed, "spectral-paths", chunk) stream: the real parts are its
+    first paths, the imaginary parts the rest.  The draws run in slices whose
+    per-node arrays (normals, coloured normals, grid sums) take about
+    _SLICE_BYTES each; a slice continues the chunk's stream and never crosses
+    a chunk, so its normals are those of a whole-chunk draw.
+    Each slice's whole panels are summed through the grid (_whole_panel_sum)
+    and written straight into the output rows; only its coloured normals off
+    the whole panels (edge pieces and lines, a few hundred nodes) are kept.
+    Those are then added in blocks of _ROW_BLOCK time rows from
+    e^{-2 pi i (s + b) theta} = e^{-2 pi i s theta} e^{-2 pi i b theta},
+    over all draws at once; C_hat takes the same two sums.
     """
     L = acov.L
     theta, roots, cells, n = _spectral_quadrature(acov.model, k)
     nodes, whole = len(theta), _GL_ORDER * len(cells)
-    gram = (roots @ roots.conj().transpose(0, 2, 1)).reshape(nodes, L * L)
-    chunks = []  # (first path, end path, coloured normals A_q z_q off the whole panels, y as (k, draws * L))
+    panel_sum = _whole_panel_sum(cells, n, k)
+    per_slice = max(1, _SLICE_BYTES // (16 * L * max(nodes, n * _GL_ORDER)))  # the grid sum spans n panels
+    out = np.empty((paths, k, L))
+    chunks = []  # (real-part rows, imaginary-part rows, coloured normals off the whole panels)
     for chunk, start in enumerate(range(0, paths, _PATH_CHUNK)):
         stop = min(start + _PATH_CHUNK, paths)
-        z = derive_rng(seed, "spectral-paths", chunk).standard_normal(((stop - start + 1) // 2, nodes, 2 * L))
-        u = (roots @ z.view(complex).transpose(1, 2, 0)).transpose(0, 2, 1).reshape(nodes, len(z) * L)
-        chunks.append((start, stop, u[whole:], _whole_panel_sum(u[:whole], cells, n, k)))
-    c_hat = _whole_panel_sum(gram[:whole], cells, n, k)
+        draws = (stop - start + 1) // 2
+        real, imag = out[start:start + draws], out[start + draws:stop]
+        rng = derive_rng(seed, "spectral-paths", chunk)
+        edges = []
+        for a in range(0, draws, per_slice):
+            b = min(a + per_slice, draws)
+            z = rng.standard_normal((b - a, nodes, 2 * L)).view(complex).transpose(1, 0, 2)  # (nodes, draws, L)
+            u = z[:, :, :1] * roots[:, None, :, 0]  # A_q z_q, one column of A_q at a time: no tiny matmuls
+            for j in range(1, L):
+                u += z[:, :, j:j + 1] * roots[:, None, :, j]
+            del z  # the normals end with the colouring
+            u = u.reshape(nodes, (b - a) * L)
+            edges.append(u[whole:].copy())
+            y = panel_sum(u[:whole]).reshape(k, b - a, L).transpose(1, 0, 2)  # (draws, k, L)
+            real[a:b] = y.real
+            imag[a:b] = y[: len(imag) - a].imag
+        chunks.append((real, imag, np.concatenate(edges, axis=1)))
+    gram = (roots @ roots.conj().transpose(0, 2, 1)).reshape(nodes, L * L)
+    c_hat = panel_sum(gram[:whole])
     theta, gram = theta[whole:], gram[whole:]
     inner = np.exp(-2j * np.pi * np.arange(min(_ROW_BLOCK, k))[:, None] * theta)
-    for row in range(0, k, _ROW_BLOCK):
+    for row in range(0, k if len(theta) else 0, _ROW_BLOCK):  # no edge pieces or lines: nothing to add
         phases = np.exp(-2j * np.pi * row * theta) * inner[: k - row]
         rows = slice(row, row + len(phases))
         c_hat[rows] += phases @ gram
-        for _, _, u, y in chunks:
-            y[rows] += phases @ u
-    out = np.empty((paths, k, L))
-    for start, stop, _, y in chunks:
-        y = y.reshape(k, -1, L).transpose(1, 0, 2)  # (draws, k, L)
-        half = len(y)
-        out[start:start + half] = y.real
-        out[start + half:stop] = y[: stop - start - half].imag
+        for real, imag, u in chunks:
+            y = (phases @ u).reshape(len(phases), -1, L).transpose(1, 0, 2)  # (draws, rows, L)
+            real[:, rows] += y.real
+            imag[:, rows] += y[: len(imag)].imag
     out += acov.mean
     return out, float(np.abs(c_hat - acov.matrices[:k].reshape(k, L * L)).max())
 
@@ -312,8 +346,11 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
 
     Deterministic given (acov, k, paths, seed); paths are generated in fixed
     chunks with per-chunk sub-streams, so chunk order (and hence parallel
-    generation) cannot change the result.  A dense chunk's product with the
-    factor and its mean are written in place into the output rows.
+    generation) cannot change the result.  The quadrature draws a chunk in
+    slices of consecutive draws from its stream; a slice never crosses a
+    chunk, and its sums are written straight into the output rows.  A dense
+    chunk's product with the factor and its mean are written in place into
+    the output rows.
     """
     L = acov.L
     if k < 1:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import norm
 
-from gaussdim import entropy
+from gaussdim import entropy, simulate
 from gaussdim.benchmarks import MODELS, ar1, correlated_pair, narrowband, white_noise, zero_process
 from gaussdim.entropy import (
     DegenerateCovarianceError,
@@ -115,7 +115,7 @@ class TestCellCounts:
     @settings(max_examples=100, deadline=None)
     def test_prefix_keys_match_row_unique_per_prefix(self, codes, step):
         codes = np.tile(codes, (1, step))  # column count a multiple of step
-        keys = list(packed_keys(codes, step))
+        keys = list(packed_keys(np.hsplit(codes, codes.shape[1] // step)))
         assert len(keys) == codes.shape[1] // step
         for j, key in enumerate(keys, start=1):
             counts = np.unique(key, return_counts=True)[1]
@@ -181,6 +181,23 @@ class TestQuadratureOracle:
         p = norm.cdf(z + 1.0, loc=0.5) - norm.cdf(z, loc=0.5)
         h = float(-(p[p > 0] * np.log(p[p > 0])).sum())
         assert est.value == pytest.approx(h, abs=1e-10)
+
+    def test_one_gauss_legendre_rule_per_order(self, monkeypatch):
+        """Repeated oracle calls compute the 32-node rule once, read-only, and give equal values."""
+        calls = []
+        real = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or real(n))
+        simulate._gauss_legendre.cache_clear()
+        try:
+            values = [exact_cell_entropy(ar1(0.6), 2, 4).value for _ in range(3)]
+            xs, ws = simulate._gauss_legendre(entropy.QUAD_NODES)
+        finally:
+            simulate._gauss_legendre.cache_clear()
+        assert calls == [entropy.QUAD_NODES]
+        assert values[0] == values[1] == values[2]
+        ref_xs, ref_ws = real(entropy.QUAD_NODES)
+        assert np.array_equal(xs, ref_xs) and np.array_equal(ws, ref_ws)
+        assert not (xs.flags.writeable or ws.flags.writeable)
 
     def test_block_limit_enforced(self):
         with pytest.raises(QuadratureFeasibilityError):

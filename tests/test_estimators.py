@@ -88,6 +88,28 @@ class TestSlopeEstimator:
                 expected = k
             assert _choose_k(samples, m_max) == expected
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_choose_k_range_checks_beyond_the_chosen_k(self, value):
+        acov = autocovariance_from_spectrum(white_noise(), K_CAP - 1)
+        samples = sample_paths(acov, K_CAP, 20_000, seed=9).samples
+        assert _choose_k(samples, 64) < K_CAP
+        samples[5, K_CAP - 1, 0] = value  # a step the guard never quantizes
+        with pytest.raises(PrecisionOverflowError):
+            _choose_k(samples, 64)
+
+    def test_entropy_slope_peak_is_the_draw(self):
+        """The block-length guard quantizes one step's columns at a time: at
+        100 000 paths of correlated_pair the peak is the dense draw's (about
+        12 MiB), not a whole-batch float and int64 copy on top of the paths."""
+        idr_slope_estimate(correlated_pair(), paths=100_000, seed=7)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            idr_slope_estimate(correlated_pair(), paths=100_000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 2**20, f"entropy-slope peak {peak / 2**20:.1f} MiB"
+
 
 class TestSurrogateEstimator:
     def test_white_noise(self):

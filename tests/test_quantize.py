@@ -19,7 +19,7 @@ from gaussdim.quantize import (
     quantize,
     spectrum_identity_check,
 )
-from gaussdim.simulate import autocovariance_from_spectrum, sample_paths, welch_psd
+from gaussdim.simulate import InsufficientDataError, autocovariance_from_spectrum, sample_paths, welch_psd
 
 
 def _as_batch(values):
@@ -309,6 +309,13 @@ class TestSpectrumIdentity:
         finally:
             tracemalloc.stop()
         assert peak < 14 * 2**20, f"identity check peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("nperseg", [1024, 256], ids=["one-segment", "four-segments"])
+    def test_one_path_raises(self, nperseg):
+        # the path-based standard error needs two paths, however many segments the one path has
+        x = np.random.default_rng(1).standard_normal((1, 1024, 1))
+        with pytest.raises(InsufficientDataError):
+            spectrum_identity_check(x, [8], nperseg=nperseg)
 
     def test_requires_unit_variance(self, white_batch):
         with pytest.raises(UnitVarianceRequiredError):

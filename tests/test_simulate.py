@@ -356,6 +356,59 @@ def _direct_spectral_sum(theta, roots, k, paths, seed):
     return out, c_hat
 
 
+def _one_shot_spectral_paths(acov, k, paths, seed):
+    """Reference spectral draw: the whole-chunk draw that slices replace.  Each
+    chunk's normals are drawn, coloured and panel-summed at once, and the edge
+    pieces and lines are added to the complex sums before the real and
+    imaginary parts are taken."""
+    L = acov.L
+    theta, roots, cells, n = simulate._spectral_quadrature(acov.model, k)
+    nodes, whole = len(theta), simulate._GL_ORDER * len(cells)
+    x, _ = simulate._gauss_legendre()
+    r = np.arange(n)
+    fourier = np.exp(-2j * np.pi * (np.outer(r, cells) % n) / n)
+    twiddle = np.exp(-1j * np.pi * np.outer(r, 1 + x) / n)[:, :, None]
+    blocks = -(-k // n)
+    block_phase = np.exp(-1j * np.pi * np.outer(np.arange(blocks), 1 + x))
+
+    def panel_sum(vals):
+        cols = vals.shape[1]
+        s = (fourier @ vals.reshape(len(cells), simulate._GL_ORDER * cols)).reshape(n, simulate._GL_ORDER, cols)
+        s *= twiddle
+        return (block_phase @ s).transpose(1, 0, 2).reshape(blocks * n, cols)[:k]
+
+    gram = (roots @ roots.conj().transpose(0, 2, 1)).reshape(nodes, L * L)
+    chunks = []
+    for chunk, start in enumerate(range(0, paths, simulate._PATH_CHUNK)):
+        stop = min(start + simulate._PATH_CHUNK, paths)
+        z = derive_rng(seed, "spectral-paths", chunk).standard_normal(((stop - start + 1) // 2, nodes, 2 * L))
+        u = (roots @ z.view(complex).transpose(1, 2, 0)).transpose(0, 2, 1).reshape(nodes, len(z) * L)
+        chunks.append((start, stop, u[whole:], panel_sum(u[:whole])))
+    c_hat = panel_sum(gram[:whole])
+    theta, gram = theta[whole:], gram[whole:]
+    inner = np.exp(-2j * np.pi * np.arange(min(64, k))[:, None] * theta)
+    for row in range(0, k, 64):
+        phases = np.exp(-2j * np.pi * row * theta) * inner[: k - row]
+        rows = slice(row, row + len(phases))
+        c_hat[rows] += phases @ gram
+        for _, _, u, y in chunks:
+            y[rows] += phases @ u
+    out = np.empty((paths, k, L))
+    for start, stop, _, y in chunks:
+        y = y.reshape(k, -1, L).transpose(1, 0, 2)
+        half = len(y)
+        out[start:start + half] = y.real
+        out[start + half:stop] = y[: stop - start - half].imag
+    out += acov.mean
+    return out, float(np.abs(c_hat - acov.matrices[:k].reshape(k, L * L)).max())
+
+
+def _slice_bytes(model, k, draws):
+    """The _SLICE_BYTES budget that draws `draws` complex draws per slice of this law at k."""
+    theta, _, _, n = simulate._spectral_quadrature(model, k)
+    return draws * 16 * model.L * max(len(theta), n * simulate._GL_ORDER)
+
+
 # Band layouts for the panel-grid cut, each as n -> [(lo, hi, level)] with exact
 # fractional edges, and the line frequencies added to the model.
 _CUT_CASES = {
@@ -475,7 +528,7 @@ class TestSpectralRoute:
             assert np.abs(out - acov.mean - ref).max() <= 1e-12 * np.abs(ref).max(), k
             scale = np.abs(acov.matrices[0]).max()
             gram = (roots @ roots.conj().transpose(0, 2, 1)).reshape(len(theta), -1)
-            grid_c_hat = simulate._whole_panel_sum(gram[:whole], cells, n, k)
+            grid_c_hat = simulate._whole_panel_sum(cells, n, k)(gram[:whole])
             _, whole_c_hat = _direct_spectral_sum(theta[:whole], roots[:whole], k, 1, seed=3)
             assert np.abs(grid_c_hat - whole_c_hat).max() <= 1e-12 * scale, k
             ref_residual = np.abs(ref_c_hat - acov.matrices[:k].reshape(k, -1)).max()
@@ -523,7 +576,58 @@ class TestSpectralRoute:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32e6, peak
+        assert peak <= 10 * 2**20, peak
+
+    @pytest.mark.parametrize("name", ["white_noise", "correlated_pair"])
+    def test_traced_peak_is_a_slice_not_the_batch(self, name):
+        """100 paths of 4096 samples: the draw's working set is a slice, so the
+        peak stays near the 3.1 MiB of paths (the whole-chunk draw reads 26-27 MiB)."""
+        model = MODELS[name][0]()
+        k = 4096 // model.L
+        acov = autocovariance_from_spectrum(model, k - 1)
+        simulate._spectral_paths(acov, k, 100, seed=7)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            simulate._spectral_paths(acov, k, 100, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20, f"draw peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("draws", [1, 3, None], ids=["slice-1", "slice-3", "slice-default"])
+    @pytest.mark.parametrize(
+        "name", ["narrowband_0p4", "line_process", "matched_support_nonproper", "correlated_pair", "ar1_0p6"]
+    )
+    def test_slices_equal_the_one_shot_draw(self, name, draws, monkeypatch):
+        model = MODELS[name][0]()
+        k = 600
+        acov = autocovariance_from_spectrum(model, k - 1)
+        if draws is not None:
+            monkeypatch.setattr(simulate, "_SLICE_BYTES", _slice_bytes(model, k, draws))
+        scale = np.abs(acov.matrices[0]).max()
+        for paths in (1, 7, 9, 100):
+            ref, ref_residual = _one_shot_spectral_paths(acov, k, paths, seed=11)
+            out, residual = simulate._spectral_paths(acov, k, paths, seed=11)
+            assert out.shape == ref.shape == (paths, k, model.L)
+            assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max(), paths
+            assert abs(residual - ref_residual) <= 1e-15 * scale, paths
+
+    def test_small_slices_keep_the_draw_order(self, monkeypatch):
+        """With slices of 1 or 2 draws the real parts still come first, then the
+        imaginary parts, and a slice never crosses a chunk."""
+        acov = autocovariance_from_spectrum(narrowband(0.4), 599)
+        monkeypatch.setattr(simulate, "_SLICE_BYTES", 1)  # one draw per slice
+        odd = sample_paths(acov, 600, 7, seed=42).samples
+        even = sample_paths(acov, 600, 8, seed=42).samples
+        assert np.array_equal(odd, np.concatenate([even[:4], even[4:7]]))
+        monkeypatch.setattr(simulate, "_SLICE_BYTES", _slice_bytes(narrowband(0.4), 600, 2))
+        # the same draws; the grid sums of 2 columns may round apart from those of 1
+        assert np.abs(sample_paths(acov, 600, 7, seed=42).samples - odd).max() <= 1e-13 * np.abs(odd).max()
+        monkeypatch.setattr(simulate, "_PATH_CHUNK", 6)  # chunks of 3 draws: slices of 2 and 1
+        chunked = sample_paths(acov, 600, 9, seed=42).samples
+        assert np.array_equal(chunked[:6], sample_paths(acov, 600, 6, seed=42).samples)
+        ref, _ = _one_shot_spectral_paths(acov, 600, 9, seed=42)
+        assert np.abs(chunked - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_deterministic_by_seed_and_chunk(self, monkeypatch):
         acov = autocovariance_from_spectrum(narrowband(0.4), 599)
