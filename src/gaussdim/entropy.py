@@ -7,7 +7,9 @@ and a constant sd, so each cell's mass is a normal-CDF difference on the last
 axis integrated over the first d-1 axes by tensor-product Gauss-Legendre
 quadrature (Genz 1992); the density is analytic inside a cell, so 32 nodes
 per axis are far beyond what the tolerances need.  Feasible for blocks of
-total dimension k*L <= 3.  SciPy's normal CDF is imported on first use.
+total dimension k*L <= 3.  The normal tail is a NumPy port of the Cephes
+ndtr/erf/erfc rational approximations (Moshier 1989), so the module needs
+NumPy only.
 """
 
 from __future__ import annotations
@@ -24,6 +26,25 @@ QUAD_NODES = 32
 _BUDGET_NODES = 2.5e9
 _CHUNK_TARGET = 3.0e7
 _KEY_LIMIT = 2**62  # packed cell keys stay below this span
+_TAIL_BLOCK = 2**15  # elements per block of _normal_tail's temporaries
+
+# Cephes ndtr.c coefficients (Moshier 1989), highest degree first; _polevl
+# implies the leading 1 of Q, S and U.
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2  # log of the largest double
 
 
 class QuadratureFeasibilityError(ValueError):
@@ -194,6 +215,60 @@ def _gl_nodes(los: np.ndarray, his: np.ndarray, m: int):
     return nodes, np.prod(ws[q] / (2.0 * m), axis=1)
 
 
+def _polevl(x: np.ndarray, coefs, monic: bool = False) -> np.ndarray:
+    """Horner's rule in Cephes' order: polevl, or p1evl when monic (leading 1 implied)."""
+    y = x + coefs[0] if monic else np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def _normal_tail(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Phi(-|u|) = erfc(|u|/sqrt 2)/2, the standard normal mass beyond |u|.
+
+    Cephes ndtr at -|u| (Moshier 1989), with its branch points in z = |u|/sqrt 2:
+    1/2 - erf(z)/2 below 1/sqrt 2 and (1 - erf(z))/2 below 1, with erf(z) =
+    z T(z^2)/U(z^2); then exp(-z^2) P(z)/Q(z)/2 below 8 and exp(-z^2) R(z)/S(z)/2
+    beyond, and 0 once z^2 > MAXLOG.  NaN stays NaN.  out may alias u and must
+    be C-contiguous.  Temporaries are per block of _TAIL_BLOCK elements, so a
+    call adds at most about 1.5 MiB however large u is.
+    """
+    u = np.asarray(u, dtype=float)
+    if out is None:
+        out = np.empty(u.shape)
+    if out.shape != u.shape or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous array of u's shape")
+    src, dst = u.reshape(-1), out.reshape(-1)
+    for start in range(0, src.size, _TAIL_BLOCK):
+        z = np.abs(src[start:start + _TAIL_BLOCK])
+        z *= np.sqrt(0.5)
+        y = dst[start:start + _TAIL_BLOCK]
+        y.fill(0.0)  # beyond the underflow edge
+        np.copyto(y, z, where=np.isnan(z))
+        # between 1/sqrt 2 and 1 both 1 - erf and 1/2 - erf/2 are exact (Sterbenz),
+        # so 1/2 - erf/2 is Cephes' value on both branches below 1
+        near = z < 1.0
+        zn = z[near]
+        w = zn * zn
+        tail = _polevl(w, _ERF_T)
+        tail *= zn
+        tail /= _polevl(w, _ERF_U, monic=True)
+        tail *= -0.5
+        tail += 0.5
+        y[near] = tail
+        for far, num, den in (((z >= 1.0) & (z < 8.0), _ERFC_P, _ERFC_Q),
+                              ((z >= 8.0) & (z * z <= _MAXLOG), _ERFC_R, _ERFC_S)):
+            zf = z[far]
+            tail = zf * zf
+            np.exp(np.negative(tail, out=tail), out=tail)
+            tail *= _polevl(zf, num)
+            tail /= _polevl(zf, den, monic=True)
+            tail *= 0.5
+            y[far] = tail
+    return out
+
+
 def _cell_probability_grid(mu: np.ndarray, cov: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Cells (ncells, d) in row-major order and their probabilities, for a
     nondegenerate Gaussian of dimension <= 3.
@@ -201,10 +276,9 @@ def _cell_probability_grid(mu: np.ndarray, cov: np.ndarray, m: int) -> tuple[np.
     The first d-1 (head) axes are integrated by Gauss-Legendre quadrature.
     Given a head point x the last axis is normal with mean
     mu_d + beta.(x - mu_h), beta = cov_hh^-1 cov_hd, and a constant
-    conditional sd, so its cell masses are normal-CDF differences (Genz 1992).
+    conditional sd, so its cell masses are normal-CDF differences (Genz 1992),
+    each normal tail from _normal_tail, the Cephes port (Moshier 1989).
     """
-    from scipy.special import ndtr
-
     eig = np.linalg.eigvalsh(cov)
     if eig.min() <= 1e-10 * max(eig.max(), 1e-300):
         raise DegenerateCovarianceError(
@@ -236,7 +310,7 @@ def _cell_probability_grid(mu: np.ndarray, cov: np.ndarray, m: int) -> tuple[np.
         above = t >= 0.0
         # Phi(t) - [t >= 0] from the tail beyond each edge, so a cell on one side
         # of the mean is a difference of two tails and loses no digits to 1 - tail
-        tail = ndtr(np.negative(np.abs(t, out=t), out=t), out=t)
+        tail = _normal_tail(t, out=t)
         np.negative(tail, out=tail, where=above)
         mass = np.diff(tail, axis=-1)
         mass += np.diff(above, axis=-1)

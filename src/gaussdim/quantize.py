@@ -224,4 +224,5 @@ def spectrum_identity_check(data, ms, nperseg: int = 256) -> list[SpectrumIdenti
                 sample_variance=sample_var,
             )
         )
+        del zc, sn  # free m's error and its segments before the next m quantizes
     return reports

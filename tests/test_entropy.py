@@ -6,6 +6,8 @@ probabilities in one dimension and against large-sample plug-in estimates in
 higher dimension.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from gaussdim.entropy import (
     plugin_entropy,
 )
 from gaussdim.estimators import gaussian_surrogate_kl
+from gaussdim.experiments import KL_M_LADDER
 from gaussdim.quantize import quantize
 from gaussdim.simulate import autocovariance_from_spectrum, sample_paths
 from gaussdim.spectral import Band, SpectralModel
@@ -314,3 +317,93 @@ class TestOracleRegression:
     @pytest.mark.parametrize("name,block_len,m,kl", ORACLE_KL)
     def test_surrogate_kl(self, name, block_len, m, kl):
         assert abs(gaussian_surrogate_kl(MODELS[name][0](), block_len, m).kl - kl) <= 1e-12
+
+
+def _ulps(a, b):
+    """Distance in units in the last place between nonnegative doubles."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def _scipy_tail(u, out=None):
+    """Phi(-|u|) by scipy.special.ndtr, in _normal_tail's call form."""
+    ndtr = pytest.importorskip("scipy.special").ndtr
+    return ndtr(np.negative(np.abs(u)), out=out)
+
+
+class TestNormalTail:
+    """entropy._normal_tail, the Cephes port, against scipy.special.ndtr."""
+
+    def test_within_4_ulp_of_scipy_across_every_branch(self):
+        ndtr = pytest.importorskip("scipy.special").ndtr
+        # z = u / sqrt 2 crosses 1/sqrt 2, 1 and 8, then the underflow edge z^2 = MAXLOG (u ~ 37.68)
+        edges = np.array([1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), np.sqrt(2.0 * entropy._MAXLOG)])
+        around = edges[:, None] + np.linspace(-1e-6, 1e-6, 2001)
+        u = np.concatenate([
+            np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf), around.ravel(),
+            np.linspace(0.0, 40.0, 400_001), [0.0, -0.0, np.inf],
+        ])
+        got, ref = entropy._normal_tail(u), ndtr(-u)
+        assert _ulps(got, ref).max() <= 4
+        assert got[-3:].tolist() == [0.5, 0.5, 0.0]
+        assert np.all(got[u > 37.68] == 0.0) and np.all(got[u < 37.67] > 0.0)
+
+    def test_nan_stays_nan_and_sign_is_ignored(self):
+        u = np.array([np.nan, -np.nan, 1.5, -1.5, -0.0])
+        got = entropy._normal_tail(u)
+        assert np.isnan(got[:2]).all()
+        assert got[2] == got[3] and got[4] == 0.5
+
+    def test_out_may_alias_the_input(self):
+        u = np.random.default_rng(2).normal(scale=12.0, size=(3, 70_001))  # several blocks and a partial one
+        fresh = entropy._normal_tail(u)
+        aliased = u.copy()
+        assert entropy._normal_tail(aliased, out=aliased) is aliased
+        assert np.array_equal(aliased, fresh)
+        assert _ulps(fresh, _scipy_tail(u)).max() <= 4
+
+    def test_out_must_be_contiguous(self):
+        u = np.zeros((4, 6))
+        with pytest.raises(ValueError):
+            entropy._normal_tail(u, out=np.zeros((6, 4)).T)
+
+    @pytest.mark.parametrize("scale", [0.5, 5.0, 20.0], ids=["erf", "erfc", "underflow"])
+    def test_in_place_peak_is_the_input(self, scale):
+        tracemalloc.start()
+        try:
+            u = np.random.default_rng(3).normal(scale=scale, size=1_000_000)
+            entropy._normal_tail(u, out=u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= u.nbytes + 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+class TestOracleWithScipyTail:
+    """The oracle on SciPy's ndtr and on the NumPy tail agree far inside the 1e-12 regression pins."""
+
+    @pytest.mark.parametrize(
+        "name,k,m,shift",
+        [("white_noise", 1, 4, None), ("ar1_0p6", 1, 4, 10.0), ("ar1_0p6", 2, 4, None),
+         ("narrowband_0p4", 2, 2, 0.37), ("correlated_pair", 1, 4, None),
+         ("independent_halfband_pair", 1, 2, None), ("ar1_0p6", 3, 1, None), ("narrowband_0p4", 3, 1, None)],
+    )
+    def test_cell_entropy(self, monkeypatch, name, k, m, shift):
+        model = MODELS[name][0]()
+        shift = None if shift is None else [shift] * model.L
+        ours = exact_cell_entropy(model, k, m, shift)
+        monkeypatch.setattr(entropy, "_normal_tail", _scipy_tail)
+        ref = exact_cell_entropy(model, k, m, shift)
+        assert abs(ours.value - ref.value) <= 1e-13
+        assert abs(ours.error - ref.error) <= 1e-15
+        assert ours.occupied == ref.occupied
+
+    @pytest.mark.parametrize("name", ["white_noise", "ar1_0p6"])
+    def test_surrogate_kl(self, monkeypatch, name):
+        model = MODELS[name][0]()
+        ours = [gaussian_surrogate_kl(model, 1, m) for m in KL_M_LADDER]
+        monkeypatch.setattr(entropy, "_normal_tail", _scipy_tail)
+        for m, rep in zip(KL_M_LADDER, ours):
+            ref = gaussian_surrogate_kl(model, 1, m)
+            assert abs(rep.kl - ref.kl) <= 1e-13, m
+            assert abs(rep.mass_deficit - ref.mass_deficit) <= 1e-15, m
+            assert rep.passed == ref.passed, m

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussdim.benchmarks import correlated_pair, line_process, white_noise
+from gaussdim.experiments import IDENTITY_M
 from gaussdim.quantize import (
     PrecisionOverflowError,
     UnitVarianceRequiredError,
@@ -300,15 +301,22 @@ class TestSpectrumIdentity:
             assert (rep.mean_ok, rep.noise_ok) == (ref["mean_ok"], ref["noise_ok"]), m
 
     def test_bivariate_check_peak(self):
+        """Each precision's error and segments are freed before the next m quantizes,
+        so the ladder peaks at its first m (9.0 MiB; 11.8 while they stayed live),
+        with the values of one m at a time."""
         batch = _identity_batch(correlated_pair)
-        spectrum_identity_check(batch, (1, 8))  # warm caches outside the trace
+        spectrum_identity_check(batch, IDENTITY_M)  # warm caches outside the trace
         tracemalloc.start()
         try:
-            spectrum_identity_check(batch, (1, 8))
+            reports = spectrum_identity_check(batch, IDENTITY_M)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 14 * 2**20, f"identity check peak {peak / 2**20:.1f} MiB"
+        assert peak <= 9.5 * 2**20, f"identity check peak {peak / 2**20:.1f} MiB"
+        for m, rep in zip(IDENTITY_M, reports, strict=True):
+            (alone,) = spectrum_identity_check(batch, [m])
+            for field in dataclasses.fields(rep):
+                assert np.array_equal(getattr(rep, field.name), getattr(alone, field.name)), (m, field.name)
 
     @pytest.mark.parametrize("nperseg", [1024, 256], ids=["one-segment", "four-segments"])
     def test_one_path_raises(self, nperseg):

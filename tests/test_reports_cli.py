@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import gaussdim
-from gaussdim.benchmarks import ar1, narrowband, proper_complex_flat, white_noise
+from gaussdim.benchmarks import ar1, correlated_pair, narrowband, proper_complex_flat, white_noise
 from gaussdim.cli import _build_parser, _raw_config, main
 from gaussdim.experiments import COMMON_FIELDS, TASKS, ConfigError, ExperimentConfig, run
 from gaussdim.modelio import (
@@ -270,34 +270,45 @@ class TestRunTasks:
             assert r.tolerance > max(r.settings["gain_bound"])
             assert (abs(1.0 - r.value) <= r.tolerance) == r.passed, r.settings["m"]
 
-    def test_estimate_and_verify_load_no_scipy_linalg(self, tmp_path):
-        """`estimate` loads no SciPy at all; `verify` loads only scipy.special,
-        for the exact cell oracle's normal CDF."""
+    def test_no_task_loads_scipy(self, tmp_path):
+        """The runtime is NumPy only: no CLI task, the quadrature oracles of `verify`
+        included, imports any scipy module."""
+        white = save_model(white_noise(), tmp_path / "white.json")
+        pair = save_model(correlated_pair(), tmp_path / "pair.json")
+        est = tmp_path / "estimate.json"
+        est.write_text(json.dumps({"seed": 3, "paths": 20_000, "surrogate_paths": 24, "surrogate_k": 2048}))
+        small = ["--seed", "3", "--m-ladder", "2,4", "--paths", "2000"]
+        runs = {
+            "analyze": ["analyze", str(white)],
+            "rd": ["rd", str(white)],
+            "complex": ["complex", str(pair)],
+            "estimate": ["estimate", str(pair), "--config", str(est)],
+            "verify-white": ["verify", str(white), *small],  # d = 1 KL and translation oracles
+            "verify-pair": ["verify", str(pair), *small],  # the d = 2 translation oracle
+        }
+        runs = {name: [*argv, "--out", str(tmp_path / f"{name}.json")] for name, argv in runs.items()}
         code = (
             "import json, sys\n"
-            "from gaussdim.benchmarks import MODELS\n"
-            "from gaussdim.experiments import run\n"
-            "from gaussdim.modelio import model_to_document\n"
-            "task, name, extra = json.loads(sys.argv[1])\n"
-            "run(dict(extra, task=task, seed=3, model=model_to_document(MODELS[name][0]())))\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+            "from gaussdim.cli import main\n"
+            "loaded = {}\n"
+            "for name, argv in json.loads(sys.argv[1]).items():\n"
+            "    status = main(argv)\n"
+            "    loaded[name] = [status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]\n"
+            "print(json.dumps(loaded))\n"
         )
-        runs = [
-            ("estimate", "correlated_pair", {"paths": 20_000, "surrogate_paths": 24, "surrogate_k": 2048}),
-            ("verify", "white_noise", {"m_ladder": [2, 4], "verify_paths": 2000}),
-        ]
         src = str(Path(gaussdim.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        loaded = {}
-        for run_args in runs:
-            out = subprocess.run(
-                [sys.executable, "-c", code, json.dumps(run_args)],
-                env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
-            )
-            loaded[run_args[0]] = set(json.loads(out.stdout.strip().splitlines()[-1]))
-        assert loaded["estimate"] == set()
-        assert "scipy.special" in loaded["verify"]
-        assert not any(m.split(".")[:2] == ["scipy", "linalg"] for m in loaded["verify"])
+        out = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(runs)],
+            env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
+        )
+        loaded = json.loads(out.stdout.strip().splitlines()[-1])
+        assert loaded == {name: [0, []] for name in runs}
+        oracles = {"verify-white": {"translation_entropy_bound", "gaussian_surrogate_kl"},
+                   "verify-pair": {"translation_entropy_bound"}}
+        for name, expected in oracles.items():
+            rows = json.loads((tmp_path / f"{name}.json").read_text())["reports"]
+            assert {r["quantity"] for r in rows if r["method"] == "quadrature-oracle"} == expected, name
 
     def test_verify_draws_each_batch_once(self, monkeypatch):
         import gaussdim.estimators as estimators

@@ -845,7 +845,7 @@ class TestWelch:
         assert np.abs(est.per_path - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_cli_import_and_analyze_leave_out_scipy(self, tmp_path):
-        """SciPy serves only the exact cell oracle's normal CDF, so it loads lazily."""
+        """Importing the CLI and running analyze load no SciPy."""
         code = (
             "import sys, gaussdim.cli\n"
             "from gaussdim.benchmarks import white_noise\n"
