@@ -1,11 +1,12 @@
 """Uniform floor quantization, the dither stream, and quantizer-gain diagnostics.
 
-The quantizer maps x to floor(m*x)/m, so the error n = x - floor(m*x)/m always
-lies in [0, 1/m); `dither_stream` draws the uniform dither on [0, 1/m) that
-the Gaussian surrogate adds.  The diagnostics estimate the linear-regression
-gain of the quantized process on its input and check the gain bound, the
-error-power bound, and the spectral decomposition identity that ties the
-quantized spectrum to the input and error spectra.  Their sums run on a
+`quantize` returns the floor codes floor(m*x) as float64; the quantized value
+is codes / m, so the error n = x - floor(m*x)/m always lies in [0, 1/m).
+`dither_stream` draws the uniform dither on [0, 1/m) that the Gaussian
+surrogate adds.  The diagnostics estimate the linear-regression gain of the
+quantized process on its input and check the gain bound, the error-power
+bound, and the spectral decomposition identity that ties the quantized
+spectrum to the input and error spectra.  Their sums run on a
 contiguous component-major (L, paths, k) copy of the samples, so each is one
 reduction over a contiguous trailing axis; over the time-major layout NumPy
 would reduce L elements per inner-loop call.  At L = 1 the copy is a view.
@@ -35,18 +36,6 @@ class UnitVarianceRequiredError(ValueError):
     """The spectral identity check applies to unit-variance components only."""
 
 
-@dataclass(frozen=True)
-class QuantizedPathBatch:
-    """Integer lattice codes floor(m * x); reconstruction is codes / m."""
-
-    codes: np.ndarray  # (paths, k, L) int64
-    m: int
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.codes / self.m
-
-
 def check_precision(arr: np.ndarray, m: int) -> None:
     """Raise PrecisionOverflowError unless |x| * m < 2^53 for every entry.
 
@@ -61,15 +50,18 @@ def check_precision(arr: np.ndarray, m: int) -> None:
         )
 
 
-def quantize(data, m: int) -> QuantizedPathBatch:
-    """Component-wise floor quantization with step 1/m."""
+def quantize(data, m: int) -> np.ndarray:
+    """Floor codes floor(m * x) of a batch or an array, as float64 of the samples' shape.
+
+    check_precision keeps |m * x| < 2^53, so every code is an exact integer;
+    divide by m for the quantized values, cast to int64 to pack keys.
+    """
     if m < 1 or int(m) != m:
         raise ValueError(f"precision m must be a positive integer, got {m}")
     arr = _extract(data)
     check_precision(arr, m)
-    scaled = m * arr
-    np.floor(scaled, out=scaled)  # in place: one float temporary, not two
-    return QuantizedPathBatch(scaled.astype(np.int64), int(m))
+    codes = m * arr
+    return np.floor(codes, out=codes)  # in place: one float temporary, not two
 
 
 def dither_stream(seed: int, m: int):
@@ -108,7 +100,7 @@ def bussgang_gain(data, m: int) -> BussgangReport:
     independent by construction.
     """
     xc = np.ascontiguousarray(np.moveaxis(_extract(data), -1, 0))
-    return _gain_report(xc, quantize(xc, m).values, m)
+    return _gain_report(xc, quantize(xc, m) / m, m)
 
 
 def _gain_report(xc: np.ndarray, zc: np.ndarray, m: int) -> BussgangReport:
@@ -178,16 +170,15 @@ def spectrum_identity_check(data, ms, nperseg: int = 256) -> list[SpectrumIdenti
     deterministic consequence of the error range).
 
     The unit-variance precondition is tested on the variances the law fixes
-    when data is a SamplePathBatch that carries them, and on the sample
-    variances otherwise: a random sinusoid's sample variance strays far from
-    its law's even at many paths.
+    when data is a SamplePathBatch, and on the sample variances otherwise: a
+    random sinusoid's sample variance strays far from its law's even at many
+    paths.
     """
     x = _extract(data)
     paths, k, L = x.shape
     xc = np.ascontiguousarray(np.moveaxis(x, -1, 0))  # (L, paths, k)
     sample_var = xc.reshape(L, -1).var(axis=1)
-    law = isinstance(data, SamplePathBatch) and data.variance is not None
-    var = data.variance if law else sample_var
+    var = data.variance if isinstance(data, SamplePathBatch) else sample_var
     if np.abs(var - 1.0).max() > 0.05:
         raise UnitVarianceRequiredError(
             f"component variances {var} are not all ~1; apply normalize_components first"
@@ -200,7 +191,8 @@ def spectrum_identity_check(data, ms, nperseg: int = 256) -> list[SpectrumIdenti
     px = np.einsum("lpst,lpst->p", sx, sx) * scale  # per path: frequency mean of tr P_x
     reports = []
     for m in ms:
-        zc = quantize(xc, m).values
+        zc = quantize(xc, m)
+        zc /= m
         gain = float(_gain_report(xc, zc, m).gain.mean())
         np.subtract(xc, zc, out=zc)  # zc now holds the error x - z
         sn, _ = welch_segments(zc, nperseg)

@@ -10,8 +10,8 @@ so sum over k time steps in k x 128 products per path, and one node per line.
 A model with rational terms also gets zero pieces in the gaps between its
 bands, so its panels tile [-1/2, 1/2).  Each node is coloured by a root of
 the model's total density there (band matrix plus rational terms), each line
-by a root of its power.  Its paths are drawn in slices of a few complex
-draws, so the draw's working set grows with a slice, not with the batch.
+by a root of its power.  Its paths come from one stream in slices of a few
+complex draws, so the draw's working set grows with a slice, not the batch.
 The quadrature is used only when its own covariance reproduces C(0..k-1)
 to rounding.  Otherwise the block-Toeplitz covariance is filled by one
 strided copy and Cholesky-factored, or, when that fails,
@@ -122,12 +122,11 @@ class SamplePathBatch:
     """Independent length-k sample paths: samples[r, t, i] is path r, time t, component i."""
 
     samples: np.ndarray  # (paths, k, L)
-    seed: int
     # The factor that ran, first that applied of: "spectral" (the quadrature
     # of the spectral measure, k*L > _EXACT_FACTOR_DIM and a sequence with
     # its model only), "cholesky", "eigh".
-    factor_method: str = "cholesky"
-    variance: np.ndarray | None = None  # (L,) diag C(0): the variances the law fixes
+    factor_method: str
+    variance: np.ndarray  # (L,) diag C(0): the variances the law fixes
 
     @property
     def paths(self) -> int:
@@ -257,12 +256,12 @@ def _spectral_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int)
     C_hat(tau) = sum_q e^{-2 pi i tau theta_q} A_q A_q^H.  The paths have the
     exact law when C_hat matches C(tau), imaginary part included, to rounding.
 
-    A chunk of paths takes ceil(paths / 2) complex draws from its one
-    derive_rng(seed, "spectral-paths", chunk) stream: the real parts are its
+    The paths take ceil(paths / 2) complex draws from the one
+    derive_rng(seed, "spectral-paths", 0) stream: the real parts are the
     first paths, the imaginary parts the rest.  The draws run in slices whose
     per-node arrays (normals, coloured normals, grid sums) take about
-    _SLICE_BYTES each; a slice continues the chunk's stream and never crosses
-    a chunk, so its normals are those of a whole-chunk draw.
+    _SLICE_BYTES each; a slice continues the stream, so its normals are those
+    of a whole-batch draw.
     Each slice's whole panels are summed through the grid (_whole_panel_sum)
     and written straight into the output rows; only its coloured normals off
     the whole panels (edge pieces and lines, a few hundred nodes) are kept.
@@ -276,26 +275,22 @@ def _spectral_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int)
     panel_sum = _whole_panel_sum(cells, n, k)
     per_slice = max(1, _SLICE_BYTES // (16 * L * max(nodes, n * _GL_ORDER)))  # the grid sum spans n panels
     out = np.empty((paths, k, L))
-    chunks = []  # (real-part rows, imaginary-part rows, coloured normals off the whole panels)
-    for chunk, start in enumerate(range(0, paths, _PATH_CHUNK)):
-        stop = min(start + _PATH_CHUNK, paths)
-        draws = (stop - start + 1) // 2
-        real, imag = out[start:start + draws], out[start + draws:stop]
-        rng = derive_rng(seed, "spectral-paths", chunk)
-        edges = []
-        for a in range(0, draws, per_slice):
-            b = min(a + per_slice, draws)
-            z = rng.standard_normal((b - a, nodes, 2 * L)).view(complex).transpose(1, 0, 2)  # (nodes, draws, L)
-            u = z[:, :, :1] * roots[:, None, :, 0]  # A_q z_q, one column of A_q at a time: no tiny matmuls
-            for j in range(1, L):
-                u += z[:, :, j:j + 1] * roots[:, None, :, j]
-            del z  # the normals end with the colouring
-            u = u.reshape(nodes, (b - a) * L)
-            edges.append(u[whole:].copy())
-            y = panel_sum(u[:whole]).reshape(k, b - a, L).transpose(1, 0, 2)  # (draws, k, L)
-            real[a:b] = y.real
-            imag[a:b] = y[: len(imag) - a].imag
-        chunks.append((real, imag, np.concatenate(edges, axis=1)))
+    draws = (paths + 1) // 2
+    real, imag = out[:draws], out[draws:]
+    rng = derive_rng(seed, "spectral-paths", 0)
+    edges = np.empty((nodes - whole, draws * L), complex)  # the coloured normals off the whole panels
+    for a in range(0, draws, per_slice):
+        b = min(a + per_slice, draws)
+        z = rng.standard_normal((b - a, nodes, 2 * L)).view(complex).transpose(1, 0, 2)  # (nodes, draws, L)
+        u = z[:, :, :1] * roots[:, None, :, 0]  # A_q z_q, one column of A_q at a time: no tiny matmuls
+        for j in range(1, L):
+            u += z[:, :, j:j + 1] * roots[:, None, :, j]
+        del z  # the normals end with the colouring
+        u = u.reshape(nodes, (b - a) * L)
+        edges[:, a * L:b * L] = u[whole:]
+        y = panel_sum(u[:whole]).reshape(k, b - a, L).transpose(1, 0, 2)  # (draws, k, L)
+        real[a:b] = y.real
+        imag[a:b] = y[: len(imag) - a].imag
     gram = (roots @ roots.conj().transpose(0, 2, 1)).reshape(nodes, L * L)
     c_hat = panel_sum(gram[:whole])
     theta, gram = theta[whole:], gram[whole:]
@@ -304,10 +299,9 @@ def _spectral_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int)
         phases = np.exp(-2j * np.pi * row * theta) * inner[: k - row]
         rows = slice(row, row + len(phases))
         c_hat[rows] += phases @ gram
-        for real, imag, u in chunks:
-            y = (phases @ u).reshape(len(phases), -1, L).transpose(1, 0, 2)  # (draws, rows, L)
-            real[:, rows] += y.real
-            imag[:, rows] += y[: len(imag)].imag
+        y = (phases @ edges).reshape(len(phases), -1, L).transpose(1, 0, 2)  # (draws, rows, L)
+        real[:, rows] += y.real
+        imag[:, rows] += y[: len(imag)].imag
     out += acov.mean
     return out, float(np.abs(c_hat - acov.matrices[:k].reshape(k, L * L)).max())
 
@@ -344,11 +338,11 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
     provided it reproduces C(0..k-1).  Otherwise the block-Toeplitz
     covariance is factored densely (see _psd_factor).
 
-    Deterministic given (acov, k, paths, seed); paths are generated in fixed
-    chunks with per-chunk sub-streams, so chunk order (and hence parallel
-    generation) cannot change the result.  The quadrature draws a chunk in
-    slices of consecutive draws from its stream; a slice never crosses a
-    chunk, and its sums are written straight into the output rows.  A dense
+    Deterministic given (acov, k, paths, seed).  The quadrature draws its
+    paths in slices of consecutive draws from one stream, and writes each
+    slice's sums straight into the output rows.  The dense route draws in
+    fixed chunks of _PATH_CHUNK paths with per-chunk sub-streams, so chunk
+    order (and hence parallel generation) cannot change the result; each
     chunk's product with the factor and its mean are written in place into
     the output rows.
     """
@@ -363,7 +357,7 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
     if k * L > _EXACT_FACTOR_DIM and acov.model is not None:
         out, residual = _spectral_paths(acov, k, paths, seed)
         if residual <= _QUADRATURE_TOL * np.abs(acov.matrices[0]).max():
-            return SamplePathBatch(out, seed, "spectral", variance)
+            return SamplePathBatch(out, "spectral", variance)
         del out  # free the paths before the dense factor allocates
     factor, method = _psd_factor(acov, k)
     mu = np.tile(acov.mean, k)
@@ -374,7 +368,7 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
         z = rng.standard_normal((stop - start, k * L))
         np.matmul(z, factor.T, out=out[start:stop])  # in place: no product or sum temporaries
         out[start:stop] += mu
-    return SamplePathBatch(out.reshape(paths, k, L), seed, method, variance)
+    return SamplePathBatch(out.reshape(paths, k, L), method, variance)
 
 
 @dataclass(frozen=True)

@@ -239,7 +239,7 @@ class TestOracleVsPlugin:
         oracle = exact_cell_entropy(model, k, m)
         acov = autocovariance_from_spectrum(model, max(k - 1, 0))
         batch = sample_paths(acov, k, paths, seed=41)
-        codes = quantize(batch, m).codes.reshape(paths, -1)
+        codes = quantize(batch, m).astype(np.int64).reshape(paths, -1)
         emp = plugin_entropy(codes)
         assert abs(emp.value - oracle.value) <= 5.0 * emp.error
 
@@ -249,7 +249,7 @@ class TestOracleVsPlugin:
         paths = 400_000
         acov = autocovariance_from_spectrum(model, 2)
         batch = sample_paths(acov, 3, paths, seed=43)
-        codes = quantize(batch, 1).codes.reshape(paths, -1)
+        codes = quantize(batch, 1).astype(np.int64).reshape(paths, -1)
         emp = plugin_entropy(codes)
         assert abs(emp.value - oracle.value) <= 5.0 * emp.error
 

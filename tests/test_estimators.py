@@ -9,6 +9,7 @@ import pytest
 from gaussdim.benchmarks import (
     ar1,
     correlated_pair,
+    delayed_copy,
     narrowband,
     white_noise,
     zero_process,
@@ -19,6 +20,7 @@ from gaussdim.estimators import (
     OCCUPANCY_FRACTION,
     SURROGATE_GROUPS,
     SURROGATE_M_LADDER,
+    SURROGATE_SEGMENT,
     UndersamplingError,
     _choose_k,
     _half_mean_logdet,
@@ -29,7 +31,8 @@ from gaussdim.estimators import (
     kl_cap_per_coordinate,
     surrogate_idr_estimate,
 )
-from gaussdim.experiments import ExperimentConfig
+from gaussdim.entropy import exact_cell_entropy
+from gaussdim.experiments import TOL_ESTIMATE, ExperimentConfig
 from gaussdim.quantize import PrecisionOverflowError, dither_stream, quantize
 from gaussdim.simulate import MAX_DENSE_DIM, autocovariance_from_spectrum, sample_paths, welch_psd
 from gaussdim.spectral import normalize_components, rank_integral
@@ -82,7 +85,7 @@ class TestSlopeEstimator:
         for m_max in (1, 2, 4, 64):
             expected = 1
             for k in range(1, K_CAP + 1):
-                codes = quantize(samples[:, :k, :], m_max).codes.reshape(paths, -1)
+                codes = quantize(samples[:, :k, :], m_max).reshape(paths, -1)
                 if len(np.unique(codes, axis=0)) > paths * OCCUPANCY_FRACTION:
                     break
                 expected = k
@@ -128,7 +131,7 @@ class TestSurrogateEstimator:
         """Quantizing an exactly-zero signal leaves only dither: the half
         log-det integral must fall like -log(12 m^2)/2 per component."""
         for m in (16, 64):
-            w = quantize(np.zeros((40, 2048, 1)), m).values + dither_stream(11, m)((40, 2048, 1))
+            w = quantize(np.zeros((40, 2048, 1)), m) / m + dither_stream(11, m)((40, 2048, 1))
             est = welch_psd(w, nperseg=1024)
             g = _half_mean_logdet(est.matrices, 0.01 / (12 * m * m))
             assert g == pytest.approx(-0.5 * np.log(12.0 * m * m), abs=0.02)
@@ -150,6 +153,22 @@ class TestSurrogateEstimator:
         est = surrogate_idr_estimate(line_process(theta=0.125, power=0.5), paths=60, k=2048, seed=20)
         assert abs(est.value) <= 0.05
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "rotating null space: the Hann lag window's autocorrelation rho(d) lifts "
+            "1 - rho(d) of the delayed copy's null direction above the m=64 and m=256 "
+            "dither floors, so at k=2048 (k*L capped at 4096) with 1024-sample segments "
+            "the surrogate reads 1.3198 (SE 4.4e-4) at seed 7 and 1.3208 at seed 11; "
+            "the expected-Welch closed form predicts 1.3177"
+        ),
+    )
+    def test_delayed_copy_rotating_null_space(self):
+        model = delayed_copy(1)
+        reference = rank_integral(model).value  # 1.0
+        est = surrogate_idr_estimate(model, paths=100, k=4096, seed=7)
+        assert abs(est.value - reference) <= TOL_ESTIMATE
+
 
 def _surrogate_batch(model, paths, seed, k=4096):
     """The batch surrogate_idr_estimate draws for `model` at these settings."""
@@ -158,7 +177,7 @@ def _surrogate_batch(model, paths, seed, k=4096):
     return sample_paths(autocovariance_from_spectrum(norm.model, k_eff - 1), k_eff, paths, seed)
 
 
-def _whole_batch_surrogate(batch, seed, ladder=SURROGATE_M_LADDER, nperseg=1024):
+def _whole_batch_surrogate(batch, seed, ladder=SURROGATE_M_LADDER, nperseg=SURROGATE_SEGMENT):
     """(value, se, pairwise slopes) of the surrogate formed on the whole batch at
     once: one dithered quantized batch and one Welch estimate per m, each group
     read as its slice of the per-path spectra."""
@@ -167,7 +186,7 @@ def _whole_batch_surrogate(batch, seed, ladder=SURROGATE_M_LADDER, nperseg=1024)
     bounds = np.linspace(0, paths, groups + 1).astype(int)
     g_pooled, g_groups = [], []
     for m in ladder:
-        west = welch_psd(quantize(batch, m).values + dither_stream(seed, m)(batch.samples.shape), nperseg=nperseg)
+        west = welch_psd(quantize(batch, m) / m + dither_stream(seed, m)(batch.samples.shape), nperseg=nperseg)
         floor = 0.01 / (12.0 * m * m)
         g_pooled.append(_half_mean_logdet(west.matrices, floor))
         g_groups.append([_half_mean_logdet(west.per_path[a:b].mean(axis=0), floor)
@@ -283,15 +302,12 @@ class TestInvariance:
     def test_translate_by_ten(self):
         (rep,) = invariance_check(white_noise(), [("translate", 10.0)], paths=150_000, seed=15)
         assert rep.delta <= 0.05
-        assert rep.exact_ok is True
-        assert rep.exact_entropy_bound == pytest.approx(np.log(4.0))
 
     def test_translate_off_lattice_exact_bound(self):
-        (rep,) = invariance_check(
-            white_noise(), [("translate", 0.3)], paths=50_000, seed=16, exact_block=(1, 4)
-        )
-        assert rep.exact_entropy_delta is not None
-        assert rep.exact_entropy_delta <= rep.exact_entropy_bound
+        # the finite-precision translation inequality |H([x]_4) - H([x + 0.3]_4)| <= log 4, by quadrature
+        h0 = exact_cell_entropy(white_noise(), 1, 4).value
+        h1 = exact_cell_entropy(white_noise(), 1, 4, mean_shift=[0.3]).value
+        assert 0.0 < abs(h1 - h0) <= np.log(4.0)
 
     def test_narrowband_invariance(self):
         (rep,) = invariance_check(narrowband(0.4), [("scale", 2.0)], paths=100_000, seed=17)

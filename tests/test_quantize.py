@@ -37,9 +37,10 @@ class TestQuantize:
         ],
     )
     def test_examples(self, x, m, code, value):
-        q = quantize(_as_batch([x]), m)
-        assert q.codes[0, 0, 0] == code
-        assert q.values[0, 0, 0] == pytest.approx(value, abs=0)
+        codes = quantize(_as_batch([x]), m)
+        assert codes.dtype == np.float64
+        assert codes[0, 0, 0] == code
+        assert codes[0, 0, 0] / m == pytest.approx(value, abs=0)
 
     @given(
         st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -49,7 +50,7 @@ class TestQuantize:
     def test_sandwich(self, x, m):
         # exact floor semantics in scaled units: code <= m*x < code + 1,
         # which is the sandwich x - 1/m < code/m <= x in real arithmetic
-        code = int(quantize(_as_batch([x]), m).codes[0, 0, 0])
+        code = int(quantize(_as_batch([x]), m)[0, 0, 0])
         assert code <= m * x < code + 1
 
     @given(
@@ -60,7 +61,7 @@ class TestQuantize:
     @settings(max_examples=200, deadline=None)
     def test_monotone(self, x, y, m):
         lo, hi = sorted((x, y))
-        q = quantize(_as_batch([lo, hi]), m).codes[0, :, 0]
+        q = quantize(_as_batch([lo, hi]), m)[0, :, 0]
         assert q[0] <= q[1]
 
     @given(st.lists(st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=64),
@@ -68,8 +69,8 @@ class TestQuantize:
     @settings(max_examples=100, deadline=None)
     def test_error_range(self, xs, m):
         arr = _as_batch(xs)
-        codes = quantize(arr, m).codes
-        assert np.array_equal(codes, np.floor(m * arr).astype(np.int64))
+        codes = quantize(arr, m)
+        assert np.array_equal(codes, np.floor(m * arr))
         scaled_err = m * arr - codes  # [0, 1); the top end can round to 1.0 for tiny x
         assert (scaled_err >= 0).all() and (scaled_err <= 1.0).all()
         err = arr - codes / m
@@ -97,17 +98,20 @@ class TestQuantize:
         values = _as_batch([0.5, x, -0.25])
         check_precision(values, 4)
         check_precision(np.empty((0, 3, 1)), 4)
-        assert quantize(values, 4).codes.shape == values.shape
+        assert quantize(values, 4).shape == values.shape
 
     def test_bad_precision(self):
         with pytest.raises(ValueError):
             quantize(_as_batch([0.0]), 0)
 
 
-def _dithered(q, seed):
+def _dithered(codes, m, seed):
     """The dithered values w = codes/m + u and the dither u, drawn from dither_stream(seed, m)."""
-    u = dither_stream(seed, q.m)(q.codes.shape)
-    return q.values + u, u
+    u = dither_stream(seed, m)(codes.shape)
+    return codes / m + u, u
+
+
+_DITHER_M = 4  # the precision of the qbatch fixture
 
 
 class TestDither:
@@ -115,43 +119,42 @@ class TestDither:
     def qbatch(self):
         acov = autocovariance_from_spectrum(white_noise(), 0)
         batch = sample_paths(acov, 1, 200_000, seed=5)
-        return batch, quantize(batch, 4)
+        return batch, quantize(batch, _DITHER_M)
 
     def test_uniform_range_and_determinism(self, qbatch):
-        _, q = qbatch
-        w1, u1 = _dithered(q, seed=9)
-        w2, _ = _dithered(q, seed=9)
+        _, codes = qbatch
+        w1, u1 = _dithered(codes, _DITHER_M, seed=9)
+        w2, _ = _dithered(codes, _DITHER_M, seed=9)
         assert np.array_equal(w1, w2)
         assert u1.min() >= 0.0 and u1.max() < 0.25
-        assert not np.array_equal(u1, _dithered(q, seed=10)[1])
+        assert not np.array_equal(u1, _dithered(codes, _DITHER_M, seed=10)[1])
 
     def test_unit_codes_give_uniform(self):
-        q = quantize(np.zeros((1, 100_000, 1)), 1)
-        w, _ = _dithered(q, seed=3)
+        w, _ = _dithered(quantize(np.zeros((1, 100_000, 1)), 1), 1, seed=3)
         assert 0.0 <= w.min() and w.max() < 1.0
         n = w.size
         assert abs(w.mean() - 0.5) <= 5.0 * np.sqrt(1.0 / 12 / n)
 
     def test_variance_adds_uniform_term(self, qbatch):
-        _, q = qbatch
-        w, _ = _dithered(q, seed=7)
-        m = q.m
+        _, codes = qbatch
+        m = _DITHER_M
+        w, _ = _dithered(codes, m, seed=7)
         n = w.size
-        gap = w.var() - q.values.var() - 1.0 / (12 * m * m)
+        gap = w.var() - (codes / m).var() - 1.0 / (12 * m * m)
         # dominant error: empirical cov(z, u); se ~ 2 sqrt(var_z var_u / n)
-        se = 2.0 * np.sqrt(q.values.var() / (12 * m * m) / n)
+        se = 2.0 * np.sqrt((codes / m).var() / (12 * m * m) / n)
         assert abs(gap) <= 5.0 * se
 
     def test_mean_offset_bounded(self, qbatch):
-        batch, q = qbatch
-        w, _ = _dithered(q, seed=11)
+        batch, codes = qbatch
+        w, _ = _dithered(codes, _DITHER_M, seed=11)
         offset = abs(w.mean() - batch.samples.mean())
-        assert offset <= 1.0 / q.m + 1.0 / (2 * q.m)
+        assert offset <= 1.0 / _DITHER_M + 1.0 / (2 * _DITHER_M)
 
     def test_dither_independent_of_codes(self, qbatch):
-        _, q = qbatch
-        _, u = _dithered(q, seed=13)
-        codes = q.codes.ravel().astype(float)
+        _, codes = qbatch
+        _, u = _dithered(codes, _DITHER_M, seed=13)
+        codes = codes.ravel()
         u = u.ravel()
         r = np.corrcoef(codes, u)[0, 1]
         assert abs(r) <= 5.0 / np.sqrt(codes.size)
@@ -252,7 +255,7 @@ def _three_spectrum_identity(x, m, nperseg=256):
     quantized values z and the error x - z: the residual P_z - (2a-1) P_x - P_n,
     traced over components per node and averaged over frequency."""
     paths, _, L = x.shape
-    z = quantize(x, m).values
+    z = quantize(x, m) / m
     gain = float(bussgang_gain(x, m).gain.mean())
     wx, wz, wn = (welch_psd(v, nperseg=nperseg) for v in (x, z, x - z))
     resid = wz.per_path - (2.0 * gain - 1.0) * wx.per_path - wn.per_path

@@ -7,12 +7,30 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gaussdim
-from gaussdim.benchmarks import ar1, correlated_pair, narrowband, proper_complex_flat, white_noise
+from gaussdim.benchmarks import (
+    ar1,
+    correlated_pair,
+    narrowband,
+    proper_complex_flat,
+    real_only_complex,
+    white_noise,
+    zero_process,
+)
 from gaussdim.cli import _build_parser, _raw_config, main
-from gaussdim.experiments import COMMON_FIELDS, TASKS, ConfigError, ExperimentConfig, run
+from gaussdim.entropy import exact_cell_entropy
+from gaussdim.experiments import (
+    COMMON_FIELDS,
+    INVARIANCE_TRANSFORMS,
+    TASKS,
+    TRANSLATION_BLOCK,
+    ConfigError,
+    ExperimentConfig,
+    run,
+)
 from gaussdim.modelio import (
     DocumentError,
     load_model,
@@ -321,6 +339,30 @@ class TestRunTasks:
              "m_ladder": [2, 4], "verify_paths": 2000})
         # one batch shared by both invariance transforms, then the Bussgang and identity batches
         assert lengths == [estimators.K_CAP, 1, 1024]
+
+    @pytest.mark.parametrize("builder", [white_noise, correlated_pair, real_only_complex])
+    def test_verify_translation_row_is_the_oracle_delta(self, builder):
+        """The row right after invariance_translate is the quadrature delta at
+        TRANSLATION_BLOCK against k*L*log 4; correlated_pair takes the oracle's
+        duplicate-coordinate path, real_only_complex its constant-coordinate path."""
+        model = builder()
+        rep = run({"task": "verify", "model": model_to_document(model), "seed": 3,
+                   "m_ladder": [2, 4], "verify_paths": 2000})
+        quantities = [r.quantity for r in rep.reports]
+        assert quantities.count("translation_entropy_bound") == 1
+        row = rep.reports[quantities.index("invariance_translate") + 1]
+        (amount,) = [amount for kind, amount in INVARIANCE_TRANSFORMS if kind == "translate"]
+        k, m = TRANSLATION_BLOCK
+        h0 = exact_cell_entropy(model, k, m).value
+        h1 = exact_cell_entropy(model, k, m, mean_shift=[amount] * model.L).value
+        assert (row.quantity, row.method) == ("translation_entropy_bound", "quadrature-oracle")
+        assert (row.value, row.reference, row.tolerance) == (abs(h1 - h0), k * model.L * np.log(4.0), 0.0)
+        assert row.passed is True and row.settings == {"offset": amount}
+
+    def test_verify_zero_process_has_no_translation_row(self):
+        rep = run({"task": "verify", "model": model_to_document(zero_process()), "seed": 3,
+                   "m_ladder": [2, 4], "verify_paths": 2000})
+        assert [r.quantity for r in rep.reports] == ["invariance_scale", "invariance_translate"]
 
     def test_verify_line_process_gates_on_the_law_variance(self):
         """A random sinusoid's sample variance strays from 1 at few paths; the

@@ -159,7 +159,7 @@ class TestSamplePaths:
         dist = exact_cell_distribution(model, k, m)
         acov = autocovariance_from_spectrum(model, k - 1)
         batch = sample_paths(acov, k, paths, seed=31)
-        codes = quantize(batch, m).codes.reshape(paths, -1)
+        codes = quantize(batch, m).astype(np.int64).reshape(paths, -1)
         top = np.argsort(dist.probs)[::-1][:40]
         lookup = {tuple(dist.codes[i]): dist.probs[i] for i in top}
         uniq, counts = np.unique(codes, axis=0, return_counts=True)
@@ -336,8 +336,8 @@ _SPECTRAL_LAWS = {
 
 def _direct_spectral_sum(theta, roots, k, paths, seed):
     """Reference spectral draw: every node phased directly, in blocks of 64 time
-    rows, with the normals of chunk 0.  Returns the paths without the mean and
-    C_hat as (k, L*L)."""
+    rows, with the normals of the one spectral-paths stream.  Returns the paths
+    without the mean and C_hat as (k, L*L)."""
     nodes, L = roots.shape[:2]
     gram = (roots @ roots.conj().transpose(0, 2, 1)).reshape(nodes, L * L)
     half = (paths + 1) // 2
@@ -357,10 +357,10 @@ def _direct_spectral_sum(theta, roots, k, paths, seed):
 
 
 def _one_shot_spectral_paths(acov, k, paths, seed):
-    """Reference spectral draw: the whole-chunk draw that slices replace.  Each
-    chunk's normals are drawn, coloured and panel-summed at once, and the edge
-    pieces and lines are added to the complex sums before the real and
-    imaginary parts are taken."""
+    """Reference spectral draw: the whole-batch draw that slices replace.  The
+    normals are drawn, coloured and panel-summed at once, and the edge pieces
+    and lines are added to the complex sums before the real and imaginary
+    parts are taken."""
     L = acov.L
     theta, roots, cells, n = simulate._spectral_quadrature(acov.model, k)
     nodes, whole = len(theta), simulate._GL_ORDER * len(cells)
@@ -378,12 +378,9 @@ def _one_shot_spectral_paths(acov, k, paths, seed):
         return (block_phase @ s).transpose(1, 0, 2).reshape(blocks * n, cols)[:k]
 
     gram = (roots @ roots.conj().transpose(0, 2, 1)).reshape(nodes, L * L)
-    chunks = []
-    for chunk, start in enumerate(range(0, paths, simulate._PATH_CHUNK)):
-        stop = min(start + simulate._PATH_CHUNK, paths)
-        z = derive_rng(seed, "spectral-paths", chunk).standard_normal(((stop - start + 1) // 2, nodes, 2 * L))
-        u = (roots @ z.view(complex).transpose(1, 2, 0)).transpose(0, 2, 1).reshape(nodes, len(z) * L)
-        chunks.append((start, stop, u[whole:], panel_sum(u[:whole])))
+    z = derive_rng(seed, "spectral-paths", 0).standard_normal(((paths + 1) // 2, nodes, 2 * L))
+    u = (roots @ z.view(complex).transpose(1, 2, 0)).transpose(0, 2, 1).reshape(nodes, len(z) * L)
+    edges, y = u[whole:], panel_sum(u[:whole])
     c_hat = panel_sum(gram[:whole])
     theta, gram = theta[whole:], gram[whole:]
     inner = np.exp(-2j * np.pi * np.arange(min(64, k))[:, None] * theta)
@@ -391,14 +388,12 @@ def _one_shot_spectral_paths(acov, k, paths, seed):
         phases = np.exp(-2j * np.pi * row * theta) * inner[: k - row]
         rows = slice(row, row + len(phases))
         c_hat[rows] += phases @ gram
-        for _, _, u, y in chunks:
-            y[rows] += phases @ u
+        y[rows] += phases @ edges
+    y = y.reshape(k, -1, L).transpose(1, 0, 2)
+    half = len(y)
     out = np.empty((paths, k, L))
-    for start, stop, _, y in chunks:
-        y = y.reshape(k, -1, L).transpose(1, 0, 2)
-        half = len(y)
-        out[start:start + half] = y.real
-        out[start + half:stop] = y[: stop - start - half].imag
+    out[:half] = y.real
+    out[half:] = y[: paths - half].imag
     out += acov.mean
     return out, float(np.abs(c_hat - acov.matrices[:k].reshape(k, L * L)).max())
 
@@ -614,7 +609,7 @@ class TestSpectralRoute:
 
     def test_small_slices_keep_the_draw_order(self, monkeypatch):
         """With slices of 1 or 2 draws the real parts still come first, then the
-        imaginary parts, and a slice never crosses a chunk."""
+        imaginary parts."""
         acov = autocovariance_from_spectrum(narrowband(0.4), 599)
         monkeypatch.setattr(simulate, "_SLICE_BYTES", 1)  # one draw per slice
         odd = sample_paths(acov, 600, 7, seed=42).samples
@@ -623,11 +618,9 @@ class TestSpectralRoute:
         monkeypatch.setattr(simulate, "_SLICE_BYTES", _slice_bytes(narrowband(0.4), 600, 2))
         # the same draws; the grid sums of 2 columns may round apart from those of 1
         assert np.abs(sample_paths(acov, 600, 7, seed=42).samples - odd).max() <= 1e-13 * np.abs(odd).max()
-        monkeypatch.setattr(simulate, "_PATH_CHUNK", 6)  # chunks of 3 draws: slices of 2 and 1
-        chunked = sample_paths(acov, 600, 9, seed=42).samples
-        assert np.array_equal(chunked[:6], sample_paths(acov, 600, 6, seed=42).samples)
+        nine = sample_paths(acov, 600, 9, seed=42).samples  # 5 draws: slices of 2, 2 and 1
         ref, _ = _one_shot_spectral_paths(acov, 600, 9, seed=42)
-        assert np.abs(chunked - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(nine - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_deterministic_by_seed_and_chunk(self, monkeypatch):
         acov = autocovariance_from_spectrum(narrowband(0.4), 599)
@@ -638,11 +631,10 @@ class TestSpectralRoute:
         # real parts of 4 complex draws, then 3 imaginary parts
         even = sample_paths(acov, 600, 8, seed=42).samples
         assert np.array_equal(odd.samples, np.concatenate([even[:4], even[4:7]]))
+        # the draw is one stream: _PATH_CHUNK splits only the dense route's draws
+        nine = sample_paths(acov, 600, 9, seed=42).samples
         monkeypatch.setattr(simulate, "_PATH_CHUNK", 4)
-        chunked = sample_paths(acov, 600, 9, seed=42).samples
-        assert np.array_equal(chunked[:4], sample_paths(acov, 600, 4, seed=42).samples)
-        assert np.array_equal(chunked[:8], sample_paths(acov, 600, 8, seed=42).samples)
-        assert not np.array_equal(chunked[:4], chunked[4:8])
+        assert np.array_equal(sample_paths(acov, 600, 9, seed=42).samples, nine)
 
     def test_coarse_quadrature_falls_back_to_the_dense_factor(self, monkeypatch):
         # one 128-node panel cannot integrate lags up to 599 over a band of width 0.4
@@ -756,7 +748,7 @@ class TestWelch:
 
     def test_dither_only_floor(self):
         m = 4
-        w = quantize(np.zeros((60, 2048, 1)), m).values + dither_stream(23, m)((60, 2048, 1))
+        w = quantize(np.zeros((60, 2048, 1)), m) / m + dither_stream(23, m)((60, 2048, 1))
         est = welch_psd(w, nperseg=256)
         level = 1.0 / (12.0 * m * m)
         per_path = est.per_path[:, :, 0, 0].real.mean(axis=1)
@@ -823,7 +815,7 @@ class TestWelch:
         import scipy.signal
 
         batch = sample_paths(autocovariance_from_spectrum(model, k - 1), k, 6, seed=29)
-        x = batch.samples if m is None else quantize(batch, m).values + dither_stream(31, m)(batch.samples.shape)
+        x = batch.samples if m is None else quantize(batch, m) / m + dither_stream(31, m)(batch.samples.shape)
         est = welch_psd(x, nperseg=nperseg)
         L = x.shape[2]
         ref = np.empty((x.shape[0], nperseg, L, L), dtype=complex)
