@@ -96,13 +96,13 @@ def _choose_k(samples: np.ndarray, m_max: int) -> int:
 
     One range check at m_max covers the whole (paths, k_cap, L) batch, so a
     value out of range at any step raises, as quantizing the batch would.
-    The L code columns of step k, floor(m_max x) from quantize, are then
-    made only when k is tried, and the key of each prefix k extends the key
-    of k-1 (packed_keys).
+    The L code columns of step k, floor(m_max x), are then made only when k
+    is tried, and the key of each prefix k extends the key of k-1
+    (packed_keys).
     """
     paths, k_cap, _ = samples.shape
     check_precision(samples, m_max)
-    steps = (quantize(samples[:, j:j + 1], m_max).astype(np.int64).reshape(paths, -1) for j in range(k_cap))
+    steps = (np.floor(m_max * samples[:, j]).astype(np.int64) for j in range(k_cap))
     chosen = 1
     for k, key in enumerate(packed_keys(steps), start=1):
         key = np.sort(key)  # distinct values by a sort: np.unique's hash set is slower on these keys
