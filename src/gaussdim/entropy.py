@@ -14,6 +14,7 @@ NumPy only.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,7 @@ def _offset_column(col: np.ndarray) -> tuple[np.ndarray, int]:
         return _ranks(col)
     if col.dtype.kind == "u":  # uint64 values above 2^63 do not fit int64 before the shift
         return (col - col.dtype.type(lo)).astype(np.int64), span
-    return col.astype(np.int64) - lo, span
+    return np.subtract(col, lo, dtype=np.int64), span  # one int64 array, no cast copy
 
 
 def packed_keys(blocks):
@@ -103,48 +104,73 @@ def packed_keys(blocks):
 
     blocks is an iterable of (n,) or (n, w) integer code arrays with one n.
     It is read one block at a time, so a caller can make a block only when
-    the keys before it are used.  The key after a block is that of the row
-    prefix ending with it: keys sort in the lexicographic order of the prefix
-    rows, so equal keys mean equal rows.  Each column is offset by its
-    minimum and folded into the key of the previous columns; before the key
-    span would pass 2^62 the key is replaced by its dense rank, which keeps
-    the order.  The key of each prefix extends the one before it, so all
-    prefixes cost one pass.
+    the keys before it are used, and each block is dropped once it is folded.
+    The key after a block is that of the row prefix ending with it: keys sort
+    in the lexicographic order of the prefix rows, so equal keys mean equal
+    rows.  Each column is offset by its minimum straight into int64; the
+    first column is the key, and each later one is folded in as
+    key * span + column, the sum made in place in the product.  Before the
+    key span would pass 2^62 the key is replaced by its dense rank, which
+    keeps the order.  The key of each prefix extends the one before it, so
+    all prefixes cost one pass, and a yielded key is never changed
+    afterwards: a caller may keep it.
     """
     key, span = None, 1
     for block in blocks:
         arr = _code_rows(block)
-        if key is None:
-            key = np.zeros(len(arr), dtype=np.int64)
-        for j in range(arr.shape[1]):
+        del block
+        n, width = arr.shape
+        for j in range(width):
             col, col_span = _offset_column(arr[:, j])
+            if j == width - 1:
+                arr = None  # the block is offset: free it before the fold
+            if key is None:
+                key, span = col, col_span
+                continue
             if span * col_span > _KEY_LIMIT:
                 key, span = _ranks(key)
                 if span * col_span > _KEY_LIMIT:
                     col, col_span = _ranks(col)
-            key = key * col_span + col
+            key = key * col_span  # a new array: the key yielded before stays as it was
+            key += col
             span *= col_span
+        if key is None:  # leading blocks without columns: every row so far is one cell
+            key = np.zeros(n, dtype=np.int64)
+        arr = col = None  # free the block and its last offset column before the caller runs
         yield key
 
 
 def cell_counts(codes) -> np.ndarray:
-    """Row multiplicities of an integer code array, rows in lexicographic order.
+    """Row multiplicities of integer codes, rows in lexicographic order.
 
-    Equal, element for element, to the counts of a row sort (numpy's unique
-    over axis 0), at a fraction of its cost.
+    codes is an (n,) or (n, d) integer array, or an iterator of such column
+    blocks that packed_keys reads one at a time, so the rows need never be
+    whole in memory.  The packed key is sorted in place and its runs are
+    counted; the counts equal, element for element, those of a row sort
+    (numpy's unique over axis 0), at a fraction of its cost.
     """
-    *_, key = packed_keys([codes])
-    return np.unique(key, return_counts=True)[1]
+    for key in packed_keys(codes if isinstance(codes, Iterator) else [codes]):
+        pass  # only the key of the whole rows is counted
+    key.sort()  # packed_keys made this key, so no caller sees it change
+    ends = np.empty(len(key), dtype=bool)  # the last row of each run of equal keys
+    np.not_equal(key[1:], key[:-1], out=ends[:-1])
+    ends[-1] = True
+    del key
+    counts = np.flatnonzero(ends)
+    counts[1:] -= counts[:-1]  # run ends to run lengths; numpy buffers the overlap
+    counts[0] += 1
+    return counts
 
 
 def plugin_entropy(codes) -> EntropyEstimate:
     """Miller-Madow entropy of a multiset of discrete symbols.
 
     codes: (n,) scalars or (n, d) rows of integer or bool dtype, any width
-    and sign; rows are treated as joint symbols.  Any other dtype raises
-    TypeError.  Cells are counted in the lexicographic order of their rows
-    (see cell_counts), so the sums below run in a fixed order.  The value is
-    the plug-in entropy plus the Miller-Madow correction (occupied - 1) / (2n).
+    and sign, or an iterator of such column blocks; rows are treated as
+    joint symbols.  Any other dtype raises TypeError.  Cells are counted in
+    the lexicographic order of their rows (see cell_counts), so the sums
+    below run in a fixed order.  The value is the plug-in entropy plus the
+    Miller-Madow correction (occupied - 1) / (2n).
     """
     counts = cell_counts(codes)
     n = int(counts.sum())

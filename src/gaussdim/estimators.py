@@ -14,10 +14,11 @@ groups, so its working arrays are a group's size, not the batch's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .entropy import exact_cell_distribution, packed_keys, plugin_entropy
+from .entropy import cell_counts, exact_cell_distribution, packed_keys, plugin_entropy
 from .quantize import check_precision, dither_stream, quantize
 from .simulate import MAX_DENSE_DIM, autocovariance_from_spectrum, sample_paths, welch_psd
 from .spectral import SpectralModel, _stack_eigvalsh, normalize_components
@@ -96,17 +97,24 @@ def _choose_k(samples: np.ndarray, m_max: int) -> int:
 
     One range check at m_max covers the whole (paths, k_cap, L) batch, so a
     value out of range at any step raises, as quantizing the batch would.
-    The L code columns of step k, floor(m_max x), are then made only when k
-    is tried, and the key of each prefix k extends the key of k-1
-    (packed_keys).
+    The code columns floor(m_max x) are then made one component of one step
+    at a time, each floored in place and cast to int64 before it is folded
+    into the key (packed_keys), so the working set is a few code columns on
+    top of the batch.  The key after step k's last column extends the key of
+    k-1, and cell_counts counts its cells.
     """
-    paths, k_cap, _ = samples.shape
+    paths, k_cap, width = samples.shape
     check_precision(samples, m_max)
-    steps = (np.floor(m_max * samples[:, j]).astype(np.int64) for j in range(k_cap))
+
+    def floor_codes(col):
+        x = m_max * col
+        return np.floor(x, out=x).astype(np.int64)  # the float column is freed on return, before the fold
+
+    columns = (floor_codes(samples[:, t, i]) for t in range(k_cap) for i in range(width))
+    step_keys = islice(packed_keys(columns), width - 1, None, width)  # the key after each whole step
     chosen = 1
-    for k, key in enumerate(packed_keys(steps), start=1):
-        key = np.sort(key)  # distinct values by a sort: np.unique's hash set is slower on these keys
-        if 1 + np.count_nonzero(key[1:] != key[:-1]) > paths * OCCUPANCY_FRACTION:
+    for k, counts in enumerate(map(cell_counts, step_keys), start=1):  # no step key is held past its count
+        if len(counts) > paths * OCCUPANCY_FRACTION:
             break
         chosen = k
     return chosen
@@ -115,15 +123,18 @@ def _choose_k(samples: np.ndarray, m_max: int) -> int:
 def _entropy_slope(samples: np.ndarray, ladder: tuple, k: int, batch, L: int, notes: str = ""):
     """Slope of the block entropy rate H_k/k against log m, one k-block per path.
 
-    `batch` is the draw the samples came from (its factor method is
-    reported); slopes outside [-0.1, L + 0.1] are flagged.
+    For each m the block's codes are quantized one component column of one
+    step at a time and handed to plugin_entropy as a column iterator, so
+    cell_counts folds each column into its key as it is made: no block-sized
+    code array exists.  `batch` is the draw the samples came from (its
+    factor method is reported); slopes outside [-0.1, L + 0.1] are flagged.
     """
-    paths = samples.shape[0]
-    blocks = samples[:, :k, :].reshape(paths, -1)
+    paths, _, width = samples.shape
     values, ses, occupancy = [], [], []
     for m in ladder:
-        codes = quantize(blocks[:, :, None], m).astype(np.int64).reshape(paths, -1)
-        est = plugin_entropy(codes)
+        est = plugin_entropy(
+            quantize(samples[:, t, i:i + 1], m).astype(np.int64).ravel() for t in range(k) for i in range(width)
+        )
         if est.occupied > paths * OCCUPANCY_FRACTION:
             raise UndersamplingError(
                 f"{est.occupied} occupied cells at m={m} with only {paths} blocks; "

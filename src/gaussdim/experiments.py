@@ -89,6 +89,9 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         # Every field has a default, so a field set away from it counts as given.
         _reject_unread(self.task, [f.name for f in fields(self) if getattr(self, f.name) != f.default])
+        for name in ("paths", "surrogate_paths", "surrogate_k", "verify_paths"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":

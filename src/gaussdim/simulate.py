@@ -15,13 +15,16 @@ complex draws, so the draw's working set grows with a slice, not the batch.
 The quadrature is used only when its own covariance reproduces C(0..k-1)
 to rounding.  Otherwise the block-Toeplitz covariance is filled by one
 strided copy and Cholesky-factored, or, when that fails,
-factored exactly by its eigendecomposition; no factor perturbs the law.  A
-batch records which factor ran.  Band and line contributions to C(tau) are
-integrated in closed form; rational terms are integrated by a dense FFT
-quadrature whose resolution grows with tau_max so that long lags stay
-alias-free.  Welch cross-spectra of the real paths come from the rfft
-half-spectrum of the windowed segments that `welch_segments` cuts, mirrored
-as P(-f) = conj(P(f)); their path mean is Hermitian PSD with no eigen-clip.
+factored exactly by its eigendecomposition; no factor perturbs the law.  The
+dense route draws its normals in row slices of the same _SLICE_BYTES budget
+and multiplies each into its output rows, so neither route holds a
+batch-sized temporary next to its output.  A batch records which factor
+ran.  Band and line contributions to C(tau) are integrated in closed form;
+rational terms are integrated by a dense FFT quadrature whose resolution
+grows with tau_max so that long lags stay alias-free.  Welch cross-spectra
+of the real paths come from the rfft half-spectrum of the windowed segments
+that `welch_segments` cuts, mirrored as P(-f) = conj(P(f)); their path mean
+is Hermitian PSD with no eigen-clip.
 """
 
 from __future__ import annotations
@@ -157,7 +160,7 @@ _GL_ORDER = 128  # Gauss-Legendre nodes per band panel
 # a 128-node panel integrates e^{i phi} over 390 rad to about 1e-15 of its length.
 _PANEL_PHASE = 390.0
 _ROW_BLOCK = 64  # time rows built per phase block
-_SLICE_BYTES = 1 << 20  # per-node array bytes of one spectral draw slice
+_SLICE_BYTES = 1 << 20  # bytes of one slice of a draw: per node on the spectral route, its normals on the dense one
 _GRID_SNAP = 1e-12  # a band edge this close to a grid point, in cells, lies on it
 _QUADRATURE_TOL = 1e-11  # accepted max|C_hat - C| relative to max|C(0)|
 
@@ -342,9 +345,13 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
     paths in slices of consecutive draws from one stream, and writes each
     slice's sums straight into the output rows.  The dense route draws in
     fixed chunks of _PATH_CHUNK paths with per-chunk sub-streams, so chunk
-    order (and hence parallel generation) cannot change the result; each
-    chunk's product with the factor and its mean are written in place into
-    the output rows.
+    order (and hence parallel generation) cannot change the result.  Each
+    chunk's normals come in row slices of its stream, about _SLICE_BYTES
+    each but at least 1024 rows (a shorter tail joins the slice before it),
+    into one reused buffer; the numbers are those of a whole-chunk draw, and
+    at 1024 rows or more a slice's product with the factor rounds as the
+    whole chunk's.  Each slice's product and the mean are written in place
+    into its output rows.
     """
     L = acov.L
     if k < 1:
@@ -362,12 +369,17 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
     factor, method = _psd_factor(acov, k)
     mu = np.tile(acov.mean, k)
     out = np.empty((paths, k * L))
+    rows = max(1024, _SLICE_BYTES // (8 * k * L))  # from 1024 rows a slice's product rounds as the chunk's
+    z = np.empty((min(paths, _PATH_CHUNK, rows + 1023), k * L))  # one buffer holds every slice's normals
     for chunk, start in enumerate(range(0, paths, _PATH_CHUNK)):
         stop = min(start + _PATH_CHUNK, paths)
         rng = derive_rng(seed, "gauss-paths", chunk)
-        z = rng.standard_normal((stop - start, k * L))
-        np.matmul(z, factor.T, out=out[start:stop])  # in place: no product or sum temporaries
-        out[start:stop] += mu
+        while start < stop:
+            end = stop if stop - start < rows + 1024 else start + rows
+            normals = rng.standard_normal(out=z[: end - start])  # continues the chunk's stream
+            np.matmul(normals, factor.T, out=out[start:end])  # in place: no product or sum temporaries
+            out[start:end] += mu
+            start = end
     return SamplePathBatch(out.reshape(paths, k, L), method, variance)
 
 

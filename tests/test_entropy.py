@@ -132,6 +132,13 @@ class TestCellCounts:
         assert np.array_equal(cell_counts(codes), [3, 6])
         assert calls  # two columns of span 2^41 pass 2^62
 
+    @given(_repeating_rows(-(2**40), 2**40, max_cols=8))
+    @settings(max_examples=100, deadline=None)
+    def test_column_iterator_counts_as_the_array(self, codes):
+        counts = cell_counts(codes[:, j] for j in range(codes.shape[1]))
+        assert np.array_equal(counts, _row_unique_counts(codes))
+        assert plugin_entropy(iter(np.hsplit(codes, codes.shape[1]))) == plugin_entropy(codes)
+
     def test_one_dimensional_input(self):
         codes = np.array([3, -1, 3, 0, -1, 3])
         assert np.array_equal(cell_counts(codes), [2, 1, 3])

@@ -148,6 +148,14 @@ class TestConfig:
         read = set(COMMON_FIELDS).union(*(task.fields for task in TASKS.values()))
         assert {f.name for f in dataclasses.fields(ExperimentConfig)} == read
 
+    @pytest.mark.parametrize("field", ["paths", "surrogate_paths", "surrogate_k", "verify_paths"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_counts_below_one_rejected(self, field, value):
+        task = "verify" if field == "verify_paths" else "estimate"
+        doc = model_to_document(white_noise())
+        with pytest.raises(ConfigError, match=f"{field} must be at least 1, got {value}"):
+            ExperimentConfig(task=task, model=doc, seed=7, **{field: value})
+
     def test_seed_required_for_stochastic_tasks(self):
         doc = model_to_document(white_noise())
         with pytest.raises(ConfigError, match="seed"):
@@ -479,6 +487,14 @@ class TestCLI:
         code = main(["analyze", "--config", str(cfg)])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task", ["estimate", "verify"])
+    @pytest.mark.parametrize("paths", ["0", "-5"])
+    def test_path_count_below_one_exit_code(self, task, paths, tmp_path, capsys):
+        """A path count below 1 is a configuration error, not a failure deep in the task."""
+        model_path = save_model(white_noise(), tmp_path / "wn.json")
+        assert main([task, str(model_path), "--seed", "7", "--paths", paths]) == 2
+        assert capsys.readouterr().err.startswith("gaussdim: configuration error: ")
 
     def test_missing_seed_exit_code(self, tmp_path):
         model_path = save_model(white_noise(), tmp_path / "wn.json")

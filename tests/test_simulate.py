@@ -216,7 +216,62 @@ def _reference_samples(acov, k, paths, seed):
     return (z @ factor.T + np.tile(acov.mean, k)).reshape(paths, k, acov.L), method
 
 
+def _whole_chunk_dense_paths(acov, k, paths, seed):
+    """Reference dense draw: the one each slice of normals replaces.  Each
+    chunk's normals are drawn from its stream at once and multiplied by the
+    factor in one product."""
+    factor, _ = _psd_factor(acov, k)
+    out = np.empty((paths, k * acov.L))
+    for chunk, start in enumerate(range(0, paths, simulate._PATH_CHUNK)):
+        stop = min(start + simulate._PATH_CHUNK, paths)
+        z = derive_rng(seed, "gauss-paths", chunk).standard_normal((stop - start, k * acov.L))
+        np.matmul(z, factor.T, out=out[start:stop])
+        out[start:stop] += np.tile(acov.mean, k)
+    return out.reshape(paths, k, acov.L)
+
+
+# (k*L, paths) for the sliced dense draw: path counts on both sides of a 1024-row slice and of the
+# 65 536-path chunk, up to 2^21 values per batch, and at k*L = 64 and 512 (slices of 2048 and 1024
+# rows) counts whose tails join the slice before them or make one of their own.
+_DENSE_PATHS = (1, 1023, 1025, 65_536, 65_537, 100_000)
+_DENSE_CASES = [
+    *((kl, paths) for kl in (1, 2, 4, 8, 64, 512) for paths in _DENSE_PATHS if kl * paths <= 2**21),
+    *((64, paths) for paths in (2048, 3071, 3072, 4097)),
+    *((512, paths) for paths in (2047, 2048, 3073)),
+]
+
+
 class TestDenseFactor:
+    @pytest.mark.parametrize("kl, paths", _DENSE_CASES)
+    def test_slices_equal_the_whole_chunk_draw(self, kl, paths):
+        acov = autocovariance_from_spectrum(ar1(0.6), kl - 1)
+        batch = sample_paths(acov, kl, paths, seed=5)
+        assert batch.factor_method == "cholesky"
+        assert np.array_equal(batch.samples, _whole_chunk_dense_paths(acov, kl, paths, 5))
+
+    @pytest.mark.parametrize("paths", _DENSE_PATHS)
+    def test_slices_equal_the_whole_chunk_draw_bivariate(self, paths):
+        model = SpectralModel(L=2, bands=correlated_pair().bands, mean=[1.0, -2.0])
+        acov = autocovariance_from_spectrum(model, 3)
+        batch = sample_paths(acov, 4, paths, seed=5)
+        assert batch.factor_method == "eigh"
+        assert np.array_equal(batch.samples, _whole_chunk_dense_paths(acov, 4, paths, 5))
+
+    def test_traced_peak_is_the_output_and_a_slice(self):
+        """The entropy route's draw, 100 000 paths of 4 steps of correlated_pair:
+        the normals come in slices of about _SLICE_BYTES, so the draw adds about
+        1 MiB to its 6.1 MiB output (whole-chunk normals add 6.1 MiB)."""
+        acov = autocovariance_from_spectrum(correlated_pair(), 3)
+        sample_paths(acov, 4, 100_000, seed=7)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            batch = sample_paths(acov, 4, 100_000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = peak - batch.samples.nbytes
+        assert extra <= 1.5 * 2**20, f"draw peak {extra / 2**20:.2f} MiB over its output"
+
     @pytest.mark.parametrize("builder", [lambda: ar1(0.6), correlated_pair], ids=["L1", "L2"])
     @pytest.mark.parametrize("k", [1, 2, 7])
     def test_toeplitz_equals_block_loop(self, builder, k):
