@@ -3,7 +3,8 @@
 
 The processes are gaussdim.benchmarks.MODELS, the models that
 scripts/export_models.py writes.  Fast by default (analytic rank integral + rate-distortion slope); pass
---estimators to add the two Monte Carlo estimators (5-7 s in all on 2 cores).
+--estimators to add the two Monte Carlo estimators at their library defaults (about 2 s in all
+on 2 cores).
 A model whose entropy slope trips the undersampling guard prints
 "undersampled" in that column and keeps the guard's message in its JSON row.
 
@@ -19,16 +20,16 @@ import time
 from pathlib import Path
 
 from gaussdim.benchmarks import MODELS
-from gaussdim.estimators import UndersamplingError, idr_slope_estimate, surrogate_idr_estimate
+from gaussdim.estimators import ENTROPY_PATHS, UndersamplingError, idr_slope_estimate, surrogate_idr_estimate
 from gaussdim.ratedist import rd_dimension_estimate
-from gaussdim.spectral import FrequencyGrid, rank_integral
+from gaussdim.spectral import DEFAULT_GRID_N, FrequencyGrid, rank_integral
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--grid", type=int, default=4096)
-    parser.add_argument("--paths", type=int, default=200_000, help="paths for the entropy-slope route")
+    parser.add_argument("--grid", type=int, default=DEFAULT_GRID_N)
+    parser.add_argument("--paths", type=int, default=ENTROPY_PATHS, help="paths for the entropy-slope route")
     parser.add_argument("--estimators", action="store_true", help="also run the Monte Carlo estimators")
     parser.add_argument("--out", help="directory for a JSON summary")
     args = parser.parse_args(argv)
@@ -44,7 +45,7 @@ def main(argv=None) -> int:
         model = builder()
         t0 = time.time()
         ri = rank_integral(model, grid)
-        rank, rd = ri.value, rd_dimension_estimate(ri, (1e-2, 1e-4, 1e-6)).value
+        rank, rd = ri.value, rd_dimension_estimate(ri).value
         row = {"model": name, "expected": expected, "rank_integral": rank, "rd_slope": rd}
         line = f"{name:28s} {expected:7.3f} {rank:10.6f} {rd:10.6f}"
         if args.estimators:
@@ -56,7 +57,7 @@ def main(argv=None) -> int:
             else:
                 row.update({"entropy_slope": slope.value, "entropy_slope_se": slope.se})
                 line += f" {slope.value:12.4f}"
-            surr = surrogate_idr_estimate(model, paths=200, k=4096, seed=args.seed)
+            surr = surrogate_idr_estimate(model, seed=args.seed)  # the surrogate's fixed settings, as in `estimate`
             row.update({"surrogate": surr.value, "surrogate_se": surr.se})
             line += f" {surr.value:10.4f}"
         row["seconds"] = time.time() - t0

@@ -24,7 +24,10 @@ from .simulate import MAX_DENSE_DIM, autocovariance_from_spectrum, sample_paths,
 from .spectral import SpectralModel, _stack_eigvalsh, normalize_components
 
 DEFAULT_M_LADDER = (8, 16, 32, 64)
-SURROGATE_M_LADDER = (16, 64, 256)
+ENTROPY_PATHS = 100_000  # blocks behind the entropy slope and the invariance runs
+SURROGATE_M_LADDER = (16, 64, 256)  # the surrogate's fixed ladder, path count and path length (k*L <= MAX_DENSE_DIM)
+SURROGATE_PATHS = 100
+SURROGATE_K = 4096
 OCCUPANCY_FRACTION = 0.1
 K_CAP = 4
 SURROGATE_GROUPS = 10  # path groups behind the surrogate's standard error
@@ -155,7 +158,7 @@ def idr_slope_estimate(
     model: SpectralModel,
     m_ladder=DEFAULT_M_LADDER,
     k: int | None = None,
-    paths: int = 100_000,
+    paths: int = ENTROPY_PATHS,
     seed: int = 0,
 ) -> DimensionEstimate:
     """Dimension from the slope of block entropy rates against log m.
@@ -186,8 +189,8 @@ def _half_mean_logdet(matrices: np.ndarray, floor: float) -> float:
 def surrogate_idr_estimate(
     model: SpectralModel,
     m_ladder=SURROGATE_M_LADDER,
-    paths: int = 200,
-    k: int = 4096,
+    paths: int = SURROGATE_PATHS,
+    k: int = SURROGATE_K,
     seed: int = 0,
 ) -> DimensionEstimate:
     """Dimension from the spectrum of the dithered quantized process.
@@ -319,7 +322,7 @@ def invariance_check(
     transforms,
     m_ladder=DEFAULT_M_LADDER,
     k: int | None = None,
-    paths: int = 100_000,
+    paths: int = ENTROPY_PATHS,
     seed: int = 0,
 ) -> list[InvarianceReport]:
     """Run the slope estimator on one set of sample paths before and after each

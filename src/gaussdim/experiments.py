@@ -17,7 +17,7 @@ import numpy as np
 from .entropy import exact_cell_entropy
 from .estimators import (
     DEFAULT_M_LADDER,
-    SURROGATE_M_LADDER,
+    ENTROPY_PATHS,
     _draw,
     gaussian_surrogate_kl,
     idr_slope_estimate,
@@ -68,10 +68,7 @@ class ExperimentConfig:
     seed: int | None = None
     grid_n: int | None = None  # None: the model document's grid_n, else DEFAULT_GRID_N
     m_ladder: tuple = DEFAULT_M_LADDER
-    surrogate_m_ladder: tuple = SURROGATE_M_LADDER
-    paths: int = 100_000
-    surrogate_paths: int = 100
-    surrogate_k: int = 4096
+    paths: int = ENTROPY_PATHS
     verify_paths: int = 50_000
     out: str | None = None
     format: str = "json"
@@ -85,11 +82,18 @@ class ExperimentConfig:
             raise ConfigError(f"task {self.task!r} is stochastic: a seed is required")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
-        for name in ("m_ladder", "surrogate_m_ladder"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not np.iterable(self.m_ladder):
+            raise ConfigError(f"m_ladder must be a list of integers, got {self.m_ladder!r}")
+        object.__setattr__(self, "m_ladder", tuple(self.m_ladder))
         # Every field has a default, so a field set away from it counts as given.
         _reject_unread(self.task, [f.name for f in fields(self) if getattr(self, f.name) != f.default])
-        for name in ("paths", "surrogate_paths", "surrogate_k", "verify_paths"):
+        # Counts, seeds and precisions are stored as int: a float or a string would run rounded,
+        # or fail inside the task, and be recorded as given.  Only seed and grid_n may be unset.
+        for name in ("seed", "grid_n", "paths", "verify_paths"):
+            if getattr(self, name) is not None or name.endswith("paths"):
+                object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        object.__setattr__(self, "m_ladder", tuple(_as_int("m_ladder entry", m) for m in self.m_ladder))
+        for name in ("paths", "verify_paths"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
 
@@ -99,6 +103,12 @@ class ExperimentConfig:
             raise ConfigError("configuration must be a JSON object")
         _reject_unread(raw.get("task"), raw)
         return ExperimentConfig(**raw)
+
+
+def _as_int(name, value) -> int:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _reject_unread(task, given) -> None:
@@ -128,15 +138,15 @@ def _analyze_reports(ri, config) -> list:
     rank_tols = {
         key: value
         for key, value, default in (
-            ("rank_rel_tol", ri.profile.rel_tol, RANK_REL_TOL),
-            ("rank_abs_floor", ri.profile.abs_floor, RANK_ABS_FLOOR),
+            ("rank_rel_tol", ri.rel_tol, RANK_REL_TOL),
+            ("rank_abs_floor", ri.abs_floor, RANK_ABS_FLOOR),
         )
         if value != default
     }
     reports = [
         EstimateReport(
             "rank_integral", ri.method, ri.value,
-            settings={"grid_n": ri.grid_n, "rank_histogram": ri.profile.histogram(), **rank_tols},
+            settings={"grid_n": ri.grid_n, "rank_histogram": ri.histogram(), **rank_tols},
         )
     ]
     if ri.model.L == 2:
@@ -172,10 +182,7 @@ def _complex_rows(ri) -> list:
 
 def _estimate_reports(ri, config) -> list:
     slope = idr_slope_estimate(ri.model, config.m_ladder, paths=config.paths, seed=config.seed)
-    surr = surrogate_idr_estimate(
-        ri.model, config.surrogate_m_ladder, paths=config.surrogate_paths,
-        k=config.surrogate_k, seed=config.seed,
-    )
+    surr = surrogate_idr_estimate(ri.model, seed=config.seed)  # at the surrogate's fixed settings
     out = []
     for est in (slope, surr):
         out.append(
@@ -295,10 +302,7 @@ class Task(NamedTuple):
 
 TASKS = {
     "analyze": Task(_analyze_reports, ()),
-    "estimate": Task(
-        _estimate_reports,
-        ("seed", "m_ladder", "paths", "surrogate_m_ladder", "surrogate_paths", "surrogate_k"),
-    ),
+    "estimate": Task(_estimate_reports, ("seed", "m_ladder", "paths")),
     "rd": Task(_rd_reports, ()),
     "verify": Task(_verify_reports, ("seed", "m_ladder", "verify_paths")),
     "complex": Task(_complex_reports, ()),

@@ -5,9 +5,9 @@ follows from filling distortion up to a common water level w across the
 spectral eigenvalues mu_j.  The distortion sum_j min(w, mu_j) is piecewise
 linear in w with breakpoints at the sorted eigenvalues, so the level comes in
 closed form from one sort and one cumulative sum.  There is one sort per
-eigenvalue set: a rank-integral profile repeats each piece's eigenvalues over
+eigenvalue set: a rank-integral result repeats each piece's eigenvalues over
 its grid nodes once, sorted, with their prefix sums
-(`RankProfile.sorted_eigenvalues_and_sums`), so the rd slope, its total power
+(`RankIntegralResult.sorted_eigenvalues_and_sums`), so the rd slope, its total power
 and the rd curve of one result share them however many distortions they fill.
 The low-distortion slope of the rate against -(1/2) log D recovers the
 information dimension rate, giving an independent semi-analytic cross-check
@@ -70,7 +70,7 @@ def _waterfill(sorted_eigenvalues: tuple, weight: float, distortion: float) -> W
 def rd_curve(ri: RankIntegralResult, d_ladder=D_LADDER) -> RDCurve:
     """Rate-distortion curve at the given distortion ladder (descending),
     water-filled over the grid eigenvalues of one rank-integral evaluation."""
-    levels = ri.profile.sorted_eigenvalues_and_sums
+    levels = ri.sorted_eigenvalues_and_sums
     return RDCurve(tuple(_waterfill(levels, 1.0 / ri.grid_n, d) for d in d_ladder))
 
 
@@ -87,7 +87,7 @@ def rd_dimension_estimate(ri: RankIntegralResult, d_ladder=D_LADDER) -> Dimensio
     if len(ladder) < 2 or any(d <= 0 for d in ladder) or sorted(ladder, reverse=True) != list(ladder):
         raise ValueError(f"d_ladder must be >= 2 strictly decreasing positive values, got {d_ladder}")
     weight = 1.0 / ri.grid_n
-    levels = ri.profile.sorted_eigenvalues_and_sums
+    levels = ri.sorted_eigenvalues_and_sums
     total = float(levels[1][-1] * weight)
     if total <= 0:
         return DimensionEstimate(

@@ -16,8 +16,8 @@ One walk over the band edges (`_band_pieces`) cuts [-1/2, 1/2] into pieces
 on which a band-only density is constant, each with its length and the
 number of grid nodes it holds.  Each piece is validated, diagonalized and
 ranked once, and the pieces are all a rank-integral result keeps: the rank
-integral and the complex support measure sum piece lengths, and the rank
-profile weights each piece by its node count.  A model with rational terms
+integral and the complex support measure sum piece lengths, and the node
+averages weight each piece by its node count.  A model with rational terms
 has a piece of length 1/n at every node, the only case with a per-node stack.
 
 Every grid eigen-pass goes through `_stack_eigvalsh`: a 1x1 stack's
@@ -369,32 +369,6 @@ def _diagonalize(model: SpectralModel, grid: FrequencyGrid) -> tuple[np.ndarray,
     return lengths, mats, counts, _check_nodes(mats, nodes, counts)
 
 
-@dataclass(frozen=True)
-class RankProfile:
-    """Eigenvalues (descending) and numerical ranks of the density on each piece,
-    and the grid nodes each piece holds, by which the node averages weight it."""
-
-    eigenvalues: np.ndarray  # (p, L), descending per piece
-    ranks: np.ndarray  # (p,) ints
-    counts: np.ndarray  # (p,) grid nodes per piece, summing to n
-    rel_tol: float
-    abs_floor: float
-
-    @property
-    def mean_rank(self) -> float:
-        return float(np.dot(self.counts, self.ranks) / self.counts.sum())
-
-    def histogram(self) -> dict:
-        n = int(self.counts.sum())
-        return {v: float(c) / n for v, c in enumerate(np.bincount(self.ranks, weights=self.counts)) if c > 0}
-
-    @cached_property
-    def sorted_eigenvalues_and_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every node's eigenvalues (its piece's) in one ascending array and its prefix
-        sums, computed on first use and kept, so all water-fillings of a profile share one sort."""
-        return _ascending_prefix_sums(np.repeat(self.eigenvalues, self.counts, axis=0))
-
-
 def _ascending_prefix_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`values` sorted ascending into one flat array, and its prefix sums with a leading 0."""
     mu = np.sort(values, axis=None)
@@ -409,13 +383,33 @@ def _numerical_ranks(eigs_desc: np.ndarray, rel_tol: float, abs_floor: float) ->
 
 @dataclass(frozen=True)
 class RankIntegralResult:
+    """The rank integral and the pieces it sums over: each one's length, density, node count, eigenvalues, rank."""
+
     value: float
-    profile: RankProfile
     method: str  # "segment-exact" or "grid"
     grid_n: int
     model: SpectralModel
     piece_lengths: np.ndarray  # (p,) length of each piece of the frequency axis the value sums over
-    piece_matrices: np.ndarray  # (p, L, L) validated density on each piece; its node counts are the profile's
+    piece_matrices: np.ndarray  # (p, L, L) validated density on each piece
+    counts: np.ndarray  # (p,) grid nodes per piece, summing to n, by which the node averages weight it
+    eigenvalues: np.ndarray  # (p, L), descending per piece
+    ranks: np.ndarray  # (p,) ints
+    rel_tol: float  # the rank tolerances the ranks were taken at
+    abs_floor: float
+
+    @property
+    def mean_rank(self) -> float:
+        return float(np.dot(self.counts, self.ranks) / self.counts.sum())
+
+    def histogram(self) -> dict:
+        n = int(self.counts.sum())
+        return {v: float(c) / n for v, c in enumerate(np.bincount(self.ranks, weights=self.counts)) if c > 0}
+
+    @cached_property
+    def sorted_eigenvalues_and_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every node's eigenvalues (its piece's) in one ascending array and its prefix
+        sums, computed on first use and kept, so all water-fillings of a result share one sort."""
+        return _ascending_prefix_sums(np.repeat(self.eigenvalues, self.counts, axis=0))
 
 
 def rank_integral(
@@ -431,8 +425,8 @@ def rank_integral(
     ("segment-exact"), and the midpoint grid sum for a model with rational
     terms, a piece of length 1/n per node ("grid"), whose integer rank sum
     is divided once by n.  The result keeps the pieces, with their node
-    counts in the RankProfile, for properness_check and support_bound.  It
-    needs 0 <= rel_tol < 1 and a finite abs_floor >= 0.
+    counts, eigenvalues and ranks, for properness_check, support_bound and
+    water-filling.  It needs 0 <= rel_tol < 1 and a finite abs_floor >= 0.
     """
     grid = grid or FrequencyGrid()
     if grid.n < MIN_GRID_N:
@@ -446,16 +440,14 @@ def rank_integral(
         value, method = float(ranks.sum() / grid.n), "grid"
     else:
         value, method = float(np.sum(lengths * ranks)), "segment-exact"
-    return RankIntegralResult(
-        value, RankProfile(eig, ranks, counts, rel_tol, abs_floor), method, grid.n, model, lengths, mats
-    )
+    return RankIntegralResult(value, method, grid.n, model, lengths, mats, counts, eig, ranks, rel_tol, abs_floor)
 
 
 def _bivariate_pieces(ri: RankIntegralResult) -> np.ndarray:
     """The (p, 2, 2) pieces holding a grid node of a complex process viewed as (real, imaginary)."""
     if ri.model.L != 2:
         raise ValueError("complex-process analysis needs a bivariate (L=2) model")
-    held = ri.profile.counts > 0
+    held = ri.counts > 0
     return ri.piece_matrices if held.all() else ri.piece_matrices[held]  # no copy of a per-node stack
 
 
@@ -519,7 +511,7 @@ def support_bound(ri: RankIntegralResult) -> SupportBoundReport:
     """
     _bivariate_pieces(ri)
     s_z = _scalar_density(ri.piece_matrices)
-    thresh = ri.profile.rel_tol * max(s_z.max(initial=0.0), ri.profile.abs_floor)
+    thresh = ri.rel_tol * max(s_z.max(initial=0.0), ri.abs_floor)
     bound = 2.0 * float(np.sum(ri.piece_lengths[s_z > thresh]))
     tol = 4.0 / ri.grid_n if ri.method == "grid" else 1e-9
     gap = bound - ri.value

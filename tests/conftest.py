@@ -17,9 +17,9 @@ from gaussdim.spectral import FrequencyGrid
 
 
 def per_node(ri, rows):
-    """`rows`, one per piece of the rank integral `ri` (its piece matrices or a
-    profile field), each repeated over the grid nodes its piece holds."""
-    return np.repeat(rows, ri.profile.counts, axis=0)
+    """`rows`, one per piece of the rank integral `ri` (its piece matrices,
+    eigenvalues or ranks), each repeated over the grid nodes its piece holds."""
+    return np.repeat(rows, ri.counts, axis=0)
 
 
 @pytest.fixture(scope="session")

@@ -21,9 +21,12 @@ from gaussdim.estimators import (
     OCCUPANCY_FRACTION,
     SURROGATE_GROUPS,
     SURROGATE_M_LADDER,
+    SURROGATE_PATHS,
     SURROGATE_SEGMENT,
     UndersamplingError,
     _choose_k,
+    _draw,
+    _entropy_slope,
     _half_mean_logdet,
     _ls_slope,
     gaussian_surrogate_kl,
@@ -33,7 +36,7 @@ from gaussdim.estimators import (
     surrogate_idr_estimate,
 )
 from gaussdim.entropy import exact_cell_entropy
-from gaussdim.experiments import TOL_ESTIMATE, ExperimentConfig
+from gaussdim.experiments import TOL_ESTIMATE
 from gaussdim.quantize import PrecisionOverflowError, dither_stream, quantize
 from gaussdim.simulate import MAX_DENSE_DIM, autocovariance_from_spectrum, sample_paths, welch_psd
 from gaussdim.spectral import normalize_components, rank_integral
@@ -100,6 +103,19 @@ class TestSlopeEstimator:
         samples[5, K_CAP - 1, 0] = value  # a step the guard never quantizes
         with pytest.raises(PrecisionOverflowError):
             _choose_k(samples, 64)
+
+    @pytest.mark.parametrize("b", [2, 3, 4])
+    @pytest.mark.parametrize("name", ["ar1_0p6", "narrowband_0p4", "line_process"])
+    def test_blocked_process_slope_is_b_times_the_block_slope(self, name, b):
+        """Y_t = (X_bt, ..., X_bt+b-1) has b times X's dimension rate.  X's b-step
+        paths reshaped to (paths, 1, b) are Y's one-step paths, and both slopes
+        count the same cells over the same code columns in the same order, so
+        Y's slope at block length 1 is b times X's at block length b, to rounding."""
+        _, batch = _draw(MODELS[name][0](), b, 100_000, seed=7)
+        x = _entropy_slope(batch.samples, (1, 2), b, batch, 1)
+        y = _entropy_slope(batch.samples.reshape(-1, 1, b), (1, 2), 1, batch, b)
+        assert abs(y.value - b * x.value) <= 1e-14 and abs(y.se - b * x.se) <= 1e-14
+        assert y.occupancy == x.occupancy
 
     @pytest.mark.parametrize(
         "name, bound_mib", [("correlated_pair", 9.5), ("white_noise", 6.5)], ids=["correlated_pair", "white_noise"]
@@ -216,7 +232,7 @@ class TestSurrogateGroups:
 
     @pytest.mark.parametrize("builder", [white_noise, correlated_pair], ids=["L1", "L2"])
     def test_ladder_peak_is_a_group_not_the_batch(self, builder, monkeypatch):
-        paths = ExperimentConfig.surrogate_paths  # the CLI default
+        paths = SURROGATE_PATHS  # the CLI's fixed setting
         batch = _surrogate_batch(builder(), paths, 7)
         monkeypatch.setattr(estimators, "sample_paths", lambda *a: batch)
         surrogate_idr_estimate(builder(), paths=paths, seed=7)  # warm caches outside the trace

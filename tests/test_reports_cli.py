@@ -22,6 +22,7 @@ from gaussdim.benchmarks import (
 )
 from gaussdim.cli import _build_parser, _raw_config, main
 from gaussdim.entropy import exact_cell_entropy
+from gaussdim.estimators import SURROGATE_K, SURROGATE_M_LADDER, SURROGATE_PATHS
 from gaussdim.experiments import (
     COMMON_FIELDS,
     INVARIANCE_TRANSFORMS,
@@ -39,6 +40,7 @@ from gaussdim.modelio import (
     save_model,
 )
 from gaussdim.reports import CSV_COLUMNS, EstimateReport, RunReport, emit, load_report
+from gaussdim.simulate import MAX_DENSE_DIM
 from gaussdim.spectral import Band, SpectralModel
 
 
@@ -148,13 +150,22 @@ class TestConfig:
         read = set(COMMON_FIELDS).union(*(task.fields for task in TASKS.values()))
         assert {f.name for f in dataclasses.fields(ExperimentConfig)} == read
 
-    @pytest.mark.parametrize("field", ["paths", "surrogate_paths", "surrogate_k", "verify_paths"])
+    @pytest.mark.parametrize("field", ["paths", "verify_paths"])
     @pytest.mark.parametrize("value", [0, -5])
     def test_counts_below_one_rejected(self, field, value):
         task = "verify" if field == "verify_paths" else "estimate"
         doc = model_to_document(white_noise())
         with pytest.raises(ConfigError, match=f"{field} must be at least 1, got {value}"):
             ExperimentConfig(task=task, model=doc, seed=7, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("surrogate_paths", 4), ("surrogate_k", 2048), ("surrogate_m_ladder", [16, 64]),
+    ])
+    def test_surrogate_settings_are_not_configuration_fields(self, field, value):
+        """The surrogate's ladder, path count and path length are fixed, like verify's settings."""
+        doc = model_to_document(white_noise())
+        with pytest.raises(ConfigError, match=f"unknown configuration fields for task 'estimate': \\['{field}'\\]"):
+            ExperimentConfig.from_dict({"task": "estimate", "model": doc, "seed": 7, field: value})
 
     def test_seed_required_for_stochastic_tasks(self):
         doc = model_to_document(white_noise())
@@ -203,10 +214,7 @@ class TestConfig:
         doc["rank_rel_tol"] = 1e-3
         config = {"task": task, "model": doc, "grid_n": 1024}
         if task == "estimate":
-            config.update({
-                "seed": 3, "paths": 5000, "m_ladder": [1, 2], "surrogate_m_ladder": [16, 64],
-                "surrogate_paths": 4, "surrogate_k": 2048,
-            })
+            config.update({"seed": 3, "paths": 5000, "m_ladder": [1, 2]})
         rows = [r for r in run(config).reports if r.quantity == "dimension"]
         assert len(rows) == (2 if task == "estimate" else 1)
         assert all(r.reference == 1.0 for r in rows)
@@ -233,8 +241,6 @@ class TestRunTasks:
             "model": model_to_document(white_noise()),
             "seed": 11,
             "paths": 20_000,
-            "surrogate_paths": 24,
-            "surrogate_k": 2048,
         }
         r1, r2 = run(dict(cfg)), run(dict(cfg))
         d1, d2 = r1.to_document(), r2.to_document()
@@ -247,8 +253,6 @@ class TestRunTasks:
             "model": model_to_document(white_noise()),
             "seed": 12,
             "paths": 20_000,
-            "surrogate_paths": 24,
-            "surrogate_k": 2048,
         })
         slope, surrogate = rep.reports
         assert slope.settings["k"] == 1
@@ -268,8 +272,6 @@ class TestRunTasks:
             "model": model_to_document(builder()),
             "seed": 12,
             "paths": 20_000,
-            "surrogate_paths": 24,
-            "surrogate_k": 2048,
         })
         slope, surrogate = rep.reports
         assert surrogate.settings["factor_method"] == method
@@ -302,7 +304,7 @@ class TestRunTasks:
         white = save_model(white_noise(), tmp_path / "white.json")
         pair = save_model(correlated_pair(), tmp_path / "pair.json")
         est = tmp_path / "estimate.json"
-        est.write_text(json.dumps({"seed": 3, "paths": 20_000, "surrogate_paths": 24, "surrogate_k": 2048}))
+        est.write_text(json.dumps({"seed": 3, "paths": 20_000}))
         small = ["--seed", "3", "--m-ladder", "2,4", "--paths", "2000"]
         runs = {
             "analyze": ["analyze", str(white)],
@@ -393,8 +395,8 @@ class TestRunTasks:
             ("rd", {}, ["grid_n"]),
             (
                 "estimate",
-                {"seed": 3, "m_ladder": [2, 4], "paths": 2000, "surrogate_paths": 4, "surrogate_k": 2048},
-                ["grid_n", "m_ladder", "paths", "surrogate_m_ladder", "surrogate_paths", "surrogate_k"],
+                {"seed": 3, "m_ladder": [2, 4], "paths": 2000},
+                ["grid_n", "m_ladder", "paths"],
             ),
             (
                 "verify",
@@ -435,6 +437,16 @@ class TestRunTasks:
             for n in (64, 4096)
         }
         assert rows[64] == rows[4096]
+
+    @pytest.mark.parametrize("builder", [white_noise, correlated_pair], ids=["L1", "L2"])
+    def test_estimate_surrogate_runs_at_its_fixed_settings(self, builder):
+        model = builder()
+        rep = run({"task": "estimate", "model": model_to_document(model), "seed": 3,
+                   "m_ladder": [2, 4], "paths": 2000})
+        (surrogate,) = [r for r in rep.reports if r.method == "gaussian-surrogate"]
+        assert surrogate.settings["m_ladder"] == list(SURROGATE_M_LADDER)
+        assert surrogate.settings["paths"] == SURROGATE_PATHS
+        assert surrogate.settings["k"] == min(SURROGATE_K, MAX_DENSE_DIM // model.L)
 
     def test_rd_task(self):
         rep = run({"task": "rd", "model": model_to_document(narrowband(0.4))})
@@ -488,6 +500,30 @@ class TestCLI:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "task, field, value",
+        [
+            ("estimate", "paths", "10"),
+            ("estimate", "paths", 2000.0),
+            ("estimate", "paths", True),
+            ("verify", "verify_paths", 2000.0),
+            ("estimate", "seed", 7.5),
+            ("estimate", "seed", "7"),
+            ("estimate", "m_ladder", [2, 4.5]),
+            ("estimate", "m_ladder", 8),
+            ("analyze", "grid_n", 1024.0),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_exit_code(self, task, field, value, tmp_path, capsys):
+        """A count, seed, precision or grid size that is not an integer is a configuration error,
+        not a failure inside the task or a value run rounded and recorded as given."""
+        model_path = save_model(white_noise(), tmp_path / "wn.json")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": str(model_path), "seed": 7, field: value}))
+        assert main([task, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gaussdim: configuration error: ") and field in err, err
+
     @pytest.mark.parametrize("task", ["estimate", "verify"])
     @pytest.mark.parametrize("paths", ["0", "-5"])
     def test_path_count_below_one_exit_code(self, task, paths, tmp_path, capsys):
@@ -506,7 +542,6 @@ class TestCLI:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "model": str(model_path), "seed": 5, "m_ladder": [2, 4, 8], "paths": 5_000,
-            "surrogate_paths": 24, "surrogate_k": 2048,
         }))
         code = main(["estimate", "--config", str(cfg)])
         assert code == 1

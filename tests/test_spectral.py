@@ -133,7 +133,7 @@ class TestAssembly:
         assert -0.25 in nodes and 0.25 in nodes
         ri = rank_integral(narrowband(0.5), FrequencyGrid(n))
         assert abs(ri.value - 0.5) <= 1.0 / n
-        assert abs(ri.profile.mean_rank - 0.5) <= 1.0 / n + 1e-15
+        assert abs(ri.mean_rank - 0.5) <= 1.0 / n + 1e-15
         stack = per_node(ri, ri.piece_matrices)
         assert np.array_equal(stack[::-1], stack.conj())
 
@@ -187,7 +187,7 @@ class TestRankIntegral:
     def test_grid_profile_close_to_exact(self, band04, grid):
         result = rank_integral(band04, grid)
         assert result.method == "segment-exact"
-        assert abs(result.profile.mean_rank - result.value) <= 2.0 / grid.n
+        assert abs(result.mean_rank - result.value) <= 2.0 / grid.n
 
     def test_min_resolution_enforced(self, white):
         with pytest.raises(ValueError, match="resolution"):
@@ -202,16 +202,16 @@ class TestRankIntegral:
             rank_integral(band04, grid, rel_tol, abs_floor)
 
     def test_rank_histogram(self, halfband_pair, grid):
-        hist = rank_integral(halfband_pair, grid).profile.histogram()
+        hist = rank_integral(halfband_pair, grid).histogram()
         assert hist == {1: 1.0}
 
     def test_band_result_keeps_one_row_per_piece(self):
         ri = rank_integral(narrowband(0.4), FrequencyGrid(65536))
         assert "matrices" not in {f.name for f in dataclasses.fields(ri)}
         assert ri.piece_matrices.shape == (3, 1, 1) and ri.piece_lengths.shape == (3,)
-        assert ri.profile.eigenvalues.shape == (3, 1) and ri.profile.ranks.shape == (3,)
-        assert ri.profile.counts.tolist() == [19661, 26214, 19661]
-        assert ri.profile.mean_rank == 26214 / 65536
+        assert ri.eigenvalues.shape == (3, 1) and ri.ranks.shape == (3,)
+        assert ri.counts.tolist() == [19661, 26214, 19661]
+        assert ri.mean_rank == 26214 / 65536
 
     def test_band_result_memory_is_independent_of_the_grid(self):
         rank_integral(correlated_pair(), FrequencyGrid(64))  # first-call allocations
@@ -319,8 +319,8 @@ class TestRankIntegralProperties:
     def test_grid_refinement_stability(self, params):
         model = _build_band_model(*params)
         n = 128
-        coarse = rank_integral(model, FrequencyGrid(n)).profile.mean_rank
-        fine = rank_integral(model, FrequencyGrid(2 * n)).profile.mean_rank
+        coarse = rank_integral(model, FrequencyGrid(n)).mean_rank
+        fine = rank_integral(model, FrequencyGrid(2 * n)).mean_rank
         n_endpoints = 2 * len(model.bands)
         assert abs(coarse - fine) <= max(n_endpoints, 1) / n + 1e-12
 
@@ -648,11 +648,8 @@ def _grid_eigen_passes(monkeypatch, config, n):
     return len(calls)
 
 
-# Small Monte Carlo settings: the spy counts grid eigen-passes, not estimate quality.
-_SMALL_ESTIMATE = {
-    "seed": 3, "paths": 2000, "m_ladder": [2, 4],
-    "surrogate_m_ladder": [16, 64], "surrogate_paths": 4, "surrogate_k": 2048,
-}
+# Small Monte Carlo settings (the surrogate's are fixed): the spy counts grid eigen-passes, not estimate quality.
+_SMALL_ESTIMATE = {"seed": 3, "paths": 2000, "m_ladder": [2, 4]}
 _SMALL_VERIFY = {"seed": 3, "verify_paths": 2000, "m_ladder": [2, 4]}
 
 
@@ -743,8 +740,8 @@ class TestStackEigvalsh:
     def test_ranks_match_lapack_on_every_model(self, name, n):
         ri = rank_integral(MODELS[name][0](), FrequencyGrid(n))
         lapack = np.linalg.eigvalsh(per_node(ri, ri.piece_matrices))[:, ::-1]
-        ranks = _numerical_ranks(lapack, ri.profile.rel_tol, ri.profile.abs_floor)
-        assert np.array_equal(per_node(ri, ri.profile.ranks), ranks)
+        ranks = _numerical_ranks(lapack, ri.rel_tol, ri.abs_floor)
+        assert np.array_equal(per_node(ri, ri.ranks), ranks)
 
     def test_three_components_take_lapack(self, monkeypatch, grid):
         model = _three_component_model()
@@ -763,9 +760,9 @@ class TestStackEigvalsh:
         changes = np.flatnonzero((stack[1:] != stack[:-1]).any(axis=(1, 2))) + 1
         representatives = stack[np.concatenate(([0], changes))]
         assert len(stacks) == 1 and len(stacks[0]) == 3 and np.array_equal(stacks[0], representatives)
-        assert np.array_equal(per_node(ri, ri.profile.eigenvalues), real(stack)[:, ::-1])
+        assert np.array_equal(per_node(ri, ri.eigenvalues), real(stack)[:, ::-1])
         assert ri.value == pytest.approx(1.4, abs=1e-12)
-        assert ri.profile.mean_rank == pytest.approx(1.4, abs=2.0 / grid.n)
+        assert ri.mean_rank == pytest.approx(1.4, abs=2.0 / grid.n)
 
 
 def _identity_stack(L, n=64):
@@ -886,7 +883,7 @@ def _segment_value(model, rel_tol, abs_floor):
 
 
 def _assert_same_as_per_node_pass(model, grid):
-    """rank_integral's pieces and profile repeated over their nodes, or its error
+    """rank_integral's pieces, eigenvalues and ranks repeated over their nodes, or its error
     message, equal the per-node reference's, and so do its mean rank and rank
     histogram; a band-only value is within 2 ulps of the segment loop's."""
     mats = _slice_fill(model, grid.nodes)
@@ -898,15 +895,15 @@ def _assert_same_as_per_node_pass(model, grid):
         assert str(got.value) == str(err)
         return False
     ri = rank_integral(model, grid)
-    ranks = _numerical_ranks(eig, ri.profile.rel_tol, ri.profile.abs_floor)
+    ranks = _numerical_ranks(eig, ri.rel_tol, ri.abs_floor)
     assert per_node(ri, ri.piece_matrices).tobytes() == mats.tobytes()
-    assert per_node(ri, ri.profile.eigenvalues).tobytes() == np.ascontiguousarray(eig).tobytes()
-    assert np.array_equal(per_node(ri, ri.profile.ranks), ranks)
-    assert ri.profile.mean_rank == float(ranks.mean())
+    assert per_node(ri, ri.eigenvalues).tobytes() == np.ascontiguousarray(eig).tobytes()
+    assert np.array_equal(per_node(ri, ri.ranks), ranks)
+    assert ri.mean_rank == float(ranks.mean())
     values, counts = np.unique(ranks, return_counts=True)
-    assert ri.profile.histogram() == {int(v): float(c) / len(ranks) for v, c in zip(values, counts)}
+    assert ri.histogram() == {int(v): float(c) / len(ranks) for v, c in zip(values, counts)}
     if not model.arma_terms:
-        ref = _segment_value(model, ri.profile.rel_tol, ri.profile.abs_floor)
+        ref = _segment_value(model, ri.rel_tol, ri.abs_floor)
         assert abs(ri.value - ref) <= 2 * np.spacing(ref)
     return True
 
@@ -1060,7 +1057,7 @@ class TestPropernessNorm:
         n, narrow, real_only = 64, (0.3125, 0.3125 + 0.25 / 64), [[1.0, 0.0], [0.0, 0.0]]
         bands = [*proper_complex_flat().bands, Band(-narrow[1], -narrow[0], real_only), Band(*narrow, real_only)]
         ri = rank_integral(SpectralModel(L=2, bands=bands), FrequencyGrid(n))
-        assert 0 in ri.profile.counts
+        assert 0 in ri.counts
         rep = properness_check(ri)
         assert rep == _packed_properness(ri) and rep.proper and rep.max_density_mismatch == 0.0
 
@@ -1077,7 +1074,8 @@ class TestPropernessNorm:
         mats[:, 0, 1] = rng.normal(size=64) * np.resize([1e-12, 1.0], 64) + 1j * rng.normal(size=64)
         mats[:, 1, 0] = mats[:, 0, 1].conj()
         mats *= 10.0**exponent
-        profile = spectral.RankProfile(None, None, np.ones(1, dtype=int), 0.0, 0.0)
         for j in range(64):
-            ri = spectral.RankIntegralResult(0.0, profile, "grid", 1, correlated_pair(), np.ones(1), mats[j:j + 1])
+            ri = spectral.RankIntegralResult(
+                0.0, "grid", 1, correlated_pair(), np.ones(1), mats[j:j + 1], np.ones(1, dtype=int), None, None, 0.0, 0.0
+            )
             assert properness_check(ri) == _packed_properness(ri)
