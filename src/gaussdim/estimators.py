@@ -6,9 +6,8 @@ log m over a precision ladder: block entropies grow like d * log m + const,
 and the additive constant (which decays only like 1/log m in a ratio) drops
 out of the slope.  The surrogate route replaces cell counting with the
 log-determinant of the spectrum of the dithered quantized process, which is
-what makes narrowband processes reachable at desk scale.  It runs one path
-group at a time: each m has one dither stream that continues across the
-groups, so its working arrays are a group's size, not the batch's.
+what makes narrowband processes reachable at desk scale.  Each route's
+core, _entropy_slope or _surrogate_slope, takes a drawn (paths, k, L) batch.
 """
 
 from __future__ import annotations
@@ -95,26 +94,25 @@ def _draw(model: SpectralModel, k: int, paths: int, seed: int):
     return norm, sample_paths(acov, k, paths, seed)
 
 
+def _code_columns(samples: np.ndarray, k: int, m: int):
+    """The int64 codes floor(m x) of the first k steps, one component column of one step at a time."""
+    width = samples.shape[2]
+    return (quantize(samples[:, t, i:i + 1], m).astype(np.int64).ravel() for t in range(k) for i in range(width))
+
+
 def _choose_k(samples: np.ndarray, m_max: int) -> int:
     """Largest block length whose occupied-cell count passes the plug-in guard.
 
     One range check at m_max covers the whole (paths, k_cap, L) batch, so a
     value out of range at any step raises, as quantizing the batch would.
-    The code columns floor(m_max x) are then made one component of one step
-    at a time, each floored in place and cast to int64 before it is folded
-    into the key (packed_keys), so the working set is a few code columns on
-    top of the batch.  The key after step k's last column extends the key of
-    k-1, and cell_counts counts its cells.
+    Each code column from _code_columns is folded into the key (packed_keys)
+    as it is made, so the working set is a few code columns on top of the
+    batch.  The key after step k's last column extends the key of k-1, and
+    cell_counts counts its cells.
     """
     paths, k_cap, width = samples.shape
     check_precision(samples, m_max)
-
-    def floor_codes(col):
-        x = m_max * col
-        return np.floor(x, out=x).astype(np.int64)  # the float column is freed on return, before the fold
-
-    columns = (floor_codes(samples[:, t, i]) for t in range(k_cap) for i in range(width))
-    step_keys = islice(packed_keys(columns), width - 1, None, width)  # the key after each whole step
+    step_keys = islice(packed_keys(_code_columns(samples, k_cap, m_max)), width - 1, None, width)
     chosen = 1
     for k, counts in enumerate(map(cell_counts, step_keys), start=1):  # no step key is held past its count
         if len(counts) > paths * OCCUPANCY_FRACTION:
@@ -126,18 +124,16 @@ def _choose_k(samples: np.ndarray, m_max: int) -> int:
 def _entropy_slope(samples: np.ndarray, ladder: tuple, k: int, batch, L: int, notes: str = ""):
     """Slope of the block entropy rate H_k/k against log m, one k-block per path.
 
-    For each m the block's codes are quantized one component column of one
-    step at a time and handed to plugin_entropy as a column iterator, so
-    cell_counts folds each column into its key as it is made: no block-sized
-    code array exists.  `batch` is the draw the samples came from (its
-    factor method is reported); slopes outside [-0.1, L + 0.1] are flagged.
+    For each m the block's code columns from _code_columns go to
+    plugin_entropy as an iterator, so cell_counts folds each column into its
+    key as it is made: no block-sized code array exists.  `batch` is the draw
+    the samples came from (its factor method is reported); slopes outside
+    [-0.1, L + 0.1] are flagged.
     """
-    paths, _, width = samples.shape
+    paths = samples.shape[0]
     values, ses, occupancy = [], [], []
     for m in ladder:
-        est = plugin_entropy(
-            quantize(samples[:, t, i:i + 1], m).astype(np.int64).ravel() for t in range(k) for i in range(width)
-        )
+        est = plugin_entropy(_code_columns(samples, k, m))
         if est.occupied > paths * OCCUPANCY_FRACTION:
             raise UndersamplingError(
                 f"{est.occupied} occupied cells at m={m} with only {paths} blocks; "
@@ -186,6 +182,40 @@ def _half_mean_logdet(matrices: np.ndarray, floor: float) -> float:
     return 0.5 * float(np.log(np.maximum(_stack_eigvalsh(matrices), floor)).sum(axis=1).mean())
 
 
+def _surrogate_slope(samples: np.ndarray, ladder: tuple, seed: int):
+    """(value, se, pairwise slopes) of the surrogate on a (paths, k, L) batch.
+
+    Per m, the paths run in SURROGATE_GROUPS groups, and each group's Welch
+    estimate gives its own g(m) for the standard error.  The m's one dither
+    stream continues across the groups, and the pooled spectrum adds the
+    per-path estimates in path order, so every value is the one a
+    whole-batch pass would give.
+    """
+    paths, _, L = samples.shape
+    check_precision(samples, ladder[-1])  # |x| * m grows with m: the top of the ladder covers it
+    groups = max(1, min(SURROGATE_GROUPS, paths))
+    bounds = np.linspace(0, paths, groups + 1).astype(int)
+    g_pooled, g_groups = [], []
+    for m in ladder:
+        draw, floor = dither_stream(seed, m), 0.01 / (12.0 * m * m)
+        pooled = np.zeros((SURROGATE_SEGMENT, L, L), dtype=complex)  # per-path spectra summed
+        g_groups.append([])
+        for a, b in zip(bounds, bounds[1:]):
+            w = quantize(samples[a:b], m)
+            w /= m
+            w += draw(w.shape)
+            west = welch_psd(w, nperseg=SURROGATE_SEGMENT)
+            g_groups[-1].append(_half_mean_logdet(west.matrices, floor))
+            for row in west.per_path:  # one path at a time, in path order, as a whole-batch mean adds them
+                pooled += row
+        g_pooled.append(_half_mean_logdet(pooled / paths, floor))
+    logm = np.log(np.asarray(ladder, float))
+    slope, _, pairwise = _ls_slope(logm, g_pooled)
+    group_vals = [L + _ls_slope(logm, g)[0] for g in np.transpose(g_groups)]
+    se = float(np.std(group_vals, ddof=1) / np.sqrt(groups)) if groups > 1 else float("nan")
+    return L + slope, se, tuple(L + p for p in pairwise)
+
+
 def surrogate_idr_estimate(
     model: SpectralModel,
     m_ladder=SURROGATE_M_LADDER,
@@ -205,12 +235,6 @@ def surrogate_idr_estimate(
     The long segment, SURROGATE_SEGMENT, keeps window-leakage bias down: nodes
     within a main lobe of a band edge read leaked in-band power instead of the
     1/m^2 floor, and each such node inflates the estimate by ~1/n_freq.
-
-    The paths run in SURROGATE_GROUPS groups, one group at a time, and each
-    group's Welch estimate gives its own g(m) for the standard error.  Each m
-    has one dither stream that continues across the groups, and the pooled
-    spectrum adds the per-path estimates in path order, so every value is
-    the one a whole-batch pass would give.
     """
     ladder = _validate_ladder(m_ladder)
     norm = normalize_components(model)
@@ -219,42 +243,13 @@ def surrogate_idr_estimate(
             0.0, "gaussian-surrogate", ladder, 0, paths, 0.0,
             notes="all components have zero variance; dimension 0",
         )
-    L = norm.model.L
-    k_eff = min(k, MAX_DENSE_DIM // L)
+    k_eff = min(k, MAX_DENSE_DIM // norm.model.L)
     if k_eff < int(1.5 * SURROGATE_SEGMENT):
         raise ValueError(f"k_eff={k_eff} too short for Welch segments of {SURROGATE_SEGMENT}")
-    acov = autocovariance_from_spectrum(norm.model, k_eff - 1)
-    batch = sample_paths(acov, k_eff, paths, seed)
-    check_precision(batch.samples, ladder[-1])  # |x| * m grows with m: the top of the ladder covers it
-    groups = max(1, min(SURROGATE_GROUPS, paths))
-    bounds = np.linspace(0, paths, groups + 1).astype(int)
-    draws = [dither_stream(seed, m) for m in ladder]
-    floors = [0.01 / (12.0 * m * m) for m in ladder]
-
-    pooled = np.zeros((len(ladder), SURROGATE_SEGMENT, L, L), dtype=complex)  # per-path spectra summed, per m
-    g_groups = np.empty((len(ladder), groups))
-    for gi, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        x = batch.samples[a:b]
-        for i, m in enumerate(ladder):
-            w = quantize(x, m)
-            w /= m
-            w += draws[i](w.shape)
-            west = welch_psd(w, nperseg=SURROGATE_SEGMENT)
-            g_groups[i, gi] = _half_mean_logdet(west.matrices, floors[i])
-            for row in west.per_path:  # one path at a time, in path order, as a whole-batch mean adds them
-                pooled[i] += row
-    g_pooled = [_half_mean_logdet(total / paths, floor) for total, floor in zip(pooled, floors)]
-
-    logm = np.log(np.asarray(ladder, float))
-    slope, _, pairwise = _ls_slope(logm, g_pooled)
-    value = L + slope
-    if groups > 1:
-        group_vals = [L + _ls_slope(logm, g_groups[:, gi])[0] for gi in range(groups)]
-        se = float(np.std(group_vals, ddof=1) / np.sqrt(groups))
-    else:
-        se = float("nan")
+    batch = sample_paths(autocovariance_from_spectrum(norm.model, k_eff - 1), k_eff, paths, seed)
+    value, se, pairwise = _surrogate_slope(batch.samples, ladder, seed)
     return DimensionEstimate(
-        value, "gaussian-surrogate", ladder, k_eff, paths, se, tuple(L + p for p in pairwise),
+        value, "gaussian-surrogate", ladder, k_eff, paths, se, pairwise,
         notes="" if -0.1 <= value <= model.L + 0.1 else f"estimate {value:.4f} outside [-0.1, L+0.1]",
         factor_method=batch.factor_method,
     )

@@ -19,6 +19,7 @@ from .estimators import (
     DEFAULT_M_LADDER,
     ENTROPY_PATHS,
     _draw,
+    _validate_ladder,
     gaussian_surrogate_kl,
     idr_slope_estimate,
     invariance_check,
@@ -96,6 +97,12 @@ class ExperimentConfig:
         for name in ("paths", "verify_paths"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        try:  # the ladder's and the grid's own rules, checked before any task work
+            _validate_ladder(self.m_ladder)
+            if self.grid_n is not None:
+                FrequencyGrid(self.grid_n)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":

@@ -59,8 +59,8 @@ class FrequencyGrid:
     n: int = DEFAULT_GRID_N
 
     def __post_init__(self):
-        if self.n < 2 or self.n % 2 != 0:
-            raise ValueError(f"grid size must be even and >= 2, got {self.n}")
+        if self.n < MIN_GRID_N or self.n % 2 != 0:
+            raise ValueError(f"grid resolution must be even and >= {MIN_GRID_N}, got {self.n}")
 
     @property
     def nodes(self) -> np.ndarray:
@@ -429,8 +429,6 @@ def rank_integral(
     water-filling.  It needs 0 <= rel_tol < 1 and a finite abs_floor >= 0.
     """
     grid = grid or FrequencyGrid()
-    if grid.n < MIN_GRID_N:
-        raise ValueError(f"grid resolution must be >= {MIN_GRID_N}, got {grid.n}")
     if not (0.0 <= rel_tol < 1.0 and 0.0 <= abs_floor < np.inf):
         raise ValueError(f"rank tolerances need 0 <= rel_tol < 1 and 0 <= abs_floor < inf: {rel_tol}, {abs_floor}")
     lengths, mats, counts, eig = _diagonalize(model, grid)

@@ -20,15 +20,18 @@ from gaussdim.estimators import (
     K_CAP,
     OCCUPANCY_FRACTION,
     SURROGATE_GROUPS,
+    SURROGATE_K,
     SURROGATE_M_LADDER,
     SURROGATE_PATHS,
     SURROGATE_SEGMENT,
     UndersamplingError,
     _choose_k,
+    _code_columns,
     _draw,
     _entropy_slope,
     _half_mean_logdet,
     _ls_slope,
+    _surrogate_slope,
     gaussian_surrogate_kl,
     idr_slope_estimate,
     invariance_check,
@@ -36,10 +39,11 @@ from gaussdim.estimators import (
     surrogate_idr_estimate,
 )
 from gaussdim.entropy import exact_cell_entropy
-from gaussdim.experiments import TOL_ESTIMATE
+from gaussdim.experiments import TOL_ESTIMATE, TOL_RD
 from gaussdim.quantize import PrecisionOverflowError, dither_stream, quantize
+from gaussdim.ratedist import rd_dimension_estimate
 from gaussdim.simulate import MAX_DENSE_DIM, autocovariance_from_spectrum, sample_paths, welch_psd
-from gaussdim.spectral import normalize_components, rank_integral
+from gaussdim.spectral import Band, SpectralModel, normalize_components, rank_integral
 
 
 class TestSlopeEstimator:
@@ -94,6 +98,16 @@ class TestSlopeEstimator:
                     break
                 expected = k
             assert _choose_k(samples, m_max) == expected
+
+    @pytest.mark.parametrize("builder", [white_noise, correlated_pair], ids=["L1", "L2"])
+    def test_code_columns_are_the_floor_codes_column_by_column(self, builder):
+        samples = sample_paths(autocovariance_from_spectrum(builder(), K_CAP - 1), K_CAP, 1_000, seed=9).samples
+        for k, m in ((1, 1), (2, 8), (K_CAP, 64)):
+            columns = list(_code_columns(samples, k, m))
+            assert len(columns) == k * samples.shape[2] and all(col.dtype == np.int64 for col in columns)
+            # step-major: column t * L + i holds component i of step t
+            expected = quantize(samples[:, :k], m).astype(np.int64).reshape(len(samples), -1)
+            assert np.array_equal(np.stack(columns, axis=1), expected)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
     def test_choose_k_range_checks_beyond_the_chosen_k(self, value):
@@ -226,19 +240,19 @@ class TestSurrogateGroups:
     @pytest.mark.parametrize("paths", [100, 24, 4])  # equal groups, unequal groups, fewer paths than groups
     @pytest.mark.parametrize("builder", [white_noise, correlated_pair], ids=["white", "pair"])
     def test_equals_the_whole_batch_formula(self, builder, paths):
+        batch = _surrogate_batch(builder(), paths, 5)
+        expected = _whole_batch_surrogate(batch, 5)
         est = surrogate_idr_estimate(builder(), paths=paths, seed=5)
-        value, se, pairwise = _whole_batch_surrogate(_surrogate_batch(builder(), paths, 5), 5)
-        assert (est.value, est.se, est.pairwise_slopes) == (value, se, pairwise)
+        assert (est.value, est.se, est.pairwise_slopes) == expected
+        assert _surrogate_slope(batch.samples, SURROGATE_M_LADDER, 5) == expected  # the core on the same batch
 
     @pytest.mark.parametrize("builder", [white_noise, correlated_pair], ids=["L1", "L2"])
-    def test_ladder_peak_is_a_group_not_the_batch(self, builder, monkeypatch):
-        paths = SURROGATE_PATHS  # the CLI's fixed setting
-        batch = _surrogate_batch(builder(), paths, 7)
-        monkeypatch.setattr(estimators, "sample_paths", lambda *a: batch)
-        surrogate_idr_estimate(builder(), paths=paths, seed=7)  # warm caches outside the trace
+    def test_ladder_peak_is_a_group_not_the_batch(self, builder):
+        samples = _surrogate_batch(builder(), SURROGATE_PATHS, 7).samples  # the CLI's fixed settings
+        _surrogate_slope(samples, SURROGATE_M_LADDER, 7)  # warm caches outside the trace
         tracemalloc.start()
         try:
-            surrogate_idr_estimate(builder(), paths=paths, seed=7)
+            _surrogate_slope(samples, SURROGATE_M_LADDER, 7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -249,21 +263,111 @@ class TestSurrogateGroups:
         ids=["inf", "-inf", "top", "-top", "every-m", "nan"],
     )
     def test_range_check_raises_before_the_ladder(self, value, monkeypatch):
-        batch = _surrogate_batch(white_noise(), 4, 3)
-        batch.samples[2, 100, 0] = value
-        monkeypatch.setattr(estimators, "sample_paths", lambda *a: batch)
+        samples = _surrogate_batch(white_noise(), 4, 3).samples
+        samples[2, 100, 0] = value
         monkeypatch.setattr(estimators, "welch_psd", lambda *a, **kw: pytest.fail("ladder ran"))
         with pytest.raises(PrecisionOverflowError):
-            surrogate_idr_estimate(white_noise(), paths=4, seed=3)
+            _surrogate_slope(samples, SURROGATE_M_LADDER, 3)
 
     @pytest.mark.parametrize("value", [np.nextafter(2.0**53 / 256, 0.0)], ids=["below-top"])
-    def test_range_check_passes_nan_and_values_below_the_top(self, value, monkeypatch):
+    def test_range_check_passes_nan_and_values_below_the_top(self, value):
         # NaN raises: see test_range_check_raises_before_the_ladder
-        batch = _surrogate_batch(white_noise(), 4, 3)
-        batch.samples[2, 100, 0] = value
-        monkeypatch.setattr(estimators, "sample_paths", lambda *a: batch)
-        est = surrogate_idr_estimate(white_noise(), paths=4, seed=3)
-        assert est.paths == 4
+        samples = _surrogate_batch(white_noise(), 4, 3).samples
+        samples[2, 100, 0] = value
+        assert np.isfinite(_surrogate_slope(samples, SURROGATE_M_LADDER, 3)[1])
+
+
+@pytest.fixture(scope="class")
+def fixed_draw():
+    """X's paths at the surrogate's fixed settings, drawn once per (model, seed) for a test class."""
+    cache = {}
+
+    def draw(name, seed=7):
+        if (name, seed) not in cache:
+            cache[name, seed] = _surrogate_batch(MODELS[name][0](), SURROGATE_PATHS, seed).samples
+        return cache[name, seed]
+
+    return draw
+
+
+def _acov(model, tau_max=8):
+    return autocovariance_from_spectrum(model, tau_max).matrices
+
+
+MIX = np.array([[1.0, 0.5], [0.0, 1.0]])
+
+
+class TestExactRelations:
+    """Relations the dimension rate obeys exactly, checked on the rank integral, the rd slope
+    and the surrogate core run on transformed paths of one draw per model (seed 7).  Each
+    transformed model is tied to its path transform through its autocovariance."""
+
+    @pytest.mark.parametrize("b", [2, 3, 4])
+    @pytest.mark.parametrize("name", [
+        "white_noise", "ar1_0p6", "line_process",
+        pytest.param("narrowband_0p4", marks=pytest.mark.xfail(strict=True, reason=(
+            "blocked narrowband: the null space of Y's polyphase density turns with frequency, and "
+            "Welch leakage at 1024-sample segments reads +0.0915 (b=2), +0.1296 (b=3) and +0.1407 "
+            "(b=4) above b * 0.4 at seed 7; longer segments (ROADMAP item 1) are the expected cure"
+        ))),
+    ])
+    def test_blocked_process_has_b_times_the_dimension(self, fixed_draw, name, b):
+        """Y_t = (X_bt, ..., X_bt+b-1) is X's paths reshaped, and d(Y) = b d(X).  At b = 3 and 4
+        each of Y's paths holds one Welch segment."""
+        n = SURROGATE_K // b
+        y = fixed_draw(name)[:, : b * n, 0].reshape(SURROGATE_PATHS, n, b)
+        reference = b * rank_integral(MODELS[name][0]()).value
+        assert abs(_surrogate_slope(y, SURROGATE_M_LADDER, 7)[0] - reference) <= TOL_ESTIMATE
+
+    def test_modulation_keeps_the_dimension(self, fixed_draw):
+        """(-1)^t X moves narrowband's band across the +-1/2 wrap; d is unchanged."""
+        moved = SpectralModel(L=1, bands=[Band(-0.5, -0.3, [[2.5]]), Band(0.3, 0.5, [[2.5]])])
+        sign = (-1.0) ** np.arange(9)
+        assert np.allclose(_acov(moved), sign[:, None, None] * _acov(narrowband(0.4)), rtol=0, atol=1e-12)
+        reference = rank_integral(narrowband(0.4)).value
+        ri = rank_integral(moved)
+        assert abs(ri.value - reference) <= 1e-12
+        assert abs(rd_dimension_estimate(ri).value - reference) <= TOL_RD
+        x = fixed_draw("narrowband_0p4")
+        value = _surrogate_slope(x * (-1.0) ** np.arange(x.shape[1])[:, None], SURROGATE_M_LADDER, 7)[0]
+        assert abs(value - reference) <= TOL_ESTIMATE
+
+    def test_direct_sum_adds_the_dimensions(self, fixed_draw):
+        """Narrowband beside independent white noise: d = 0.4 + 1."""
+        total = SpectralModel(L=2, bands=[
+            Band(-0.5, -0.2, np.diag([0.0, 1.0])), Band(-0.2, 0.2, np.diag([2.5, 1.0])),
+            Band(0.2, 0.5, np.diag([0.0, 1.0])),
+        ])
+        parts = (narrowband(0.4), white_noise())
+        assert np.allclose(_acov(total)[:, [0, 1], [0, 1]], np.concatenate([_acov(p)[:, 0] for p in parts], axis=1),
+                           rtol=0, atol=1e-12)
+        assert np.abs(_acov(total)[:, [0, 1], [1, 0]]).max() <= 1e-12
+        reference = sum(rank_integral(p).value for p in parts)
+        ri = rank_integral(total)
+        assert abs(ri.value - reference) <= 1e-12
+        assert abs(rd_dimension_estimate(ri).value - reference) <= TOL_RD
+        k = MAX_DENSE_DIM // 2  # the surrogate's L = 2 path length
+        # independent draws: the white paths come from their own seed
+        paths = np.concatenate([fixed_draw("narrowband_0p4")[:, :k], fixed_draw("white_noise", 8)[:, :k]], axis=2)
+        assert abs(_surrogate_slope(paths, SURROGATE_M_LADDER, 7)[0] - reference) <= TOL_ESTIMATE
+
+    @pytest.mark.parametrize(
+        "name", ["independent_halfband_pair", "correlated_pair", "proper_complex_flat", "matched_support_nonproper"]
+    )
+    def test_invertible_mix_keeps_the_dimension(self, fixed_draw, name):
+        """d(AX) = d(X) for A = [[1, 0.5], [0, 1]] on each L = 2 model with two components of
+        positive variance.  The mixed surrogate moved by at most 1.2e-3 at seeds 7 and 11."""
+        model = MODELS[name][0]()
+        mixed = SpectralModel(L=2, bands=[Band(b.lo, b.hi, MIX @ b.matrix @ MIX.T) for b in model.bands])
+        assert np.allclose(_acov(mixed), MIX @ _acov(model) @ MIX.T, rtol=0, atol=1e-12)
+        reference = rank_integral(model).value
+        ri = rank_integral(mixed)
+        assert abs(ri.value - reference) <= 1e-12
+        assert abs(rd_dimension_estimate(ri).value - reference) <= TOL_RD
+        x = fixed_draw(name)
+        base, moved = (_surrogate_slope(s, SURROGATE_M_LADDER, 7)[0] for s in (x, x @ MIX.T))
+        assert abs(moved - reference) <= TOL_ESTIMATE
+        assert abs(moved - base) <= 4e-3
 
 
 class TestKLCheck:

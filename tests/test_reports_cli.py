@@ -532,6 +532,28 @@ class TestCLI:
         assert main([task, str(model_path), "--seed", "7", "--paths", paths]) == 2
         assert capsys.readouterr().err.startswith("gaussdim: configuration error: ")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["estimate", "--seed", "7", "--m-ladder", "4,2"], "m_ladder must be"),
+            (["estimate", "--seed", "7", "--m-ladder", "0,2"], "m_ladder must be"),
+            (["estimate", "--seed", "7", "--m-ladder", "8"], "m_ladder must be"),
+            (["verify", "--seed", "7", "--m-ladder", "4,4"], "m_ladder must be"),
+            (["analyze", "--grid", "1023"], "grid resolution must be even and >= 64"),
+            (["analyze", "--grid", "32"], "grid resolution must be even and >= 64"),
+            (["rd", "--grid", "0"], "grid resolution must be even and >= 64"),
+        ],
+        ids=["ladder-decreasing", "ladder-zero", "ladder-one-rung", "verify-ladder-repeat", "grid-odd",
+             "grid-coarse", "grid-zero"],
+    )
+    def test_config_value_out_of_range_exit_code(self, argv, message, tmp_path, capsys):
+        """An integer ladder or grid size outside the estimator's or the grid's own rules is a
+        configuration error, caught before any task work, not a failure inside the task."""
+        model_path = save_model(white_noise(), tmp_path / "wn.json")
+        assert main([argv[0], str(model_path), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gaussdim: configuration error: ") and message in err, err
+
     def test_missing_seed_exit_code(self, tmp_path):
         model_path = save_model(white_noise(), tmp_path / "wn.json")
         assert main(["estimate", str(model_path)]) == 2
