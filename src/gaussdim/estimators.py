@@ -18,7 +18,7 @@ from itertools import islice
 import numpy as np
 
 from .entropy import cell_counts, exact_cell_distribution, packed_keys, plugin_entropy
-from .quantize import check_precision, dither_stream, quantize
+from .quantize import _floor_codes, check_precision, dither_stream, quantize
 from .simulate import MAX_DENSE_DIM, autocovariance_from_spectrum, sample_paths, welch_psd
 from .spectral import SpectralModel, _stack_eigvalsh, normalize_components
 
@@ -31,6 +31,7 @@ OCCUPANCY_FRACTION = 0.1
 K_CAP = 4
 SURROGATE_GROUPS = 10  # path groups behind the surrogate's standard error
 SURROGATE_SEGMENT = 1024  # Welch segment length of the surrogate
+_MOVES = {"scale": np.multiply, "translate": np.add}  # the invariance transforms: x * c and x + c per component
 
 
 class UndersamplingError(ValueError):
@@ -94,46 +95,83 @@ def _draw(model: SpectralModel, k: int, paths: int, seed: int):
     return norm, sample_paths(acov, k, paths, seed)
 
 
-def _code_columns(samples: np.ndarray, k: int, m: int):
-    """The int64 codes floor(m x) of the first k steps, one component column of one step at a time."""
-    width = samples.shape[2]
-    return (quantize(samples[:, t, i:i + 1], m).astype(np.int64).ravel() for t in range(k) for i in range(width))
+def _code_columns(samples: np.ndarray, k: int, m: int, move=None):
+    """The int64 codes floor(m x) of the first k steps, one component column of one step at a time.
+
+    move, if given, is an (op, amounts) pair from _MOVES and one amount per
+    component: column i is op(x, amounts[i]) before it is floored, the
+    elementwise arithmetic of op(samples, amounts), so no transformed batch
+    is made.  The floor is quantize's without its range check: the callers
+    check their block once (_check_range) before they walk it.  Between
+    columns the walk holds no array, so each column is freed once it is used.
+    """
+    steps = [(t, i) for t in range(k) for i in range(samples.shape[2])]
+    if move is None:
+        return (_floor_codes(samples[:, t, i], m).astype(np.int64) for t, i in steps)
+    op, amounts = move
+    return (_floor_codes(op(samples[:, t, i], amounts[i]), m).astype(np.int64) for t, i in steps)
 
 
-def _choose_k(samples: np.ndarray, m_max: int) -> int:
-    """Largest block length whose occupied-cell count passes the plug-in guard.
+def _check_range(block: np.ndarray, m: int, move=None) -> None:
+    """check_precision of a (paths, k, L) block at m, or of the block `move` would make from it.
 
-    One range check at m_max covers the whole (paths, k_cap, L) batch, so a
-    value out of range at any step raises, as quantizing the batch would.
-    Each code column from _code_columns is folded into the key (packed_keys)
-    as it is made, so the working set is a few code columns on top of the
-    batch.  The key after step k's last column extends the key of k-1, and
-    cell_counts counts its cells.
+    Each move is increasing in x (a scale is positive), so the moved block's
+    extremes are the block's per-component extremes moved, and checking
+    those raises exactly when checking the moved block would, NaN included.
+    The extremes are full reductions of strided component views: axis=
+    reductions over the leading axes take several times as long.
+    """
+    if move is not None:
+        op, amounts = move
+        width = block.shape[2]
+        extremes = [[block[..., i].max() for i in range(width)], [block[..., i].min() for i in range(width)]]
+        block = op(extremes, amounts)
+    check_precision(block, m)
+
+
+def _choose_k(samples: np.ndarray, m_max: int, move=None, k_max: int | None = None) -> int:
+    """Largest block length up to k_max (default: all steps) whose
+    occupied-cell count passes the plug-in guard.
+
+    One range check at m_max covers the whole (paths, k_cap, L) batch, moved
+    by `move` if given (see _code_columns), so a value out of range at any
+    step raises, as quantizing the batch would; the code columns are not
+    checked again.  Each code column from _code_columns is folded into the
+    key (packed_keys) as it is made, so the working set is a few code
+    columns on top of the batch.  The key after step k's last column extends
+    the key of k-1, and cell_counts counts its cells from step 2 on: the
+    guard never goes below one step, so step 1's count could not change k.
     """
     paths, k_cap, width = samples.shape
-    check_precision(samples, m_max)
-    step_keys = islice(packed_keys(_code_columns(samples, k_cap, m_max)), width - 1, None, width)
+    _check_range(samples, m_max, move)
+    k_max = k_cap if k_max is None else k_max
+    if k_max < 2:
+        return 1
+    step_keys = islice(packed_keys(_code_columns(samples, k_max, m_max, move)), 2 * width - 1, None, width)
     chosen = 1
-    for k, counts in enumerate(map(cell_counts, step_keys), start=1):  # no step key is held past its count
+    for k, counts in enumerate(map(cell_counts, step_keys), start=2):  # no step key is held past its count
         if len(counts) > paths * OCCUPANCY_FRACTION:
             break
         chosen = k
     return chosen
 
 
-def _entropy_slope(samples: np.ndarray, ladder: tuple, k: int, batch, L: int, notes: str = ""):
+def _entropy_slope(samples: np.ndarray, ladder: tuple, k: int, batch, L: int, notes: str = "", move=None):
     """Slope of the block entropy rate H_k/k against log m, one k-block per path.
 
-    For each m the block's code columns from _code_columns go to
-    plugin_entropy as an iterator, so cell_counts folds each column into its
-    key as it is made: no block-sized code array exists.  `batch` is the draw
-    the samples came from (its factor method is reported); slopes outside
+    The k-block, moved by `move` if given (see _code_columns), is range
+    checked once, at the top of the ladder, since |x| * m grows with m.  For
+    each m the block's code columns from _code_columns go to plugin_entropy
+    as an iterator, so cell_counts folds each column into its key as it is
+    made: no block-sized code array exists.  `batch` is the draw the samples
+    came from (its factor method is reported); slopes outside
     [-0.1, L + 0.1] are flagged.
     """
     paths = samples.shape[0]
+    _check_range(samples[:, :k], ladder[-1], move)
     values, ses, occupancy = [], [], []
     for m in ladder:
-        est = plugin_entropy(_code_columns(samples, k, m))
+        est = plugin_entropy(_code_columns(samples, k, m, move))
         if est.occupied > paths * OCCUPANCY_FRACTION:
             raise UndersamplingError(
                 f"{est.occupied} occupied cells at m={m} with only {paths} blocks; "
@@ -324,17 +362,23 @@ def invariance_check(
     component-wise transform; the dimension must not move.
 
     transforms is a sequence of (kind, amount) pairs: ("scale", c) multiplies
-    by c > 0, ("translate", c) adds c; c is a scalar or one value per
-    component.  The paths are drawn once and shared by every transform, and
-    one report is returned per transform.  Each pair of slopes uses one block
+    by c > 0, ("translate", c) adds c; c is a finite scalar or one finite
+    value per component, and a bad kind or amount raises before any draw.
+    The paths are drawn once and shared by every transform, and one report is
+    returned per transform.  No transformed batch is made: the code-column
+    walker applies each transform to a column as it makes it, and the
+    transformed paths are range checked through the base paths'
+    per-component extremes, moved.  Each pair of slopes uses one block
     length; k defaults to the largest one whose occupied-cell count passes the
     plug-in guard on the base and on the transformed paths.
     """
     moves = []
     for kind, amount in transforms:
-        if kind not in ("scale", "translate"):
+        if kind not in _MOVES:
             raise ValueError("transform must be 'scale' or 'translate'")
         amount = np.broadcast_to(np.asarray(amount, float), (model.L,)).copy()
+        if not np.isfinite(amount).all():
+            raise ValueError(f"transform amounts must be finite, got {amount}")
         if kind == "scale" and (amount <= 0).any():
             raise ValueError("scale factors must be positive")
         moves.append((kind, amount))
@@ -348,13 +392,13 @@ def invariance_check(
     base_at = {}  # base slope per block length, shared by the transforms that use it
     reports = []
     for kind, amount in moves:
-        moved = batch.samples * amount[kept] if kind == "scale" else batch.samples + amount[kept]
-        # both slopes share k, so it must pass the guard on both sample sets
-        k_t = k_base if k is not None else min(k_base, _choose_k(moved, ladder[-1]))
+        move = (_MOVES[kind], amount[kept])
+        # both slopes share k, so it must pass the guard on both sample sets; k_base caps the moved guard
+        k_t = k_base if k is not None else _choose_k(batch.samples, ladder[-1], move, k_base)
         if k_t not in base_at:
             base_at[k_t] = _entropy_slope(batch.samples, ladder, k_t, batch, model.L)
         base = base_at[k_t]
         notes = f"{kind} by {np.array2string(amount, precision=3)}"
-        trans = _entropy_slope(moved, ladder, k_t, batch, model.L, notes)
+        trans = _entropy_slope(batch.samples, ladder, k_t, batch, model.L, notes, move)
         reports.append(InvarianceReport(kind, base, trans, float(abs(trans.value - base.value))))
     return reports

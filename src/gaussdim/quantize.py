@@ -60,7 +60,13 @@ def quantize(data, m: int) -> np.ndarray:
         raise ValueError(f"precision m must be a positive integer, got {m}")
     arr = _extract(data)
     check_precision(arr, m)
-    codes = m * arr
+    return _floor_codes(arr, m)
+
+
+def _floor_codes(x: np.ndarray, m: int) -> np.ndarray:
+    """floor(m * x) as float64, with no range check: the caller has run
+    check_precision on x, or on values that bound it, at m or above."""
+    codes = m * x
     return np.floor(codes, out=codes)  # in place: one float temporary, not two
 
 

@@ -16,6 +16,7 @@ from gaussdim.benchmarks import (
     zero_process,
 )
 import gaussdim.estimators as estimators
+import gaussdim.quantize as quantize_module
 from gaussdim.estimators import (
     K_CAP,
     OCCUPANCY_FRACTION,
@@ -39,11 +40,16 @@ from gaussdim.estimators import (
     surrogate_idr_estimate,
 )
 from gaussdim.entropy import exact_cell_entropy
-from gaussdim.experiments import TOL_ESTIMATE, TOL_RD
+from gaussdim.experiments import INVARIANCE_TRANSFORMS, TOL_ESTIMATE, TOL_RD
 from gaussdim.quantize import PrecisionOverflowError, dither_stream, quantize
 from gaussdim.ratedist import rd_dimension_estimate
 from gaussdim.simulate import MAX_DENSE_DIM, autocovariance_from_spectrum, sample_paths, welch_psd
 from gaussdim.spectral import Band, SpectralModel, normalize_components, rank_integral
+
+
+def _pair_samples(paths, seed=9):
+    """K_CAP-step correlated_pair paths."""
+    return sample_paths(autocovariance_from_spectrum(correlated_pair(), K_CAP - 1), K_CAP, paths, seed).samples
 
 
 class TestSlopeEstimator:
@@ -117,6 +123,50 @@ class TestSlopeEstimator:
         samples[5, K_CAP - 1, 0] = value  # a step the guard never quantizes
         with pytest.raises(PrecisionOverflowError):
             _choose_k(samples, 64)
+
+    @pytest.mark.parametrize("move", [(np.multiply, (3.0, 0.5)), (np.add, (10.0, -2.5))], ids=["scale", "translate"])
+    def test_moved_code_columns_are_the_codes_of_the_moved_copy(self, move):
+        samples = _pair_samples(2_000)
+        op, amounts = move
+        copy = op(samples, np.asarray(amounts))  # the whole-batch transform the walker replaces
+        for k in range(1, K_CAP + 1):
+            for m in (1, 8, 64):
+                columns = np.stack(list(_code_columns(samples, k, m, (op, np.asarray(amounts)))), axis=1)
+                assert np.array_equal(columns, quantize(copy[:, :k], m).astype(np.int64).reshape(len(samples), -1))
+
+    @pytest.mark.parametrize("move", [(np.multiply, (3.0, 0.5)), (np.add, (10.0, -2.5))], ids=["scale", "translate"])
+    def test_moved_guard_is_the_guard_on_the_moved_copy(self, move):
+        samples = _pair_samples(20_000)
+        op, amounts = move
+        copy = op(samples, np.asarray(amounts))
+        for m_max in (1, 2, 4, 64):
+            full = _choose_k(copy, m_max)
+            assert _choose_k(samples, m_max, (op, np.asarray(amounts))) == full
+            for k_max in range(1, K_CAP + 1):  # a capped guard is the guard, capped
+                assert _choose_k(samples, m_max, (op, np.asarray(amounts)), k_max) == min(k_max, full)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_entropy_slope_range_checks_its_block_only(self, value):
+        _, batch = _draw(white_noise(), K_CAP, 20_000, seed=9)
+        samples = batch.samples
+        samples[5, 1, 0] = value  # inside a k = 2 block, outside a k = 1 block
+        with pytest.raises(PrecisionOverflowError):
+            _entropy_slope(samples, (2, 4, 8, 16), 2, batch, 1)
+        assert np.isfinite(_entropy_slope(samples, (2, 4, 8, 16), 1, batch, 1).value)
+
+    def test_entropy_slope_range_checks_once_per_ladder(self, monkeypatch):
+        """The block is checked once, at the top of the ladder; the code
+        columns are floored with no check of their own."""
+        calls = []
+        real = quantize_module.check_precision
+        spy = lambda arr, m: calls.append(m) or real(arr, m)  # noqa: E731
+        monkeypatch.setattr(quantize_module, "check_precision", spy)
+        monkeypatch.setattr(estimators, "check_precision", spy)
+        _, batch = _draw(correlated_pair(), K_CAP, 20_000, seed=9)
+        for move in (None, (np.multiply, np.array([3.0, 0.5]))):
+            calls.clear()
+            _entropy_slope(batch.samples, (1, 2, 4, 8), 1, batch, 2, move=move)
+            assert calls == [8]
 
     @pytest.mark.parametrize("b", [2, 3, 4])
     @pytest.mark.parametrize("name", ["ar1_0p6", "narrowband_0p4", "line_process"])
@@ -420,6 +470,28 @@ class TestKLCheck:
             gaussian_surrogate_kl(white_noise(), 3, 2)
 
 
+def _copy_invariance_check(model, transforms, m_ladder=(8, 16, 32, 64), k=None, paths=100_000, seed=0):
+    """invariance_check as it was before its walker took the transforms: each
+    transform makes a moved copy of the batch, and the guard and the slope
+    run on that copy."""
+    ladder = tuple(m_ladder)
+    norm, batch = _draw(model, K_CAP if k is None else k, paths, seed)
+    kept = list(norm.kept)
+    k_base = k if k is not None else _choose_k(batch.samples, ladder[-1])
+    base_at, reports = {}, []
+    for kind, amount in transforms:
+        amount = np.broadcast_to(np.asarray(amount, float), (model.L,)).copy()
+        moved = batch.samples * amount[kept] if kind == "scale" else batch.samples + amount[kept]
+        k_t = k_base if k is not None else min(k_base, _choose_k(moved, ladder[-1]))
+        if k_t not in base_at:
+            base_at[k_t] = _entropy_slope(batch.samples, ladder, k_t, batch, model.L)
+        base = base_at[k_t]
+        notes = f"{kind} by {np.array2string(amount, precision=3)}"
+        trans = _entropy_slope(moved, ladder, k_t, batch, model.L, notes)
+        reports.append(estimators.InvarianceReport(kind, base, trans, float(abs(trans.value - base.value))))
+    return reports
+
+
 class TestInvariance:
     def test_scale_by_three(self):
         (rep,) = invariance_check(white_noise(), [("scale", 3.0)], paths=150_000, seed=14)
@@ -450,6 +522,57 @@ class TestInvariance:
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             invariance_check(white_noise(), [("scale", -1.0)], paths=1000, seed=18)
+
+    @pytest.mark.parametrize("kind", ["scale", "translate"])
+    @pytest.mark.parametrize("amount", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_amount_rejected_before_the_draw(self, kind, amount, monkeypatch):
+        monkeypatch.setattr(estimators, "sample_paths", lambda *a, **kw: pytest.fail("paths drawn"))
+        with pytest.raises(ValueError, match="finite"):
+            invariance_check(white_noise(), [(kind, amount)], seed=18)
+        with pytest.raises(ValueError, match="finite"):  # one bad component of an L = 2 amount
+            invariance_check(correlated_pair(), [("translate", 1.0), (kind, [1.0, amount])], seed=18)
+
+    @pytest.mark.parametrize("seed", [5, 7])
+    @pytest.mark.parametrize("name", ["white_noise", "correlated_pair"])
+    def test_reports_equal_the_copy_based_reference(self, name, seed):
+        """At the default ladder every block length is 1; on (1, 2) the base
+        guard allows k = 3 and the scale by 3 caps its pair at k = 2."""
+        model = MODELS[name][0]()
+        transforms = INVARIANCE_TRANSFORMS + (("scale", [0.5, 2.0][:model.L]),)
+        for ladder, ks in (((8, 16, 32, 64), [1, 1, 1]), ((1, 2), [2, 3, 3])):
+            reports = invariance_check(model, transforms, m_ladder=ladder, seed=seed)
+            assert reports == _copy_invariance_check(model, transforms, m_ladder=ladder, seed=seed)
+            assert [r.transformed.k for r in reports] == ks
+
+    @pytest.mark.parametrize("factor, error", [(1.01, PrecisionOverflowError), (0.99, UndersamplingError)])
+    def test_one_component_past_the_range_raises_as_the_copy_did(self, factor, error):
+        """A scale that takes component 0 past 2^53 / m at the top of the
+        ladder, and only there, fails the range check while component 1
+        stays in range; just below, the range check passes and every path
+        is its own cell, so the undersampling guard raises instead."""
+        model, paths, seed = correlated_pair(), 5_000, 3
+        _, batch = _draw(model, K_CAP, paths, seed)
+        scale = [factor * 2.0**53 / (64 * np.abs(batch.samples[..., 0]).max()), 1.0]
+        for check in (invariance_check, _copy_invariance_check):
+            with pytest.raises(error):
+                check(model, [("scale", scale)], m_ladder=(8, 64), paths=paths, seed=seed)
+
+    @pytest.mark.parametrize(
+        "name, bound_mib", [("correlated_pair", 11.0), ("white_noise", 7.0)], ids=["correlated_pair", "white_noise"]
+    )
+    def test_peak_holds_no_moved_batch(self, name, bound_mib):
+        """At 100 000 paths the batch (6.1 MiB for correlated_pair, 3.1 MiB
+        for white_noise) is the one batch-sized array: a moved copy per
+        transform would add another."""
+        model = MODELS[name][0]()
+        invariance_check(model, INVARIANCE_TRANSFORMS, paths=100_000, seed=7)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            invariance_check(model, INVARIANCE_TRANSFORMS, paths=100_000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20, f"invariance peak {peak / 2**20:.2f} MiB"
 
     def test_unknown_transform_rejected(self):
         with pytest.raises(ValueError, match="transform"):
