@@ -18,7 +18,7 @@ from itertools import islice
 import numpy as np
 
 from .entropy import cell_counts, exact_cell_distribution, packed_keys, plugin_entropy
-from .quantize import _floor_codes, check_precision, dither_stream, quantize
+from .quantize import _floor_codes, check_precision, dither_stream
 from .simulate import MAX_DENSE_DIM, autocovariance_from_spectrum, sample_paths, welch_psd
 from .spectral import SpectralModel, _stack_eigvalsh, normalize_components
 
@@ -101,8 +101,8 @@ def _code_columns(samples: np.ndarray, k: int, m: int, move=None):
     move, if given, is an (op, amounts) pair from _MOVES and one amount per
     component: column i is op(x, amounts[i]) before it is floored, the
     elementwise arithmetic of op(samples, amounts), so no transformed batch
-    is made.  The floor is quantize's without its range check: the callers
-    check their block once (_check_range) before they walk it.  Between
+    is made.  The floor is _floor_codes, with no range check: the samples,
+    moved by `move`, must have passed _check_range at m or above.  Between
     columns the walk holds no array, so each column is freed once it is used.
     """
     steps = [(t, i) for t in range(k) for i in range(samples.shape[2])]
@@ -115,11 +115,11 @@ def _code_columns(samples: np.ndarray, k: int, m: int, move=None):
 def _check_range(block: np.ndarray, m: int, move=None) -> None:
     """check_precision of a (paths, k, L) block at m, or of the block `move` would make from it.
 
-    Each move is increasing in x (a scale is positive), so the moved block's
-    extremes are the block's per-component extremes moved, and checking
-    those raises exactly when checking the moved block would, NaN included.
-    The extremes are full reductions of strided component views: axis=
-    reductions over the leading axes take several times as long.
+    The one range check of a batch, made by its owner at the top of its
+    ladder and once per move.  A move is increasing in x (a scale is
+    positive), so checking the block's per-component extremes, moved, raises
+    exactly when checking the moved block would, NaN included.  The extremes
+    are strided full reductions: axis= reductions take several times as long.
     """
     if move is not None:
         op, amounts = move
@@ -133,17 +133,15 @@ def _choose_k(samples: np.ndarray, m_max: int, move=None, k_max: int | None = No
     """Largest block length up to k_max (default: all steps) whose
     occupied-cell count passes the plug-in guard.
 
-    One range check at m_max covers the whole (paths, k_cap, L) batch, moved
-    by `move` if given (see _code_columns), so a value out of range at any
-    step raises, as quantizing the batch would; the code columns are not
-    checked again.  Each code column from _code_columns is folded into the
-    key (packed_keys) as it is made, so the working set is a few code
-    columns on top of the batch.  The key after step k's last column extends
-    the key of k-1, and cell_counts counts its cells from step 2 on: the
-    guard never goes below one step, so step 1's count could not change k.
+    The batch, moved by `move` if given (see _code_columns), must have
+    passed _check_range at m_max; no column is checked here.  Each code
+    column is folded into the key (packed_keys) as it is made, so the
+    working set is a few code columns on top of the batch.  The key after
+    step k's last column extends the key of k-1, and cell_counts counts its
+    cells from step 2 on: the guard never goes below one step, so step 1's
+    count could not change k.
     """
     paths, k_cap, width = samples.shape
-    _check_range(samples, m_max, move)
     k_max = k_cap if k_max is None else k_max
     if k_max < 2:
         return 1
@@ -159,16 +157,15 @@ def _choose_k(samples: np.ndarray, m_max: int, move=None, k_max: int | None = No
 def _entropy_slope(samples: np.ndarray, ladder: tuple, k: int, batch, L: int, notes: str = "", move=None):
     """Slope of the block entropy rate H_k/k against log m, one k-block per path.
 
-    The k-block, moved by `move` if given (see _code_columns), is range
-    checked once, at the top of the ladder, since |x| * m grows with m.  For
-    each m the block's code columns from _code_columns go to plugin_entropy
+    The k-block, moved by `move` if given (see _code_columns), must have
+    passed _check_range at the top of the ladder; no column is checked here.
+    For each m its code columns from _code_columns go to plugin_entropy
     as an iterator, so cell_counts folds each column into its key as it is
     made: no block-sized code array exists.  `batch` is the draw the samples
     came from (its factor method is reported); slopes outside
     [-0.1, L + 0.1] are flagged.
     """
     paths = samples.shape[0]
-    _check_range(samples[:, :k], ladder[-1], move)
     values, ses, occupancy = [], [], []
     for m in ladder:
         est = plugin_entropy(_code_columns(samples, k, m, move))
@@ -210,6 +207,7 @@ def idr_slope_estimate(
             0.0, "entropy-slope", ladder, k or 0, paths, 0.0,
             notes="all components have zero variance; quantized process is constant",
         )
+    _check_range(batch.samples, ladder[-1])
     if k is None:
         k = _choose_k(batch.samples, ladder[-1])
     return _entropy_slope(batch.samples, ladder, k, batch, model.L)
@@ -227,10 +225,9 @@ def _surrogate_slope(samples: np.ndarray, ladder: tuple, seed: int):
     estimate gives its own g(m) for the standard error.  The m's one dither
     stream continues across the groups, and the pooled spectrum adds the
     per-path estimates in path order, so every value is the one a
-    whole-batch pass would give.
+    whole-batch pass would give; the batch must have passed _check_range.
     """
     paths, _, L = samples.shape
-    check_precision(samples, ladder[-1])  # |x| * m grows with m: the top of the ladder covers it
     groups = max(1, min(SURROGATE_GROUPS, paths))
     bounds = np.linspace(0, paths, groups + 1).astype(int)
     g_pooled, g_groups = [], []
@@ -239,7 +236,7 @@ def _surrogate_slope(samples: np.ndarray, ladder: tuple, seed: int):
         pooled = np.zeros((SURROGATE_SEGMENT, L, L), dtype=complex)  # per-path spectra summed
         g_groups.append([])
         for a, b in zip(bounds, bounds[1:]):
-            w = quantize(samples[a:b], m)
+            w = _floor_codes(samples[a:b], m)
             w /= m
             w += draw(w.shape)
             west = welch_psd(w, nperseg=SURROGATE_SEGMENT)
@@ -285,6 +282,7 @@ def surrogate_idr_estimate(
     if k_eff < int(1.5 * SURROGATE_SEGMENT):
         raise ValueError(f"k_eff={k_eff} too short for Welch segments of {SURROGATE_SEGMENT}")
     batch = sample_paths(autocovariance_from_spectrum(norm.model, k_eff - 1), k_eff, paths, seed)
+    _check_range(batch.samples, ladder[-1])
     value, se, pairwise = _surrogate_slope(batch.samples, ladder, seed)
     return DimensionEstimate(
         value, "gaussian-surrogate", ladder, k_eff, paths, se, pairwise,
@@ -366,11 +364,11 @@ def invariance_check(
     value per component, and a bad kind or amount raises before any draw.
     The paths are drawn once and shared by every transform, and one report is
     returned per transform.  No transformed batch is made: the code-column
-    walker applies each transform to a column as it makes it, and the
-    transformed paths are range checked through the base paths'
-    per-component extremes, moved.  Each pair of slopes uses one block
-    length; k defaults to the largest one whose occupied-cell count passes the
-    plug-in guard on the base and on the transformed paths.
+    walker applies each transform to a column as it makes it.  The paths are
+    range checked at the top of the ladder, then once per transform, moved
+    (_check_range).  Each pair of slopes uses one block length; k defaults
+    to the largest one whose occupied-cell count passes the plug-in guard
+    on the base and on the transformed paths.
     """
     moves = []
     for kind, amount in transforms:
@@ -388,11 +386,13 @@ def invariance_check(
         zero = DimensionEstimate(0.0, "entropy-slope", ladder, 0, paths, 0.0)
         return [InvarianceReport(kind, zero, zero, 0.0) for kind, _ in moves]
     kept = list(norm.kept)
+    _check_range(batch.samples, ladder[-1])
     k_base = k if k is not None else _choose_k(batch.samples, ladder[-1])
     base_at = {}  # base slope per block length, shared by the transforms that use it
     reports = []
     for kind, amount in moves:
         move = (_MOVES[kind], amount[kept])
+        _check_range(batch.samples, ladder[-1], move)
         # both slopes share k, so it must pass the guard on both sample sets; k_base caps the moved guard
         k_t = k_base if k is not None else _choose_k(batch.samples, ladder[-1], move, k_base)
         if k_t not in base_at:

@@ -35,7 +35,6 @@ from .spectral import (
     RANK_REL_TOL,
     FrequencyGrid,
     SpectralModel,
-    normalize_components,
     properness_check,
     rank_integral,
     support_bound,
@@ -230,6 +229,7 @@ def _verify_reports(ri, config) -> list:
     invariances = invariance_check(
         model, INVARIANCE_TRANSFORMS, m_ladder=config.m_ladder, paths=config.verify_paths, seed=config.seed,
     )
+    norm, flat = _draw(model, 1, config.verify_paths, config.seed)
     for (kind, amount), inv in zip(INVARIANCE_TRANSFORMS, invariances):
         reports.append(
             EstimateReport(
@@ -245,7 +245,7 @@ def _verify_reports(ri, config) -> list:
             )
         )
         k, m = TRANSLATION_BLOCK
-        if kind == "translate" and k * model.L <= 3 and normalize_components(model).kept:
+        if kind == "translate" and k * model.L <= 3 and flat is not None:
             # |H([x]_m) - H([x + c]_m)| <= k*L*log(4): a translated code differs from code-plus-shifted-code
             # by at most a few lattice steps, worth log 4 of entropy per coordinate.  A model with no variance
             # draws no paths, and gets no oracle row either.
@@ -258,10 +258,8 @@ def _verify_reports(ri, config) -> list:
                 )
             )
 
-    norm, flat = _draw(model, 1, config.verify_paths, config.seed)
     if flat is not None:
-        for m in BUSSGANG_M_LADDER:
-            rep = bussgang_gain(flat, m)
+        for rep in bussgang_gain(flat, BUSSGANG_M_LADDER):
             reports.append(
                 EstimateReport(
                     "bussgang_gain", "monte-carlo", float(rep.gain.mean()),
@@ -270,7 +268,7 @@ def _verify_reports(ri, config) -> list:
                     tolerance=float((rep.gain_bound + 5.0 * rep.gain_se).max()),
                     passed=bool(rep.gain_bound_ok and rep.noise_ok),
                     settings={
-                        "m": m, "gain_bound": rep.gain_bound.tolist(), "noise_var": rep.noise_var.tolist(),
+                        "m": rep.m, "gain_bound": rep.gain_bound.tolist(), "noise_var": rep.noise_var.tolist(),
                         "noise_bound": rep.noise_bound, "factor_method": flat.factor_method,
                     },
                 )

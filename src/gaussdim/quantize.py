@@ -56,11 +56,18 @@ def quantize(data, m: int) -> np.ndarray:
     check_precision keeps |m * x| < 2^53, so every code is an exact integer;
     divide by m for the quantized values, cast to int64 to pack keys.
     """
-    if m < 1 or int(m) != m:
-        raise ValueError(f"precision m must be a positive integer, got {m}")
     arr = _extract(data)
-    check_precision(arr, m)
+    _check_ladder(arr, (m,))
     return _floor_codes(arr, m)
+
+
+def _check_ladder(arr: np.ndarray, ms) -> None:
+    """Raise unless every m in ms is a positive integer, then check_precision of arr at the largest."""
+    for m in ms:
+        if m < 1 or int(m) != m:
+            raise ValueError(f"precision m must be a positive integer, got {m}")
+    if ms:
+        check_precision(arr, max(ms))
 
 
 def _floor_codes(x: np.ndarray, m: int) -> np.ndarray:
@@ -98,15 +105,16 @@ class BussgangReport:
     noise_ok: bool
 
 
-def bussgang_gain(data, m: int) -> BussgangReport:
-    """Monte Carlo estimate of the per-component quantizer gain.
+def bussgang_gain(data, ms) -> list[BussgangReport]:
+    """Monte Carlo estimate of the per-component quantizer gain, one report per precision in ms.
 
     gain_i = cov(x_i, floor(m x_i)/m) / var(x_i), pooled over all samples;
     the standard error comes from the spread of per-path estimates, which are
-    independent by construction.
+    independent by construction.  One copy and one range check serve every m.
     """
     xc = np.ascontiguousarray(np.moveaxis(_extract(data), -1, 0))
-    return _gain_report(xc, quantize(xc, m) / m, m)
+    _check_ladder(xc, ms)
+    return [_gain_report(xc, _floor_codes(xc, m) / m, m) for m in ms]
 
 
 def _gain_report(xc: np.ndarray, zc: np.ndarray, m: int) -> BussgangReport:
@@ -195,9 +203,10 @@ def spectrum_identity_check(data, ms, nperseg: int = 256) -> list[SpectrumIdenti
     if paths < 2:
         raise InsufficientDataError("need at least 2 paths for the path-based standard error")
     px = np.einsum("lpst,lpst->p", sx, sx) * scale  # per path: frequency mean of tr P_x
+    _check_ladder(xc, ms)
     reports = []
     for m in ms:
-        zc = quantize(xc, m)
+        zc = _floor_codes(xc, m)
         zc /= m
         gain = float(_gain_report(xc, zc, m).gain.mean())
         np.subtract(xc, zc, out=zc)  # zc now holds the error x - z

@@ -40,8 +40,8 @@ from gaussdim.estimators import (
     surrogate_idr_estimate,
 )
 from gaussdim.entropy import exact_cell_entropy
-from gaussdim.experiments import INVARIANCE_TRANSFORMS, TOL_ESTIMATE, TOL_RD
-from gaussdim.quantize import PrecisionOverflowError, dither_stream, quantize
+from gaussdim.experiments import BUSSGANG_M_LADDER, INVARIANCE_TRANSFORMS, TOL_ESTIMATE, TOL_RD
+from gaussdim.quantize import PrecisionOverflowError, bussgang_gain, check_precision, dither_stream, quantize
 from gaussdim.ratedist import rd_dimension_estimate
 from gaussdim.simulate import MAX_DENSE_DIM, autocovariance_from_spectrum, sample_paths, welch_psd
 from gaussdim.spectral import Band, SpectralModel, normalize_components, rank_integral
@@ -50,6 +50,27 @@ from gaussdim.spectral import Band, SpectralModel, normalize_components, rank_in
 def _pair_samples(paths, seed=9):
     """K_CAP-step correlated_pair paths."""
     return sample_paths(autocovariance_from_spectrum(correlated_pair(), K_CAP - 1), K_CAP, paths, seed).samples
+
+
+def _inject(monkeypatch, index, value):
+    """Make every batch the estimators draw hold `value` at `index`."""
+    real = estimators.sample_paths
+
+    def draw(*args, **kwargs):
+        batch = real(*args, **kwargs)
+        batch.samples[index] = value
+        return batch
+
+    monkeypatch.setattr(estimators, "sample_paths", draw)
+
+
+def _spy_check_precision(monkeypatch) -> list:
+    """The m of every check_precision call the estimators and quantize make, in order."""
+    calls, real = [], quantize_module.check_precision
+    spy = lambda arr, m: calls.append(m) or real(arr, m)  # noqa: E731
+    monkeypatch.setattr(quantize_module, "check_precision", spy)
+    monkeypatch.setattr(estimators, "check_precision", spy)
+    return calls
 
 
 class TestSlopeEstimator:
@@ -115,14 +136,18 @@ class TestSlopeEstimator:
             expected = quantize(samples[:, :k], m).astype(np.int64).reshape(len(samples), -1)
             assert np.array_equal(np.stack(columns, axis=1), expected)
 
+    @pytest.mark.parametrize("owner", [
+        lambda: idr_slope_estimate(white_noise(), paths=20_000, seed=9),
+        lambda: invariance_check(white_noise(), INVARIANCE_TRANSFORMS, paths=20_000, seed=9),
+    ], ids=["slope", "invariance"])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
-    def test_choose_k_range_checks_beyond_the_chosen_k(self, value):
-        acov = autocovariance_from_spectrum(white_noise(), K_CAP - 1)
-        samples = sample_paths(acov, K_CAP, 20_000, seed=9).samples
-        assert _choose_k(samples, 64) < K_CAP
-        samples[5, K_CAP - 1, 0] = value  # a step the guard never quantizes
+    def test_choose_k_range_checks_beyond_the_chosen_k(self, owner, value, monkeypatch):
+        """The guard checks no column: the owner's one range check covers every
+        drawn step, those past the chosen k included."""
+        assert idr_slope_estimate(white_noise(), paths=20_000, seed=9).k < K_CAP
+        _inject(monkeypatch, (5, K_CAP - 1, 0), value)  # a step the guard never quantizes
         with pytest.raises(PrecisionOverflowError):
-            _choose_k(samples, 64)
+            owner()
 
     @pytest.mark.parametrize("move", [(np.multiply, (3.0, 0.5)), (np.add, (10.0, -2.5))], ids=["scale", "translate"])
     def test_moved_code_columns_are_the_codes_of_the_moved_copy(self, move):
@@ -146,27 +171,23 @@ class TestSlopeEstimator:
                 assert _choose_k(samples, m_max, (op, np.asarray(amounts)), k_max) == min(k_max, full)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
-    def test_entropy_slope_range_checks_its_block_only(self, value):
-        _, batch = _draw(white_noise(), K_CAP, 20_000, seed=9)
-        samples = batch.samples
-        samples[5, 1, 0] = value  # inside a k = 2 block, outside a k = 1 block
+    def test_entropy_slope_range_checks_its_block_only(self, value, monkeypatch):
+        """With k given, the draw is the k-block and its one range check covers
+        it: a value at step 2 raises at k = 2, and a k = 1 draw has no step 2."""
+        _inject(monkeypatch, (5, slice(1, 2), 0), value)  # an empty slice of a one-step batch
         with pytest.raises(PrecisionOverflowError):
-            _entropy_slope(samples, (2, 4, 8, 16), 2, batch, 1)
-        assert np.isfinite(_entropy_slope(samples, (2, 4, 8, 16), 1, batch, 1).value)
+            idr_slope_estimate(white_noise(), (2, 4, 8, 16), k=2, paths=20_000, seed=9)
+        assert np.isfinite(idr_slope_estimate(white_noise(), (2, 4, 8, 16), k=1, paths=20_000, seed=9).value)
 
     def test_entropy_slope_range_checks_once_per_ladder(self, monkeypatch):
-        """The block is checked once, at the top of the ladder; the code
-        columns are floored with no check of their own."""
-        calls = []
-        real = quantize_module.check_precision
-        spy = lambda arr, m: calls.append(m) or real(arr, m)  # noqa: E731
-        monkeypatch.setattr(quantize_module, "check_precision", spy)
-        monkeypatch.setattr(estimators, "check_precision", spy)
-        _, batch = _draw(correlated_pair(), K_CAP, 20_000, seed=9)
-        for move in (None, (np.multiply, np.array([3.0, 0.5]))):
-            calls.clear()
-            _entropy_slope(batch.samples, (1, 2, 4, 8), 1, batch, 2, move=move)
-            assert calls == [8]
+        """The batch is checked once, at the top of the ladder, and once more per
+        transform; the code columns are floored with no check of their own."""
+        calls = _spy_check_precision(monkeypatch)
+        idr_slope_estimate(correlated_pair(), (1, 2, 4, 8), k=1, paths=20_000, seed=9)
+        assert calls == [8]
+        calls.clear()
+        invariance_check(correlated_pair(), [("scale", [3.0, 0.5])], (1, 2, 4, 8), k=1, paths=20_000, seed=9)
+        assert calls == [8, 8]
 
     @pytest.mark.parametrize("b", [2, 3, 4])
     @pytest.mark.parametrize("name", ["ar1_0p6", "narrowband_0p4", "line_process"])
@@ -313,18 +334,16 @@ class TestSurrogateGroups:
         ids=["inf", "-inf", "top", "-top", "every-m", "nan"],
     )
     def test_range_check_raises_before_the_ladder(self, value, monkeypatch):
-        samples = _surrogate_batch(white_noise(), 4, 3).samples
-        samples[2, 100, 0] = value
+        _inject(monkeypatch, (2, 100, 0), value)
         monkeypatch.setattr(estimators, "welch_psd", lambda *a, **kw: pytest.fail("ladder ran"))
         with pytest.raises(PrecisionOverflowError):
-            _surrogate_slope(samples, SURROGATE_M_LADDER, 3)
+            surrogate_idr_estimate(white_noise(), paths=4, seed=3)
 
     @pytest.mark.parametrize("value", [np.nextafter(2.0**53 / 256, 0.0)], ids=["below-top"])
-    def test_range_check_passes_nan_and_values_below_the_top(self, value):
+    def test_range_check_passes_nan_and_values_below_the_top(self, value, monkeypatch):
         # NaN raises: see test_range_check_raises_before_the_ladder
-        samples = _surrogate_batch(white_noise(), 4, 3).samples
-        samples[2, 100, 0] = value
-        assert np.isfinite(_surrogate_slope(samples, SURROGATE_M_LADDER, 3)[1])
+        _inject(monkeypatch, (2, 100, 0), value)
+        assert np.isfinite(surrogate_idr_estimate(white_noise(), paths=4, seed=3).se)
 
 
 @pytest.fixture(scope="class")
@@ -358,7 +377,7 @@ class TestExactRelations:
         pytest.param("narrowband_0p4", marks=pytest.mark.xfail(strict=True, reason=(
             "blocked narrowband: the null space of Y's polyphase density turns with frequency, and "
             "Welch leakage at 1024-sample segments reads +0.0915 (b=2), +0.1296 (b=3) and +0.1407 "
-            "(b=4) above b * 0.4 at seed 7; longer segments (ROADMAP item 1) are the expected cure"
+            "(b=4) above b * 0.4 at seed 7; longer segments (ROADMAP item 3) are the expected cure"
         ))),
     ])
     def test_blocked_process_has_b_times_the_dimension(self, fixed_draw, name, b):
@@ -472,16 +491,18 @@ class TestKLCheck:
 
 def _copy_invariance_check(model, transforms, m_ladder=(8, 16, 32, 64), k=None, paths=100_000, seed=0):
     """invariance_check as it was before its walker took the transforms: each
-    transform makes a moved copy of the batch, and the guard and the slope
-    run on that copy."""
+    transform makes a moved copy of the batch, range checked as a whole, and
+    the guard and the slope run on that copy."""
     ladder = tuple(m_ladder)
     norm, batch = _draw(model, K_CAP if k is None else k, paths, seed)
     kept = list(norm.kept)
+    check_precision(batch.samples, ladder[-1])
     k_base = k if k is not None else _choose_k(batch.samples, ladder[-1])
     base_at, reports = {}, []
     for kind, amount in transforms:
         amount = np.broadcast_to(np.asarray(amount, float), (model.L,)).copy()
         moved = batch.samples * amount[kept] if kind == "scale" else batch.samples + amount[kept]
+        check_precision(moved, ladder[-1])
         k_t = k_base if k is not None else min(k_base, _choose_k(moved, ladder[-1]))
         if k_t not in base_at:
             base_at[k_t] = _entropy_slope(batch.samples, ladder, k_t, batch, model.L)
@@ -596,3 +617,21 @@ class TestInvariance:
         reps = invariance_check(zero_process(), [("scale", 2.0), ("translate", 1.0)], paths=1000, seed=20)
         assert [r.transform for r in reps] == ["scale", "translate"]
         assert all(r.delta == 0.0 and r.base.value == r.transformed.value == 0.0 for r in reps)
+
+
+class TestOneRangeCheckPerBatch:
+    """The function that draws or receives a batch range-checks it once, at the
+    top of its ladder, and once more per invariance transform; every later
+    floor goes through _floor_codes, which checks nothing."""
+
+    @pytest.mark.parametrize("owner, checks", [
+        (lambda: idr_slope_estimate(white_noise(), paths=20_000, seed=9), [64]),
+        (lambda: invariance_check(white_noise(), INVARIANCE_TRANSFORMS, paths=20_000, seed=9),
+         [64] * (1 + len(INVARIANCE_TRANSFORMS))),
+        (lambda: surrogate_idr_estimate(correlated_pair(), paths=4, seed=9), [max(SURROGATE_M_LADDER)]),
+        (lambda: bussgang_gain(_pair_samples(2_000), BUSSGANG_M_LADDER), [max(BUSSGANG_M_LADDER)]),
+    ], ids=["idr_slope_estimate", "invariance_check", "surrogate_idr_estimate", "bussgang_gain"])
+    def test_check_precision_calls(self, owner, checks, monkeypatch):
+        calls = _spy_check_precision(monkeypatch)
+        owner()
+        assert calls == checks

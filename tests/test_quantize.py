@@ -168,25 +168,27 @@ def flat_batch():
 
 class TestBussgang:
     def test_bound_at_m100(self, flat_batch):
-        rep = bussgang_gain(flat_batch, 100)
+        (rep,) = bussgang_gain(flat_batch, [100])
         # unit variance: bound = (1/100) sqrt(2/pi) ~ 0.0079788
         assert rep.gain_bound[0] == pytest.approx(np.sqrt(2.0 / np.pi) / 100, rel=1e-2)
         assert abs(1.0 - rep.gain[0]) <= rep.gain_bound[0] + 5.0 * rep.gain_se[0]
 
     def test_gain_approaches_one(self, flat_batch):
-        gaps = [abs(1.0 - bussgang_gain(flat_batch, m).gain[0]) for m in (2, 16, 256)]
-        rep2, rep256 = bussgang_gain(flat_batch, 2), bussgang_gain(flat_batch, 256)
+        rep2, rep16, rep256 = bussgang_gain(flat_batch, (2, 16, 256))
+        gaps = [abs(1.0 - rep.gain[0]) for rep in (rep2, rep16, rep256)]
         assert gaps[0] <= rep2.gain_bound[0] + 5 * rep2.gain_se[0]
         assert gaps[2] <= rep256.gain_bound[0] + 5 * rep256.gain_se[0]
 
     def test_ladder_bound_all_m(self, flat_batch):
-        for m in (2, 4, 8, 16, 32, 64, 128, 256):
-            rep = bussgang_gain(flat_batch, m)
+        ladder = (2, 4, 8, 16, 32, 64, 128, 256)
+        reports = bussgang_gain(flat_batch, ladder)
+        assert [rep.m for rep in reports] == list(ladder)
+        for rep in reports:
             assert rep.gain_bound_ok and rep.noise_ok
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ZeroVarianceComponentError, match="normalize"):
-            bussgang_gain(np.zeros((100, 4, 1)), 4)
+            bussgang_gain(np.zeros((100, 4, 1)), [4])
 
 
 def _time_major_report(x, m):
@@ -217,23 +219,23 @@ def pair_samples():
 class TestComponentMajorGain:
     @pytest.mark.parametrize("m", [1, 4, 64])
     def test_pair_matches_each_component_alone(self, pair_samples, m):
-        rep = bussgang_gain(pair_samples, m)
+        (rep,) = bussgang_gain(pair_samples, [m])
         for i in range(2):
-            alone = bussgang_gain(pair_samples[..., i:i + 1], m)
+            (alone,) = bussgang_gain(pair_samples[..., i:i + 1], [m])
             for both, one in zip(_report_arrays(rep), _report_arrays(alone)):
                 assert both[i] == pytest.approx(one[0], rel=1e-12, abs=0), (m, i)
 
     @pytest.mark.parametrize("m", [1, 4, 64])
     def test_one_component_equals_the_time_major_formulas(self, pair_samples, m):
         x = np.ascontiguousarray(pair_samples[..., :1])
-        for got, want in zip(_report_arrays(bussgang_gain(x, m)), _time_major_report(x, m)):
+        for got, want in zip(_report_arrays(bussgang_gain(x, [m])[0]), _time_major_report(x, m)):
             assert np.array_equal(got, want), m
 
     def test_non_contiguous_inputs_give_the_same_report(self, pair_samples):
         strided = pair_samples[:, ::2, :]
         for x in (strided, np.asfortranarray(pair_samples)):
             assert not x.flags.c_contiguous
-            rep, ref = bussgang_gain(x, 8), bussgang_gain(np.ascontiguousarray(x), 8)
+            (rep,), (ref,) = bussgang_gain(x, [8]), bussgang_gain(np.ascontiguousarray(x), [8])
             for got, want in zip(_report_arrays(rep), _report_arrays(ref)):
                 assert np.array_equal(got, want)
 
@@ -256,7 +258,7 @@ def _three_spectrum_identity(x, m, nperseg=256):
     traced over components per node and averaged over frequency."""
     paths, _, L = x.shape
     z = quantize(x, m) / m
-    gain = float(bussgang_gain(x, m).gain.mean())
+    gain = float(bussgang_gain(x, [m])[0].gain.mean())
     wx, wz, wn = (welch_psd(v, nperseg=nperseg) for v in (x, z, x - z))
     resid = wz.per_path - (2.0 * gain - 1.0) * wx.per_path - wn.per_path
     per_path_mean = (np.einsum("pnii->pn", resid).real / L).mean(axis=1)

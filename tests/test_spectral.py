@@ -92,6 +92,22 @@ class TestEvalSpectrum:
         with pytest.raises(ModelValidationError, match="mirror"):
             SpectralModel(L=1, bands=[Band(0.1, 0.3, [[1.0]])])
 
+    @pytest.mark.parametrize("bands, value", [
+        ([Band(-0.5, 0.1, [[1.0]]), Band(0.1, 0.5, [[1.0]])], 1.0),  # white noise, split off the origin
+        ([Band(-0.1 - 0.2, -0.1, [[1.0]]), Band(0.1, 0.3, [[1.0]])], 0.4),  # edges that mirror up to rounding
+        ([Band(0.1, 0.3, [[1.0]])], None),
+        ([Band(0.1, 0.1005, [[1.0]])], None),  # narrower than 1/512: no node of the probe grid falls in it
+    ], ids=["split", "rounded-edges", "unmirrored", "narrow-unmirrored"])
+    def test_mirror_check_reads_the_piece_stack(self, bands, value):
+        """The mirror rule is checked on the density, piece against mirrored piece, not band
+        against band: a band's mirror may be cut across two bands, and a piece no grid node
+        falls in is still checked at construction."""
+        if value is None:
+            with pytest.raises(ModelValidationError, match="mirror"):
+                SpectralModel(L=1, bands=bands)
+        else:
+            assert rank_integral(SpectralModel(L=1, bands=bands)).value == value
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_band_matrix_rejected(self, bad):
         with pytest.raises(ModelValidationError, match="band matrix has a non-finite entry"):
