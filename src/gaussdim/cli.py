@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .experiments import TASKS, ConfigError, ExperimentConfig, run
-from .reports import emit
+from .reports import emit, render
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,7 +71,7 @@ def main(argv=None) -> int:
         emit(report, config.out, config.format)
         print(f"report written to {config.out}")
     else:
-        print(json.dumps(report.to_document(), indent=2, sort_keys=True))
+        print(render(report, config.format).rstrip("\n"))
     if not report.all_passed:
         failed = [r.quantity for r in report.reports if r.passed is False]
         print(f"gaussdim: checks failed: {failed}", file=sys.stderr)

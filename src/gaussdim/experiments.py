@@ -131,7 +131,7 @@ def _resolve_model(config: ExperimentConfig) -> tuple[SpectralModel, FrequencyGr
         model, overrides = load_model(config.model)
     else:
         model, overrides = model_from_document(config.model)
-    grid_n = config.grid_n if config.grid_n is not None else int(overrides.get("grid_n", DEFAULT_GRID_N))
+    grid_n = config.grid_n if config.grid_n is not None else overrides.get("grid_n", DEFAULT_GRID_N)
     rank_tols = {
         key.removeprefix("rank_"): float(overrides[key])
         for key in ("rank_rel_tol", "rank_abs_floor") if key in overrides

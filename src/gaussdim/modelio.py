@@ -4,11 +4,12 @@ Document schema (strict; unknown keys are rejected):
     L          int
     mean       list of L floats (optional, default zeros)
     bands      list of {lo, hi, re: LxL, im: LxL} (im optional)
-    arma_terms list of {row, col, num, den}; coefficients are numbers or
-               [re, im] pairs, ascending powers of e^{-i 2 pi theta}
+    arma_terms list of {row, col, num, den}; row and col are ints, the
+               coefficients numbers or [re, im] pairs, ascending powers
+               of e^{-i 2 pi theta}
     lines      list of {theta, re: LxL, im: LxL} (im optional)
 Grid and tolerance overrides may ride alongside the model fields:
-    grid_n, rank_rel_tol, rank_abs_floor
+    grid_n (int), rank_rel_tol, rank_abs_floor
 """
 
 from __future__ import annotations
@@ -33,6 +34,14 @@ def _field(entry: dict, name: str, what: str):
     if name not in entry:
         raise DocumentError(f"{what} needs the field {name!r}")
     return entry[name]
+
+
+def _int_field(entry: dict, name: str, what: str) -> int:
+    """An integer field; a float or a bool would otherwise be read truncated, as 1.9 -> 1."""
+    value = _field(entry, name, what)
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise DocumentError(f"{what} field {name!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _matrix_from(entry: dict, L: int, what: str) -> np.ndarray:
@@ -71,7 +80,7 @@ def model_from_document(doc: dict) -> tuple[SpectralModel, dict]:
     unknown = set(doc) - _MODEL_KEYS - _OVERRIDE_KEYS
     if unknown:
         raise DocumentError(f"unknown document fields: {sorted(unknown)}")
-    L = int(_field(doc, "L", "document"))
+    L = _int_field(doc, "L", "document")
     bands = []
     for i, b in enumerate(doc.get("bands", [])):
         extra = set(b) - {"lo", "hi", "re", "im"}
@@ -90,13 +99,14 @@ def model_from_document(doc: dict) -> tuple[SpectralModel, dict]:
         extra = set(t) - {"row", "col", "num", "den"}
         if extra:
             raise DocumentError(f"arma term {i} has unknown fields {sorted(extra)}")
-        row, col, num, den = (_field(t, name, f"arma term {i}") for name in ("row", "col", "num", "den"))
-        terms.append(
-            RationalTerm(int(row), int(col), tuple(_coeff_from(c) for c in num), tuple(_coeff_from(c) for c in den))
-        )
+        row, col = (_int_field(t, name, f"arma term {i}") for name in ("row", "col"))
+        num, den = (_field(t, name, f"arma term {i}") for name in ("num", "den"))
+        terms.append(RationalTerm(row, col, tuple(_coeff_from(c) for c in num), tuple(_coeff_from(c) for c in den)))
     mean = doc.get("mean")
     model = SpectralModel(L=L, bands=tuple(bands), arma_terms=tuple(terms), lines=tuple(lines), mean=mean)
     overrides = {k: doc[k] for k in _OVERRIDE_KEYS if k in doc}
+    if "grid_n" in doc:
+        overrides["grid_n"] = _int_field(doc, "grid_n", "document")
     return model, overrides
 
 

@@ -83,19 +83,23 @@ def _csv_cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def emit(report: RunReport, path, fmt: str = "json") -> Path:
-    """Write a run report: lossless JSON, or flat CSV with fixed columns."""
-    path = Path(path)
+def render(report: RunReport, fmt: str = "json") -> str:
+    """The report's text: lossless JSON, or flat CSV with fixed columns."""
     if fmt == "json":
-        path.write_text(json.dumps(report.to_document(), indent=2, sort_keys=True))
-    elif fmt == "csv":
+        return json.dumps(report.to_document(), indent=2, sort_keys=True)
+    if fmt == "csv":
         lines = [",".join(CSV_COLUMNS)]
         for r in report.reports:
             rec = r.to_record()
             lines.append(",".join(_csv_cell(rec[c]) for c in CSV_COLUMNS))
-        path.write_text("\n".join(lines) + "\n")
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+        return "\n".join(lines) + "\n"
+    raise ValueError(f"unknown report format {fmt!r}")
+
+
+def emit(report: RunReport, path, fmt: str = "json") -> Path:
+    """Write a run report as `render` gives it."""
+    path = Path(path)
+    path.write_text(render(report, fmt))
     return path
 
 

@@ -85,6 +85,18 @@ class TestModelDocuments:
         with pytest.raises(DocumentError, match=f"^{what} {index} needs the field '{field}'$"):
             model_from_document(doc)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("L", 1.9), ("L", True), ("L", "1"), ("row", 0.7), ("col", True), ("grid_n", 4096.9), ("grid_n", 4096.0)],
+    )
+    def test_non_integer_field_is_named(self, field, value):
+        """An integer field that is not an integer is rejected, not read truncated (1.9 as 1)."""
+        doc = model_to_document(ar1(0.6))
+        (doc["arma_terms"][0] if field in ("row", "col") else doc)[field] = value
+        what = "arma term 0" if field in ("row", "col") else "document"
+        with pytest.raises(DocumentError, match=f"^{what} field '{field}' must be an integer, got {value!r}$"):
+            model_from_document(doc)
+
     def test_missing_model_size_is_named(self):
         with pytest.raises(DocumentError, match="^document needs the field 'L'$"):
             model_from_document({"bands": []})
@@ -471,6 +483,15 @@ class TestCLI:
         assert code == 0
         assert out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
 
+    def test_csv_to_stdout(self, tmp_path, capsys):
+        """Without --out, --format csv prints the CSV that --out writes."""
+        model_path = save_model(white_noise(), tmp_path / "wn.json")
+        out = tmp_path / "rep.csv"
+        assert main(["rd", str(model_path), "--out", str(out), "--format", "csv"]) == 0
+        capsys.readouterr()
+        assert main(["rd", str(model_path), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     def test_flags_override_config(self, tmp_path):
         model_path = save_model(narrowband(0.4), tmp_path / "m.json")
         cfg = tmp_path / "cfg.json"
@@ -600,6 +621,16 @@ class TestCLI:
         model_path.write_text('{"L": 1, "bands": [{"hi": 0.5, "re": [[1.0]]}]}')
         assert main(["analyze", str(model_path)]) == 2
         assert "analyze failed: DocumentError: band 0 needs the field 'lo'" in capsys.readouterr().err
+
+    def test_non_integer_document_grid_exit_code(self, tmp_path, capsys):
+        """A document grid_n of 4096.9 once ran truncated, exiting 0 and reporting grid_n 4096."""
+        doc = model_to_document(white_noise())
+        doc["grid_n"] = 4096.9
+        model_path = tmp_path / "grid.json"
+        model_path.write_text(json.dumps(doc))
+        assert main(["analyze", str(model_path)]) == 2
+        err = capsys.readouterr().err
+        assert "analyze failed: DocumentError: document field 'grid_n' must be an integer, got 4096.9" in err, err
 
     def test_non_finite_model_exit_code(self, tmp_path, capsys):
         model_path = tmp_path / "nan.json"
