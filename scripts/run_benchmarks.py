@@ -33,6 +33,8 @@ def main(argv=None) -> int:
     parser.add_argument("--estimators", action="store_true", help="also run the Monte Carlo estimators")
     parser.add_argument("--out", help="directory for a JSON summary")
     args = parser.parse_args(argv)
+    if args.paths < 1:
+        parser.error("--paths must be >= 1")
 
     grid = FrequencyGrid(args.grid)
     rows = []

@@ -20,7 +20,7 @@ import numpy as np
 from .entropy import cell_counts, exact_cell_distribution, packed_keys, plugin_entropy
 from .quantize import _floor_codes, check_precision, dither_stream
 from .simulate import MAX_DENSE_DIM, autocovariance_from_spectrum, sample_paths, welch_psd
-from .spectral import SpectralModel, _stack_eigvalsh, normalize_components
+from .spectral import NormalizationResult, SpectralModel, _stack_eigvalsh, normalize_components
 
 DEFAULT_M_LADDER = (8, 16, 32, 64)
 ENTROPY_PATHS = 100_000  # blocks behind the entropy slope and the invariance runs
@@ -86,13 +86,11 @@ def _validate_ladder(m_ladder) -> tuple:
     return ladder
 
 
-def _draw(model: SpectralModel, k: int, paths: int, seed: int):
-    """The normalized model and `paths` k-step paths of it (None when no component is kept)."""
-    norm = normalize_components(model)
+def _draw(norm: NormalizationResult, k: int, paths: int, seed: int):
+    """`paths` k-step paths of the normalized model (None when no component is kept)."""
     if not norm.kept:
-        return norm, None
-    acov = autocovariance_from_spectrum(norm.model, max(k - 1, 0))
-    return norm, sample_paths(acov, k, paths, seed)
+        return None
+    return sample_paths(autocovariance_from_spectrum(norm.model, max(k - 1, 0)), k, paths, seed)
 
 
 def _code_columns(samples: np.ndarray, k: int, m: int, move=None):
@@ -201,7 +199,7 @@ def idr_slope_estimate(
     honest).
     """
     ladder = _validate_ladder(m_ladder)
-    _, batch = _draw(model, K_CAP if k is None else k, paths, seed)
+    batch = _draw(normalize_components(model), K_CAP if k is None else k, paths, seed)
     if batch is None:
         return DimensionEstimate(
             0.0, "entropy-slope", ladder, k or 0, paths, 0.0,
@@ -281,7 +279,7 @@ def surrogate_idr_estimate(
     k_eff = min(k, MAX_DENSE_DIM // norm.model.L)
     if k_eff < int(1.5 * SURROGATE_SEGMENT):
         raise ValueError(f"k_eff={k_eff} too short for Welch segments of {SURROGATE_SEGMENT}")
-    batch = sample_paths(autocovariance_from_spectrum(norm.model, k_eff - 1), k_eff, paths, seed)
+    batch = _draw(norm, k_eff, paths, seed)
     _check_range(batch.samples, ladder[-1])
     value, se, pairwise = _surrogate_slope(batch.samples, ladder, seed)
     return DimensionEstimate(
@@ -381,7 +379,8 @@ def invariance_check(
             raise ValueError("scale factors must be positive")
         moves.append((kind, amount))
     ladder = _validate_ladder(m_ladder)
-    norm, batch = _draw(model, K_CAP if k is None else k, paths, seed)
+    norm = normalize_components(model)
+    batch = _draw(norm, K_CAP if k is None else k, paths, seed)
     if batch is None:
         zero = DimensionEstimate(0.0, "entropy-slope", ladder, 0, paths, 0.0)
         return [InvarianceReport(kind, zero, zero, 0.0) for kind, _ in moves]

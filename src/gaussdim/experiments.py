@@ -35,6 +35,7 @@ from .spectral import (
     RANK_REL_TOL,
     FrequencyGrid,
     SpectralModel,
+    normalize_components,
     properness_check,
     rank_integral,
     support_bound,
@@ -133,7 +134,7 @@ def _resolve_model(config: ExperimentConfig) -> tuple[SpectralModel, FrequencyGr
         model, overrides = model_from_document(config.model)
     grid_n = config.grid_n if config.grid_n is not None else overrides.get("grid_n", DEFAULT_GRID_N)
     rank_tols = {
-        key.removeprefix("rank_"): float(overrides[key])
+        key.removeprefix("rank_"): overrides[key]
         for key in ("rank_rel_tol", "rank_abs_floor") if key in overrides
     }
     return model, FrequencyGrid(grid_n), rank_tols
@@ -229,7 +230,8 @@ def _verify_reports(ri, config) -> list:
     invariances = invariance_check(
         model, INVARIANCE_TRANSFORMS, m_ladder=config.m_ladder, paths=config.verify_paths, seed=config.seed,
     )
-    norm, flat = _draw(model, 1, config.verify_paths, config.seed)
+    norm = normalize_components(model)  # one normalization behind the flat and the identity batch
+    flat = _draw(norm, 1, config.verify_paths, config.seed)
     for (kind, amount), inv in zip(INVARIANCE_TRANSFORMS, invariances):
         reports.append(
             EstimateReport(
@@ -273,7 +275,7 @@ def _verify_reports(ri, config) -> list:
                     },
                 )
             )
-        _, ident_batch = _draw(model, 4 * IDENTITY_SEGMENT, max(64, config.verify_paths // 500), config.seed)
+        ident_batch = _draw(norm, 4 * IDENTITY_SEGMENT, max(64, config.verify_paths // 500), config.seed)
         for rep in spectrum_identity_check(ident_batch, IDENTITY_M, nperseg=IDENTITY_SEGMENT):
             reports.append(
                 EstimateReport(

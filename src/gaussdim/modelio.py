@@ -10,6 +10,8 @@ Document schema (strict; unknown keys are rejected):
     lines      list of {theta, re: LxL, im: LxL} (im optional)
 Grid and tolerance overrides may ride alongside the model fields:
     grid_n (int), rank_rel_tol, rank_abs_floor
+A number is a JSON number: a string or a bool in its place is rejected,
+with the field named, not converted.
 """
 
 from __future__ import annotations
@@ -44,11 +46,31 @@ def _int_field(entry: dict, name: str, what: str) -> int:
     return int(value)
 
 
+def _number(value, where: str) -> float:
+    """A number; float() would also read a string or a bool, as "0.1" -> 0.1 and false -> 0.0."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise DocumentError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _number_field(entry: dict, name: str, what: str) -> float:
+    return _number(_field(entry, name, what), f"{what} field {name!r}")
+
+
+def _numbers(value, where: str) -> np.ndarray:
+    """A (nested) list of numbers as a float array, checked by its dtype with no loop over the
+    elements: a string among them makes NumPy read them all as text, and a list of bools reads as bool."""
+    values = np.asarray(value)
+    if values.dtype.kind not in "iuf":
+        raise DocumentError(f"{where} must be numbers, got {value!r}")
+    return values.astype(float)
+
+
 def _matrix_from(entry: dict, L: int, what: str) -> np.ndarray:
     if "re" not in entry:
         raise DocumentError(f"{what} needs an 're' matrix")
-    re = np.asarray(entry["re"], dtype=float)
-    im = np.asarray(entry.get("im", np.zeros((L, L))), dtype=float)
+    re = _numbers(entry["re"], f"{what} field 're'")
+    im = _numbers(entry["im"], f"{what} field 'im'") if "im" in entry else np.zeros((L, L))
     if re.shape != (L, L) or im.shape != (L, L):
         raise DocumentError(f"{what} matrices must be {L}x{L}")
     return re + 1j * im
@@ -61,12 +83,12 @@ def _matrix_to(mat: np.ndarray) -> dict:
     return out
 
 
-def _coeff_from(c):
+def _coeff_from(c, where: str) -> complex:
     if isinstance(c, (list, tuple)):
         if len(c) != 2:
             raise DocumentError(f"complex coefficient must be [re, im], got {c}")
-        return complex(c[0], c[1])
-    return complex(c)
+        return complex(*_numbers(c, where))
+    return complex(_number(c, where))
 
 
 def _coeff_to(c: complex):
@@ -87,24 +109,28 @@ def model_from_document(doc: dict) -> tuple[SpectralModel, dict]:
         if extra:
             raise DocumentError(f"band {i} has unknown fields {sorted(extra)}")
         what = f"band {i}"
-        bands.append(Band(float(_field(b, "lo", what)), float(_field(b, "hi", what)), _matrix_from(b, L, what)))
+        bands.append(Band(_number_field(b, "lo", what), _number_field(b, "hi", what), _matrix_from(b, L, what)))
     lines = []
     for i, ln in enumerate(doc.get("lines", [])):
         extra = set(ln) - {"theta", "re", "im"}
         if extra:
             raise DocumentError(f"line {i} has unknown fields {sorted(extra)}")
-        lines.append(SpectralLine(float(_field(ln, "theta", f"line {i}")), _matrix_from(ln, L, f"line {i}")))
+        what = f"line {i}"
+        lines.append(SpectralLine(_number_field(ln, "theta", what), _matrix_from(ln, L, what)))
     terms = []
     for i, t in enumerate(doc.get("arma_terms", [])):
         extra = set(t) - {"row", "col", "num", "den"}
         if extra:
             raise DocumentError(f"arma term {i} has unknown fields {sorted(extra)}")
         row, col = (_int_field(t, name, f"arma term {i}") for name in ("row", "col"))
-        num, den = (_field(t, name, f"arma term {i}") for name in ("num", "den"))
-        terms.append(RationalTerm(row, col, tuple(_coeff_from(c) for c in num), tuple(_coeff_from(c) for c in den)))
-    mean = doc.get("mean")
+        num, den = (
+            tuple(_coeff_from(c, f"arma term {i} field {name!r}") for c in _field(t, name, f"arma term {i}"))
+            for name in ("num", "den")
+        )
+        terms.append(RationalTerm(row, col, num, den))
+    mean = _numbers(doc["mean"], "document field 'mean'") if "mean" in doc else None
     model = SpectralModel(L=L, bands=tuple(bands), arma_terms=tuple(terms), lines=tuple(lines), mean=mean)
-    overrides = {k: doc[k] for k in _OVERRIDE_KEYS if k in doc}
+    overrides = {key: _number_field(doc, key, "document") for key in ("rank_rel_tol", "rank_abs_floor") if key in doc}
     if "grid_n" in doc:
         overrides["grid_n"] = _int_field(doc, "grid_n", "document")
     return model, overrides

@@ -356,6 +356,8 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
     L = acov.L
     if k < 1:
         raise ValueError("k must be >= 1")
+    if paths < 1:
+        raise ValueError("paths must be >= 1")
     if k > acov.tau_max + 1:
         raise ValueError(f"k={k} needs tau_max >= {k - 1}, have {acov.tau_max}")
     if k * L > MAX_DENSE_DIM:

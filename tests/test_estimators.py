@@ -196,7 +196,7 @@ class TestSlopeEstimator:
         paths reshaped to (paths, 1, b) are Y's one-step paths, and both slopes
         count the same cells over the same code columns in the same order, so
         Y's slope at block length 1 is b times X's at block length b, to rounding."""
-        _, batch = _draw(MODELS[name][0](), b, 100_000, seed=7)
+        batch = _draw(normalize_components(MODELS[name][0]()), b, 100_000, seed=7)
         x = _entropy_slope(batch.samples, (1, 2), b, batch, 1)
         y = _entropy_slope(batch.samples.reshape(-1, 1, b), (1, 2), 1, batch, b)
         assert abs(y.value - b * x.value) <= 1e-14 and abs(y.se - b * x.se) <= 1e-14
@@ -494,7 +494,8 @@ def _copy_invariance_check(model, transforms, m_ladder=(8, 16, 32, 64), k=None, 
     transform makes a moved copy of the batch, range checked as a whole, and
     the guard and the slope run on that copy."""
     ladder = tuple(m_ladder)
-    norm, batch = _draw(model, K_CAP if k is None else k, paths, seed)
+    norm = normalize_components(model)
+    batch = _draw(norm, K_CAP if k is None else k, paths, seed)
     kept = list(norm.kept)
     check_precision(batch.samples, ladder[-1])
     k_base = k if k is not None else _choose_k(batch.samples, ladder[-1])
@@ -572,7 +573,7 @@ class TestInvariance:
         stays in range; just below, the range check passes and every path
         is its own cell, so the undersampling guard raises instead."""
         model, paths, seed = correlated_pair(), 5_000, 3
-        _, batch = _draw(model, K_CAP, paths, seed)
+        batch = _draw(normalize_components(model), K_CAP, paths, seed)
         scale = [factor * 2.0**53 / (64 * np.abs(batch.samples[..., 0]).max()), 1.0]
         for check in (invariance_check, _copy_invariance_check):
             with pytest.raises(error):

@@ -12,6 +12,7 @@ import pytest
 
 import gaussdim
 from gaussdim.benchmarks import (
+    MODELS,
     ar1,
     correlated_pair,
     narrowband,
@@ -95,6 +96,29 @@ class TestModelDocuments:
         (doc["arma_terms"][0] if field in ("row", "col") else doc)[field] = value
         what = "arma term 0" if field in ("row", "col") else "document"
         with pytest.raises(DocumentError, match=f"^{what} field '{field}' must be an integer, got {value!r}$"):
+            model_from_document(doc)
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("bands", "lo", "-0.5"), ("bands", "lo", False), ("bands", "hi", [0.5]), ("bands", "re", [["1.0"]]),
+            ("bands", "im", [[True]]), ("lines", "theta", "0.1"), ("arma_terms", "num", ["1"]),
+            ("arma_terms", "den", [-0.5, ["2", 0], -0.5]), (None, "mean", ["3"]), (None, "rank_rel_tol", "1e-9"),
+            (None, "rank_abs_floor", True),
+        ],
+    )
+    def test_non_number_field_is_named(self, kind, field, value):
+        """A string or a bool where a number goes is rejected, not read as float() reads it
+        ("0.5" as 0.5, false as 0.0); JSON integers are numbers."""
+        doc = {
+            "L": 1, "mean": [0], "bands": [{"lo": -0.5, "hi": 0.5, "re": [[1]], "im": [[0]]}],
+            "lines": [{"theta": 0, "re": [[1]]}], "arma_terms": [{"row": 0, "col": 0, "num": [0, 1], "den": [-0.5, 2, -0.5]}],
+            "rank_rel_tol": 1e-9, "rank_abs_floor": 0,
+        }
+        model_from_document(doc)
+        (doc[kind][0] if kind else doc)[field] = value
+        what = {"bands": "band 0", "lines": "line 0", "arma_terms": "arma term 0", None: "document"}[kind]
+        with pytest.raises(DocumentError, match=f"^{what} field '{field}' must be (a number|numbers), got "):
             model_from_document(doc)
 
     def test_missing_model_size_is_named(self):
@@ -247,6 +271,24 @@ class TestRunTasks:
         hist = rep.reports[0].settings["rank_histogram"]
         assert set(hist) == {0, 2}  # rank-2 on the band, rank-0 outside
 
+    def test_complex_on_every_bivariate_model_at_4098_nodes(self):
+        """At 4098 nodes, where the nodes are not exact mirrors, only proper_complex_flat is
+        proper, and every support bound keeps its closed form and passes."""
+        expected = {  # model: (properness, support_bound value, support_bound reference)
+            "independent_halfband_pair": (0.0, 1.0, 2.0),
+            "correlated_pair": (0.0, 1.0, 2.0),
+            "proper_complex_flat": (1.0, 1.0, 1.0),
+            "real_only_complex": (0.0, 0.5, 1.0),
+            "matched_support_nonproper": (0.0, 1.0, 1.0),
+        }
+        assert [name for name, (builder, _) in MODELS.items() if builder().L == 2] == list(expected)
+        for name, (proper, value, bound) in expected.items():
+            rep = run({"task": "complex", "model": model_to_document(MODELS[name][0]()), "grid_n": 4098})
+            properness, support = rep.reports
+            assert properness.quantity == "properness" and properness.value == proper, (name, properness)
+            assert support.quantity == "support_bound", name
+            assert (support.value, support.reference, support.passed) == (value, bound, True), (name, support)
+
     def test_estimate_deterministic(self):
         cfg = {
             "task": "estimate",
@@ -352,15 +394,21 @@ class TestRunTasks:
 
     def test_verify_draws_each_batch_once(self, monkeypatch):
         import gaussdim.estimators as estimators
+        import gaussdim.experiments as experiments
 
-        lengths = []
+        lengths, normalized = [], []
         real = estimators.sample_paths
         spy = lambda acov, k, *a, **kw: lengths.append(k) or real(acov, k, *a, **kw)  # noqa: E731
         monkeypatch.setattr(estimators, "sample_paths", spy)  # every batch comes from estimators._draw
+        for module in (estimators, experiments):
+            real_norm = module.normalize_components
+            monkeypatch.setattr(module, "normalize_components", lambda m, f=real_norm: normalized.append(m) or f(m))
         run({"task": "verify", "model": model_to_document(white_noise()), "seed": 3,
              "m_ladder": [2, 4], "verify_paths": 2000})
         # one batch shared by both invariance transforms, then the Bussgang and identity batches
         assert lengths == [estimators.K_CAP, 1, 1024]
+        # the invariance check normalizes the model once, and the task once for its other two batches
+        assert len(normalized) == 2
 
     @pytest.mark.parametrize("builder", [white_noise, correlated_pair, real_only_complex])
     def test_verify_translation_row_is_the_oracle_delta(self, builder):
@@ -514,12 +562,22 @@ class TestCLI:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
-    def test_invalid_config_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "args, config, message",
+        [
+            (["analyze"], {"model": {"L": 1}, "nope": True}, "unknown configuration fields"),
+            # a surrogate setting is fixed, not configured
+            (["estimate", "{model}", "--seed", "7"], {"surrogate_paths": 50}, "unknown configuration fields"),
+        ],
+        ids=["unknown-field", "surrogate-setting"],
+    )
+    def test_invalid_config_exit_code(self, args, config, message, tmp_path, capsys):
+        model_path = save_model(white_noise(), tmp_path / "wn.json")
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model": {"L": 1}, "nope": True}))
-        code = main(["analyze", "--config", str(cfg)])
-        assert code == 2
-        assert "configuration error" in capsys.readouterr().err
+        cfg.write_text(json.dumps(config))
+        assert main([arg.format(model=model_path) for arg in args] + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gaussdim: configuration error: ") and message in err, err
 
     @pytest.mark.parametrize(
         "task, field, value",

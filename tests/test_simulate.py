@@ -134,6 +134,22 @@ class TestSamplePaths:
         se = np.sqrt(2.0 / len(x))  # var-of-variance scale for unit-variance entries
         assert np.abs(emp - acov.matrices[0]).max() <= 5.0 * se
 
+    @pytest.mark.parametrize("paths", [0, -3])
+    def test_path_count_below_one_raises(self, paths):
+        """Fewer than one path is refused by the draw, for every estimator that draws, not by the
+        entropy or Welch code behind it."""
+        from gaussdim.estimators import idr_slope_estimate, invariance_check, surrogate_idr_estimate
+
+        model = white_noise()
+        for call in (
+            lambda: sample_paths(autocovariance_from_spectrum(model, 0), 1, paths, seed=1),
+            lambda: idr_slope_estimate(model, paths=paths),
+            lambda: invariance_check(model, [("scale", 2.0)], paths=paths),
+            lambda: surrogate_idr_estimate(model, paths=paths),
+        ):
+            with pytest.raises(ValueError, match="paths must be >= 1"):
+                call()
+
     def test_k_limited_by_tau_max(self):
         acov = autocovariance_from_spectrum(white_noise(), 3)
         with pytest.raises(ValueError, match="tau_max"):
