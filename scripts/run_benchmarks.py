@@ -3,8 +3,8 @@
 
 The processes are gaussdim.benchmarks.MODELS, the models that
 scripts/export_models.py writes.  Fast by default (analytic rank integral + rate-distortion slope); pass
---estimators to add the two Monte Carlo estimators at their library defaults (about 2 s in all
-on 2 cores).
+--estimators to add the two Monte Carlo estimators at their library defaults (1.1-1.3 s for the
+whole script at --seed 7 on 2 cores, interpreter start included; the rows' own times sum to 0.9 s).
 A model whose entropy slope trips the undersampling guard prints
 "undersampled" in that column and keeps the guard's message in its JSON row.
 
@@ -45,7 +45,7 @@ def main(argv=None) -> int:
     print("-" * len(header))
     for name, (builder, expected) in MODELS.items():
         model = builder()
-        t0 = time.time()
+        t0 = time.perf_counter()
         ri = rank_integral(model, grid)
         rank, rd = ri.value, rd_dimension_estimate(ri).value
         row = {"model": name, "expected": expected, "rank_integral": rank, "rd_slope": rd}
@@ -62,7 +62,7 @@ def main(argv=None) -> int:
             surr = surrogate_idr_estimate(model, seed=args.seed)  # the surrogate's fixed settings, as in `estimate`
             row.update({"surrogate": surr.value, "surrogate_se": surr.se})
             line += f" {surr.value:10.4f}"
-        row["seconds"] = time.time() - t0
+        row["seconds"] = time.perf_counter() - t0
         rows.append(row)
         print(line)
 

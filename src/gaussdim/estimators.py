@@ -199,16 +199,7 @@ def idr_slope_estimate(
     honest).
     """
     ladder = _validate_ladder(m_ladder)
-    batch = _draw(normalize_components(model), K_CAP if k is None else k, paths, seed)
-    if batch is None:
-        return DimensionEstimate(
-            0.0, "entropy-slope", ladder, k or 0, paths, 0.0,
-            notes="all components have zero variance; quantized process is constant",
-        )
-    _check_range(batch.samples, ladder[-1])
-    if k is None:
-        k = _choose_k(batch.samples, ladder[-1])
-    return _entropy_slope(batch.samples, ladder, k, batch, model.L)
+    return _entropy_route(normalize_components(model), model.L, (), ladder, k, paths, seed)[1]
 
 
 def _half_mean_logdet(matrices: np.ndarray, floor: float) -> float:
@@ -368,36 +359,48 @@ def invariance_check(
     to the largest one whose occupied-cell count passes the plug-in guard
     on the base and on the transformed paths.
     """
+    ladder = _validate_ladder(m_ladder)
+    return _entropy_route(normalize_components(model), model.L, transforms, ladder, k, paths, seed)[2]
+
+
+def _entropy_route(norm: NormalizationResult, L: int, transforms, ladder: tuple, k: int | None, paths: int, seed: int):
+    """The entropy route's batch, its base slope and one InvarianceReport per transform.
+
+    The transforms are checked, then k steps (K_CAP when k is None) of the
+    normalized model are drawn once: range check, guard and base slope, then
+    per transform its moved range check, capped guard and pair of slopes.
+    With no kept component the batch is None and every slope 0.
+    """
     moves = []
     for kind, amount in transforms:
         if kind not in _MOVES:
             raise ValueError("transform must be 'scale' or 'translate'")
-        amount = np.broadcast_to(np.asarray(amount, float), (model.L,)).copy()
+        amount = np.broadcast_to(np.asarray(amount, float), (L,)).copy()
         if not np.isfinite(amount).all():
             raise ValueError(f"transform amounts must be finite, got {amount}")
         if kind == "scale" and (amount <= 0).any():
             raise ValueError("scale factors must be positive")
         moves.append((kind, amount))
-    ladder = _validate_ladder(m_ladder)
-    norm = normalize_components(model)
     batch = _draw(norm, K_CAP if k is None else k, paths, seed)
     if batch is None:
-        zero = DimensionEstimate(0.0, "entropy-slope", ladder, 0, paths, 0.0)
-        return [InvarianceReport(kind, zero, zero, 0.0) for kind, _ in moves]
-    kept = list(norm.kept)
+        zero = DimensionEstimate(
+            0.0, "entropy-slope", ladder, k or 0, paths, 0.0,
+            notes="all components have zero variance; quantized process is constant",
+        )
+        return None, zero, [InvarianceReport(kind, zero, zero, 0.0) for kind, _ in moves]
     _check_range(batch.samples, ladder[-1])
     k_base = k if k is not None else _choose_k(batch.samples, ladder[-1])
-    base_at = {}  # base slope per block length, shared by the transforms that use it
+    base_at = {k_base: _entropy_slope(batch.samples, ladder, k_base, batch, L)}  # base slope per block length
     reports = []
     for kind, amount in moves:
-        move = (_MOVES[kind], amount[kept])
+        move = (_MOVES[kind], amount[list(norm.kept)])
         _check_range(batch.samples, ladder[-1], move)
         # both slopes share k, so it must pass the guard on both sample sets; k_base caps the moved guard
         k_t = k_base if k is not None else _choose_k(batch.samples, ladder[-1], move, k_base)
         if k_t not in base_at:
-            base_at[k_t] = _entropy_slope(batch.samples, ladder, k_t, batch, model.L)
+            base_at[k_t] = _entropy_slope(batch.samples, ladder, k_t, batch, L)
         base = base_at[k_t]
         notes = f"{kind} by {np.array2string(amount, precision=3)}"
-        trans = _entropy_slope(batch.samples, ladder, k_t, batch, model.L, notes, move)
+        trans = _entropy_slope(batch.samples, ladder, k_t, batch, L, notes, move)
         reports.append(InvarianceReport(kind, base, trans, float(abs(trans.value - base.value))))
-    return reports
+    return batch, base_at[k_base], reports

@@ -19,10 +19,10 @@ from .estimators import (
     DEFAULT_M_LADDER,
     ENTROPY_PATHS,
     _draw,
+    _entropy_route,
     _validate_ladder,
     gaussian_surrogate_kl,
     idr_slope_estimate,
-    invariance_check,
     surrogate_idr_estimate,
 )
 from .modelio import load_model, model_from_document, model_fingerprint
@@ -227,11 +227,10 @@ def _rd_reports(ri, config) -> list:
 def _verify_reports(ri, config) -> list:
     model = ri.model
     reports = []
-    invariances = invariance_check(
-        model, INVARIANCE_TRANSFORMS, m_ladder=config.m_ladder, paths=config.verify_paths, seed=config.seed,
+    norm = normalize_components(model)  # one normalization behind both batches
+    batch, _, invariances = _entropy_route(
+        norm, model.L, INVARIANCE_TRANSFORMS, config.m_ladder, None, config.verify_paths, config.seed,
     )
-    norm = normalize_components(model)  # one normalization behind the flat and the identity batch
-    flat = _draw(norm, 1, config.verify_paths, config.seed)
     for (kind, amount), inv in zip(INVARIANCE_TRANSFORMS, invariances):
         reports.append(
             EstimateReport(
@@ -247,7 +246,7 @@ def _verify_reports(ri, config) -> list:
             )
         )
         k, m = TRANSLATION_BLOCK
-        if kind == "translate" and k * model.L <= 3 and flat is not None:
+        if kind == "translate" and k * model.L <= 3 and batch is not None:
             # |H([x]_m) - H([x + c]_m)| <= k*L*log(4): a translated code differs from code-plus-shifted-code
             # by at most a few lattice steps, worth log 4 of entropy per coordinate.  A model with no variance
             # draws no paths, and gets no oracle row either.
@@ -260,8 +259,9 @@ def _verify_reports(ri, config) -> list:
                 )
             )
 
-    if flat is not None:
-        for rep in bussgang_gain(flat, BUSSGANG_M_LADDER):
+    if batch is not None:
+        # the gains read the invariance batch's first step (bussgang_gain copies it): no batch of their own
+        for rep in bussgang_gain(batch.samples[:, :1], BUSSGANG_M_LADDER):
             reports.append(
                 EstimateReport(
                     "bussgang_gain", "monte-carlo", float(rep.gain.mean()),
@@ -271,10 +271,11 @@ def _verify_reports(ri, config) -> list:
                     passed=bool(rep.gain_bound_ok and rep.noise_ok),
                     settings={
                         "m": rep.m, "gain_bound": rep.gain_bound.tolist(), "noise_var": rep.noise_var.tolist(),
-                        "noise_bound": rep.noise_bound, "factor_method": flat.factor_method,
+                        "noise_bound": rep.noise_bound, "factor_method": batch.factor_method,
                     },
                 )
             )
+        del batch  # freed before the identity batch is drawn
         ident_batch = _draw(norm, 4 * IDENTITY_SEGMENT, max(64, config.verify_paths // 500), config.seed)
         for rep in spectrum_identity_check(ident_batch, IDENTITY_M, nperseg=IDENTITY_SEGMENT):
             reports.append(

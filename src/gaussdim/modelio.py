@@ -10,8 +10,9 @@ Document schema (strict; unknown keys are rejected):
     lines      list of {theta, re: LxL, im: LxL} (im optional)
 Grid and tolerance overrides may ride alongside the model fields:
     grid_n (int), rank_rel_tol, rank_abs_floor
-A number is a JSON number: a string or a bool in its place is rejected,
-with the field named, not converted.
+A number is a JSON number: a string or a bool in its place, or among a
+list's numbers, is rejected with the field named, not converted.  So is an
+entry of the wrong JSON type, such as a number where a list or an object goes.
 """
 
 from __future__ import annotations
@@ -46,9 +47,13 @@ def _int_field(entry: dict, name: str, what: str) -> int:
     return int(value)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _number(value, where: str) -> float:
     """A number; float() would also read a string or a bool, as "0.1" -> 0.1 and false -> 0.0."""
-    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+    if not _is_number(value):
         raise DocumentError(f"{where} must be a number, got {value!r}")
     return float(value)
 
@@ -58,12 +63,29 @@ def _number_field(entry: dict, name: str, what: str) -> float:
 
 
 def _numbers(value, where: str) -> np.ndarray:
-    """A (nested) list of numbers as a float array, checked by its dtype with no loop over the
-    elements: a string among them makes NumPy read them all as text, and a list of bools reads as bool."""
-    values = np.asarray(value)
-    if values.dtype.kind not in "iuf":
+    """A (nested) list of numbers as a float array, each entry checked as _number checks one:
+    NumPy would read a string among numbers as text and a bool among them as 0 or 1."""
+    entries = np.array(value, dtype=object)  # a ragged list keeps its inner lists as entries
+    if not all(map(_is_number, entries.flat)):
         raise DocumentError(f"{where} must be numbers, got {value!r}")
-    return values.astype(float)
+    return entries.astype(float)
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise DocumentError(f"{where} must be a list, got {value!r}")
+    return value
+
+
+def _entries(doc: dict, name: str, what: str, keys: set):
+    """(label, entry) for each entry of the document's list `name`: an object with no field outside keys."""
+    for i, entry in enumerate(_list(doc.get(name, []), f"document field {name!r}")):
+        if not isinstance(entry, dict):
+            raise DocumentError(f"{what} {i} must be an object, got {entry!r}")
+        extra = set(entry) - keys
+        if extra:
+            raise DocumentError(f"{what} {i} has unknown fields {sorted(extra)}")
+        yield f"{what} {i}", entry
 
 
 def _matrix_from(entry: dict, L: int, what: str) -> np.ndarray:
@@ -86,9 +108,14 @@ def _matrix_to(mat: np.ndarray) -> dict:
 def _coeff_from(c, where: str) -> complex:
     if isinstance(c, (list, tuple)):
         if len(c) != 2:
-            raise DocumentError(f"complex coefficient must be [re, im], got {c}")
+            raise DocumentError(f"{where} coefficients must be numbers or [re, im] pairs, got {c!r}")
         return complex(*_numbers(c, where))
     return complex(_number(c, where))
+
+
+def _coeffs(entry: dict, name: str, what: str) -> tuple:
+    where = f"{what} field {name!r}"
+    return tuple(_coeff_from(c, where) for c in _list(_field(entry, name, what), where))
 
 
 def _coeff_to(c: complex):
@@ -103,30 +130,18 @@ def model_from_document(doc: dict) -> tuple[SpectralModel, dict]:
     if unknown:
         raise DocumentError(f"unknown document fields: {sorted(unknown)}")
     L = _int_field(doc, "L", "document")
-    bands = []
-    for i, b in enumerate(doc.get("bands", [])):
-        extra = set(b) - {"lo", "hi", "re", "im"}
-        if extra:
-            raise DocumentError(f"band {i} has unknown fields {sorted(extra)}")
-        what = f"band {i}"
-        bands.append(Band(_number_field(b, "lo", what), _number_field(b, "hi", what), _matrix_from(b, L, what)))
-    lines = []
-    for i, ln in enumerate(doc.get("lines", [])):
-        extra = set(ln) - {"theta", "re", "im"}
-        if extra:
-            raise DocumentError(f"line {i} has unknown fields {sorted(extra)}")
-        what = f"line {i}"
-        lines.append(SpectralLine(_number_field(ln, "theta", what), _matrix_from(ln, L, what)))
+    bands = [
+        Band(_number_field(b, "lo", what), _number_field(b, "hi", what), _matrix_from(b, L, what))
+        for what, b in _entries(doc, "bands", "band", {"lo", "hi", "re", "im"})
+    ]
+    lines = [
+        SpectralLine(_number_field(ln, "theta", what), _matrix_from(ln, L, what))
+        for what, ln in _entries(doc, "lines", "line", {"theta", "re", "im"})
+    ]
     terms = []
-    for i, t in enumerate(doc.get("arma_terms", [])):
-        extra = set(t) - {"row", "col", "num", "den"}
-        if extra:
-            raise DocumentError(f"arma term {i} has unknown fields {sorted(extra)}")
-        row, col = (_int_field(t, name, f"arma term {i}") for name in ("row", "col"))
-        num, den = (
-            tuple(_coeff_from(c, f"arma term {i} field {name!r}") for c in _field(t, name, f"arma term {i}"))
-            for name in ("num", "den")
-        )
+    for what, t in _entries(doc, "arma_terms", "arma term", {"row", "col", "num", "den"}):
+        row, col = (_int_field(t, name, what) for name in ("row", "col"))
+        num, den = (_coeffs(t, name, what) for name in ("num", "den"))
         terms.append(RationalTerm(row, col, num, den))
     mean = _numbers(doc["mean"], "document field 'mean'") if "mean" in doc else None
     model = SpectralModel(L=L, bands=tuple(bands), arma_terms=tuple(terms), lines=tuple(lines), mean=mean)

@@ -114,20 +114,26 @@ def bussgang_gain(data, ms) -> list[BussgangReport]:
     """
     xc = np.ascontiguousarray(np.moveaxis(_extract(data), -1, 0))
     _check_ladder(xc, ms)
-    return [_gain_report(xc, _floor_codes(xc, m) / m, m) for m in ms]
+    mu, var = _moments(xc)
+    return [_gain_report(xc, _floor_codes(xc, m) / m, m, mu, var) for m in ms]
 
 
-def _gain_report(xc: np.ndarray, zc: np.ndarray, m: int) -> BussgangReport:
-    """bussgang_gain of the input from its quantized values, both component-major (L, paths, k).
+def _moments(xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-component mean and variance of a component-major (L, paths, k) array."""
+    flat = xc.reshape(len(xc), -1)
+    return flat.mean(axis=1), flat.var(axis=1)
+
+
+def _gain_report(xc: np.ndarray, zc: np.ndarray, m: int, mu: np.ndarray, var: np.ndarray) -> BussgangReport:
+    """bussgang_gain of the input from its quantized values, both component-major (L, paths, k),
+    and the input's per-component mean and variance (_moments), computed once for every m.
 
     The callers pass one contiguous component-major copy of the samples (a
     view at L = 1), so every per-component sum reduces over the contiguous
     trailing axes of one component.
     """
     L, paths, k = xc.shape
-    mu = xc.reshape(L, -1).mean(axis=1)
     zmu = zc.reshape(L, -1).mean(axis=1)
-    var = xc.reshape(L, -1).var(axis=1)
     if (var < 1e-12).any():
         bad = int(np.argmin(var))
         raise ZeroVarianceComponentError(
@@ -191,7 +197,7 @@ def spectrum_identity_check(data, ms, nperseg: int = 256) -> list[SpectrumIdenti
     x = _extract(data)
     paths, k, L = x.shape
     xc = np.ascontiguousarray(np.moveaxis(x, -1, 0))  # (L, paths, k)
-    sample_var = xc.reshape(L, -1).var(axis=1)
+    sample_mean, sample_var = _moments(xc)
     var = data.variance if isinstance(data, SamplePathBatch) else sample_var
     if np.abs(var - 1.0).max() > 0.05:
         raise UnitVarianceRequiredError(
@@ -208,7 +214,7 @@ def spectrum_identity_check(data, ms, nperseg: int = 256) -> list[SpectrumIdenti
     for m in ms:
         zc = _floor_codes(xc, m)
         zc /= m
-        gain = float(_gain_report(xc, zc, m).gain.mean())
+        gain = float(_gain_report(xc, zc, m, sample_mean, sample_var).gain.mean())
         np.subtract(xc, zc, out=zc)  # zc now holds the error x - z
         sn, _ = welch_segments(zc, nperseg)
         pxn = np.einsum("lpst,lpst->p", sx, sn) * scale  # per path: frequency mean of tr Re P_xn

@@ -39,7 +39,6 @@ from ._rng import derive_rng
 from .spectral import SpectralModel, _eval_rational, _lag_integrals
 
 MAX_DENSE_DIM = 4096
-_PATH_CHUNK = 1 << 16
 
 
 class SymmetryViolationError(ValueError):
@@ -341,17 +340,14 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
     provided it reproduces C(0..k-1).  Otherwise the block-Toeplitz
     covariance is factored densely (see _psd_factor).
 
-    Deterministic given (acov, k, paths, seed).  The quadrature draws its
-    paths in slices of consecutive draws from one stream, and writes each
-    slice's sums straight into the output rows.  The dense route draws in
-    fixed chunks of _PATH_CHUNK paths with per-chunk sub-streams, so chunk
-    order (and hence parallel generation) cannot change the result.  Each
-    chunk's normals come in row slices of its stream, about _SLICE_BYTES
-    each but at least 1024 rows (a shorter tail joins the slice before it),
-    into one reused buffer; the numbers are those of a whole-chunk draw, and
-    at 1024 rows or more a slice's product with the factor rounds as the
-    whole chunk's.  Each slice's product and the mean are written in place
-    into its output rows.
+    Deterministic given (acov, k, paths, seed).  Both routes draw a batch
+    from one stream in slices of consecutive rows, and write each slice
+    straight into its output rows.  The dense route's normals come from
+    derive_rng(seed, "gauss-paths", 0) in row slices of about _SLICE_BYTES
+    but at least 1024 rows (a shorter tail joins the slice before it), into
+    one reused buffer; the numbers are those of a whole-batch draw, and at
+    1024 rows or more a slice's product with the factor rounds as the whole
+    batch's.  Each slice's product and the mean are written in place.
     """
     L = acov.L
     if k < 1:
@@ -371,17 +367,16 @@ def sample_paths(acov: AutocovarianceSequence, k: int, paths: int, seed: int) ->
     factor, method = _psd_factor(acov, k)
     mu = np.tile(acov.mean, k)
     out = np.empty((paths, k * L))
-    rows = max(1024, _SLICE_BYTES // (8 * k * L))  # from 1024 rows a slice's product rounds as the chunk's
-    z = np.empty((min(paths, _PATH_CHUNK, rows + 1023), k * L))  # one buffer holds every slice's normals
-    for chunk, start in enumerate(range(0, paths, _PATH_CHUNK)):
-        stop = min(start + _PATH_CHUNK, paths)
-        rng = derive_rng(seed, "gauss-paths", chunk)
-        while start < stop:
-            end = stop if stop - start < rows + 1024 else start + rows
-            normals = rng.standard_normal(out=z[: end - start])  # continues the chunk's stream
-            np.matmul(normals, factor.T, out=out[start:end])  # in place: no product or sum temporaries
-            out[start:end] += mu
-            start = end
+    rows = max(1024, _SLICE_BYTES // (8 * k * L))  # from 1024 rows a slice's product rounds as the batch's
+    z = np.empty((min(paths, rows + 1023), k * L))  # one buffer holds every slice's normals
+    rng = derive_rng(seed, "gauss-paths", 0)
+    start = 0
+    while start < paths:
+        end = paths if paths - start < rows + 1024 else start + rows
+        normals = rng.standard_normal(out=z[: end - start])  # continues the batch's stream
+        np.matmul(normals, factor.T, out=out[start:end])  # in place: no product or sum temporaries
+        out[start:end] += mu
+        start = end
     return SamplePathBatch(out.reshape(paths, k, L), method, variance)
 
 

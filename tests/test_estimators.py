@@ -377,7 +377,7 @@ class TestExactRelations:
         pytest.param("narrowband_0p4", marks=pytest.mark.xfail(strict=True, reason=(
             "blocked narrowband: the null space of Y's polyphase density turns with frequency, and "
             "Welch leakage at 1024-sample segments reads +0.0915 (b=2), +0.1296 (b=3) and +0.1407 "
-            "(b=4) above b * 0.4 at seed 7; longer segments (ROADMAP item 3) are the expected cure"
+            "(b=4) above b * 0.4 at seed 7; longer segments (ROADMAP item 5) are the expected cure"
         ))),
     ])
     def test_blocked_process_has_b_times_the_dimension(self, fixed_draw, name, b):
@@ -613,6 +613,15 @@ class TestInvariance:
         assert both == singles
         # one draw; k is chosen once on the base paths and once per moved path set
         assert calls.count("draw") == 1 and calls.count("choose_k") == 1 + len(transforms)
+
+    @pytest.mark.parametrize("ladder, k", [((8, 16, 32, 64), None), ((1, 2), None), ((2, 4), 2)])
+    @pytest.mark.parametrize("name", ["white_noise", "correlated_pair"])
+    def test_slope_estimate_is_the_invariance_base(self, name, ladder, k):
+        """idr_slope_estimate and invariance_check run one entropy route: the slope
+        estimate is the base slope of a scale by 1 at the same settings."""
+        model = MODELS[name][0]()
+        (rep,) = invariance_check(model, [("scale", 1.0)], ladder, k=k, paths=20_000, seed=5)
+        assert idr_slope_estimate(model, ladder, k=k, paths=20_000, seed=5) == rep.base
 
     def test_zero_process_one_zero_report_per_transform(self):
         reps = invariance_check(zero_process(), [("scale", 2.0), ("translate", 1.0)], paths=1000, seed=20)

@@ -239,6 +239,15 @@ class TestComponentMajorGain:
             for got, want in zip(_report_arrays(rep), _report_arrays(ref)):
                 assert np.array_equal(got, want)
 
+    def test_ladder_call_equals_the_single_calls(self, pair_samples):
+        """One call over a ladder shares the input's moments across its m; each
+        report equals the one a single-m call makes, field by field."""
+        ms = (1, 2, 8, 64)
+        for ladder_rep, m in zip(bussgang_gain(pair_samples, ms), ms):
+            (single,) = bussgang_gain(pair_samples, [m])
+            for f in dataclasses.fields(single):
+                assert np.array_equal(getattr(ladder_rep, f.name), getattr(single, f.name)), (m, f.name)
+
     def test_identity_sample_variance_per_component(self):
         z = np.random.default_rng(37).standard_normal((4, 512, 2))
         x = z / z.std(axis=(0, 1)) * np.sqrt([0.97, 1.03])  # unequal, both inside the unit-variance gate

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,8 +24,9 @@ from gaussdim.benchmarks import (
 )
 from gaussdim.cli import _build_parser, _raw_config, main
 from gaussdim.entropy import exact_cell_entropy
-from gaussdim.estimators import SURROGATE_K, SURROGATE_M_LADDER, SURROGATE_PATHS
+from gaussdim.estimators import K_CAP, SURROGATE_K, SURROGATE_M_LADDER, SURROGATE_PATHS, _draw
 from gaussdim.experiments import (
+    BUSSGANG_M_LADDER,
     COMMON_FIELDS,
     INVARIANCE_TRANSFORMS,
     TASKS,
@@ -40,9 +42,10 @@ from gaussdim.modelio import (
     model_to_document,
     save_model,
 )
+from gaussdim.quantize import bussgang_gain
 from gaussdim.reports import CSV_COLUMNS, EstimateReport, RunReport, emit, load_report
 from gaussdim.simulate import MAX_DENSE_DIM
-from gaussdim.spectral import Band, SpectralModel
+from gaussdim.spectral import Band, SpectralModel, normalize_components
 
 
 class TestModelDocuments:
@@ -119,6 +122,34 @@ class TestModelDocuments:
         (doc[kind][0] if kind else doc)[field] = value
         what = {"bands": "band 0", "lines": "line 0", "arma_terms": "arma term 0", None: "document"}[kind]
         with pytest.raises(DocumentError, match=f"^{what} field '{field}' must be (a number|numbers), got "):
+            model_from_document(doc)
+
+    @pytest.mark.parametrize(
+        "kind, field, value, message",
+        [
+            ("bands", "re", [[1.0, True], [True, 1]],
+             "band 0 field 're' must be numbers, got [[1.0, True], [True, 1]]"),
+            (None, "mean", [0.5, False], "document field 'mean' must be numbers, got [0.5, False]"),
+            ("arma_terms", "num", [[True, 0.0]], "arma term 0 field 'num' must be numbers, got [True, 0.0]"),
+            ("arma_terms", "num", 1, "arma term 0 field 'num' must be a list, got 1"),
+            ("arma_terms", "den", [1, [2, 0, 0]],
+             "arma term 0 field 'den' coefficients must be numbers or [re, im] pairs, got [2, 0, 0]"),
+            ("bands", "im", [[0, 0], [0]], "band 0 field 'im' must be numbers, got [[0, 0], [0]]"),
+            (None, "bands", 5, "document field 'bands' must be a list, got 5"),
+            (None, "bands", [5], "band 0 must be an object, got 5"),
+            (None, "lines", [3], "line 0 must be an object, got 3"),
+            (None, "arma_terms", [7], "arma term 0 must be an object, got 7"),
+        ],
+    )
+    def test_malformed_entry_is_named(self, kind, field, value, message):
+        """A bool inside a list of numbers is rejected, not promoted to 1 or 0 as NumPy would,
+        and an entry of the wrong JSON type is a DocumentError that names it, not a TypeError."""
+        doc = model_to_document(correlated_pair())
+        doc["lines"] = [{"theta": -0.25, "re": [[1, 0], [0, 1]]}, {"theta": 0.25, "re": [[1, 0], [0, 1]]}]
+        doc["arma_terms"] = [{"row": 0, "col": 0, "num": [0, 1], "den": [-0.5, 2, -0.5]}]
+        model_from_document(doc)
+        (doc[kind][0] if kind else doc)[field] = value
+        with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
             model_from_document(doc)
 
     def test_missing_model_size_is_named(self):
@@ -405,10 +436,27 @@ class TestRunTasks:
             monkeypatch.setattr(module, "normalize_components", lambda m, f=real_norm: normalized.append(m) or f(m))
         run({"task": "verify", "model": model_to_document(white_noise()), "seed": 3,
              "m_ladder": [2, 4], "verify_paths": 2000})
-        # one batch shared by both invariance transforms, then the Bussgang and identity batches
-        assert lengths == [estimators.K_CAP, 1, 1024]
-        # the invariance check normalizes the model once, and the task once for its other two batches
-        assert len(normalized) == 2
+        # one batch shared by both invariance transforms and the Bussgang gains, then the identity batch
+        assert lengths == [estimators.K_CAP, 1024]
+        # one normalization behind both batches
+        assert len(normalized) == 1
+
+    @pytest.mark.parametrize("builder", [white_noise, correlated_pair, ar1])
+    def test_verify_gain_rows_read_step_one_of_the_invariance_batch(self, builder):
+        """The Bussgang rows are bussgang_gain on the first step of the K_CAP-step
+        batch that the invariance rows read: verify draws no batch of its own for them."""
+        model = builder(0.6) if builder is ar1 else builder()
+        rep = run({"task": "verify", "model": model_to_document(model), "seed": 3,
+                   "m_ladder": [2, 4], "verify_paths": 2000})
+        batch = _draw(normalize_components(model), K_CAP, 2000, 3)
+        expected = bussgang_gain(batch.samples[:, :1], BUSSGANG_M_LADDER)
+        rows = [r for r in rep.reports if r.quantity == "bussgang_gain"]
+        assert [r.settings["m"] for r in rows] == list(BUSSGANG_M_LADDER)
+        for row, gain in zip(rows, expected):
+            assert row.value == float(gain.gain.mean()) and row.se == float(gain.gain_se.mean())
+            assert row.settings["noise_var"] == gain.noise_var.tolist()
+            assert row.settings["gain_bound"] == gain.gain_bound.tolist()
+            assert row.settings["factor_method"] == batch.factor_method
 
     @pytest.mark.parametrize("builder", [white_noise, correlated_pair, real_only_complex])
     def test_verify_translation_row_is_the_oracle_delta(self, builder):

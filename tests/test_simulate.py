@@ -232,22 +232,17 @@ def _reference_samples(acov, k, paths, seed):
     return (z @ factor.T + np.tile(acov.mean, k)).reshape(paths, k, acov.L), method
 
 
-def _whole_chunk_dense_paths(acov, k, paths, seed):
-    """Reference dense draw: the one each slice of normals replaces.  Each
-    chunk's normals are drawn from its stream at once and multiplied by the
-    factor in one product."""
+def _whole_batch_dense_paths(acov, k, paths, seed):
+    """Reference dense draw: the one each slice of normals replaces.  The
+    batch's normals are drawn from its one stream at once and multiplied by
+    the factor in one product."""
     factor, _ = _psd_factor(acov, k)
-    out = np.empty((paths, k * acov.L))
-    for chunk, start in enumerate(range(0, paths, simulate._PATH_CHUNK)):
-        stop = min(start + simulate._PATH_CHUNK, paths)
-        z = derive_rng(seed, "gauss-paths", chunk).standard_normal((stop - start, k * acov.L))
-        np.matmul(z, factor.T, out=out[start:stop])
-        out[start:stop] += np.tile(acov.mean, k)
-    return out.reshape(paths, k, acov.L)
+    z = derive_rng(seed, "gauss-paths", 0).standard_normal((paths, k * acov.L))
+    return (z @ factor.T + np.tile(acov.mean, k)).reshape(paths, k, acov.L)
 
 
-# (k*L, paths) for the sliced dense draw: path counts on both sides of a 1024-row slice and of the
-# 65 536-path chunk, up to 2^21 values per batch, and at k*L = 64 and 512 (slices of 2048 and 1024
+# (k*L, paths) for the sliced dense draw: path counts on both sides of a 1024-row slice and of
+# 65 536 paths, up to 2^21 values per batch, and at k*L = 64 and 512 (slices of 2048 and 1024
 # rows) counts whose tails join the slice before them or make one of their own.
 _DENSE_PATHS = (1, 1023, 1025, 65_536, 65_537, 100_000)
 _DENSE_CASES = [
@@ -263,7 +258,7 @@ class TestDenseFactor:
         acov = autocovariance_from_spectrum(ar1(0.6), kl - 1)
         batch = sample_paths(acov, kl, paths, seed=5)
         assert batch.factor_method == "cholesky"
-        assert np.array_equal(batch.samples, _whole_chunk_dense_paths(acov, kl, paths, 5))
+        assert np.array_equal(batch.samples, _whole_batch_dense_paths(acov, kl, paths, 5))
 
     @pytest.mark.parametrize("paths", _DENSE_PATHS)
     def test_slices_equal_the_whole_chunk_draw_bivariate(self, paths):
@@ -271,7 +266,7 @@ class TestDenseFactor:
         acov = autocovariance_from_spectrum(model, 3)
         batch = sample_paths(acov, 4, paths, seed=5)
         assert batch.factor_method == "eigh"
-        assert np.array_equal(batch.samples, _whole_chunk_dense_paths(acov, 4, paths, 5))
+        assert np.array_equal(batch.samples, _whole_batch_dense_paths(acov, 4, paths, 5))
 
     def test_traced_peak_is_the_output_and_a_slice(self):
         """The entropy route's draw, 100 000 paths of 4 steps of correlated_pair:
@@ -693,7 +688,7 @@ class TestSpectralRoute:
         ref, _ = _one_shot_spectral_paths(acov, 600, 9, seed=42)
         assert np.abs(nine - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    def test_deterministic_by_seed_and_chunk(self, monkeypatch):
+    def test_deterministic_by_seed_and_chunk(self):
         acov = autocovariance_from_spectrum(narrowband(0.4), 599)
         odd = sample_paths(acov, 600, 7, seed=42)
         assert (odd.factor_method, odd.samples.shape) == ("spectral", (7, 600, 1))
@@ -702,9 +697,8 @@ class TestSpectralRoute:
         # real parts of 4 complex draws, then 3 imaginary parts
         even = sample_paths(acov, 600, 8, seed=42).samples
         assert np.array_equal(odd.samples, np.concatenate([even[:4], even[4:7]]))
-        # the draw is one stream: _PATH_CHUNK splits only the dense route's draws
+        # the draw is one stream
         nine = sample_paths(acov, 600, 9, seed=42).samples
-        monkeypatch.setattr(simulate, "_PATH_CHUNK", 4)
         assert np.array_equal(sample_paths(acov, 600, 9, seed=42).samples, nine)
 
     def test_coarse_quadrature_falls_back_to_the_dense_factor(self, monkeypatch):
